@@ -8,6 +8,7 @@ its own field, and mixing fields raises ``FieldMismatch``.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import DivisionByZero, FieldMismatch, NotPrime, ZeroPolynomial
@@ -302,11 +303,11 @@ def _rational_candidates(f):
     shifted = {e - lo: c for e, c in coeffs.items()}
     denom_lcm = 1
     for c in shifted.values():
-        denom_lcm = denom_lcm * c.denominator // _gcd_int(denom_lcm, c.denominator)
+        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
     ints = {e: int(c * denom_lcm) for e, c in shifted.items()}
     content = 0
     for v in ints.values():
-        content = _gcd_int(content, v)
+        content = math.gcd(content, v)
     ints = {e: v // content for e, v in ints.items()}
     hi = max(ints)
     a0, ad = ints.get(0, 0), ints[hi]
@@ -318,13 +319,6 @@ def _rational_candidates(f):
                 if cand not in cands:
                     cands.append(cand)
     return cands
-
-
-def _gcd_int(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _multiplicity(f, theta) -> int:

@@ -84,16 +84,20 @@ def _cleared_sides(h: RatMap):
     return lhs, rhs
 
 
+def _trace_conditions(h: RatMap):
+    """(JH . H = tr JH . H, JH . H = 0), from one build of the cleared sides."""
+    lhs, rhs = _cleared_sides(h)
+    return all(a == b for a, b in zip(lhs, rhs)), all(e.is_zero() for e in lhs)
+
+
 def qt_condition(h: RatMap) -> bool:
     """Exact test of JH . H = tr JH . H."""
-    lhs, rhs = _cleared_sides(h)
-    return all(a == b for a, b in zip(lhs, rhs))
+    return _trace_conditions(h)[0]
 
 
 def classical_gn_condition(h: RatMap) -> bool:
     """The original hypothesis JH . H = 0, kept as a separate named check."""
-    lhs, _ = _cleared_sides(h)
-    return all(entry.is_zero() for entry in lhs)
+    return _trace_conditions(h)[1]
 
 
 @dataclass
@@ -335,8 +339,7 @@ def gn_classify(h_map: RatMap, witnesses=()) -> GNReport:
                 f"trdeg K(tH) = {report.trdeg_tH} > 2: the classification "
                 "does not apply"
             )
-    report.qt = qt_condition(h_map)
-    report.classical_zero = classical_gn_condition(h_map)
+    report.qt, report.classical_zero = _trace_conditions(h_map)
     if h_map.is_zero():
         report.core = tuple(h_map.ring.zero() for _ in range(h_map.m))
         report.core_bivariate = True

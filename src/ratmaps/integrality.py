@@ -20,7 +20,7 @@ from .errors import (
     ConstantRatio,
     DegenerateImage,
 )
-from .fields import roots_in_K
+from .fields import _multiplicity, roots_in_K
 from .polyring import (
     Poly,
     PolyRing,
@@ -77,12 +77,7 @@ class ReducedPair:
 
     def value_at(self, p: Poly, q: Poly) -> RatFunc:
         """g = f1(p/q)/f2(p/q) as an element of K(x)."""
-        s = max(self.f1.total_degree(), self.f2.total_degree(), 0)
-        num = eval_univar_at_ratio(self.f1, p, q, int(s))
-        den = eval_univar_at_ratio(self.f2, p, q, int(s))
-        if den.is_zero():
-            raise ConstantRatio("f2(p/q) vanishes")
-        return RatFunc(num, den)
+        return _value_at(self.f1, self.f2, p, q)
 
     def __str__(self):
         return f"({self.f1}; {self.f2})"
@@ -94,13 +89,7 @@ def valuation(g: Poly, theta: ProjPoint):
         return POS_INF
     if theta.at_infinity:
         return -g.total_degree()
-    ring = g.ring
-    linear = Poly(ring, {(1,): ring.field.one(), (0,): -theta.value})
-    mult = 0
-    while g.evaluate([theta.value]) == ring.field.zero():
-        g = g.divexact(linear)
-        mult += 1
-    return mult
+    return _multiplicity(g, theta.value)
 
 
 def _pair_polys(g):

@@ -4,13 +4,20 @@ Polynomials are dictionaries from exponent tuples to nonzero coefficients,
 ordered canonically by graded lexicographic order for printing and leading
 term queries.  Greatest common divisors use a primitive polynomial remainder
 sequence with recursive content extraction, variable by variable, which is
-exact over both the rationals and GF(p).  Rational functions are kept
-reduced with a monic denominator, so equality is plain structural equality.
+exact over both the rationals and GF(p).  Most gcds the library asks for are
+1, so over the rationals a modular coprimality certificate runs first: it
+evaluates all variables but one at a point, modulo a prime, and compares
+univariate gcd degrees (Brown's degree-bound argument).  It either proves
+the gcd constant or answers "unknown", and the remainder sequence then
+decides; an unlucky prime or point costs only that fallback, never a wrong
+gcd.  Rational functions are kept reduced with a monic denominator, so
+equality is plain structural equality.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -364,6 +371,86 @@ def poly_arith(a: Poly, b: Poly, op: str) -> Poly:
 # content extraction keeps the numbers small and integer arithmetic is far
 # cheaper than Fraction arithmetic.  Over GF(p) the generic field path is
 # used directly.
+#
+# The rational path is entered through a coprimality certificate on the
+# cleared integers read modulo _CERT_PRIME.  It takes plain ints modulo any
+# prime and is tested on GF(p) residues too, but the GF(p) path does not
+# call it yet (ROADMAP item 4).  The certificate is exact.  Let
+# g = gcd(a, b), taken primitive in Z[x] over QQ, so that g divides a and b
+# over Z (Gauss).  Map to GF(p) and fix every variable but x_j at a point: g's
+# image divides the images of a and b, and when a's (or b's) x_j-leading
+# coefficient survives, so does g's, because it divides it; then g's image
+# keeps deg_j g.  So a univariate gcd of degree 0 at such a point proves
+# deg_j g = 0, and proving it for every variable shared by a and b proves g
+# constant.  Nothing else is ever concluded: a prime or point at which the
+# leading coefficients vanish, or the images share a factor that a and b do
+# not, only sends the pair to the PRS, which is also the path for every
+# non-constant gcd.
+
+# the Mersenne prime 2^61 - 1: rational inputs are certified modulo it
+_CERT_PRIME = (1 << 61) - 1
+# points drawn per variable while both leading coefficients vanish there
+_CERT_TRIES = 3
+_CERT_SEED = 0x5EED
+
+
+def _uni_image(t: dict, j: int, d: int, point, p: int) -> list:
+    """Dense ascending coefficients mod p of t in variable j, the others at point."""
+    out = [0] * (d + 1)
+    for e, c in t.items():
+        c %= p
+        for i, k in enumerate(e):
+            if k and i != j:
+                c = c * pow(point[i], k, p)
+        out[e[j]] += c
+    return [c % p for c in out]
+
+
+def _uni_gcd_degree(a: list, b: list, p: int) -> int:
+    """Degree of gcd(a, b) in GF(p)[y] for dense ascending lists; -1 if both vanish."""
+    while a and not a[-1]:
+        a.pop()
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        inv = pow(b[-1], -1, p)
+        db = len(b) - 1
+        while len(a) > db:
+            f = a[-1] * inv % p
+            shift = len(a) - 1 - db
+            for k in range(db):
+                a[shift + k] = (a[shift + k] - f * b[k]) % p
+            a.pop()
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def _coprime_certified(ta: dict, tb: dict, p: int) -> bool:
+    """True if gcd(a, b) is provably constant; False means unknown.
+
+    ta and tb are the nonconstant a and b with int coefficients, to be read
+    modulo the prime p: cleared integers over QQ, residues over GF(p).
+    """
+    nvars = len(next(iter(ta)))
+    rng = random.Random(_CERT_SEED)
+    for j in range(nvars):
+        da = max(e[j] for e in ta)
+        db = max(e[j] for e in tb)
+        if not (da and db):
+            continue
+        for _ in range(_CERT_TRIES):
+            point = [rng.randrange(p) for _ in range(nvars)]
+            ia = _uni_image(ta, j, da, point, p)
+            ib = _uni_image(tb, j, db, point, p)
+            if ia[-1] or ib[-1]:
+                if _uni_gcd_degree(ia, ib, p) != 0:
+                    return False
+                break
+        else:
+            return False
+    return True
 
 
 def _qq_int_terms(p: Poly) -> dict:
@@ -570,14 +657,22 @@ def _primitive_wrt(a: Poly, j: int) -> Poly:
 
 
 def _gcd2(a: Poly, b: Poly) -> Poly:
-    """Monic gcd of two nonzero polynomials (primitive PRS, recursive content)."""
+    """Monic gcd of two nonzero polynomials.
+
+    Over QQ a modular certificate answers most coprime pairs; the rest, and
+    every pair over GF(p), go to the primitive PRS with recursive content
+    extraction.
+    """
     ring = a.ring
     if a == b:
         return a.monic()
     if a.is_constant() or b.is_constant():
         return ring.one()
     if ring.field == QQ:
-        g = _iz_gcd2(_qq_int_terms(a), _qq_int_terms(b), ring.nvars)
+        ta, tb = _qq_int_terms(a), _qq_int_terms(b)
+        if _coprime_certified(ta, tb, _CERT_PRIME):
+            return ring.one()
+        g = _iz_gcd2(ta, tb, ring.nvars)
         return Poly(ring, {e: Fraction(v) for e, v in g.items()}).monic()
     active = set()
     for e in list(a.terms) + list(b.terms):

@@ -35,7 +35,11 @@ def random_nonzero_poly(rng, ring, max_deg=3, n_terms=4):
 
 
 def random_coprime_pair(rng, ring, max_deg=3, n_terms=3):
-    """A pair with unit gcd, not both constant."""
+    """A pair with unit gcd, not both constant.
+
+    Each accepted pair is confirmed by the resultant oracle, whose points
+    come from their own generator so that rng's stream is unchanged.
+    """
     while True:
         p = random_poly(rng, ring, max_deg, n_terms)
         q = random_poly(rng, ring, max_deg, n_terms)
@@ -44,6 +48,7 @@ def random_coprime_pair(rng, ring, max_deg=3, n_terms=3):
         if p.is_constant() and q.is_constant():
             continue
         if is_primitive([p, q]):
+            assert certify_coprime_by_resultant(p, q, seeded(-1)), (p, q)
             return p, q
 
 
@@ -131,35 +136,41 @@ def sylvester_resultant_qq(a_coeffs, b_coeffs):
 
 
 def certify_coprime_by_resultant(a, b, rng, attempts=8):
-    """Certify gcd(a, b) constant: a nonzero evaluated resultant suffices.
+    """Certify gcd(a, b) constant: nonzero evaluated resultants suffice.
 
-    For multivariate inputs, all variables but x1 are evaluated at random
-    rational points (keeping the x1-leading coefficients alive) and the
-    univariate resultant is computed over the rationals.
+    For every variable v in which both inputs have positive degree, all
+    other variables are evaluated at random rational points that keep both
+    v-leading coefficients alive, and the univariate resultant in v is
+    computed over the rationals.  A nonzero value proves that the gcd has
+    degree 0 in v: its v-leading coefficient divides theirs, so its image
+    keeps its degree and divides both images.  The gcd is constant when
+    this holds for every such v.
     """
     ring = a.ring
+    if a.is_zero() or b.is_zero():
+        return False
 
-    def evaluated(p, point):
-        coeffs = {}
+    def evaluated(p, v, point):
+        coeffs = [Fraction(0)] * (p.degree_in(v) + 1)
         for e, c in p.terms.items():
-            v = Fraction(c)
-            for i in range(1, ring.nvars):
-                v *= point[i - 1] ** e[i]
-            coeffs[e[0]] = coeffs.get(e[0], Fraction(0)) + v
-        d = max(coeffs) if coeffs else -1
-        return [coeffs.get(k, Fraction(0)) for k in range(d + 1)]
+            t = Fraction(c)
+            for i, k in enumerate(e):
+                if i != v:
+                    t *= point[i] ** k
+            coeffs[e[v]] += t
+        return coeffs
 
-    for _ in range(attempts):
-        point = [Fraction(rng.randint(1, 19), rng.randint(1, 7)) for _ in range(ring.nvars - 1)]
-        ac = evaluated(a, point)
-        bc = evaluated(b, point)
-        if not ac or not bc or ac[-1] == 0 or bc[-1] == 0:
+    for v in range(ring.nvars):
+        if a.degree_in(v) == 0 or b.degree_in(v) == 0:
             continue
-        if len(ac) - 1 != a.degree_in(0) or len(bc) - 1 != b.degree_in(0):
-            continue
-        if sylvester_resultant_qq(ac, bc) != 0:
-            return True
-    return False
+        for _ in range(attempts):
+            point = [Fraction(rng.randint(1, 19), rng.randint(1, 7)) for _ in range(ring.nvars)]
+            ac, bc = evaluated(a, v, point), evaluated(b, v, point)
+            if ac[-1] and bc[-1] and sylvester_resultant_qq(ac, bc) != 0:
+                break
+        else:
+            return False
+    return True
 
 
 def lagrange_derivative_at_zero(values, nodes):

@@ -11,6 +11,7 @@ from conftest import (
     random_ratfunc,
     seeded,
 )
+from ratmaps import polyring
 from ratmaps.errors import AllZero, NotDivisible, RingMismatch, ZeroMap
 from ratmaps.fields import PrimeField, QQ
 from ratmaps.polyring import (
@@ -113,6 +114,10 @@ def test_is_primitive_examples():
     assert is_primitive([X1 + ONE, X1**2])
     assert certify_coprime_by_resultant(X1 + ONE, X1**2, seeded(5))
     assert not is_primitive([R2.zero(), R2.zero()])
+    # the common factor x2 lives in a variable other than x1
+    a, b = X2 * (X1 + ONE), X2 * (X1 + R2.const(2))
+    assert not is_primitive([a, b])
+    assert not certify_coprime_by_resultant(a, b, seeded(5))
 
 
 def test_primitive_part_examples():
@@ -288,3 +293,82 @@ def test_print_canonical_order():
     assert str(RatFunc(X2, X1)) == "(x2)/(x1)"
     assert str(R2.zero()) == "0"
     assert str(-X1 + R2.const(2)) == "-x1 + 2"
+
+
+# -- the coprimality certificate against the PRS ----------------------------
+
+
+def certificate_says_constant(a, b):
+    """The certificate on a nonconstant pair: the cleared integers modulo
+    _CERT_PRIME over QQ (as _gcd2 feeds it), the residues over GF(p)."""
+    if a.ring.field == QQ:
+        ta, tb = polyring._qq_int_terms(a), polyring._qq_int_terms(b)
+        return polyring._coprime_certified(ta, tb, polyring._CERT_PRIME)
+    ta, tb = ({e: c.v for e, c in t.terms.items()} for t in (a, b))
+    return polyring._coprime_certified(ta, tb, a.ring.field.p)
+
+
+@pytest.fixture
+def gcd_pair(monkeypatch):
+    """(gcd with the certificate, PRS gcd with it switched off) of a pair."""
+
+    def both(a, b):
+        fast = polyring._gcd2(a, b)
+        with monkeypatch.context() as m:
+            m.setattr(polyring, "_coprime_certified", lambda ta, tb, p: False)
+            return fast, polyring._gcd2(a, b)
+
+    return both
+
+
+def check_against_prs(a, b, gcd_pair):
+    """Compare with the PRS; returns the gcd and whether it was certified."""
+    fast, prs = gcd_pair(a, b)
+    assert fast == prs, (a, b)
+    certified = not (a.is_constant() or b.is_constant()) and certificate_says_constant(a, b)
+    assert prs.is_one() or not certified, (a, b)
+    return prs, certified
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003), PrimeField(2), PrimeField(3)])
+def test_certificate_matches_prs_random(field, gcd_pair):
+    rng = seeded(11)
+    planted = certified = 0
+    for trial in range(36):
+        ring = PolyRing(field, tuple(f"x{i + 1}" for i in range(2 + trial % 3)))
+        a = random_nonzero_poly(rng, ring, 3, 3)
+        b = random_nonzero_poly(rng, ring, 3, 3)
+        if trial % 3:
+            # a common factor: random, or in one variable other than x1
+            if trial % 3 == 1:
+                g = random_nonzero_poly(rng, ring, 2, 2)
+            else:
+                v = ring.var(rng.randrange(1, ring.nvars))
+                g = v ** rng.randint(1, 2) + ring.const(rng.randint(0, 2))
+            a, b = a * g, b * g
+        prs, cert = check_against_prs(a, b, gcd_pair)
+        planted += not prs.is_constant()
+        certified += cert
+    assert planted >= 12 and certified >= 3
+
+
+def test_certificate_leading_coefficient_vanishing_everywhere(gcd_pair):
+    # over GF(3) the x1-leading coefficient x2^3 - x2 is 0 at every point
+    ring = PolyRing(PrimeField(3), ("x1", "x2"))
+    x1, x2 = ring.var(0), ring.var(1)
+    g = (x2**3 - x2) * x1 + ring.one()
+    for a, b in [(g * (x1 + x2), g * (x1 + ring.one())), (g, x1 + x2)]:
+        check_against_prs(a, b, gcd_pair)
+    assert not certificate_says_constant(g * (x1 + x2), g * (x1 + ring.one()))
+
+
+def test_certificate_leading_coefficient_multiple_of_prime(gcd_pair):
+    # the shared factor's leading coefficient vanishes modulo the certificate
+    # prime, so its images lose their degree there; only the PRS sees it
+    g = R2.const(polyring._CERT_PRIME) * X1 + ONE
+    a, b = g * (X1 + R2.const(2)), g * (X1 + R2.const(3))
+    assert not certificate_says_constant(a, b)
+    assert check_against_prs(a, b, gcd_pair) == (g.monic(), False)
+    # b's leading coefficient survives, so the pair is still certified
+    a = R2.const(polyring._CERT_PRIME) * X1**2 + X1 + ONE
+    assert check_against_prs(a, X1 + R2.const(2), gcd_pair) == (ONE, True)
