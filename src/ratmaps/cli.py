@@ -485,9 +485,13 @@ def _field_str(field) -> str:
     return "q" if field.characteristic == 0 else f"fp:{field.characteristic}"
 
 
+_parser = None  # built by the first main call, not at import
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    _parser = _parser or build_parser()
+    args = _parser.parse_args(argv)
     try:
         payload = args.handler(args)
     except ParseError as exc:

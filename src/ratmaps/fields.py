@@ -202,9 +202,6 @@ class PrimeField(Field):
     def contains(self, value) -> bool:
         return isinstance(value, Fp) and value.p == self.p
 
-    def elements(self):
-        return (Fp(v, self.p) for v in range(self.p))
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -266,8 +263,9 @@ def roots_in_K(f) -> list:
     Returns ``[(root, multiplicity), ...]`` in a deterministic order.
     Over the rationals the candidates come from the rational-root
     theorem applied to the content-normalized integer form; over GF(p)
-    every residue is tried.  Multiplicities are found by deflation, so
-    each reported pair satisfies (y - root)^mult | f exactly.
+    every residue is tried, by one Horner pass over plain ints.
+    Multiplicities are found by deflation, so each reported pair
+    satisfies (y - root)^mult | f exactly.
     """
     from .polyring import Poly  # local import to avoid a cycle
 
@@ -280,19 +278,24 @@ def roots_in_K(f) -> list:
 
     field = f.ring.field
     if isinstance(field, PrimeField):
-        candidates = list(field.elements())
+        # Horner on plain ints, 2^16 residues at a time to bound memory;
+        # only the zeros found reach the deflation below
+        p, top, candidates = field.p, f.total_degree(), []
+        dense = [f.terms[(e,)].v if (e,) in f.terms else 0 for e in range(top, -1, -1)]
+        for lo in range(0, p, 1 << 16):
+            ts = range(lo, min(p, lo + (1 << 16)))
+            values = [0] * len(ts)
+            for c in dense:
+                values = [(v * t + c) % p for t, v in zip(ts, values)]
+            candidates += [Fp(t, p) for t, v in zip(ts, values) if not v]
     else:
-        candidates = _rational_candidates(f)
+        candidates = sorted(_rational_candidates(f))
 
     out = []
     for theta in candidates:
         mult = _multiplicity(f, theta)
         if mult > 0:
             out.append((theta, mult))
-    if isinstance(field, PrimeField):
-        out.sort(key=lambda rm: rm[0].v)
-    else:
-        out.sort(key=lambda rm: rm[0])
     return out
 
 
@@ -311,8 +314,6 @@ def _rational_candidates(f):
     ints = {e: v // content for e, v in ints.items()}
     hi = max(ints)
     a0, ad = ints.get(0, 0), ints[hi]
-    if a0 == 0:  # cannot happen after the shift, but keep the guard cheap
-        return cands
     for r in _int_divisors(a0):
         for s in _int_divisors(ad):
             for cand in (Fraction(r, s), Fraction(-r, s)):

@@ -2,16 +2,16 @@
 
 Polynomials are dictionaries from exponent tuples to nonzero coefficients,
 ordered canonically by graded lexicographic order for printing and leading
-term queries.  Greatest common divisors use a primitive polynomial remainder
-sequence with recursive content extraction, variable by variable, which is
-exact over both the rationals and GF(p).  Most gcds the library asks for are
-1, so over the rationals a modular coprimality certificate runs first: it
-evaluates all variables but one at a point, modulo a prime, and compares
-univariate gcd degrees (Brown's degree-bound argument).  It either proves
-the gcd constant or answers "unknown", and the remainder sequence then
-decides; an unlucky prime or point costs only that fallback, never a wrong
-gcd.  Rational functions are kept reduced with a monic denominator, so
-equality is plain structural equality.
+term queries.  Greatest common divisors use one primitive polynomial
+remainder sequence with recursive content extraction, variable by variable,
+for both fields, on monomials packed into ints and int coefficients.  Most
+gcds the library asks for are 1, so over the rationals a modular coprimality
+certificate runs first: it evaluates all variables but one at a point,
+modulo a prime, and compares univariate gcd degrees (Brown's degree-bound
+argument).  It either proves the gcd constant or answers "unknown", and the
+remainder sequence then decides; an unlucky prime or point costs only that
+fallback, never a wrong gcd.  Rational functions are kept reduced with a
+monic denominator, so equality is plain structural equality.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     AllZero,
@@ -81,9 +80,6 @@ class PolyRing:
         e = [0] * self.nvars
         e[i] = 1
         return Poly(self, {tuple(e): self.field.one()})
-
-    def monomial(self, e, c=None) -> Poly:
-        return Poly(self, {tuple(e): self.field.one() if c is None else c})
 
     def poly(self, terms: dict) -> Poly:
         """Public constructor: validates exponents, coerces int coefficients."""
@@ -296,13 +292,6 @@ class Poly:
             out.setdefault(k, {})[stripped] = c
         return {k: Poly(self.ring, t) for k, t in out.items()}
 
-    def coeff_wrt(self, j: int, k: int) -> Poly:
-        out = {}
-        for e, c in self.terms.items():
-            if e[j] == k:
-                out[e[:j] + (0,) + e[j + 1 :]] = c
-        return Poly(self.ring, out)
-
     # -- graded structure --------------------------------------------------
 
     def homogeneous_parts(self):
@@ -367,15 +356,16 @@ def poly_arith(a: Poly, b: Poly, op: str) -> Poly:
 
 # -- gcd machinery --------------------------------------------------------
 #
-# Over the rationals the PRS runs on cleared integer coefficients: integer
-# content extraction keeps the numbers small and integer arithmetic is far
-# cheaper than Fraction arithmetic.  Over GF(p) the generic field path is
-# used directly.
+# One primitive PRS serves both fields, on Kronecker-packed monomials
+# (_Packing) and plain int coefficients: cleared integers over the rationals,
+# where integer content extraction keeps the numbers small, and residues in
+# [0, p) over GF(p), with no Fp object per operation.  _gcd2 converts at
+# this boundary only, so Poly keeps its tuple keys.
 #
 # The rational path is entered through a coprimality certificate on the
 # cleared integers read modulo _CERT_PRIME.  It takes plain ints modulo any
 # prime and is tested on GF(p) residues too, but the GF(p) path does not
-# call it yet (ROADMAP item 4).  The certificate is exact.  Let
+# call it (ROADMAP item 4).  The certificate is exact.  Let
 # g = gcd(a, b), taken primitive in Z[x] over QQ, so that g divides a and b
 # over Z (Gauss).  Map to GF(p) and fix every variable but x_j at a point: g's
 # image divides the images of a and b, and when a's (or b's) x_j-leading
@@ -473,232 +463,237 @@ def _qq_int_terms(p: Poly) -> dict:
     return out
 
 
-def _iz_strip_content(t: dict) -> dict:
-    g = 0
-    for v in t.values():
-        g = math.gcd(g, v)
-        if g == 1:
-            return t
-    return {e: v // g for e, v in t.items()} if g > 1 else t
+class _Packing:
+    """Kronecker packing of the exponent tuples of n variables into ints.
+
+    A key is total<<(n*w) | e0<<((n-1)*w) | ... | e_{n-1} with w bits per
+    slot, so integer order on keys is grlex order, a monomial product is a
+    key sum and a quotient a key difference.  Every slot holds at most
+    limit = 2^(w-1) - 1, so the sum of two keys never carries, and a
+    difference that borrows sets the top (guard) bit of a variable slot.
+    The total slot bounds every other slot, so a product is checked by
+    its total alone.  mod is the coefficient ring: 0 for Z, p for GF(p).
+    """
+
+    __slots__ = ("n", "w", "mod", "tshift", "limit", "guard", "mask")
+
+    def __init__(self, n: int, w: int, mod: int):
+        self.n, self.w, self.mod = n, w, mod
+        self.tshift = n * w
+        self.limit = (1 << (w - 1)) - 1
+        self.guard = sum(1 << (i * w + w - 1) for i in range(n))
+        self.mask = (1 << w) - 1
+
+    def unit(self, j: int) -> int:
+        """The key of x_j: a 1 in slot j and in the total slot."""
+        return (1 << self.tshift) | (1 << ((self.n - 1 - j) * self.w))
+
+    def pack(self, t: dict) -> dict:
+        out = {}
+        for e, c in t.items():
+            key = sum(e)
+            for k in e:
+                key = (key << self.w) | k
+            out[key] = c
+        return out
+
+    def unpack(self, t: dict) -> dict:
+        n, w, mask = self.n, self.w, self.mask
+        return {
+            tuple((key >> ((n - 1 - j) * w)) & mask for j in range(n)): c
+            for key, c in t.items()
+        }
 
 
-def _iz_mul(t1: dict, t2: dict) -> dict:
-    out = {}
+def _first_width(total_degree: int) -> int:
+    """Slot bits leaving room for twice the inputs' total degree, plus a guard."""
+    return (2 * total_degree + 1).bit_length() + 1
+
+
+def _k_reduce(t: dict, mod: int) -> dict:
+    if mod:
+        return {e: v for e, c in t.items() if (v := c % mod)}
+    return {e: c for e, c in t.items() if c}
+
+
+def _k_normal(t: dict, mod: int) -> dict:
+    """t without its content: integer gcd over Z, leading coefficient over GF(p)."""
+    if mod:
+        lc = t[max(t)]
+        inv = pow(lc, -1, mod)
+        return t if lc == 1 else {e: c * inv % mod for e, c in t.items()}
+    g = math.gcd(*t.values())
+    return t if g == 1 else {e: v // g for e, v in t.items()}
+
+
+def _k_addmul(out: dict, t1: dict, t2: dict, K: _Packing) -> dict:
+    """out += t1*t2, coefficients left unreduced; t1 should be the shorter.
+
+    Raises OverflowError when the product's total degree exceeds the limit.
+    """
+    # the product's leading key is the sum of the leading keys
+    if (max(t1) + max(t2)) >> K.tshift > K.limit:
+        raise OverflowError("exponent slot overflow")
     get = out.get
+    items2 = list(t2.items())
     for e1, c1 in t1.items():
-        for e2, c2 in t2.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            acc = get(e)
-            out[e] = c1 * c2 if acc is None else acc + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
-def _iz_combine(t1: dict, c1: dict, t2: dict, c2: dict) -> dict:
-    """c1*t1 - c2*t2 for coefficient dicts c1, c2 (polynomial multipliers)."""
-    out = _iz_mul(c1, t1)
-    for e, v in _iz_mul(c2, t2).items():
-        acc = out.get(e)
-        w = -v if acc is None else acc - v
-        if w:
-            out[e] = w
-        elif acc is not None:
-            del out[e]
+        for e2, c2 in items2:
+            e = e1 + e2
+            out[e] = get(e, 0) + c1 * c2
     return out
 
 
-def _iz_deg_in(t: dict, j: int) -> int:
-    return max((e[j] for e in t), default=0)
-
-
-def _iz_coeff_wrt(t: dict, j: int, k: int) -> dict:
-    return {e[:j] + (0,) + e[j + 1 :]: c for e, c in t.items() if e[j] == k}
-
-
-def _iz_coeffs_wrt(t: dict, j: int) -> dict:
-    out = {}
-    for e, c in t.items():
-        out.setdefault(e[j], {})[e[:j] + (0,) + e[j + 1 :]] = c
-    return out
-
-
-def _iz_divexact(a: dict, b: dict) -> dict:
-    """Exact division in Z[x]; the caller guarantees divisibility."""
-    if not a:
-        return {}
-    eb = max(b, key=_grlex)
+def _k_divexact(a: dict, b: dict, K: _Packing) -> dict:
+    """Exact quotient a/b; NotDivisible when a slot borrows or a remainder is left."""
+    if b == {0: 1}:
+        return a
+    mod = K.mod
+    eb = max(b)
     cb = b[eb]
+    inv = pow(cb, -1, mod) if mod else None
     rem = dict(a)
     quot = {}
     while rem:
-        er = max(rem, key=_grlex)
-        cr = rem[er]
-        e = tuple(x - y for x, y in zip(er, eb))
-        c, leftover = divmod(cr, cb)
-        if leftover or any(k < 0 for k in e):
-            raise NotDivisible("integer-polynomial division is not exact")
+        er = max(rem)
+        e = er - eb
+        if e < 0 or e & K.guard:
+            raise NotDivisible("leading monomial does not divide")
+        if mod:
+            c = rem[er] * inv % mod
+        else:
+            c, leftover = divmod(rem[er], cb)
+            if leftover:
+                raise NotDivisible("integer-polynomial division is not exact")
         quot[e] = c
         for e2, c2 in b.items():
-            key = tuple(x + y for x, y in zip(e, e2))
-            acc = rem.get(key)
-            v = -(c * c2) if acc is None else acc - c * c2
+            key = e + e2
+            v = rem.get(key, 0) - c * c2
+            if mod:
+                v %= mod
             if v:
                 rem[key] = v
-            elif acc is not None:
-                del rem[key]
+            else:
+                rem.pop(key, None)
     return quot
 
 
-def _iz_prem(a: dict, b: dict, j: int, nvars: int) -> dict:
-    db = _iz_deg_in(b, j)
+def _k_deg_in(t: dict, j: int, K: _Packing) -> int:
+    sh, mask = (K.n - 1 - j) * K.w, K.mask
+    return max((e >> sh) & mask for e in t)
+
+
+def _k_prem(a: dict, b: dict, j: int, K: _Packing) -> dict:
+    """Pseudo-remainder of a by b in x_j, scaled by powers of b's leading
+    coefficient, which the callers' primitive parts remove again."""
+    db = _k_deg_in(b, j, K)
     if db == 0:
         return {}
-    lb = _iz_coeff_wrt(b, j, db)
+    sh, mask, drop = (K.n - 1 - j) * K.w, K.mask, db * K.unit(j)
+    lb = {e - drop: c for e, c in b.items() if (e >> sh) & mask == db}
     r = a
-    while r:
-        dr = _iz_deg_in(r, j)
-        if dr < db:
-            break
-        lr = _iz_coeff_wrt(r, j, dr)
-        shift = [0] * nvars
-        shift[j] = dr - db
-        shifted_b = _iz_mul({tuple(shift): 1}, b)
-        r = _iz_combine(r, lb, shifted_b, lr)
+    # each step cancels r's x_j^dr coefficient, so dr only goes down
+    for dr in range(_k_deg_in(a, j, K), db - 1, -1):
+        # minus r's x_j^dr coefficient times x_j^(dr - db)
+        lr = {e - drop: -c for e, c in r.items() if (e >> sh) & mask == dr}
+        if lr:
+            r = _k_reduce(_k_addmul(_k_addmul({}, lb, r, K), lr, b, K), K.mod)
+            if not r:
+                break
     return r
 
 
-def _iz_content_wrt(t: dict, j: int, nvars: int) -> dict:
-    coeffs = list(_iz_coeffs_wrt(t, j).values())
-    return _iz_gcd_many(coeffs, nvars)
-
-
-def _iz_primitive_wrt(t: dict, j: int, nvars: int) -> dict:
-    c = _iz_content_wrt(t, j, nvars)
-    if c == {(0,) * nvars: 1}:
-        return _iz_strip_content(t)
-    return _iz_strip_content(_iz_divexact(t, c))
-
-
-def _iz_gcd2(a: dict, b: dict, nvars: int) -> dict:
-    a = _iz_strip_content(a)
-    b = _iz_strip_content(b)
-    if a == b:
-        return a
-    one = {(0,) * nvars: 1}
-    if all(not any(e) for e in a) or all(not any(e) for e in b):
-        return one
-    active = {i for e in a for i, k in enumerate(e) if k}
-    active |= {i for e in b for i, k in enumerate(e) if k}
-    j = max(active)
-    da, db = _iz_deg_in(a, j), _iz_deg_in(b, j)
-    if da == 0:
-        return _iz_gcd2(a, _iz_content_wrt(b, j, nvars), nvars)
-    if db == 0:
-        return _iz_gcd2(_iz_content_wrt(a, j, nvars), b, nvars)
-    ca = _iz_content_wrt(a, j, nvars)
-    cb = _iz_content_wrt(b, j, nvars)
-    pa, pb = _iz_divexact(a, ca), _iz_divexact(b, cb)
-    cont_gcd = _iz_gcd2(ca, cb, nvars)
-    big, small = (pa, pb) if da >= db else (pb, pa)
-    while True:
-        r = _iz_prem(big, small, j, nvars)
-        if not r:
-            g = _iz_primitive_wrt(small, j, nvars)
+def _k_content_wrt(t: dict, j: int, K: _Packing) -> dict:
+    """gcd of the coefficients of t as a polynomial in x_j."""
+    sh, mask, unit = (K.n - 1 - j) * K.w, K.mask, K.unit(j)
+    coeffs = {}
+    for e, c in t.items():
+        k = (e >> sh) & mask
+        coeffs.setdefault(k, {})[e - k * unit] = c
+    g = None
+    for coeff in coeffs.values():
+        g = _k_normal(coeff, K.mod) if g is None else _k_gcd(g, coeff, K)
+        if g == {0: 1}:
             break
-        if _iz_deg_in(r, j) == 0:
-            g = one
-            break
-        big, small = small, _iz_primitive_wrt(r, j, nvars)
-    return _iz_strip_content(_iz_mul(cont_gcd, g))
-
-
-def _iz_gcd_many(ts, nvars: int) -> dict:
-    nz = [t for t in ts if t]
-    g = _iz_strip_content(nz[0])
-    one = {(0,) * nvars: 1}
-    for t in nz[1:]:
-        if g == one:
-            return g
-        g = _iz_gcd2(g, t, nvars)
     return g
 
 
-def _prem(a: Poly, b: Poly, j: int) -> Poly:
-    """Pseudo-remainder of a by b with respect to variable j.
+def _k_primitive_wrt(t: dict, j: int, K: _Packing) -> dict:
+    return _k_normal(_k_divexact(t, _k_content_wrt(t, j, K), K), K.mod)
 
-    Each reduction step scales the running remainder by b's leading
-    coefficient, which is harmless here because callers take primitive
-    parts afterwards.
-    """
-    db = b.degree_in(j)
+
+def _k_gcd(a: dict, b: dict, K: _Packing) -> dict:
+    """gcd up to a unit, by the primitive PRS with recursive content extraction."""
+    a, b = _k_normal(a, K.mod), _k_normal(b, K.mod)
+    if a == b:
+        return a
+    if not max(a) or not max(b):
+        return {0: 1}
+    # x_j is the variable of the lowest nonzero slot of any key
+    used = 0
+    for e in (*a, *b):
+        used |= e
+    used &= (1 << K.tshift) - 1
+    j = K.n - 1 - ((used & -used).bit_length() - 1) // K.w
+    da, db = _k_deg_in(a, j, K), _k_deg_in(b, j, K)
+    if da == 0:
+        return _k_gcd(a, _k_content_wrt(b, j, K), K)
     if db == 0:
-        return a.ring.zero()
-    lb = b.coeff_wrt(j, db)
-    r = a
-    while not r.is_zero():
-        dr = r.degree_in(j)
-        if dr < db:
+        return _k_gcd(_k_content_wrt(a, j, K), b, K)
+    ca, cb = _k_content_wrt(a, j, K), _k_content_wrt(b, j, K)
+    pa, pb = _k_divexact(a, ca, K), _k_divexact(b, cb, K)
+    cont_gcd = _k_gcd(ca, cb, K)
+    big, small = (pa, pb) if da >= db else (pb, pa)
+    while True:
+        r = _k_prem(big, small, j, K)
+        if not r:
+            g = _k_primitive_wrt(small, j, K)
             break
-        lr = r.coeff_wrt(j, dr)
-        e = [0] * a.ring.nvars
-        e[j] = dr - db
-        shift = a.ring.monomial(tuple(e))
-        r = lb * r - lr * shift * b
-    return r
+        if _k_deg_in(r, j, K) == 0:
+            g = {0: 1}
+            break
+        big, small = small, _k_primitive_wrt(r, j, K)
+    return _k_normal(_k_reduce(_k_addmul({}, cont_gcd, g, K), K.mod), K.mod)
 
 
-def _content_wrt(a: Poly, j: int) -> Poly:
-    coeffs = list(a.coeffs_wrt(j).values())
-    return gcd_many(coeffs)
+def _prs_gcd(ta: dict, tb: dict, nvars: int, mod: int) -> dict:
+    """gcd up to a unit of two tuple-keyed int-coefficient polynomials.
 
-
-def _primitive_wrt(a: Poly, j: int) -> Poly:
-    c = _content_wrt(a, j)
-    return a.divexact(c).monic()
+    Coefficients are read in Z (mod 0) or in GF(mod).  The slot width
+    starts from the inputs' largest total degree; a product that outgrows
+    it reruns the whole gcd at double the width.
+    """
+    w = _first_width(max(sum(e) for t in (ta, tb) for e in t))
+    while True:
+        K = _Packing(nvars, w, mod)
+        try:
+            return K.unpack(_k_gcd(K.pack(ta), K.pack(tb), K))
+        except OverflowError:
+            w *= 2
 
 
 def _gcd2(a: Poly, b: Poly) -> Poly:
     """Monic gcd of two nonzero polynomials.
 
-    Over QQ a modular certificate answers most coprime pairs; the rest, and
-    every pair over GF(p), go to the primitive PRS with recursive content
-    extraction.
+    Over QQ a modular certificate answers most coprime pairs.  The rest,
+    and every pair over GF(p), go to the packed-monomial PRS on cleared
+    integers or on residues.
     """
     ring = a.ring
     if a == b:
         return a.monic()
     if a.is_constant() or b.is_constant():
         return ring.one()
-    if ring.field == QQ:
+    field = ring.field
+    if field == QQ:
         ta, tb = _qq_int_terms(a), _qq_int_terms(b)
         if _coprime_certified(ta, tb, _CERT_PRIME):
             return ring.one()
-        g = _iz_gcd2(ta, tb, ring.nvars)
-        return Poly(ring, {e: Fraction(v) for e, v in g.items()}).monic()
-    active = set()
-    for e in list(a.terms) + list(b.terms):
-        for i, k in enumerate(e):
-            if k:
-                active.add(i)
-    j = max(active)
-    da, db = a.degree_in(j), b.degree_in(j)
-    if da == 0:
-        return _gcd2(a, _content_wrt(b, j))
-    if db == 0:
-        return _gcd2(_content_wrt(a, j), b)
-    ca, cb = _content_wrt(a, j), _content_wrt(b, j)
-    pa, pb = a.divexact(ca), b.divexact(cb)
-    cont_gcd = _gcd2(ca, cb) if not (ca.is_one() and cb.is_one()) else ring.one()
-    big, small = (pa, pb) if da >= db else (pb, pa)
-    while True:
-        r = _prem(big, small, j)
-        if r.is_zero():
-            g = _primitive_wrt(small, j)
-            break
-        if r.degree_in(j) == 0:
-            g = ring.one()
-            break
-        big, small = small, _primitive_wrt(r, j)
-    return (cont_gcd * g).monic()
+        mod = 0
+    else:
+        ta, tb = ({e: c.v for e, c in t.terms.items()} for t in (a, b))
+        mod = field.p
+    g = _prs_gcd(ta, tb, ring.nvars, mod)
+    return Poly(ring, {e: field.from_int(v) for e, v in g.items()}).monic()
 
 
 def gcd_many(polys) -> Poly:

@@ -173,6 +173,79 @@ def certify_coprime_by_resultant(a, b, rng, attempts=8):
     return True
 
 
+# -- reference gcd: the generic primitive PRS on Poly arithmetic ---------
+#
+# Field-agnostic (only +, -, *, divexact and monic), so it checks the
+# library's packed-int PRS kernel over QQ and GF(p) alike.  It is the path
+# the library ran over GF(p) before that kernel, kept here as the oracle.
+
+
+def reference_prem(a, b, j):
+    """Pseudo-remainder of a by b in variable j, scaled by b's leading
+    coefficient at every step; the callers take primitive parts afterwards."""
+    db = b.degree_in(j)
+    if db == 0:
+        return a.ring.zero()
+    lb = b.coeffs_wrt(j)[db]
+    r = a
+    while not r.is_zero():
+        dr = r.degree_in(j)
+        if dr < db:
+            break
+        lr = r.coeffs_wrt(j)[dr]
+        r = lb * r - lr * a.ring.var(j) ** (dr - db) * b
+    return r
+
+
+def _reference_content_wrt(a, j):
+    return reference_gcd_many(list(a.coeffs_wrt(j).values()))
+
+
+def _reference_primitive_wrt(a, j):
+    return a.divexact(_reference_content_wrt(a, j)).monic()
+
+
+def reference_gcd2(a, b):
+    """Monic gcd of two nonzero polynomials by the primitive PRS with
+    recursive content extraction, variable by variable."""
+    ring = a.ring
+    if a == b:
+        return a.monic()
+    if a.is_constant() or b.is_constant():
+        return ring.one()
+    j = max(i for p in (a, b) for e in p.terms for i, k in enumerate(e) if k)
+    da, db = a.degree_in(j), b.degree_in(j)
+    if da == 0:
+        return reference_gcd2(a, _reference_content_wrt(b, j))
+    if db == 0:
+        return reference_gcd2(_reference_content_wrt(a, j), b)
+    ca, cb = _reference_content_wrt(a, j), _reference_content_wrt(b, j)
+    pa, pb = a.divexact(ca), b.divexact(cb)
+    cont_gcd = reference_gcd2(ca, cb)
+    big, small = (pa, pb) if da >= db else (pb, pa)
+    while True:
+        r = reference_prem(big, small, j)
+        if r.is_zero():
+            g = _reference_primitive_wrt(small, j)
+            break
+        if r.degree_in(j) == 0:
+            g = ring.one()
+            break
+        big, small = small, _reference_primitive_wrt(r, j)
+    return (cont_gcd * g).monic()
+
+
+def reference_gcd_many(polys):
+    """Monic gcd of a tuple with at least one nonzero component."""
+    nz = [p for p in polys if not p.is_zero()]
+    g = nz[0].monic()
+    for p in nz[1:]:
+        if g.is_one():
+            break
+        g = reference_gcd2(g, p)
+    return g
+
+
 def lagrange_derivative_at_zero(values, nodes):
     """g'(0) from exact samples g(nodes[k]) of a polynomial of matching degree."""
     total = Fraction(0)

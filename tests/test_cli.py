@@ -151,3 +151,39 @@ def test_internal_alarm_exit_code(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "gcd-subst", "--mode", "uni", "(y1, y1^2)", "x1")
     assert code == 3
     assert "internal assertion" in err
+
+
+def test_cached_parser_matches_fresh_parser(monkeypatch, capsys):
+    # main keeps its parser between calls: back-to-back calls (an append
+    # option twice, a usage error in between) must print and exit exactly
+    # as with a parser built afresh for each call
+    import ratmaps.cli as cli_mod
+
+    calls = [
+        ("gcd", "(x1^2, x1*x2)"),
+        ("gcd", "(x1^2+x2^2, x1+x2)", "--field", "fp:2", "--json"),
+        ("integral-set", "x1", "x2", "--g", "1;y1", "--g", "y1;1", "--json"),
+        ("integral-set", "x1", "x2", "--g", "1;(y1-1)^2", "--field", "fp:7", "--json"),
+        ("gcd", "(x1, x2)", "--no-such-flag"),
+        ("valuation", "y1^2+3*y1", "--theta", "inf", "--field", "fp:5", "--json"),
+        ("gcd-subst", "--mode", "homog", "(y1^2, y1*y2)", "x1+1", "x1^2"),
+    ]
+
+    def run(argv):
+        try:
+            code = cli_mod.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    cached = [run(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli_mod, "_parser", None)
+        fresh.append(run(argv))
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 0, 0, 0, 2, 0, 0]
+    # the second integral-set call sees only its own --g
+    assert json.loads(cached[2][1])["index"] == 1
+    assert json.loads(cached[3][1])["found"] is False

@@ -121,6 +121,39 @@ def test_roots_multiplicity_invariant_random():
         assert total <= f.total_degree()
 
 
+def test_roots_fp_match_exhaustive_evaluation():
+    # oracle: Fp-object evaluation at every residue; roots come back ascending
+    rng = seeded(3)
+    for p in (2, 5, 1009):
+        field = PrimeField(p)
+        ring = uni_ring(field)
+        y = ring.var(0)
+        for _ in range(25):
+            f = random_nonzero_poly(rng, ring, max_deg=5, n_terms=4)
+            if rng.random() < 0.5:  # plant a root, sometimes a repeated one
+                theta = ring.const(rng.randrange(p))
+                f = f * (y - theta) ** rng.randint(1, 2)
+            expected = [t for t in range(p) if f.evaluate([Fp(t, p)]) == field.zero()]
+            found = roots_in_K(f)
+            assert [theta.v for theta, _ in found] == expected
+            for theta, mult in found:
+                linear = y - ring.const(theta)
+                assert (linear**mult).divides(f)
+                assert not (linear ** (mult + 1)).divides(f)
+
+
+def test_roots_fp_across_residue_blocks():
+    # GF(65537): the residues are scanned in blocks of 2^16, so 65535 ends
+    # the first block and 65536 is alone in the second; 3 is a non-residue
+    p = 65537
+    ring = uni_ring(PrimeField(p))
+    y = ring.var(0)
+    f = (y - ring.one()) * (y - ring.const(65535)) * (y - ring.const(65536)) ** 2
+    f = f * (y**2 - ring.const(3))
+    found = [(theta.v, mult) for theta, mult in roots_in_K(f)]
+    assert found == [(1, 1), (65535, 1), (65536, 2)]
+
+
 def test_roots_multiplicity_invariant_fp():
     rng = seeded(2)
     field = PrimeField(5)

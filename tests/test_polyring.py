@@ -9,6 +9,8 @@ from conftest import (
     random_nonzero_poly,
     random_poly,
     random_ratfunc,
+    reference_gcd2,
+    reference_gcd_many,
     seeded,
 )
 from ratmaps import polyring
@@ -372,3 +374,100 @@ def test_certificate_leading_coefficient_multiple_of_prime(gcd_pair):
     # b's leading coefficient survives, so the pair is still certified
     a = R2.const(polyring._CERT_PRIME) * X1**2 + X1 + ONE
     assert check_against_prs(a, X1 + R2.const(2), gcd_pair) == (ONE, True)
+
+
+# -- the packed-int PRS kernel against the reference PRS ----------------------
+
+MERSENNE_61 = (1 << 61) - 1
+
+
+@pytest.mark.parametrize(
+    "field",
+    [QQ, PrimeField(2), PrimeField(3), PrimeField(32003), PrimeField(MERSENNE_61)],
+    ids=str,
+)
+def test_gcd_matches_reference_prs_random(field):
+    rng = seeded(23)
+    planted = 0
+    for trial in range(36):
+        ring = PolyRing(field, tuple(f"x{i + 1}" for i in range(1 + trial % 4)))
+        a, b, c = (random_nonzero_poly(rng, ring, 3, 3) for _ in range(3))
+        kind = trial // 4 % 3
+        if kind == 1:
+            g = random_nonzero_poly(rng, ring, 2, 2)
+        elif kind == 2:
+            # a common factor in one variable, other than x1 where there is one
+            v = ring.var(rng.randrange(1, ring.nvars) if ring.nvars > 1 else 0)
+            g = v ** rng.randint(1, 2) + ring.const(rng.randint(0, 2))
+        else:
+            g = ring.one()
+        a, b, c = a * g, b * g, c * g
+        ref = reference_gcd2(a, b)
+        assert polyring._gcd2(a, b) == ref, (a, b)
+        assert gcd_many([a, b, c]) == reference_gcd_many([a, b, c]), (a, b, c)
+        planted += not ref.is_constant()
+    assert planted >= 12
+
+
+def test_kernel_large_exponents_on_entry():
+    # exponents of hundreds: the first slot width comes from the inputs
+    for field in (QQ, PrimeField(32003)):
+        ring = PolyRing(field, ("x1", "x2", "x3"))
+        x1, x2, x3 = (ring.var(i) for i in range(3))
+        g = x1**300 + x2 * x3**40 + ring.one()
+        a, b = g * (x2**129 + x1), g * (x1**2 * x3**5 + ring.one())
+        assert polyring._gcd2(a, b) == g.monic()
+    t = {(300, 0, 7): 1, (0, 129, 0): 2, (1, 1, 1): 3, (0, 0, 0): 4, (0, 0, 307): 5}
+    K = polyring._Packing(3, polyring._first_width(307), 0)
+    packed = K.pack(t)
+    assert K.unpack(packed) == t
+    # integer order on keys is grlex order
+    order = [next(iter(K.unpack({k: 1}))) for k in sorted(packed)]
+    assert order == sorted(t, key=polyring._grlex)
+
+
+def test_kernel_widens_and_reruns(monkeypatch):
+    widths = []
+
+    class Recording(polyring._Packing):
+        __slots__ = ()
+
+        def __init__(self, n, w, mod):
+            widths.append(w)
+            super().__init__(n, w, mod)
+
+    monkeypatch.setattr(polyring, "_Packing", Recording)
+    # total degree 3 gives a first slot limit of 7; the pseudo-remainders of
+    # this coprime pair outgrow it, so the gcd reruns at double the width
+    w0 = polyring._first_width(3)
+    ta = {(3, 0): 1, (2, 1): -2, (1, 0): -4, (0, 1): -1}
+    tb = {(0, 3): 3, (1, 1): 1, (0, 0): 3}
+    for mod in (0, 2, 32003, MERSENNE_61):
+        pair = (ta, tb)
+        if mod:
+            pair = [{e: c % mod for e, c in t.items() if c % mod} for t in pair]
+        widths.clear()
+        assert polyring._prs_gcd(*pair, 2, mod) == {(0, 0): 1}
+        assert widths == [w0, 2 * w0]
+    ring = PolyRing(PrimeField(32003), ("x1", "x2"))
+    a, b = ring.poly(ta), ring.poly(tb)
+    for h in (ring.one(), ring.var(0) + ring.var(1)):
+        widths.clear()
+        assert polyring._gcd2(a * h, b * h) == reference_gcd2(a * h, b * h) == h
+    assert widths == [polyring._first_width(4)]  # a planted factor leaves room
+
+
+@pytest.mark.parametrize("mod", [0, 7])
+def test_kernel_divexact_borrow_raises(mod):
+    K = polyring._Packing(2, polyring._first_width(2), mod)
+    x1sq, x2 = K.pack({(2, 0): 1}), K.pack({(0, 1): 1})
+    # x1^2 / x2 borrows from x1's slot into x2's: without the guard bit the
+    # difference of the keys would read as x1 * x2^(2^w - 1)
+    with pytest.raises(NotDivisible):
+        polyring._k_divexact(x1sq, x2, K)
+    # x1^3 + x1^2 = (x1^2 / x2) * (x1*x2 + x2): with wrapped keys the whole
+    # remainder would cancel and the wrapped key come back as the quotient
+    a, b = K.pack({(3, 0): 1, (2, 0): 1}), K.pack({(1, 1): 1, (0, 1): 1})
+    with pytest.raises(NotDivisible):
+        polyring._k_divexact(a, b, K)
+    assert polyring._k_divexact(K.pack({(2, 1): 3}), x2, K) == K.pack({(2, 0): 3})
