@@ -31,11 +31,11 @@ from .polyring import (
     PolyRing,
     RatFunc,
     RatMap,
+    clear_denominators,
     eval_univar_at_ratio,
     is_primitive,
     jacobian,
     poly_jacobian,
-    poly_lcm,
     primitive_part,
     relabel,
     subst,
@@ -64,11 +64,7 @@ def _cleared_sides(h: RatMap):
     """
     n = _require_square(h)
     ring = h.ring
-    d = ring.one()
-    for c in h.comps:
-        if not c.den.is_one():
-            d = poly_lcm(d, c.den)
-    nums = [c.num * d.divexact(c.den) for c in h.comps]
+    d, nums = clear_denominators(h.comps)
     d_nums = [[nk.derivative(j) for j in range(n)] for nk in nums]
     d_d = [d.derivative(j) for j in range(n)]
     trace = ring.zero()
@@ -456,11 +452,7 @@ def constant_span_bound(h_map: RatMap) -> SpanBoundReport:
         RatFunc(relabel(c.num, yring, vm), relabel(c.den, yring, vm), _reduced=True)
         for c in h_map.comps
     ]
-    den = yring.one()
-    for c in comps_y:
-        if not c.den.is_one():
-            den = poly_lcm(den, c.den)
-    cleared = [c.num * den.divexact(c.den) for c in comps_y]
+    _, cleared = clear_denominators(comps_y)
     monos = sorted({e for c in cleared for e in c.terms}, key=lambda e: (sum(e), e))
     vectors = [
         [c.terms.get(e, field.zero()) for c in cleared] for e in monos

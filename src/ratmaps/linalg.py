@@ -3,14 +3,15 @@
 The field-coefficient routines drive the many small linear systems in the
 subfield and integrality modules (unit combinations, Moebius recovery,
 membership searches).  The fraction-free routine computes ranks of matrices
-with polynomial entries without ever leaving the polynomial ring, which is
-how Jacobian ranks (and hence transcendence degrees in characteristic zero)
-are obtained.
+with polynomial entries without ever leaving the polynomial ring.  Jacobian
+ranks (and hence transcendence degrees in characteristic zero) are taken
+with it: subfield.trdeg_rank scales each row of the rational Jacobian by
+its own denominator first, which keeps the rank, and needs no gcd.
 """
 
 from __future__ import annotations
 
-from .polyring import Poly
+from .polyring import Poly, clear_denominators
 
 
 def _echelonize(rows, field):
@@ -137,25 +138,8 @@ def poly_matrix_rank(rows) -> int:
 
 
 def ratfunc_matrix_rank(rows) -> int:
-    """Rank of a matrix of rational functions.
-
-    Each row is scaled by a common multiple of its denominators (a nonzero
-    scalar of the function field), which preserves the rank and yields a
-    polynomial matrix for Bareiss.
-    """
-    from .polyring import poly_lcm
-
-    cleared = []
-    for row in rows:
-        d = None
-        for entry in row:
-            if not entry.den.is_one():
-                d = entry.den if d is None else poly_lcm(d, entry.den)
-        if d is None:
-            cleared.append([entry.num for entry in row])
-        else:
-            cleared.append([entry.num * d.divexact(entry.den) for entry in row])
-    return poly_matrix_rank(cleared)
+    """Rank of a matrix of rational functions, each row cleared by its lcm."""
+    return poly_matrix_rank([clear_denominators(r)[1] if r else r for r in rows])
 
 
 def poly_to_row(p: Poly, index: dict, width: int, field):

@@ -24,6 +24,7 @@ from .errors import (
     AllZero,
     DivisionByZero,
     IndeterminateForm,
+    InternalCheckError,
     NotDivisible,
     RingMismatch,
     ZeroMap,
@@ -643,15 +644,20 @@ def _k_gcd(a: dict, b: dict, K: _Packing) -> dict:
     pa, pb = _k_divexact(a, ca, K), _k_divexact(b, cb, K)
     cont_gcd = _k_gcd(ca, cb, K)
     big, small = (pa, pb) if da >= db else (pb, pa)
+    ds = min(da, db)
     while True:
         r = _k_prem(big, small, j, K)
         if not r:
             g = _k_primitive_wrt(small, j, K)
             break
-        if _k_deg_in(r, j, K) == 0:
+        dr = _k_deg_in(r, j, K)
+        if dr == 0:
             g = {0: 1}
             break
-        big, small = small, _k_primitive_wrt(r, j, K)
+        # the degree in x_j must fall every round, or the loop never ends
+        if dr >= ds:
+            raise InternalCheckError("pseudo-remainder did not lower the degree")
+        big, small, ds = small, _k_primitive_wrt(r, j, K), dr
     return _k_normal(_k_reduce(_k_addmul({}, cont_gcd, g, K), K.mod), K.mod)
 
 
@@ -712,7 +718,16 @@ def gcd_many(polys) -> Poly:
 def poly_lcm(a: Poly, b: Poly) -> Poly:
     if a.is_zero() or b.is_zero():
         raise AllZero("lcm with a zero polynomial")
-    return (a * b).divexact(_gcd2(a, b)).monic()
+    return (a.divexact(_gcd2(a, b)) * b).monic()
+
+
+def clear_denominators(fracs):
+    """(d, nums): d the monic lcm of the denominators, nums[i] = fracs[i] * d."""
+    d = fracs[0].ring.one()
+    for c in fracs:
+        if not c.den.is_one():
+            d = c.den if d.is_one() else poly_lcm(d, c.den)
+    return d, [c.num if c.den == d else c.num * d.divexact(c.den) for c in fracs]
 
 
 def is_primitive(polys) -> bool:
@@ -940,12 +955,7 @@ def primitive_part(h: RatMap):
     """
     if h.is_zero():
         raise ZeroMap("the zero map has no primitive part")
-    ring = h.ring
-    d = ring.one()
-    for c in h.comps:
-        if not c.den.is_one():
-            d = poly_lcm(d, c.den) if not d.is_one() else c.den
-    nums = [c.num * d.divexact(c.den) for c in h.comps]
+    d, nums = clear_denominators(h.comps)
     g = gcd_many(nums)
     core = tuple(n.divexact(g) if not n.is_zero() else n for n in nums)
     return RatFunc(g, d), core

@@ -33,20 +33,19 @@ from .linalg import (
     field_nullspace,
     field_solve,
     monomial_index,
+    poly_matrix_rank,
     poly_to_row,
-    ratfunc_matrix_rank,
 )
 from .polyring import (
     Poly,
     PolyRing,
     RatFunc,
     RatMap,
+    clear_denominators,
     compose_poly,
     eval_univar_at_ratio,
     gcd_many,
     is_primitive,
-    jacobian,
-    poly_lcm,
     relabel,
 )
 
@@ -129,14 +128,32 @@ def trdeg_rank(h: RatMap, with_t: bool = False) -> int:
     The Jacobian of tH is taken with respect to (x, t).  Rank equals the
     transcendence degree of the generated field by the Jacobian criterion,
     which is an exact contract only in characteristic zero.
+
+    The matrix is polynomial and built without a gcd: for H_k = N_k / D_k,
+    row k is [d_i N_k * D_k - N_k * d_i D_k]_i, plus N_k * D_k for tH.
+    That is row k of J(tH) times D_k^2, with the x columns divided by t;
+    scaling rows and columns by nonzero elements of K(x, t) keeps the rank,
+    and the rank over K(x) equals the rank over K(x, t).
     """
-    if h.ring.field.characteristic != 0:
+    ring = h.ring
+    if ring.field.characteristic != 0:
         raise CharPUnsupported(
             "Jacobian rank equals trdeg only in characteristic zero; "
             "use the bounded dependence search instead"
         )
-    target = adjoin_t(h) if with_t else h
-    return ratfunc_matrix_rank(jacobian(target))
+    if with_t and "t" in ring.names:
+        raise ValueError("the ring already contains a variable named t")
+    rows = []
+    for c in h.comps:
+        num, den = c.num, c.den
+        row = [
+            num.derivative(i) * den - num * den.derivative(i)
+            for i in range(ring.nvars)
+        ]
+        if with_t:
+            row.append(num * den)
+        rows.append(row)
+    return poly_matrix_rank(rows)
 
 
 @dataclass
@@ -187,11 +204,7 @@ def trdeg_bounded_dependence(
                 base = prods[e[:-1] + (e[-1] - 1,)] if e[-1] else prods[e[:-1]]
                 prods[e] = base * comps[i] if e[-1] else base
             cols.append(prods[e])
-        den = target.ring.one()
-        for rf in cols:
-            if not rf.den.is_one():
-                den = poly_lcm(den, rf.den)
-        cleared = [rf.num * den.divexact(rf.den) for rf in cols]
+        _, cleared = clear_denominators(cols)
         index = monomial_index(cleared)
         width = len(index)
         matrix_cols = [poly_to_row(pl, index, width, field) for pl in cleared]

@@ -9,7 +9,9 @@ code paths they are used to check.
 import random
 from fractions import Fraction
 
-from ratmaps.polyring import Poly, RatFunc, is_primitive
+from ratmaps.linalg import ratfunc_matrix_rank
+from ratmaps.polyring import Poly, RatFunc, is_primitive, jacobian
+from ratmaps.subfield import adjoin_t
 
 
 def random_poly(rng, ring, max_deg=3, n_terms=4, nonzero=False):
@@ -244,6 +246,16 @@ def reference_gcd_many(polys):
             break
         g = reference_gcd2(g, p)
     return g
+
+
+# -- reference transcendence degree: the normalised rational Jacobian -----
+
+
+def reference_trdeg_rank(h, with_t):
+    """The rank trdeg_rank took before it built its polynomial matrix
+    directly: the Jacobian of tH over (x, t) with every entry a reduced
+    fraction, each row cleared by the lcm of its denominators."""
+    return ratfunc_matrix_rank(jacobian(adjoin_t(h) if with_t else h))
 
 
 def lagrange_derivative_at_zero(values, nodes):

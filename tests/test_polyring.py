@@ -1,3 +1,6 @@
+import signal
+import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -14,7 +17,13 @@ from conftest import (
     seeded,
 )
 from ratmaps import polyring
-from ratmaps.errors import AllZero, NotDivisible, RingMismatch, ZeroMap
+from ratmaps.errors import (
+    AllZero,
+    InternalCheckError,
+    NotDivisible,
+    RingMismatch,
+    ZeroMap,
+)
 from ratmaps.fields import PrimeField, QQ
 from ratmaps.polyring import (
     NEG_INF,
@@ -29,6 +38,7 @@ from ratmaps.polyring import (
     is_primitive,
     jacobian,
     poly_arith,
+    poly_lcm,
     primitive_part,
     relabel,
     subst,
@@ -404,6 +414,7 @@ def test_gcd_matches_reference_prs_random(field):
         a, b, c = a * g, b * g, c * g
         ref = reference_gcd2(a, b)
         assert polyring._gcd2(a, b) == ref, (a, b)
+        assert poly_lcm(a, b) == (a * b).divexact(ref).monic(), (a, b)
         assert gcd_many([a, b, c]) == reference_gcd_many([a, b, c]), (a, b, c)
         planted += not ref.is_constant()
     assert planted >= 12
@@ -471,3 +482,52 @@ def test_kernel_divexact_borrow_raises(mod):
     with pytest.raises(NotDivisible):
         polyring._k_divexact(a, b, K)
     assert polyring._k_divexact(K.pack({(2, 1): 3}), x2, K) == K.pack({(2, 0): 3})
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block after the given wall time (POSIX)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_prs_guard_stops_a_remainder_that_keeps_its_degree(monkeypatch):
+    def prem_one_step_short(a, b, j, K):
+        # _k_prem with its loop stopped at db instead of db - 1, so the
+        # remainder keeps the divisor's degree in x_j
+        db = polyring._k_deg_in(b, j, K)
+        if db == 0:
+            return {}
+        sh, mask, drop = (K.n - 1 - j) * K.w, K.mask, db * K.unit(j)
+        lb = {e - drop: c for e, c in b.items() if (e >> sh) & mask == db}
+        r = a
+        for dr in range(polyring._k_deg_in(a, j, K), db, -1):
+            lr = {e - drop: -c for e, c in r.items() if (e >> sh) & mask == dr}
+            if lr:
+                r = polyring._k_addmul(polyring._k_addmul({}, lb, r, K), lr, b, K)
+                r = polyring._k_reduce(r, K.mod)
+                if not r:
+                    break
+        return r
+
+    monkeypatch.setattr(polyring, "_k_prem", prem_one_step_short)
+    for field in (QQ, PrimeField(32003)):
+        ring = PolyRing(field, ("x1", "x2"))
+        x1, x2 = ring.var(0), ring.var(1)
+        g = x1 + x2 + ring.one()
+        # unequal and equal degrees in the PRS variable; a planted factor
+        # keeps the QQ certificate from answering first
+        for a, b in [(g * (x1**2 + x2), g * (x1 + ring.const(3))), (g * x1, g * x2)]:
+            start = time.perf_counter()
+            with time_limit(10), pytest.raises(InternalCheckError):
+                polyring._gcd2(a, b)
+            assert time.perf_counter() - start < 5

@@ -8,6 +8,7 @@ from conftest import (
     random_nonzero_poly,
     random_poly,
     random_ratfunc,
+    reference_trdeg_rank,
     seeded,
 )
 from ratmaps.errors import (
@@ -85,6 +86,81 @@ def test_trdeg_monotone_and_scaling_random():
         if g.is_zero():
             continue
         assert trdeg_rank(h.scale(g), True) == t1
+
+
+def random_linear_form(rng, ring):
+    while True:
+        form = ring.zero()
+        for i in range(ring.nvars):
+            form = form + ring.const(rng.randint(-2, 2)) * ring.var(i)
+        if not form.is_zero():
+            return form
+
+
+def random_degree_one_ratfunc(rng, ring):
+    """A quotient of products of linear forms, homogeneous of degree 1."""
+    e = rng.randint(0, 2)
+    num, den = random_linear_form(rng, ring), ring.one()
+    for _ in range(e):
+        num = num * random_linear_form(rng, ring)
+        den = den * random_linear_form(rng, ring)
+    return RatFunc(num, den)
+
+
+def random_trdeg_map(rng, ring):
+    """1-4 components mixing the shapes the rank must handle."""
+    m = rng.randint(1, 4)
+    if rng.random() < 0.2:
+        # homogeneous of one degree: H = J(H) x by Euler's relation, so the
+        # t column of J(tH) adds nothing to the rank, whatever the denominators
+        return RatMap([random_degree_one_ratfunc(rng, ring) for _ in range(m)])
+    shared = random_nonzero_poly(rng, ring, 2, 2)
+    comps = []
+    for _ in range(m):
+        kind = rng.randrange(7 if comps else 6)
+        if kind == 0:
+            comps.append(RatFunc.from_poly(ring.zero()))
+        elif kind == 1:
+            comps.append(RatFunc.from_poly(ring.const(rng.randint(-3, 3))))
+        elif kind == 2:
+            comps.append(RatFunc.from_poly(random_poly(rng, ring, 3, 3)))
+        elif kind == 3:
+            comps.append(random_ratfunc(rng, ring, 2, 3))
+        elif kind == 4:
+            # a denominator with a repeated factor
+            base = random_nonzero_poly(rng, ring, 2, 2)
+            comps.append(RatFunc(random_poly(rng, ring, 2, 3), base ** rng.randint(2, 3)))
+        elif kind == 5:
+            comps.append(RatFunc(random_poly(rng, ring, 2, 3), shared))
+        else:
+            # algebraically dependent on the earlier components
+            a, b = rng.choice(comps), rng.choice(comps)
+            comps.append(rng.choice([a * b, a * a + b, a + a]))
+    if rng.random() < 0.1:
+        comps = [RatFunc.from_poly(ring.zero()) for _ in comps]
+    return RatMap(comps)
+
+
+def test_trdeg_rank_matches_normalised_jacobian_random():
+    rng = seeded(41)
+    for n in (1, 2, 3):
+        ring = PolyRing(QQ, tuple(f"x{i + 1}" for i in range(n)))
+        seen = set()
+        for _ in range(70):
+            h = random_trdeg_map(rng, ring)
+            for with_t in (False, True):
+                rank = trdeg_rank(h, with_t)
+                assert rank == reference_trdeg_rank(h, with_t), (h, with_t)
+                seen.add(rank)
+        assert seen == set(range(n + 2)), (n, seen)
+
+
+def test_trdeg_with_t_rejects_a_ring_with_t():
+    ring = PolyRing(QQ, ("x", "t"))
+    h = RatMap.from_polys([ring.var(0), ring.var(1)])
+    with pytest.raises(ValueError):
+        trdeg_rank(h, True)
+    assert trdeg_rank(h, False) == 2
 
 
 def test_bounded_dependence_examples():
