@@ -16,6 +16,7 @@ from . import gordan_noether as gn
 from . import homog, integrality, subfield
 from .errors import InternalCheckError, ParseError, PreconditionError
 from .expressions import (
+    TupleExpr,
     elaborate,
     elaborate_map,
     elaborate_poly,
@@ -68,19 +69,20 @@ def _y12_ring(args):
     return PolyRing(args.field, ("y1", "y2"))
 
 
-def _square_map(args, text: str) -> RatMap:
-    """Elaborate a map, padding the ring so it is square.
+def _square_ring(args, tree, others=()) -> PolyRing:
+    """The x ring of tree and others, padded so that the map tree is square.
 
     A tuple with more components than named variables gets dummy trailing
     variables absent from every component, so that tuples like the
     three-component core over (x1, x2) keep the square-map interface.
     """
-    from .expressions import TupleExpr
-
-    tree = parse(text)
     m = len(tree.items) if isinstance(tree, TupleExpr) else 1
-    ring = x_ring_for([tree], args.field, minimum=m)
-    return elaborate_map(tree, ring)
+    return x_ring_for([tree, *others], args.field, minimum=m)
+
+
+def _square_map(args, text: str) -> RatMap:
+    tree = parse(text)
+    return elaborate_map(tree, _square_ring(args, tree))
 
 
 def _reduced_pair(text: str, args) -> integrality.ReducedPair:
@@ -325,21 +327,18 @@ def cmd_qt_check(args):
 
 
 def cmd_gn_classify(args):
-    from .expressions import TupleExpr
-
     h_tree = parse(_exprs(args, 1)[0])
     entries = []
     if args.witness:
         data = _load_witness_file(args.witness)
         entries = [data] if isinstance(data, dict) else list(data)
-    xtrees = [h_tree]
+    xtrees = []
     parsed = []
     for entry in entries:
         trio = (parse(entry["p"]), parse(entry["q"]), parse(entry["g"]))
         parsed.append(trio)
         xtrees.extend(trio)
-    m = len(h_tree.items) if isinstance(h_tree, TupleExpr) else 1
-    ring = x_ring_for(xtrees, args.field, minimum=m)
+    ring = _square_ring(args, h_tree, xtrees)
     h = elaborate_map(h_tree, ring)
     witnesses = []
     for entry, (pt, qt, gt) in zip(entries, parsed):
@@ -368,12 +367,8 @@ def cmd_nilpotent_check(args):
 
 
 def cmd_bivariate_core(args):
-    from .expressions import TupleExpr
-
     tree = parse(_exprs(args, 1)[0])
-    m = len(tree.items) if isinstance(tree, TupleExpr) else 1
-    ring = x_ring_for([tree], args.field, minimum=m)
-    core = elaborate_poly_tuple(tree, ring)
+    core = elaborate_poly_tuple(tree, _square_ring(args, tree))
     return {"zero": gn.bivariate_core_check(core)}
 
 

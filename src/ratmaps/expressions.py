@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ParseError, UnknownVariable
 from .polyring import Poly, PolyRing, RatFunc, RatMap, print_canonical
@@ -262,10 +261,6 @@ def parse_scalar(text: str, field):
     if not value.is_constant():
         raise ParseError("expected a scalar", 0)
     return value.constant_value()
-
-
-def parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
 
 
 __all__ = [

@@ -8,7 +8,6 @@ its own field, and mixing fields raises ``FieldMismatch``.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import DivisionByZero, FieldMismatch, NotPrime, ZeroPolynomial
@@ -134,16 +133,6 @@ class Field:
     def from_int(self, n: int):
         raise NotImplementedError
 
-    def from_fraction(self, q: Fraction):
-        raise NotImplementedError
-
-    def contains(self, value) -> bool:
-        raise NotImplementedError
-
-    def elements(self):
-        """Iterate all elements (finite fields only)."""
-        raise NotImplementedError
-
 
 class Rationals(Field):
     characteristic = 0
@@ -156,12 +145,6 @@ class Rationals(Field):
 
     def from_int(self, n: int):
         return Fraction(n)
-
-    def from_fraction(self, q: Fraction):
-        return q
-
-    def contains(self, value) -> bool:
-        return isinstance(value, (Fraction, int)) and not isinstance(value, bool)
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -192,15 +175,6 @@ class PrimeField(Field):
 
     def from_int(self, n: int):
         return Fp(n, self.p)
-
-    def from_fraction(self, q: Fraction):
-        den = q.denominator % self.p
-        if den == 0:
-            raise DivisionByZero(f"denominator {q.denominator} vanishes mod {self.p}")
-        return Fp(q.numerator, self.p) / Fp(den, self.p)
-
-    def contains(self, value) -> bool:
-        return isinstance(value, Fp) and value.p == self.p
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -300,25 +274,16 @@ def roots_in_K(f) -> list:
 
 
 def _rational_candidates(f):
-    coeffs = {e[0]: c for e, c in f.terms.items()}
-    lo = min(coeffs)
-    cands = [Fraction(0)] if lo > 0 else []
-    shifted = {e - lo: c for e, c in coeffs.items()}
-    denom_lcm = 1
-    for c in shifted.values():
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    ints = {e: int(c * denom_lcm) for e, c in shifted.items()}
-    content = 0
-    for v in ints.values():
-        content = math.gcd(content, v)
-    ints = {e: v // content for e, v in ints.items()}
-    hi = max(ints)
-    a0, ad = ints.get(0, 0), ints[hi]
+    from .polyring import _k_ints, _k_normal
+
+    # the coefficients of f cleared to coprime integers
+    ints = {e[0]: c for e, c in _k_normal(_k_ints([f])[0], 0).items()}
+    lo = min(ints)
+    cands = {Fraction(0)} if lo > 0 else set()
+    a0, ad = ints[lo], ints[max(ints)]
     for r in _int_divisors(a0):
         for s in _int_divisors(ad):
-            for cand in (Fraction(r, s), Fraction(-r, s)):
-                if cand not in cands:
-                    cands.append(cand)
+            cands.update((Fraction(r, s), Fraction(-r, s)))
     return cands
 
 

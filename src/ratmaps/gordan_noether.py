@@ -6,7 +6,8 @@ primitive part core of H, and to the existence of decompositions
 H = g * h(p, q) (resp. g * f(p/q)) whose building blocks are annihilated by
 the gradients of p and q.  The classifier computes each side independently
 and raises an alarm if they ever disagree: the equivalence is the theorem
-under test, never an assumption.
+under test, never an assumption.  The trace identity and the witness
+identities are decided on cleared numerators on the packed-int kernel.
 """
 
 from __future__ import annotations
@@ -25,16 +26,23 @@ from .errors import (
     ZeroScalar,
 )
 from .homog import HomogTuple, compose_homog_at
-from .linalg import field_rank, independent_subset, poly_matrix_rank
+from .linalg import coefficient_rows, independent_subset, poly_matrix_rank
 from .polyring import (
     Poly,
     PolyRing,
     RatFunc,
     RatMap,
+    _k_addmul,
+    _k_mul,
+    _k_quotient_rule,
+    _k_reduce,
+    _k_sub,
     clear_denominators,
     eval_univar_at_ratio,
+    first_mismatch,
     is_primitive,
     jacobian,
+    on_kernel,
     poly_jacobian,
     primitive_part,
     relabel,
@@ -54,36 +62,37 @@ def _rf_zero(ring) -> RatFunc:
     return RatFunc.from_poly(ring.zero())
 
 
-def _cleared_sides(h: RatMap):
-    """Numerators of JH.H and tr JH.H over the common denominator D^3.
-
-    With H_i = N_i / D, the entry dH_k/dx_i is (d_iN_k D - N_k d_iD)/D^2,
-    so both sides of the trace identity live over D^3 and the comparison
-    reduces to polynomial identities, with no fraction normalization in
-    the inner loop.
-    """
-    n = _require_square(h)
-    ring = h.ring
-    d, nums = clear_denominators(h.comps)
-    d_nums = [[nk.derivative(j) for j in range(n)] for nk in nums]
-    d_d = [d.derivative(j) for j in range(n)]
-    trace = ring.zero()
-    for i in range(n):
-        trace = trace + d_nums[i][i] * d - nums[i] * d_d[i]
-    lhs = []
-    for k in range(n):
-        acc = ring.zero()
-        for i in range(n):
-            acc = acc + nums[i] * (d_nums[k][i] * d - nums[k] * d_d[i])
-        lhs.append(acc)
-    rhs = [nums[k] * trace for k in range(n)]
-    return lhs, rhs
-
-
 def _trace_conditions(h: RatMap):
-    """(JH . H = tr JH . H, JH . H = 0), from one build of the cleared sides."""
-    lhs, rhs = _cleared_sides(h)
-    return all(a == b for a, b in zip(lhs, rhs)), all(e.is_zero() for e in lhs)
+    """(JH . H = tr JH . H, JH . H = 0), decided on cleared numerators.
+
+    With H_i = N_i / D, dH_k/dx_i = (d_iN_k D - N_k d_iD)/D^2, so both sides
+    live over D^3; their numerators are compared on the packed-int kernel.
+    Both have degree 3 in (N, D), so over QQ the one integer that clears
+    the coefficients scales each by its cube and leaves both verdicts alone.
+    """
+    _require_square(h)
+    d, nums = clear_denominators(h.comps)
+    deg = max(p.total_degree() for p in (d, *nums) if not p.is_zero())
+    return on_kernel([[d, *nums]], 3 * deg, _trace_sides)
+
+
+def _trace_sides(K, packed):
+    d, *nums = packed[0]
+    n = len(nums)
+    jac = [_k_quotient_rule(nk, d, n, K) for nk in nums]
+    trace = {}
+    for i in range(n):
+        _k_addmul(trace, {0: 1}, jac[i][i], K)
+    trace = _k_reduce(trace, K.mod)
+    qt = zero = True
+    for k in range(n):
+        lhs = {}
+        for i in range(n):
+            _k_addmul(lhs, nums[i], jac[k][i], K)
+        lhs = _k_reduce(lhs, K.mod)
+        zero = zero and not lhs
+        qt = qt and not _k_sub(lhs, _k_mul(nums[k], trace, K), K)
+    return qt, zero
 
 
 def qt_condition(h: RatMap) -> bool:
@@ -234,25 +243,12 @@ def _verify_cond3(h_map: RatMap, w: GNWitness):
         if w.h.degree > 0 and c > 0 and w.h.degree % c == 0:
             return False, "characteristic divides deg h"
         hp = [compose_homog_at(comp, w.p, w.q) for comp in w.h.polys]
-    for k in range(h_map.m):
-        if w.g * RatFunc.from_poly(hp[k]) != h_map[k]:
-            return False, f"H = g*h(p,q) fails at component {k}"
+    k = first_mismatch(h_map, w.g, hp, h_map.ring.one())
+    if k is not None:
+        return False, f"H = g*h(p,q) fails at component {k}"
     if not classical_gn_condition(RatMap.from_polys(hp)):
         return False, "J(h(p,q)) . h(p,q) is nonzero"
     return True, ""
-
-
-def _f_coefficient_vectors(fs):
-    degs = [f.total_degree() for f in fs if not f.is_zero()]
-    top = int(max(degs)) if degs else 0
-    field = fs[0].ring.field
-    vectors = []
-    for k in range(top + 1):
-        vec = []
-        for f in fs:
-            vec.append(f.terms.get((k,), field.zero()))
-        vectors.append(vec)
-    return vectors
 
 
 def _gradients_annihilate(fs, p: Poly, q: Poly) -> bool:
@@ -261,7 +257,7 @@ def _gradients_annihilate(fs, p: Poly, q: Poly) -> bool:
     n = ring.nvars
     grad_p = [p.derivative(j) for j in range(n)]
     grad_q = [q.derivative(j) for j in range(n)]
-    for vec in _f_coefficient_vectors(fs):
+    for vec in coefficient_rows(fs, ring.field):
         for grad in (grad_p, grad_q):
             dot = ring.zero()
             for j in range(n):
@@ -285,10 +281,9 @@ def _verify_cond45(h_map: RatMap, w: GNWitness):
     degs = [f.total_degree() for f in fs if not f.is_zero()]
     s = int(max(degs)) if degs else 0
     cleared = [eval_univar_at_ratio(f, w.p, w.q, s) for f in fs]
-    qs = RatFunc.from_poly(w.q**s)
-    for k in range(h_map.m):
-        if w.g * (RatFunc.from_poly(cleared[k]) / qs) != h_map[k]:
-            return False, f"H = g*f(p/q) fails at component {k}"
+    k = first_mismatch(h_map, w.g, cleared, w.q**s)
+    if k is not None:
+        return False, f"H = g*f(p/q) fails at component {k}"
     if not _gradients_annihilate(fs, w.p, w.q):
         return False, "Jp . f = Jq . f = 0 fails"
     return True, ""
@@ -453,12 +448,9 @@ def constant_span_bound(h_map: RatMap) -> SpanBoundReport:
         for c in h_map.comps
     ]
     _, cleared = clear_denominators(comps_y)
-    monos = sorted({e for c in cleared for e in c.terms}, key=lambda e: (sum(e), e))
-    vectors = [
-        [c.terms.get(e, field.zero()) for c in cleared] for e in monos
-    ]
-    dim = field_rank(vectors, field)
+    vectors = coefficient_rows(cleared, field)
     chosen = independent_subset(vectors, field)
+    dim = len(chosen)
     _, core = primitive_part(h_map)
     rank_core = poly_matrix_rank(poly_jacobian(core, h_map.ring))
     bound = n - rank_core

@@ -258,18 +258,9 @@ def pqtrans(p: Poly, q: Poly, g: ReducedPair, mode: str, eps=None, theta=None):
 
 def _invert_rep(f: Poly, theta, eps, s: int, yring: PolyRing) -> Poly:
     """(y - eps)^s * f(1/(y - eps) + theta), always a polynomial for deg f <= s."""
-    if f.is_zero():
-        return yring.zero()
     y = yring.var(0)
     shifted = compose_poly(f, [y + yring.const(theta)], yring)
-    base = y - yring.const(eps)
-    powers = [yring.one()]
-    for _ in range(s):
-        powers.append(powers[-1] * base)
-    out = yring.zero()
-    for e, c in shifted.terms.items():
-        out = out + powers[s - e[0]].scale(c)
-    return out
+    return eval_univar_at_ratio(shifted, yring.one(), y - yring.const(eps), s)
 
 
 def regenerate_integral(p: Poly, q: Poly, g: ReducedPair):

@@ -3,15 +3,22 @@
 The field-coefficient routines drive the many small linear systems in the
 subfield and integrality modules (unit combinations, Moebius recovery,
 membership searches).  The fraction-free routine computes ranks of matrices
-with polynomial entries without ever leaving the polynomial ring.  Jacobian
-ranks (and hence transcendence degrees in characteristic zero) are taken
-with it: subfield.trdeg_rank scales each row of the rational Jacobian by
-its own denominator first, which keeps the rank, and needs no gcd.
+with polynomial entries on the packed-int kernel of polyring, each row
+scaled to integer coefficients.  subfield.trdeg_rank builds its Jacobian
+rows on the kernel directly, each row of the rational Jacobian scaled by
+its own denominator squared, which keeps the rank and needs no gcd.
 """
 
 from __future__ import annotations
 
-from .polyring import Poly, clear_denominators
+from .polyring import (
+    _grlex,
+    _k_divexact,
+    _k_mul,
+    _k_sub,
+    clear_denominators,
+    on_kernel,
+)
 
 
 def _echelonize(rows, field):
@@ -82,59 +89,69 @@ def field_nullspace(rows, ncols, field):
 
 
 def independent_subset(vectors, field):
-    """Indices of a maximal linearly independent subset, scanned in order."""
+    """Indices of a maximal linearly independent subset, scanned in order.
+
+    One elimination of the matrix whose columns are the vectors: its pivot
+    columns are exactly the vectors outside the span of the earlier ones.
+    """
     if not vectors:
         return []
-    ncols = len(vectors[0])
-    zero = field.zero()
-    rows = []
-    chosen = []
-    for idx, v in enumerate(vectors):
-        work = [list(r) for r in rows] + [list(v)]
-        if len(_echelonize(work, field)) > len(rows):
-            rows.append(list(v))
-            chosen.append(idx)
-            if len(rows) == ncols:
-                break
-    return chosen
+    return _echelonize([list(col) for col in zip(*vectors)], field)
+
+
+class PackedMatrix(list):
+    """Rows of kernel polynomials on the packing K, which poly_matrix_rank
+    takes in place of Poly rows; K must hold bareiss_bound of the matrix."""
+
+    def __init__(self, rows, K):
+        super().__init__(rows)
+        self.K = K
+
+
+def bareiss_bound(nrows: int, ncols: int, deg: int) -> int:
+    """Top total degree in Bareiss on entries of degree <= deg: after k pivots
+    entries are minors of degree (k+1)*deg, so products reach 2*min(m-1, n)*deg."""
+    return max(2 * min(nrows - 1, ncols), 1) * deg
 
 
 def poly_matrix_rank(rows) -> int:
     """Rank of a matrix with polynomial entries, by Bareiss elimination.
 
-    Fraction free: every division is an exact polynomial division by the
-    previous pivot, so entries stay in the ring throughout.
+    Runs on the packed-int kernel.  Over QQ each row is first multiplied
+    by its own positive integer, which keeps the rank and gives integer
+    polynomials; Bareiss is fraction free, so every division by the
+    previous pivot is exact in Z[x] (resp. GF(p)[x]).
     """
-    work = [list(r) for r in rows]
-    if not work or not work[0]:
+    if isinstance(rows, PackedMatrix):
+        return _bareiss_rank(rows.K, [list(r) for r in rows])
+    if not rows or not rows[0]:
         return 0
+    deg = max((p.total_degree() for r in rows for p in r if p.terms), default=0)
+    return on_kernel(rows, bareiss_bound(len(rows), len(rows[0]), deg), _bareiss_rank)
+
+
+def _bareiss_rank(K, work) -> int:
     nrows, ncols = len(work), len(work[0])
-    ring = work[0][0].ring
-    prev = ring.one()
-    rank = 0
+    prev = {0: 1}
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if not work[i][c].is_zero():
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, nrows) if work[i][c]), None)
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
         pivot = work[r][c]
         for i in range(r + 1, nrows):
             for j in range(c + 1, ncols):
-                work[i][j] = (pivot * work[i][j] - work[i][c] * work[r][j]).divexact(
-                    prev
+                cross = _k_sub(
+                    _k_mul(pivot, work[i][j], K), _k_mul(work[i][c], work[r][j], K), K
                 )
-            work[i][c] = ring.zero()
+                work[i][j] = _k_divexact(cross, prev, K)
+            work[i][c] = {}
         prev = pivot
-        rank += 1
         r += 1
         if r == nrows:
             break
-    return rank
+    return r
 
 
 def ratfunc_matrix_rank(rows) -> int:
@@ -142,19 +159,8 @@ def ratfunc_matrix_rank(rows) -> int:
     return poly_matrix_rank([clear_denominators(r)[1] if r else r for r in rows])
 
 
-def poly_to_row(p: Poly, index: dict, width: int, field):
-    """Coefficient vector of p with respect to a fixed monomial indexing."""
-    row = [field.zero()] * width
-    for e, c in p.terms.items():
-        row[index[e]] = c
-    return row
-
-
-def monomial_index(polys) -> dict:
-    """Deterministic indexing of every monomial appearing in the given polys."""
-    from .polyring import _grlex
-
-    monos = set()
-    for p in polys:
-        monos.update(p.terms)
-    return {e: i for i, e in enumerate(sorted(monos, key=_grlex))}
+def coefficient_rows(polys, field):
+    """The matrix with one column per polynomial and one row per monomial
+    that occurs in any of them, rows in grlex order of the monomials."""
+    monos = sorted({e for p in polys for e in p.terms}, key=_grlex)
+    return [[p.terms.get(e, field.zero()) for p in polys] for e in monos]

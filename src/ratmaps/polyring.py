@@ -302,11 +302,6 @@ class Poly:
             buckets.setdefault(sum(e), {})[e] = c
         return [(d, Poly(self.ring, t)) for d, t in sorted(buckets.items())]
 
-    def leading_part(self) -> Poly:
-        if self.is_zero():
-            raise ZeroPolynomial("zero polynomial has no leading part")
-        return self.homogeneous_parts()[-1][1]
-
     def trailing_part(self) -> Poly:
         if self.is_zero():
             raise ZeroPolynomial("zero polynomial has no trailing part")
@@ -355,13 +350,14 @@ def poly_arith(a: Poly, b: Poly, op: str) -> Poly:
     raise ValueError(f"unknown op {op!r}")
 
 
-# -- gcd machinery --------------------------------------------------------
+# -- the packed-int kernel: gcds and polynomial identities ---------------
 #
-# One primitive PRS serves both fields, on Kronecker-packed monomials
-# (_Packing) and plain int coefficients: cleared integers over the rationals,
-# where integer content extraction keeps the numbers small, and residues in
-# [0, p) over GF(p), with no Fp object per operation.  _gcd2 converts at
-# this boundary only, so Poly keeps its tuple keys.
+# Kronecker-packed monomials (_Packing) with plain int coefficients, cleared
+# integers over QQ and residues over GF(p), with no Fraction or Fp object
+# per operation.  It runs one primitive PRS for gcds over both fields and the
+# bulk identities of the classifier (trace identity, Bareiss rank, witness
+# check).  _k_ints converts from Poly and _on_packing sizes the slot width,
+# so Poly keeps its tuple keys.
 #
 # The rational path is entered through a coprimality certificate on the
 # cleared integers read modulo _CERT_PRIME.  It takes plain ints modulo any
@@ -444,24 +440,16 @@ def _coprime_certified(ta: dict, tb: dict, p: int) -> bool:
     return True
 
 
-def _qq_int_terms(p: Poly) -> dict:
-    """Integer-coefficient form of a rational-coefficient polynomial.
-
-    Clears denominators and strips the integer content; the result differs
-    from p by a nonzero rational factor, which is irrelevant for gcds.
-    """
-    den_lcm = 1
-    for c in p.terms.values():
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    out = {}
-    content = 0
-    for e, c in p.terms.items():
-        v = c.numerator * (den_lcm // c.denominator)
-        out[e] = v
-        content = math.gcd(content, v)
-    if content > 1:
-        out = {e: v // content for e, v in out.items()}
-    return out
+def _k_ints(polys):
+    """Int-coefficient dicts of the polys: over QQ all times one positive
+    integer (the lcm of their denominators), over GF(p) the residues."""
+    if polys and polys[0].ring.field == QQ:
+        scale = math.lcm(*{c.denominator for p in polys for c in p.terms.values()})
+        return [
+            {e: c.numerator * (scale // c.denominator) for e, c in p.terms.items()}
+            for p in polys
+        ]
+    return [{e: c.v for e, c in p.terms.items()} for p in polys]
 
 
 class _Packing:
@@ -506,9 +494,36 @@ class _Packing:
         }
 
 
-def _first_width(total_degree: int) -> int:
-    """Slot bits leaving room for twice the inputs' total degree, plus a guard."""
-    return (2 * total_degree + 1).bit_length() + 1
+def _first_width(bound: int) -> int:
+    """Slot bits for keys of total degree up to bound, plus a guard bit."""
+    return max(bound, 1).bit_length() + 1
+
+
+def _on_packing(nvars: int, mod: int, bound: int, fn):
+    """fn(K) on a packing whose slots hold total degree bound; a product that
+    outgrows them anyway (an OverflowError) reruns fn at double the width."""
+    w = _first_width(bound)
+    while True:
+        try:
+            return fn(_Packing(nvars, w, mod))
+        except OverflowError:
+            w *= 2
+
+
+def on_kernel(groups, bound: int, fn):
+    """fn(K, packed), packed mirroring groups (lists of Poly) on one packing.
+
+    Over QQ each group is multiplied by its own positive integer (_k_ints):
+    fn must ask only what such scaling leaves alone.  bound is the largest
+    total degree of any product fn forms.
+    """
+    ring = next(p.ring for g in groups for p in g)
+    ints = [_k_ints(g) for g in groups]
+
+    def run(K):
+        return fn(K, [[K.pack(t) for t in g] for g in ints])
+
+    return _on_packing(ring.nvars, ring.field.characteristic, bound, run)
 
 
 def _k_reduce(t: dict, mod: int) -> dict:
@@ -532,6 +547,8 @@ def _k_addmul(out: dict, t1: dict, t2: dict, K: _Packing) -> dict:
 
     Raises OverflowError when the product's total degree exceeds the limit.
     """
+    if not t1 or not t2:
+        return out
     # the product's leading key is the sum of the leading keys
     if (max(t1) + max(t2)) >> K.tshift > K.limit:
         raise OverflowError("exponent slot overflow")
@@ -542,6 +559,40 @@ def _k_addmul(out: dict, t1: dict, t2: dict, K: _Packing) -> dict:
             e = e1 + e2
             out[e] = get(e, 0) + c1 * c2
     return out
+
+
+def _k_mul(a: dict, b: dict, K: _Packing) -> dict:
+    if len(a) > len(b):
+        a, b = b, a
+    return _k_reduce(_k_addmul({}, a, b, K), K.mod)
+
+
+def _k_sub(a: dict, b: dict, K: _Packing) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) - c
+    return _k_reduce(out, K.mod)
+
+
+def _k_derivative(t: dict, j: int, K: _Packing) -> dict:
+    sh, mask, unit = (K.n - 1 - j) * K.w, K.mask, K.unit(j)
+    out = {}
+    for e, c in t.items():
+        if k := (e >> sh) & mask:
+            out[e - unit] = c * k
+    return _k_reduce(out, K.mod) if K.mod else out
+
+
+def _k_quotient_rule(num: dict, den: dict, n: int, K: _Packing) -> list:
+    """[d_i num * den - num * d_i den for i < n]: den^2 times grad(num/den)."""
+    return [
+        _k_sub(
+            _k_mul(_k_derivative(num, i, K), den, K),
+            _k_mul(num, _k_derivative(den, i, K), K),
+            K,
+        )
+        for i in range(n)
+    ]
 
 
 def _k_divexact(a: dict, b: dict, K: _Packing) -> dict:
@@ -668,13 +719,10 @@ def _prs_gcd(ta: dict, tb: dict, nvars: int, mod: int) -> dict:
     starts from the inputs' largest total degree; a product that outgrows
     it reruns the whole gcd at double the width.
     """
-    w = _first_width(max(sum(e) for t in (ta, tb) for e in t))
-    while True:
-        K = _Packing(nvars, w, mod)
-        try:
-            return K.unpack(_k_gcd(K.pack(ta), K.pack(tb), K))
-        except OverflowError:
-            w *= 2
+    bound = 2 * max(sum(e) for t in (ta, tb) for e in t) + 1
+    return _on_packing(
+        nvars, mod, bound, lambda K: K.unpack(_k_gcd(K.pack(ta), K.pack(tb), K))
+    )
 
 
 def _gcd2(a: Poly, b: Poly) -> Poly:
@@ -690,14 +738,12 @@ def _gcd2(a: Poly, b: Poly) -> Poly:
     if a.is_constant() or b.is_constant():
         return ring.one()
     field = ring.field
-    if field == QQ:
-        ta, tb = _qq_int_terms(a), _qq_int_terms(b)
+    mod = field.characteristic
+    ta, tb = _k_ints([a, b])
+    if not mod:
+        ta, tb = _k_normal(ta, 0), _k_normal(tb, 0)
         if _coprime_certified(ta, tb, _CERT_PRIME):
             return ring.one()
-        mod = 0
-    else:
-        ta, tb = ({e: c.v for e, c in t.terms.items()} for t in (a, b))
-        mod = field.p
     g = _prs_gcd(ta, tb, ring.nvars, mod)
     return Poly(ring, {e: field.from_int(v) for e, v in g.items()}).monic()
 
@@ -727,7 +773,33 @@ def clear_denominators(fracs):
     for c in fracs:
         if not c.den.is_one():
             d = c.den if d.is_one() else poly_lcm(d, c.den)
-    return d, [c.num if c.den == d else c.num * d.divexact(c.den) for c in fracs]
+    return d, [
+        c.num if c.den == d or c.num.is_zero()
+        else c.num * (d if c.den.is_one() else d.divexact(c.den))
+        for c in fracs
+    ]
+
+
+def first_mismatch(h, g, nums, den: Poly):
+    """The first k with h[k] != g * nums[k] / den (den nonzero), or None.
+
+    Decided on the kernel as g.num * nums[k] * h[k].den = h[k].num * g.den
+    * den; over QQ both sides pick up the cube of the one clearing integer.
+    """
+    m = len(nums)
+    group = [g.num, g.den, den, *nums, *(c.num for c in h), *(c.den for c in h)]
+    deg = max(t.total_degree() for t in group if t.terms)
+
+    def first(K, packed):
+        gn, gd, dk, *rest = packed[0]
+        rhs = _k_mul(gd, dk, K)
+        for k in range(m):
+            lhs = _k_mul(_k_mul(gn, rest[k], K), rest[2 * m + k], K)
+            if _k_sub(lhs, _k_mul(rest[m + k], rhs, K), K):
+                return k
+        return None
+
+    return on_kernel([group], 3 * deg, first)
 
 
 def is_primitive(polys) -> bool:

@@ -30,22 +30,27 @@ from .errors import (
 )
 from .homog import HomogTuple, compose_homog_at, degree_formula, uni_ring
 from .linalg import (
+    PackedMatrix,
+    bareiss_bound,
+    coefficient_rows,
     field_nullspace,
     field_solve,
-    monomial_index,
     poly_matrix_rank,
-    poly_to_row,
 )
 from .polyring import (
     Poly,
     PolyRing,
     RatFunc,
     RatMap,
+    _k_mul,
+    _k_quotient_rule,
     clear_denominators,
     compose_poly,
     eval_univar_at_ratio,
+    first_mismatch,
     gcd_many,
     is_primitive,
+    on_kernel,
     relabel,
 )
 
@@ -129,10 +134,11 @@ def trdeg_rank(h: RatMap, with_t: bool = False) -> int:
     transcendence degree of the generated field by the Jacobian criterion,
     which is an exact contract only in characteristic zero.
 
-    The matrix is polynomial and built without a gcd: for H_k = N_k / D_k,
-    row k is [d_i N_k * D_k - N_k * d_i D_k]_i, plus N_k * D_k for tH.
-    That is row k of J(tH) times D_k^2, with the x columns divided by t;
-    scaling rows and columns by nonzero elements of K(x, t) keeps the rank,
+    The matrix is polynomial and built on the packed-int kernel without a
+    gcd: for H_k = N_k / D_k, row k is [d_i N_k * D_k - N_k * d_i D_k]_i,
+    plus N_k * D_k for tH.  That is row k of J(tH) times D_k^2, with the x
+    columns divided by t; scaling rows and columns by nonzero elements of
+    K(x, t) keeps the rank (so does the integer clearing row k over QQ),
     and the rank over K(x) equals the rank over K(x, t).
     """
     ring = h.ring
@@ -143,17 +149,20 @@ def trdeg_rank(h: RatMap, with_t: bool = False) -> int:
         )
     if with_t and "t" in ring.names:
         raise ValueError("the ring already contains a variable named t")
-    rows = []
-    for c in h.comps:
-        num, den = c.num, c.den
-        row = [
-            num.derivative(i) * den - num * den.derivative(i)
-            for i in range(ring.nvars)
-        ]
-        if with_t:
-            row.append(num * den)
-        rows.append(row)
-    return poly_matrix_rank(rows)
+    ncols = ring.nvars + with_t
+    deg = max(p.total_degree() for c in h.comps for p in (c.num, c.den) if p.terms)
+
+    def rank(K, packed):
+        rows = []
+        for num, den in packed:
+            row = _k_quotient_rule(num, den, ring.nvars, K)
+            if with_t:
+                row.append(_k_mul(num, den, K))
+            rows.append(row)
+        return poly_matrix_rank(PackedMatrix(rows, K))
+
+    groups = [[c.num, c.den] for c in h.comps]
+    return on_kernel(groups, bareiss_bound(h.m, ncols, 2 * deg), rank)
 
 
 @dataclass
@@ -205,11 +214,7 @@ def trdeg_bounded_dependence(
                 prods[e] = base * comps[i] if e[-1] else base
             cols.append(prods[e])
         _, cleared = clear_denominators(cols)
-        index = monomial_index(cleared)
-        width = len(index)
-        matrix_cols = [poly_to_row(pl, index, width, field) for pl in cleared]
-        rows = [[col[r] for col in matrix_cols] for r in range(width)]
-        basis = field_nullspace(rows, len(cols), field)
+        basis = field_nullspace(coefficient_rows(cleared, field), len(cols), field)
         found = None
         for vec in basis:
             if any(c for e, c in zip(exps, vec) if e[-1] > 0):
@@ -305,11 +310,7 @@ def mobius_equiv(p: Poly, q: Poly, pstar: Poly, qstar: Poly):
         return None
     field = p.ring.field
     cols = [qstar * p, qstar * q, -(pstar * p), -(pstar * q)]
-    index = monomial_index(cols)
-    width = len(index)
-    col_rows = [poly_to_row(c, index, width, field) for c in cols]
-    rows = [[col[r] for col in col_rows] for r in range(width)]
-    for vec in field_nullspace(rows, 4, field):
+    for vec in field_nullspace(coefficient_rows(cols, field), 4, field):
         t21_p_t22_q = p.scale(vec[2]) + q.scale(vec[3])
         if t21_p_t22_q.is_zero():
             continue
@@ -332,14 +333,8 @@ def unit_combination(p: Poly, q: Poly):
     if not is_primitive([p, q]):
         raise NotCoprime("gcd(p, q) is not a unit")
     field = p.ring.field
-    one = p.ring.one()
-    index = monomial_index([p, q, one])
-    width = len(index)
-    col_p = poly_to_row(p, index, width, field)
-    col_q = poly_to_row(q, index, width, field)
-    rhs = poly_to_row(one, index, width, field)
-    rows = [[col_p[r], col_q[r]] for r in range(width)]
-    sol = field_solve(rows, rhs, field)
+    matrix = coefficient_rows([p, q, p.ring.one()], field)
+    sol = field_solve([r[:2] for r in matrix], [r[2] for r in matrix], field)
     return None if sol is None else (sol[0], sol[1])
 
 
@@ -414,12 +409,8 @@ def member_Kp(r: Poly, p: Poly):
     powers = [p.ring.one()]
     for _ in range(d):
         powers.append(powers[-1] * p)
-    index = monomial_index(powers + [r])
-    width = len(index)
-    cols = [poly_to_row(pw, index, width, field) for pw in powers]
-    rhs = poly_to_row(r, index, width, field)
-    rows = [[col[k] for col in cols] for k in range(width)]
-    sol = field_solve(rows, rhs, field)
+    matrix = coefficient_rows(powers + [r], field)
+    sol = field_solve([row[:-1] for row in matrix], [row[-1] for row in matrix], field)
     if sol is None:
         return None
     return Poly(yring, {(i,): c for i, c in enumerate(sol)})
@@ -439,13 +430,9 @@ def member_Kpq(r: RatFunc, p: Poly, q: Poly, bound: int):
     yring = uni_ring(field)
     num, den = r.num, r.den
     for d in range(bound + 1):
-        basis_polys = [_pq_power(p, q, j, d) for j in range(d + 1)]
+        basis_polys = [p**j * q ** (d - j) for j in range(d + 1)]
         cols = [-(den * b) for b in basis_polys] + [num * b for b in basis_polys]
-        index = monomial_index(cols)
-        width = len(index)
-        col_rows = [poly_to_row(c, index, width, field) for c in cols]
-        rows = [[col[k] for col in col_rows] for k in range(width)]
-        for vec in field_nullspace(rows, 2 * (d + 1), field):
+        for vec in field_nullspace(coefficient_rows(cols, field), 2 * (d + 1), field):
             f2_cleared = p.ring.zero()
             for j in range(d + 1):
                 f2_cleared = f2_cleared + basis_polys[j].scale(vec[d + 1 + j])
@@ -458,10 +445,6 @@ def member_Kpq(r: RatFunc, p: Poly, q: Poly, bound: int):
             if lhs == RatFunc.from_poly(eval_univar_at_ratio(f1, p, q, d)):
                 return f1, f2
     return None
-
-
-def _pq_power(p: Poly, q: Poly, j: int, d: int) -> Poly:
-    return p**j * q ** (d - j)
 
 
 def _reduce_pair(f1: Poly, f2: Poly):
@@ -618,9 +601,9 @@ def hmgrk2_verify(h_map: RatMap, w: LurothWitness) -> Hmgrk2Report:
         hp = [ring.zero() for _ in range(h_map.m)]
     else:
         hp = [compose_homog_at(c, w.p, w.q) for c in w.h.polys]
-    for k in range(h_map.m):
-        if w.g * RatFunc.from_poly(hp[k]) != h_map[k]:
-            raise WitnessRejected(f"H = g * h(p, q) fails at component {k}")
+    k = first_mismatch(h_map, w.g, hp, ring.one())
+    if k is not None:
+        raise WitnessRejected(f"H = g * h(p, q) fails at component {k}")
     report.add("identity H = g*h(p,q)", True)
 
     char_zero = field.characteristic == 0

@@ -9,8 +9,18 @@ code paths they are used to check.
 import random
 from fractions import Fraction
 
-from ratmaps.linalg import ratfunc_matrix_rank
-from ratmaps.polyring import Poly, RatFunc, is_primitive, jacobian
+from ratmaps.linalg import field_rank
+from ratmaps.polyring import (
+    Poly,
+    RatFunc,
+    RatMap,
+    clear_denominators,
+    eval_univar_at_ratio,
+    is_primitive,
+    jacobian,
+)
+from ratmaps.fields import QQ
+from ratmaps.homog import uni_ring
 from ratmaps.subfield import adjoin_t
 
 
@@ -58,6 +68,83 @@ def random_ratfunc(rng, ring, max_deg=3, n_terms=3):
     num = random_poly(rng, ring, max_deg, n_terms)
     den = random_poly(rng, ring, max_deg, n_terms, nonzero=True)
     return RatFunc(num, den)
+
+
+def random_square_map(rng, ring):
+    """n components in n variables over ring's field, in the shapes the
+    trace identity must handle: zero maps, maps (0, ..., 0, H_n) (always
+    quasi-translations), maps whose components only involve variables
+    where H vanishes (JH.H = 0), and mixtures of zero, constant, polynomial
+    and rational components with shared or distinct denominators."""
+    n = ring.nvars
+    zero = RatFunc.from_poly(ring.zero())
+    shape = rng.randrange(8)
+    if shape == 0:
+        return RatMap([zero] * n)
+    if shape == 1:
+        return RatMap([zero] * (n - 1) + [random_ratfunc(rng, ring)])
+    if shape == 2:
+        dead = [i for i in range(n) if rng.random() < 0.5] or [n - 1]
+
+        def in_dead(p):
+            """The terms of p in the dead variables only."""
+            live = [i for i in range(n) if i not in dead]
+            return Poly(ring, {e: c for e, c in p.terms.items() if not any(e[i] for i in live)})
+
+        comps = []
+        for k in range(n):
+            if k in dead:
+                comps.append(zero)
+                continue
+            num = in_dead(random_poly(rng, ring, 3, 3))
+            den = in_dead(random_nonzero_poly(rng, ring, 2, 2))
+            comps.append(RatFunc(num, ring.one() if den.is_zero() else den))
+        return RatMap(comps)
+    shared = random_nonzero_poly(rng, ring, 2, 2)
+    comps = []
+    for _ in range(n):
+        kind = rng.randrange(6)
+        if kind == 0:
+            comps.append(zero)
+        elif kind == 1:
+            comps.append(RatFunc.from_poly(ring.const(rng.randint(-3, 3))))
+        elif kind == 2:
+            comps.append(RatFunc.from_poly(random_poly(rng, ring, 3, 3)))
+        elif kind == 3:
+            comps.append(random_ratfunc(rng, ring, 2, 3))
+        else:
+            comps.append(RatFunc(random_poly(rng, ring, 2, 3), shared))
+        if ring.field == QQ and rng.random() < 0.3:
+            c = Fraction(rng.randint(1, 5), rng.randint(2, 7))
+            comps[-1] = RatFunc(comps[-1].num.scale(c), comps[-1].den)
+    return RatMap(comps)
+
+
+def random_cond45_case(rng, ring):
+    """(H, g, p, q, fs, s) for the witness identity H = g * f(p/q): half of
+    the maps are built from the witness (some with a component planted
+    wrong), half are unrelated random maps."""
+    n = ring.nvars
+    yring = uni_ring(ring.field)
+    fs = [random_poly(rng, yring, 2, 3) if rng.random() < 0.7 else yring.zero()
+          for _ in range(n)]
+    p = random_poly(rng, ring, 2, 2)
+    q = random_nonzero_poly(rng, ring, 1, 2)
+    g = random_ratfunc(rng, ring, 1, 2)
+    if ring.field == QQ and rng.random() < 0.5:
+        fs = [f.scale(Fraction(1, rng.randint(2, 5))) for f in fs]
+    degs = [f.total_degree() for f in fs if not f.is_zero()]
+    s = int(max(degs)) if degs else 0
+    if rng.random() < 0.5:
+        qs = RatFunc.from_poly(q**s)
+        comps = [g * (RatFunc.from_poly(eval_univar_at_ratio(f, p, q, s)) / qs) for f in fs]
+        if rng.random() < 0.3:
+            k = rng.randrange(n)
+            comps[k] = comps[k] + RatFunc.from_poly(ring.one())
+        h = RatMap(comps)
+    else:
+        h = RatMap([random_ratfunc(rng, ring, 2, 2) for _ in range(n)])
+    return h, g, p, q, tuple(fs), s
 
 
 def random_homog_poly(rng, ring, s, n_terms=3, nonzero=False):
@@ -248,14 +335,92 @@ def reference_gcd_many(polys):
     return g
 
 
-# -- reference transcendence degree: the normalised rational Jacobian -----
+# -- references for the packed-int identities: the Fraction Poly paths ----
+#
+# The library runs these identities on packed monomials with int
+# coefficients; the references below are the Poly-arithmetic code they
+# replaced, kept as oracles over QQ and GF(p) alike.
+
+
+def reference_cleared_sides(h):
+    """Numerators (lhs, rhs) of JH.H and tr JH.H over the common D^3.
+
+    With H_i = N_i / D, the entry dH_k/dx_i is (d_iN_k D - N_k d_iD)/D^2.
+    """
+    n = h.ring.nvars
+    ring = h.ring
+    d, nums = clear_denominators(h.comps)
+    d_nums = [[nk.derivative(j) for j in range(n)] for nk in nums]
+    d_d = [d.derivative(j) for j in range(n)]
+    trace = ring.zero()
+    for i in range(n):
+        trace = trace + d_nums[i][i] * d - nums[i] * d_d[i]
+    lhs = []
+    for k in range(n):
+        acc = ring.zero()
+        for i in range(n):
+            acc = acc + nums[i] * (d_nums[k][i] * d - nums[k] * d_d[i])
+        lhs.append(acc)
+    rhs = [nums[k] * trace for k in range(n)]
+    return lhs, rhs
+
+
+def reference_poly_matrix_rank(rows):
+    """Rank by Bareiss elimination on Poly entries: every division is an
+    exact polynomial division by the previous pivot."""
+    work = [list(r) for r in rows]
+    if not work or not work[0]:
+        return 0
+    nrows, ncols = len(work), len(work[0])
+    ring = work[0][0].ring
+    prev = ring.one()
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if not work[i][c].is_zero()), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        pivot = work[r][c]
+        for i in range(r + 1, nrows):
+            for j in range(c + 1, ncols):
+                cross = pivot * work[i][j] - work[i][c] * work[r][j]
+                work[i][j] = cross.divexact(prev)
+            work[i][c] = ring.zero()
+        prev = pivot
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+def reference_independent_subset(vectors, field):
+    """Greedy scan: keep each vector that raises the rank of those kept."""
+    kept, chosen = [], []
+    for idx, v in enumerate(vectors):
+        if field_rank(kept + [v], field) > len(kept):
+            kept.append(v)
+            chosen.append(idx)
+    return chosen
 
 
 def reference_trdeg_rank(h, with_t):
     """The rank trdeg_rank took before it built its polynomial matrix
     directly: the Jacobian of tH over (x, t) with every entry a reduced
     fraction, each row cleared by the lcm of its denominators."""
-    return ratfunc_matrix_rank(jacobian(adjoin_t(h) if with_t else h))
+    jac = jacobian(adjoin_t(h) if with_t else h)
+    return reference_poly_matrix_rank([clear_denominators(r)[1] for r in jac])
+
+
+def reference_cond45_failure(h, g, p, q, fs):
+    """The first component k with H_k != g * f_k(p/q), in normalised
+    rational functions, or None."""
+    degs = [f.total_degree() for f in fs if not f.is_zero()]
+    s = int(max(degs)) if degs else 0
+    qs = RatFunc.from_poly(q**s)
+    for k, f in enumerate(fs):
+        if g * (RatFunc.from_poly(eval_univar_at_ratio(f, p, q, s)) / qs) != h[k]:
+            return k
+    return None
 
 
 def lagrange_derivative_at_zero(values, nodes):

@@ -187,3 +187,78 @@ def test_cached_parser_matches_fresh_parser(monkeypatch, capsys):
     # the second integral-set call sees only its own --g
     assert json.loads(cached[2][1])["index"] == 1
     assert json.loads(cached[3][1])["found"] is False
+
+
+# -- golden outputs ---------------------------------------------------------
+#
+# The README's command-line examples, plus rational-map cases for jacobian,
+# trdeg, span-bound, primpart, qt-check and gn-classify, each under both
+# fields and in both output modes.  Expected stdout and exit codes live in
+# tests/data/readme_golden.json as {key: [exit code, stdout]}, keyed as
+# golden_runs yields them; a change that alters any byte of them must say
+# why and record them anew.  WITNESS stands for a witness file written by
+# the test.
+
+GOLDEN_WITNESS = [
+    {"kind": "cond4", "g": "1", "f": "(0, 0, y1)", "p": "x1", "q": "x2"},
+    {"kind": "cond4", "g": "1", "f": "(0, 0, y1 + 1)", "p": "x1", "q": "x2"},
+]
+
+GOLDEN_CASES = [
+    ["gcd", "(x1^2, x1*x2)"],
+    ["primpart", "(1, x2/x1)"],
+    ["trdeg", "(x1^2, x1*x2, x2^2)", "--with-t"],
+    ["qt-check", "(1, x2/x1)"],
+    ["gcd-subst", "--mode", "homog", "(y1^2, y1*y2)", "x1+1", "x1^2"],
+    ["mobius-equiv", "x1", "x2", "x1+x2", "x2"],
+    ["enother", "x1", "1-x1"],
+    ["member-kpq", "(x2^2)/(x1^2)", "x1", "x2", "--bound", "2"],
+    ["luroth-gen", "x1^2", "x1^3"],
+    ["valuation", "y1^2+3*y1", "--theta", "inf"],
+    ["integral", "x1", "x2", "--g", "y1^3;y1+1"],
+    ["regen-integral", "x1", "1", "--g", "1;(y1-1)^2"],
+    ["pqtrans", "x1", "1", "--g", "1;(y1-1)^2", "--mode", "invert", "--theta", "1"],
+    ["gn-classify", "(0, 0, x1/x2)", "--witness", "WITNESS"],
+    ["span-bound", "(0, 0, x1/x2)"],
+    ["jacobian", "(x1/x2, x2^2/(x1+1))"],
+    ["trdeg", "(x1/x2, x2/(x1+x2), x1^2/x2^2)"],
+    ["trdeg", "(x1/x2, x2/(x1+x2))", "--with-t"],
+    ["span-bound", "(0, 0, (x1^2 + 3*x2^2)/(x1*x2 - x2^2))"],
+    ["span-bound", "(x2/x1, x1/(x1+x2))"],
+    ["span-bound", "(x3^2 - x3, x3, 0)"],
+    ["span-bound", "(x3^2/(x3+1), x3/(x3+1), 0)"],
+    ["primpart", "(x1/(x1+x2), x2^2/(x1^2-x2^2), 2/(3*x1))"],
+    ["qt-check", "(x2/(x1+1), 0, (x1 - x2)/(x1+1))"],
+    ["gn-classify", "(0, 0, (2*x1 - x2)^2/(x1*x2 + x2^2))"],
+]
+
+
+def _golden_key(argv, field, json_mode):
+    return " ".join(argv + ["--field", field] + (["--json"] if json_mode else []))
+
+
+def golden_runs(witness_path):
+    """(key, argv) for every golden case, field and output mode."""
+    for argv in GOLDEN_CASES:
+        for field in ("q", "fp:32003"):
+            for json_mode in (False, True):
+                key = _golden_key(argv, field, json_mode)
+                run = [witness_path if a == "WITNESS" else a for a in argv]
+                run += ["--field", field] + (["--json"] if json_mode else [])
+                yield key, run
+
+
+def test_readme_examples_golden(tmp_path, capsys):
+    import pathlib
+
+    expected = json.loads(
+        (pathlib.Path(__file__).parent / "data" / "readme_golden.json").read_text()
+    )
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps(GOLDEN_WITNESS))
+    keys = []
+    for key, argv in golden_runs(str(witness)):
+        keys.append(key)
+        code, out, _ = run_cli(capsys, *argv)
+        assert [code, out] == expected[key], key
+    assert sorted(keys) == sorted(expected)

@@ -99,6 +99,17 @@ def test_roots_rational_candidates():
     ]
 
 
+def test_roots_highly_composite_end_coefficients():
+    # 720720 has 240 divisors: about 10^5 candidate fractions r/s, most of
+    # them repeats, which a list-based duplicate check took quadratic time on
+    ring = uni_ring(QQ)
+    y = ring.var(0)
+    c = ring.const(720720)
+    assert roots_in_K(c * y**3 + y + c) == []
+    f = (ring.const(5040) * y - ring.one()) * (y + ring.const(720))
+    assert roots_in_K(f) == [(Fraction(-720), 1), (Fraction(1, 5040), 1)]
+
+
 def test_roots_zero_polynomial_rejected():
     ring = uni_ring(QQ)
     with pytest.raises(ZeroPolynomial):

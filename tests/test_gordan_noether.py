@@ -2,12 +2,21 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_nonzero_poly, random_poly, seeded
+from conftest import (
+    random_cond45_case,
+    random_nonzero_poly,
+    random_poly,
+    random_square_map,
+    reference_cleared_sides,
+    reference_cond45_failure,
+    seeded,
+)
 from ratmaps.errors import DegreeOrder, NotSquare, PreconditionNotVerified, ZeroScalar
 from ratmaps.fields import PrimeField, QQ
 from ratmaps.homog import HomogTuple, bi_ring, uni_ring
 from ratmaps.gordan_noether import (
     GNWitness,
+    _trace_conditions,
     bivariate_core_check,
     classical_gn_condition,
     constant_span_bound,
@@ -24,6 +33,7 @@ from ratmaps.polyring import (
     RatFunc,
     RatMap,
     eval_univar_at_ratio,
+    first_mismatch,
 )
 
 R2 = PolyRing(QQ, ("x1", "x2"))
@@ -374,3 +384,70 @@ def test_span_bound_random_templates():
         rep = constant_span_bound(h)
         assert rep.bound_satisfied
         done += 1
+
+
+# -- the packed-int identities against the Fraction Poly paths ---------------
+
+
+def reference_trace_conditions(h):
+    lhs, rhs = reference_cleared_sides(h)
+    return all(a == b for a, b in zip(lhs, rhs)), all(e.is_zero() for e in lhs)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(32003)])
+def test_trace_conditions_match_cleared_sides_random(field):
+    rng = seeded(71)
+    seen = set()
+    for n in (1, 2, 3):
+        ring = PolyRing(field, tuple(f"x{i + 1}" for i in range(n)))
+        for _ in range(40):
+            h = random_square_map(rng, ring)
+            verdicts = _trace_conditions(h)
+            assert verdicts == reference_trace_conditions(h), h
+            seen.add(verdicts)
+    assert seen == {(True, True), (True, False), (False, False)}, seen
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(32003)])
+def test_trace_conditions_examples_on_both_fields(field):
+    ring = PolyRing(field, ("x1", "x2", "x3"))
+    x1, x2, x3 = ring.var(0), ring.var(1), ring.var(2)
+    zero = RatFunc.from_poly(ring.zero())
+    half = ring.const(2).scale(field.one() / field.from_int(4))  # 1/2
+    cases = [
+        (RatMap([zero, zero, RatFunc(x1, x2)]), (True, True)),
+        (RatMap([zero, zero, RatFunc(x3, x2)]), (True, False)),
+        (RatMap([RatFunc.from_poly(x3**2 - x3), RatFunc.from_poly(x3), zero]), (True, True)),
+        (RatMap([RatFunc(x2, x1 + half), zero, RatFunc(x1, x1 + half)]), (False, False)),
+        (RatMap([zero, zero, zero]), (True, True)),
+    ]
+    # H = x3/D (1, 1, 0) has JH.H = 0 exactly when D is a function of
+    # x1 - x2; D's degree-2 part (x1 - x2)^2/2 has coefficients with unequal
+    # denominators, so a D read without its scale is no longer one
+    for u, expected in ((x1 - x2, (True, True)), (x1 + x2, (True, False))):
+        d = RatFunc.from_poly(u**3 + (u**2).scale(field.one() / field.from_int(2)))
+        h = RatMap([RatFunc.from_poly(x3) / d, RatFunc.from_poly(x3) / d, zero])
+        cases.append((h, expected))
+    for h, expected in cases:
+        assert _trace_conditions(h) == reference_trace_conditions(h) == expected, h
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(32003)])
+def test_witness_identity_matches_ratfunc_path_random(field):
+    rng = seeded(72)
+    seen = set()
+    for n in (1, 2, 3):
+        ring = PolyRing(field, tuple(f"x{i + 1}" for i in range(n)))
+        for _ in range(30):
+            h, g, p, q, fs, s = random_cond45_case(rng, ring)
+            cleared = [eval_univar_at_ratio(f, p, q, s) for f in fs]
+            k = first_mismatch(h, g, cleared, q**s)
+            assert k == reference_cond45_failure(h, g, p, q, fs), (h, g, p, q, fs)
+            seen.add(k is None)
+            # the cond3 shape H = g * h(p, q): no denominator on the right
+            hp = [c.num for c in h] if rng.random() < 0.5 else cleared
+            expected = next(
+                (k for k in range(n) if g * RatFunc.from_poly(hp[k]) != h[k]), None
+            )
+            assert first_mismatch(h, g, hp, ring.one()) == expected, (h, g, hp)
+    assert seen == {True, False}

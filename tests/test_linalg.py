@@ -1,0 +1,149 @@
+from fractions import Fraction
+
+from conftest import (
+    random_cond45_case,
+    random_nonzero_poly,
+    random_poly,
+    random_square_map,
+    reference_independent_subset,
+    reference_poly_matrix_rank,
+    seeded,
+)
+from ratmaps import polyring
+from ratmaps.fields import PrimeField, QQ
+from ratmaps.gordan_noether import _trace_conditions
+from ratmaps.linalg import independent_subset, poly_matrix_rank
+from ratmaps.polyring import eval_univar_at_ratio, first_mismatch
+from ratmaps.subfield import trdeg_rank
+
+FIELDS = [QQ, PrimeField(3), PrimeField(32003)]
+
+
+def random_matrix(rng, ring, nrows, ncols, max_deg=2):
+    """A matrix whose rank the generator does not control: rows may be
+    zero, constant, combinations of earlier rows, or scaled by fractions."""
+    field = ring.field
+    rows = []
+    for _ in range(nrows):
+        kind = rng.randrange(6 if rows else 4)
+        if kind == 0:
+            row = [ring.zero()] * ncols
+        elif kind == 1:
+            row = [ring.const(rng.randint(-3, 3)) for _ in range(ncols)]
+        elif kind in (2, 3):
+            row = [random_poly(rng, ring, max_deg, 3) for _ in range(ncols)]
+        else:
+            # a polynomial combination of two earlier rows
+            a, b = rng.choice(rows), rng.choice(rows)
+            u = random_poly(rng, ring, 1, 2)
+            v = random_nonzero_poly(rng, ring, 1, 2)
+            row = [u * x + v * y for x, y in zip(a, b)]
+        if field == QQ and rng.random() < 0.3:
+            c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 7))
+            row = [x.scale(c) for x in row]
+        rows.append(row)
+    return rows
+
+
+def test_poly_matrix_rank_matches_reference_random():
+    rng = seeded(61)
+    for field in FIELDS:
+        for n in (1, 2, 3):
+            ring = polyring.PolyRing(field, tuple(f"x{i + 1}" for i in range(n)))
+            seen = set()
+            for _ in range(60):
+                nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+                rows = random_matrix(rng, ring, nrows, ncols)
+                rank = poly_matrix_rank(rows)
+                assert rank == reference_poly_matrix_rank(rows), (field, rows)
+                seen.add(rank)
+            assert {0, 1, 2, 3} <= seen, (field, n, seen)
+
+
+def test_poly_matrix_rank_of_rank_deficient_products():
+    # an outer product u v^T has rank 1 whatever its size
+    rng = seeded(62)
+    for field in FIELDS:
+        ring = polyring.PolyRing(field, ("x1", "x2"))
+        for size in (2, 3, 4):
+            u = [random_nonzero_poly(rng, ring, 2, 3) for _ in range(size)]
+            v = [random_nonzero_poly(rng, ring, 2, 3) for _ in range(size)]
+            rows = [[a * b for b in v] for a in u]
+            assert poly_matrix_rank(rows) == reference_poly_matrix_rank(rows) == 1
+    assert poly_matrix_rank([]) == 0 and poly_matrix_rank([[]]) == 0
+
+
+def reference_inputs(rng, field, ncols):
+    vectors = []
+    for _ in range(rng.randint(0, 6)):
+        kind = rng.randrange(4 if vectors else 2)
+        if kind == 0:
+            v = [field.zero()] * ncols
+        elif kind == 1:
+            v = [field.from_int(rng.randint(-3, 3)) for _ in range(ncols)]
+        else:
+            # dependent on two earlier vectors
+            a, b = rng.choice(vectors), rng.choice(vectors)
+            s, t = (field.from_int(rng.randint(-2, 2)) for _ in range(2))
+            v = [s * x + t * y for x, y in zip(a, b)]
+        vectors.append(v)
+    return vectors
+
+
+def test_independent_subset_matches_per_vector_scan():
+    rng = seeded(63)
+    for field in FIELDS:
+        for _ in range(150):
+            vectors = reference_inputs(rng, field, rng.randint(0, 4))
+            expected = reference_independent_subset(vectors, field)
+            assert independent_subset(vectors, field) == expected, vectors
+
+
+def test_kernel_identities_need_no_second_width(monkeypatch):
+    """Each identity sizes its slots from a degree bound known in advance,
+    so it packs once; gcds (which may rerun wider) are not counted."""
+    widths, in_gcd = [], []
+
+    class Recording(polyring._Packing):
+        __slots__ = ()
+
+        def __init__(self, n, w, mod):
+            if not in_gcd:
+                widths.append(w)
+            super().__init__(n, w, mod)
+
+    def prs_gcd(*args, real=polyring._prs_gcd):
+        in_gcd.append(True)
+        try:
+            return real(*args)
+        finally:
+            in_gcd.pop()
+
+    def once(fn, *args):
+        widths.clear()
+        result = fn(*args)
+        assert len(widths) == 1, (fn.__name__, args, widths)
+        return result
+
+    rng = seeded(64)
+    monkeypatch.setattr(polyring, "_Packing", Recording)
+    monkeypatch.setattr(polyring, "_prs_gcd", prs_gcd)
+    for field in (QQ, PrimeField(32003)):
+        ring = polyring.PolyRing(field, ("x1", "x2", "x3"))
+        for size in (3, 4, 5):
+            # dense, nonconstant and of full rank in general: every Bareiss
+            # step divides by a pivot of growing degree
+            rows = [
+                [random_nonzero_poly(rng, ring, 2, 3) for _ in range(size)]
+                for _ in range(size)
+            ]
+            assert once(poly_matrix_rank, rows) == size
+        for _ in range(30):
+            once(poly_matrix_rank, random_matrix(rng, ring, 4, 4))
+            h = random_square_map(rng, ring)
+            once(_trace_conditions, h)
+            w, g, p, q, fs, s = random_cond45_case(rng, ring)
+            cleared = [eval_univar_at_ratio(f, p, q, s) for f in fs]
+            once(first_mismatch, w, g, cleared, q**s)
+            if field == QQ:
+                once(trdeg_rank, h, True)

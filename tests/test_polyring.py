@@ -1,3 +1,4 @@
+import math
 import signal
 import time
 from contextlib import contextmanager
@@ -32,6 +33,7 @@ from ratmaps.polyring import (
     PolyRing,
     RatFunc,
     RatMap,
+    clear_denominators,
     degrees,
     eval_univar_at_ratio,
     gcd_many,
@@ -145,6 +147,32 @@ def test_primitive_part_examples():
     assert core == (X1, X2)
     rebuilt = RatMap(tuple(g * RatFunc.from_poly(c) for c in core))
     assert rebuilt == h  # multiply-back oracle
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)])
+def test_clear_denominators_zero_and_unit_components(field, monkeypatch):
+    ring = PolyRing(field, ("x1", "x2"))
+    x1, x2, one = ring.var(0), ring.var(1), ring.one()
+    fracs = [
+        RatFunc.from_poly(ring.zero()),
+        RatFunc(x2, ring.const(2) * x1 + ring.const(2)),
+        RatFunc.from_poly(x1),
+        RatFunc(one, x1**2 - one),
+    ]
+    divisors = []
+    real = Poly.divexact
+
+    def divexact(a, b):
+        divisors.append(b)
+        return real(a, b)
+
+    monkeypatch.setattr(Poly, "divexact", divexact)
+    d, nums = clear_denominators(fracs)
+    assert d == x1**2 - one
+    half = field.one() / field.from_int(2)
+    assert nums == [ring.zero(), (x2 * (x1 - one)).scale(half), x1 * d, one]
+    # the zero component and the polynomial one are never divided into d
+    assert not any(b.is_one() for b in divisors)
 
 
 def test_primitive_part_round_trip_random():
@@ -314,7 +342,7 @@ def certificate_says_constant(a, b):
     """The certificate on a nonconstant pair: the cleared integers modulo
     _CERT_PRIME over QQ (as _gcd2 feeds it), the residues over GF(p)."""
     if a.ring.field == QQ:
-        ta, tb = polyring._qq_int_terms(a), polyring._qq_int_terms(b)
+        ta, tb = (polyring._k_normal(t, 0) for t in polyring._k_ints([a, b]))
         return polyring._coprime_certified(ta, tb, polyring._CERT_PRIME)
     ta, tb = ({e: c.v for e, c in t.terms.items()} for t in (a, b))
     return polyring._coprime_certified(ta, tb, a.ring.field.p)
@@ -448,9 +476,9 @@ def test_kernel_widens_and_reruns(monkeypatch):
             super().__init__(n, w, mod)
 
     monkeypatch.setattr(polyring, "_Packing", Recording)
-    # total degree 3 gives a first slot limit of 7; the pseudo-remainders of
-    # this coprime pair outgrow it, so the gcd reruns at double the width
-    w0 = polyring._first_width(3)
+    # total degree 3 gives a product bound of 2*3 + 1 = 7 and a first slot
+    # limit of 7; the pseudo-remainders of this coprime pair outgrow it, so the gcd reruns at double the width
+    w0 = polyring._first_width(7)
     ta = {(3, 0): 1, (2, 1): -2, (1, 0): -4, (0, 1): -1}
     tb = {(0, 3): 3, (1, 1): 1, (0, 0): 3}
     for mod in (0, 2, 32003, MERSENNE_61):
@@ -465,12 +493,46 @@ def test_kernel_widens_and_reruns(monkeypatch):
     for h in (ring.one(), ring.var(0) + ring.var(1)):
         widths.clear()
         assert polyring._gcd2(a * h, b * h) == reference_gcd2(a * h, b * h) == h
-    assert widths == [polyring._first_width(4)]  # a planted factor leaves room
+    assert widths == [polyring._first_width(9)]  # a planted factor leaves room
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(32003)])
+def test_kernel_helpers_match_poly_arithmetic(field):
+    rng = seeded(91)
+    ring = PolyRing(field, ("x1", "x2", "x3"))
+    for _ in range(40):
+        a, b = random_poly(rng, ring, 4, 4), random_poly(rng, ring, 4, 4)
+        if field == QQ:
+            a = a.scale(Fraction(rng.randint(1, 5), rng.randint(1, 5)))
+
+        def kernel(fn):
+            def run(K, packed):
+                t = fn(K, *packed[0])
+                # reduced: no zero coefficient, residues in range over GF(p)
+                assert polyring._k_reduce(t, K.mod) == t
+                return Poly(ring, {e: field.from_int(c) for e, c in K.unpack(t).items()})
+
+            return polyring.on_kernel([[a, b]], 8, run)
+
+        # over QQ the pair is scaled by one integer, the lcm of all its
+        # denominators: products by its square
+        scale = 1
+        if field == QQ:
+            scale = math.lcm(*(c.denominator for p in (a, b) for c in p.terms.values()))
+        sq = field.from_int(scale * scale)
+        assert kernel(lambda K, u, v: polyring._k_mul(u, v, K)) == (a * b).scale(sq)
+        assert kernel(lambda K, u, v: polyring._k_sub(u, v, K)) == (a - b).scale(
+            field.from_int(scale)
+        )
+        for j in range(3):
+            # over GF(3) the derivative of a cube vanishes
+            got = kernel(lambda K, u, v: polyring._k_derivative(u, j, K))
+            assert got == a.derivative(j).scale(field.from_int(scale))
 
 
 @pytest.mark.parametrize("mod", [0, 7])
 def test_kernel_divexact_borrow_raises(mod):
-    K = polyring._Packing(2, polyring._first_width(2), mod)
+    K = polyring._Packing(2, polyring._first_width(5), mod)
     x1sq, x2 = K.pack({(2, 0): 1}), K.pack({(0, 1): 1})
     # x1^2 / x2 borrows from x1's slot into x2's: without the guard bit the
     # difference of the keys would read as x1 * x2^(2^w - 1)
