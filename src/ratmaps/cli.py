@@ -14,7 +14,7 @@ import sys
 
 from . import gordan_noether as gn
 from . import homog, integrality, subfield
-from .errors import InternalCheckError, ParseError, PreconditionError
+from .errors import InternalCheckError, NotPrime, ParseError, PreconditionError
 from .expressions import (
     TupleExpr,
     elaborate,
@@ -39,7 +39,10 @@ def _field_from_flag(text: str):
     if text == "q":
         return QQ
     if text.startswith("fp:"):
-        return PrimeField(int(text[3:]))
+        try:
+            return PrimeField(int(text[3:]))
+        except NotPrime as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     raise argparse.ArgumentTypeError(f"unknown field {text!r} (use q or fp:P)")
 
 
@@ -59,14 +62,6 @@ def _x_context(args, texts, minimum=1):
     trees = [parse(t) for t in texts]
     ring = x_ring_for(trees, args.field, minimum)
     return trees, ring
-
-
-def _y1_ring(args):
-    return PolyRing(args.field, ("y1",))
-
-
-def _y12_ring(args):
-    return PolyRing(args.field, ("y1", "y2"))
 
 
 def _square_ring(args, tree, others=()) -> PolyRing:
@@ -89,7 +84,7 @@ def _reduced_pair(text: str, args) -> integrality.ReducedPair:
     parts = text.split(";")
     if len(parts) != 2:
         raise ParseError("--g expects 'f1;f2'", 0)
-    ring = _y1_ring(args)
+    ring = homog.uni_ring(args.field)
     f1 = elaborate_poly(parse(parts[0]), ring)
     f2 = elaborate_poly(parse(parts[1]), ring)
     return integrality.ReducedPair(f1, f2)
@@ -124,7 +119,7 @@ def cmd_jacobian(args):
 
 
 def cmd_homogenize(args):
-    ring = _y1_ring(args)
+    ring = homog.uni_ring(args.field)
     polys = elaborate_poly_tuple(parse(_exprs(args, 1)[0]), ring)
     degs = [int(p.total_degree()) for p in polys if not p.is_zero()]
     s = args.s if args.s is not None else (max(degs) if degs else 0)
@@ -134,7 +129,7 @@ def cmd_homogenize(args):
 
 
 def cmd_dehomogenize(args):
-    ring = _y12_ring(args)
+    ring = homog.bi_ring(args.field)
     polys = elaborate_poly_tuple(parse(_exprs(args, 1)[0]), ring)
     degs = {int(p.total_degree()) for p in polys if not p.is_zero()}
     if len(degs) != 1:
@@ -147,10 +142,10 @@ def cmd_dehomogenize(args):
 def cmd_divisor_transport(args):
     text = _exprs(args, 1)[0]
     if args.inverse:
-        ring = _y12_ring(args)
+        ring = homog.bi_ring(args.field)
         g = elaborate_poly(parse(text), ring)
         return {"result": str(homog.divisor_transport_inverse(g))}
-    ring = _y1_ring(args)
+    ring = homog.uni_ring(args.field)
     g = elaborate_poly(parse(text), ring)
     return {"result": str(homog.divisor_transport(g))}
 
@@ -169,13 +164,13 @@ def cmd_gcd_subst(args):
     if args.mode == "uni":
         if len(texts) != 2:
             raise ParseError("gcd-subst uni expects FTUPLE and P", 0)
-        fs = elaborate_poly_tuple(parse(texts[0]), _y1_ring(args))
+        fs = elaborate_poly_tuple(parse(texts[0]), homog.uni_ring(args.field))
         trees, ring = _x_context(args, texts[1:])
         p = elaborate_poly(trees[0], ring)
         return {"gcd_substituted": str(subfield.gcd_subst_uni(fs, p))}
     if len(texts) != 3:
         raise ParseError("gcd-subst homog expects HTUPLE, P and Q", 0)
-    hs = elaborate_poly_tuple(parse(texts[0]), _y12_ring(args))
+    hs = elaborate_poly_tuple(parse(texts[0]), homog.bi_ring(args.field))
     trees, ring = _x_context(args, texts[1:])
     p = elaborate_poly(trees[0], ring)
     q = elaborate_poly(trees[1], ring)
@@ -245,7 +240,7 @@ def _load_witness_file(path):
 def _parse_h_tuple(text: str, args):
     if text.strip() == "0":
         return None
-    polys = elaborate_poly_tuple(parse(text), _y12_ring(args))
+    polys = elaborate_poly_tuple(parse(text), homog.bi_ring(args.field))
     degs = {int(c.total_degree()) for c in polys if not c.is_zero()}
     if len(degs) != 1:
         raise ParseError("witness h must be homogeneous of one degree", 0)
@@ -267,7 +262,7 @@ def cmd_hmgrk2_verify(args):
 
 
 def cmd_valuation(args):
-    ring = _y1_ring(args)
+    ring = homog.uni_ring(args.field)
     g = elaborate_poly(parse(_exprs(args, 1)[0]), ring)
     if args.theta == "inf":
         point = integrality.ProjPoint.infinity()
@@ -346,12 +341,12 @@ def cmd_gn_classify(args):
         p = elaborate_poly(pt, ring)
         q = elaborate_poly(qt, ring)
         g = elaborate(gt, ring)
-        h_tuple = None
-        f_tuple = None
+        h_tuple = f_tuple = None
         if kind == "cond3":
             h_tuple = _parse_h_tuple(entry.get("h", "0"), args)
         else:
-            f_tuple = elaborate_poly_tuple(parse(entry["f"]), _y1_ring(args))
+            yring = homog.uni_ring(args.field)
+            f_tuple = elaborate_poly_tuple(parse(entry["f"]), yring)
         witnesses.append(gn.GNWitness(kind, g, p, q, h=h_tuple, f=f_tuple))
     return gn.gn_classify(h, witnesses).to_dict()
 

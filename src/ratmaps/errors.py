@@ -16,6 +16,10 @@ class PreconditionError(RatmapError):
     """An input violates a documented precondition."""
 
 
+class InvalidArgument(PreconditionError, ValueError):
+    """An argument outside its documented range (also a ValueError)."""
+
+
 class InternalCheckError(RatmapError):
     """A consistency check guaranteed by a theorem failed (a bug)."""
 

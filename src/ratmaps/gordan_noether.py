@@ -384,19 +384,12 @@ def flem_conclude(fs, p: Poly, q: Poly, mode: str) -> bool:
         raise DegreeOrder("deg p exceeds deg q")
     if all(f.is_zero() for f in fs):
         return True
-    degs = [f.total_degree() for f in fs if not f.is_zero()]
-    s = int(max(degs))
     ratio = RatFunc(p, q)
     grad_ratio = [ratio.derivative(j) for j in range(n)]
-    qs = RatFunc.from_poly(q**s)
-    f_at = [RatFunc.from_poly(eval_univar_at_ratio(f, p, q, s)) / qs for f in fs]
+    f_at = [subst(f, [ratio], ring) for f in fs]
     dot1 = sum((grad_ratio[j] * f_at[j] for j in range(n)), _rf_zero(ring))
     if mode == "i":
-        fprimes = [f.derivative(0) for f in fs]
-        fp_at = [
-            RatFunc.from_poly(eval_univar_at_ratio(fp, p, q, s)) / qs
-            for fp in fprimes
-        ]
+        fp_at = [subst(f.derivative(0), [ratio], ring) for f in fs]
         dot2 = sum((grad_ratio[j] * fp_at[j] for j in range(n)), _rf_zero(ring))
     elif mode == "ii":
         grad_q = [RatFunc.from_poly(q.derivative(j)) for j in range(n)]

@@ -15,6 +15,7 @@ from .errors import (
     AssertionFailure,
     BothZero,
     DivisibleByY2,
+    InvalidArgument,
     LinearFactorPresent,
     NotPrimitive,
     WitnessRejected,
@@ -26,7 +27,9 @@ from .polyring import (
     PolyRing,
     RatFunc,
     RatMap,
+    compose_poly,
     eval_univar_at_ratio,
+    first_mismatch,
     gcd_many,
     tuple_degrees,
 )
@@ -54,7 +57,7 @@ class UniTuple:
             if p.ring.nvars != 1:
                 raise ValueError("components must be univariate")
             if not p.is_zero() and p.total_degree() > self.bound:
-                raise ValueError("component degree exceeds the bound")
+                raise InvalidArgument("component degree exceeds the bound")
 
     @property
     def ring(self):
@@ -80,7 +83,7 @@ class HomogTuple:
             if p.is_zero():
                 continue
             if not p.is_homogeneous() or p.total_degree() != self.degree:
-                raise ValueError(
+                raise InvalidArgument(
                     f"component {p} is not homogeneous of degree {self.degree}"
                 )
 
@@ -92,23 +95,25 @@ class HomogTuple:
         return "(" + ", ".join(str(p) for p in self.polys) + ")"
 
 
+def _homog(p: Poly, s: int) -> Poly:
+    """y2^s p(y1/y2) for univariate p of degree at most s."""
+    terms = {(e[0], s - e[0]): c for e, c in p.terms.items()}
+    return Poly(bi_ring(p.ring.field), terms)
+
+
+def _dehomog(p: Poly) -> Poly:
+    """p(y1, 1) for homogeneous bivariate p."""
+    return Poly(uni_ring(p.ring.field), {(e[0],): c for e, c in p.terms.items()})
+
+
 def homogenize(f: UniTuple) -> HomogTuple:
     """h_i = y2^s f_i(y1/y2), each homogeneous of degree s = f.bound."""
-    s = f.bound
-    target = bi_ring(f.ring.field)
-    out = []
-    for p in f.polys:
-        out.append(Poly(target, {(e[0], s - e[0]): c for e, c in p.terms.items()}))
-    return HomogTuple(tuple(out), s)
+    return HomogTuple(tuple(_homog(p, f.bound) for p in f.polys), f.bound)
 
 
 def dehomogenize(h: HomogTuple) -> UniTuple:
     """f_i = h_i(y1, 1), with bound s; the left inverse of homogenize."""
-    target = uni_ring(h.ring.field)
-    out = []
-    for p in h.polys:
-        out.append(Poly(target, {(e[0],): c for e, c in p.terms.items()}))
-    return UniTuple(tuple(out), h.degree)
+    return UniTuple(tuple(_dehomog(p) for p in h.polys), h.degree)
 
 
 def divisor_transport(g: Poly) -> Poly:
@@ -117,9 +122,7 @@ def divisor_transport(g: Poly) -> Poly:
         raise ZeroTuple("cannot transport the zero polynomial")
     if g.ring.nvars != 1:
         raise ValueError("expected a univariate polynomial")
-    s = g.total_degree()
-    target = bi_ring(g.ring.field)
-    return Poly(target, {(e[0], s - e[0]): c for e, c in g.terms.items()})
+    return _homog(g, g.total_degree())
 
 
 def divisor_transport_inverse(gt: Poly) -> Poly:
@@ -127,11 +130,10 @@ def divisor_transport_inverse(gt: Poly) -> Poly:
     if gt.is_zero():
         raise ZeroTuple("cannot transport the zero polynomial")
     if gt.ring.nvars != 2 or not gt.is_homogeneous():
-        raise ValueError("expected a homogeneous bivariate polynomial")
+        raise InvalidArgument("expected a homogeneous bivariate polynomial")
     if min(e[1] for e in gt.terms) > 0:
         raise DivisibleByY2("y2 divides the input")
-    target = uni_ring(gt.ring.field)
-    return Poly(target, {(e[0],): c for e, c in gt.terms.items()})
+    return _dehomog(gt)
 
 
 def has_linear_factor(gt: Poly) -> bool:
@@ -169,22 +171,19 @@ def hfc_decompose(h_map: RatMap, i: int, p: Poly, q: Poly, f: UniTuple):
     fi = f.polys[i]
     if fi.is_zero():
         raise WitnessRejected("witness component at the pivot index is zero")
-    ring = p.ring
     cleared = [eval_univar_at_ratio(fk, p, q, s) for fk in f.polys]
     if cleared[i].is_zero():
         raise WitnessRejected("f_i(p/q) vanishes")
     pivot = h_map[i]
-    for k in range(h_map.m):
-        lhs = h_map[k] / pivot
-        rhs = RatFunc(cleared[k], cleared[i])
-        if lhs != rhs:
-            raise WitnessRejected(f"identity fails at component {k}")
+    k = first_mismatch(h_map, pivot, cleared, cleared[i])
+    if k is not None:
+        raise WitnessRejected(f"identity fails at component {k}")
     f_exact = UniTuple(f.polys, s)
     h = homogenize(f_exact)
     g = pivot / RatFunc.from_poly(cleared[i])
-    for k in range(h_map.m):
-        if g * RatFunc.from_poly(cleared[k]) != h_map[k]:
-            raise WitnessRejected(f"assembled decomposition fails at component {k}")
+    k = first_mismatch(h_map, g, cleared, p.ring.one())
+    if k is not None:
+        raise WitnessRejected(f"assembled decomposition fails at component {k}")
     return f_exact, g, h
 
 
@@ -219,6 +218,4 @@ def degree_formula(h: HomogTuple, p: Poly, q: Poly):
 
 def compose_homog_at(c: Poly, p: Poly, q: Poly) -> Poly:
     """c(p, q) for bivariate c, evaluated by direct polynomial composition."""
-    from .polyring import compose_poly
-
     return compose_poly(c, [p, q], p.ring)

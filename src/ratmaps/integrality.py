@@ -77,7 +77,7 @@ class ReducedPair:
 
     def value_at(self, p: Poly, q: Poly) -> RatFunc:
         """g = f1(p/q)/f2(p/q) as an element of K(x)."""
-        return _value_at(self.f1, self.f2, p, q)
+        return RatFunc(*_cleared_at(self.f1, self.f2, p, q))
 
     def __str__(self):
         return f"({self.f1}; {self.f2})"
@@ -102,13 +102,14 @@ def _pair_polys(g):
     return f1, f2
 
 
-def _value_at(f1: Poly, f2: Poly, p: Poly, q: Poly) -> RatFunc:
-    s = max(f1.total_degree(), f2.total_degree(), 0)
-    num = eval_univar_at_ratio(f1, p, q, int(s))
-    den = eval_univar_at_ratio(f2, p, q, int(s))
+def _cleared_at(f1: Poly, f2: Poly, p: Poly, q: Poly):
+    """(q^s f1(p/q), q^s f2(p/q)) for s = max(deg f1, deg f2), the second nonzero."""
+    s = int(max(f1.total_degree(), f2.total_degree(), 0))
+    num = eval_univar_at_ratio(f1, p, q, s)
+    den = eval_univar_at_ratio(f2, p, q, s)
     if den.is_zero():
         raise ConstantRatio("f2(p/q) vanishes")
-    return RatFunc(num, den)
+    return num, den
 
 
 def valuation_fraction(pair, theta: ProjPoint):
@@ -248,9 +249,9 @@ def pqtrans(p: Poly, q: Poly, g: ReducedPair, mode: str, eps=None, theta=None):
         f2s = _invert_rep(f2, theta, eps, s, yring)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    lhs = _value_at(f1s, f2s, pstar, qstar)
-    rhs = _value_at(f1, f2, p, q)
-    if lhs != rhs:
+    a1, b1 = _cleared_at(f1s, f2s, pstar, qstar)
+    a2, b2 = _cleared_at(f1, f2, p, q)
+    if a1 * b2 != a2 * b1:
         raise AssertionFailure("transformed representation changed the function")
     gstar = ReducedPair(f1s, f2s) if isinstance(g, ReducedPair) else (f1s, f2s)
     return pstar, qstar, gstar
@@ -258,9 +259,8 @@ def pqtrans(p: Poly, q: Poly, g: ReducedPair, mode: str, eps=None, theta=None):
 
 def _invert_rep(f: Poly, theta, eps, s: int, yring: PolyRing) -> Poly:
     """(y - eps)^s * f(1/(y - eps) + theta), always a polynomial for deg f <= s."""
-    y = yring.var(0)
-    shifted = compose_poly(f, [y + yring.const(theta)], yring)
-    return eval_univar_at_ratio(shifted, yring.one(), y - yring.const(eps), s)
+    y_eps = yring.var(0) - yring.const(eps)
+    return eval_univar_at_ratio(f, yring.one() + y_eps.scale(theta), y_eps, s)
 
 
 def regenerate_integral(p: Poly, q: Poly, g: ReducedPair):

@@ -11,7 +11,8 @@ modulo a prime, and compares univariate gcd degrees (Brown's degree-bound
 argument).  It either proves the gcd constant or answers "unknown", and the
 remainder sequence then decides; an unlucky prime or point costs only that
 fallback, never a wrong gcd.  Rational functions are kept reduced with a
-monic denominator, so equality is plain structural equality.
+monic denominator, so equality is plain structural equality.  Substitution
+runs on the same integer kernel, in one routine.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (
     AllZero,
@@ -354,10 +356,11 @@ def poly_arith(a: Poly, b: Poly, op: str) -> Poly:
 #
 # Kronecker-packed monomials (_Packing) with plain int coefficients, cleared
 # integers over QQ and residues over GF(p), with no Fraction or Fp object
-# per operation.  It runs one primitive PRS for gcds over both fields and the
+# per operation.  It runs one primitive PRS for gcds over both fields, the
 # bulk identities of the classifier (trace identity, Bareiss rank, witness
-# check).  _k_ints converts from Poly and _on_packing sizes the slot width,
-# so Poly keeps its tuple keys.
+# check) and every substitution (_substitute).  _k_ints converts from Poly,
+# _on_packing sizes the slot width and _k_poly converts back, so Poly keeps
+# its tuple keys.
 #
 # The rational path is entered through a coprimality certificate on the
 # cleared integers read modulo _CERT_PRIME.  It takes plain ints modulo any
@@ -452,6 +455,14 @@ def _k_ints(polys):
     return [{e: c.v for e, c in p.terms.items()} for p in polys]
 
 
+def _k_poly(ring: PolyRing, t: dict, scale: int = 1) -> Poly:
+    """The Poly of tuple-keyed ints t over scale (1 over GF(p)): the way back."""
+    if scale == 1:
+        from_int = ring.field.from_int
+        return Poly(ring, {e: from_int(c) for e, c in t.items()})
+    return Poly(ring, {e: Fraction(c, scale) for e, c in t.items()})
+
+
 class _Packing:
     """Kronecker packing of the exponent tuples of n variables into ints.
 
@@ -487,11 +498,8 @@ class _Packing:
         return out
 
     def unpack(self, t: dict) -> dict:
-        n, w, mask = self.n, self.w, self.mask
-        return {
-            tuple((key >> ((n - 1 - j) * w)) & mask for j in range(n)): c
-            for key, c in t.items()
-        }
+        shifts, mask = range((self.n - 1) * self.w, -1, -self.w), self.mask
+        return {tuple([key >> sh & mask for sh in shifts]): c for key, c in t.items()}
 
 
 def _first_width(bound: int) -> int:
@@ -737,15 +745,13 @@ def _gcd2(a: Poly, b: Poly) -> Poly:
         return a.monic()
     if a.is_constant() or b.is_constant():
         return ring.one()
-    field = ring.field
-    mod = field.characteristic
+    mod = ring.field.characteristic
     ta, tb = _k_ints([a, b])
     if not mod:
         ta, tb = _k_normal(ta, 0), _k_normal(tb, 0)
         if _coprime_certified(ta, tb, _CERT_PRIME):
             return ring.one()
-    g = _prs_gcd(ta, tb, ring.nvars, mod)
-    return Poly(ring, {e: field.from_int(v) for e, v in g.items()}).monic()
+    return _k_poly(ring, _prs_gcd(ta, tb, ring.nvars, mod)).monic()
 
 
 def gcd_many(polys) -> Poly:
@@ -1053,30 +1059,66 @@ def relabel(a: Poly, target: PolyRing, var_map) -> Poly:
     return Poly(target, out)
 
 
-def _power_table(base, max_exp: int, one):
-    table = [one]
-    for _ in range(max_exp):
-        table.append(table[-1] * base)
+def _k_powers(t: dict, m: int, K: _Packing) -> list:
+    table = [{0: 1}, t][: m + 1]
+    while len(table) <= m:
+        table.append(_k_mul(table[-1], t, K))
     return table
+
+
+def _substitute(polys, nums, dens, maxes, target: PolyRing) -> list:
+    """sum_e c_e prod_i n_i^e_i d_i^(M_i - e_i) for each poly sum_e c_e y^e.
+
+    The images n_i, d_i are Polys in target, d_i None for 1, and M_i =
+    maxes[i] bounds every e_i.  A term has degree M_i in (n_i, d_i), so over
+    QQ the one integer s clearing all images scales every term by s^(sum M);
+    a d_i of 1 becomes s, an integer top-up by s^(M_i - e_i).  The polys
+    are cleared by one integer t; the results are divided by t*s^(sum M).
+    """
+    if target.field != polys[0].ring.field:
+        raise RingMismatch("composition cannot change the coefficient field")
+    used = [i for i, m in enumerate(maxes) if m]
+    with_den = [i for i in used if dens[i] is not None]
+    # a constant 1 rides along in each group: its image {0: s} reads the scale
+    group = [target.one(), *(nums[i] for i in used), *(dens[i] for i in with_den)]
+    if any(p.ring != target for p in group):
+        raise RingMismatch("substitution images must lie in the target ring")
+    *ints, one = _k_ints([*polys, polys[0].ring.one()])
+    t, exps = one[(0,) * len(maxes)], [e for c in ints for e in c]
+
+    def run(K, packed):
+        s, images = packed[0][0][0], iter(packed[0][1:])
+        ntab = {i: _k_powers(next(images), max(e[i] for e in exps), K) for i in used}
+        dtab = {i: _k_powers(next(images), maxes[i], K) for i in with_den}
+        out = []
+        for c in ints:
+            total = {}
+            for e, coeff in c.items():
+                top, factors = 0, []
+                for i in used:
+                    k, m = e[i], maxes[i]
+                    if k:
+                        factors.append(ntab[i][k])
+                    if i not in dtab:
+                        top += m - k
+                    elif k < m:
+                        factors.append(dtab[i][m - k])
+                head = {0: coeff * s**top}
+                for f in factors[:-1]:
+                    head = _k_mul(head, f, K)
+                _k_addmul(total, head, factors[-1] if factors else {0: 1}, K)
+            total = K.unpack(_k_reduce(total, K.mod))
+            out.append(_k_poly(target, total, t * s ** sum(maxes)))
+        return out
+
+    deg = max(p.total_degree() for p in group if p.terms)
+    return on_kernel([group], sum(maxes) * deg, run)
 
 
 def compose_poly(a: Poly, images, target: PolyRing) -> Poly:
     """a with variable i replaced by the polynomial images[i]."""
-    if target.field != a.ring.field:
-        raise RingMismatch("composition cannot change the coefficient field")
     maxes = [a.degree_in(j) for j in range(a.ring.nvars)]
-    tables = [
-        _power_table(img, mx, target.one()) if mx else None
-        for img, mx in zip(images, maxes)
-    ]
-    total = target.zero()
-    for e, c in a.terms.items():
-        term = target.const(c)
-        for i, k in enumerate(e):
-            if k:
-                term = term * tables[i][k]
-        total = total + term
-    return total
+    return _substitute([a], images, [None] * len(maxes), maxes, target)[0]
 
 
 def compose_poly_ratfunc(a: Poly, images, target: PolyRing) -> RatFunc:
@@ -1086,30 +1128,12 @@ def compose_poly_ratfunc(a: Poly, images, target: PolyRing) -> RatFunc:
     needed: with images n_i/d_i and M_i the highest power of variable i
     in a, the result is (sum_e c_e prod n_i^{e_i} d_i^{M_i-e_i}) / prod d_i^{M_i}.
     """
-    if target.field != a.ring.field:
-        raise RingMismatch("composition cannot change the coefficient field")
     images = [_as_ratfunc(img, target) for img in images]
     maxes = [a.degree_in(j) for j in range(a.ring.nvars)]
-    num_tabs = [
-        _power_table(img.num, mx, target.one()) if mx else None
-        for img, mx in zip(images, maxes)
-    ]
-    den_tabs = [
-        _power_table(img.den, mx, target.one()) if mx else None
-        for img, mx in zip(images, maxes)
-    ]
-    num_total = target.zero()
-    for e, c in a.terms.items():
-        term = target.const(c)
-        for i, k in enumerate(e):
-            if maxes[i]:
-                term = term * num_tabs[i][k] * den_tabs[i][maxes[i] - k]
-        num_total = num_total + term
-    den_total = target.one()
-    for i, mx in enumerate(maxes):
-        if mx:
-            den_total = den_total * den_tabs[i][mx]
-    return RatFunc(num_total, den_total)
+    nums = [img.num for img in images]
+    dens = [None if img.den.is_one() else img.den for img in images]
+    # the constant 1 substitutes to the denominator prod d_i^M_i
+    return RatFunc(*_substitute([a, a.ring.one()], nums, dens, maxes, target))
 
 
 def subst(a, images, target: PolyRing) -> RatFunc:
@@ -1131,19 +1155,11 @@ def eval_univar_at_ratio(f: Poly, p: Poly, q: Poly, s: int) -> Poly:
     """q^s * f(p/q) for univariate f with deg f <= s: sum c_j p^j q^(s-j)."""
     if f.ring.nvars != 1:
         raise ValueError("expected a univariate polynomial")
-    ring = p.ring
     if f.is_zero():
-        return ring.zero()
-    d = f.total_degree()
-    if d > s:
+        return p.ring.zero()
+    if f.total_degree() > s:
         raise ValueError("clearing exponent smaller than the degree")
-    p_tab = _power_table(p, d, ring.one())
-    q_tab = _power_table(q, s, ring.one())
-    total = ring.zero()
-    for e, c in f.terms.items():
-        j = e[0]
-        total = total + (p_tab[j] * q_tab[s - j]).scale(c)
-    return total
+    return _substitute([f], [p], [q], [s], p.ring)[0]
 
 
 # -- canonical text --------------------------------------------------------

@@ -22,6 +22,7 @@ from .errors import (
     CharPUnsupported,
     ConstantP,
     ConstantRatio,
+    InvalidArgument,
     NotCoprime,
     NotPrimitivePair,
     SingularMatrix,
@@ -196,7 +197,7 @@ def trdeg_bounded_dependence(
     hence certified is always False.
     """
     if degree_bound < 1:
-        raise ValueError("degree_bound must be at least 1")
+        raise InvalidArgument("degree_bound must be at least 1")
     target = adjoin_t(h) if with_t else h
     comps = list(target.comps)
     field = target.ring.field
@@ -258,14 +259,7 @@ def gcd_subst_uni(fs, p: Poly) -> Poly:
     fs = list(fs)
     if all(f.is_zero() for f in fs):
         raise AllZero("all components are zero")
-    g = gcd_many(fs)
-    lhs = compose_poly(g, [p], p.ring).monic()
-    rhs = gcd_many([compose_poly(f, [p], p.ring) for f in fs])
-    if lhs != rhs:
-        raise AssertionFailure(
-            "gcd does not commute with substitution (univariate case)"
-        )
-    return lhs
+    return _gcd_commutes(fs, lambda f: compose_poly(f, [p], p.ring), "univariate")
 
 
 def gcd_subst_homog(h, p: Poly, q: Poly) -> Poly:
@@ -275,16 +269,17 @@ def gcd_subst_homog(h, p: Poly, q: Poly) -> Poly:
         raise AllZero("all components are zero")
     for c in polys:
         if not c.is_zero() and not c.is_homogeneous():
-            raise ValueError("components must be homogeneous or zero")
+            raise InvalidArgument("components must be homogeneous or zero")
     if not is_primitive([p, q]):
         raise NotPrimitivePair("(p, q) is not primitive")
-    g = gcd_many(polys)
-    lhs = compose_homog_at(g, p, q).monic()
-    rhs = gcd_many([compose_homog_at(c, p, q) for c in polys])
-    if lhs != rhs:
-        raise AssertionFailure(
-            "gcd does not commute with substitution (homogeneous case)"
-        )
+    return _gcd_commutes(polys, lambda c: compose_homog_at(c, p, q), "homogeneous")
+
+
+def _gcd_commutes(polys, compose, case: str) -> Poly:
+    """compose(gcd(polys)), monic, checked against gcd(compose(c) for c in polys)."""
+    lhs = compose(gcd_many(polys)).monic()
+    if lhs != gcd_many([compose(c) for c in polys]):
+        raise AssertionFailure(f"gcd does not commute with substitution ({case} case)")
     return lhs
 
 
@@ -318,7 +313,7 @@ def mobius_equiv(p: Poly, q: Poly, pstar: Poly, qstar: Poly):
             continue
         cand = Mobius(*vec)
         num, den = cand.apply(p, q)
-        if RatFunc(num, den) == RatFunc(pstar, qstar):
+        if num * qstar == den * pstar:
             return cand
     return None
 
@@ -425,7 +420,7 @@ def member_Kpq(r: RatFunc, p: Poly, q: Poly, bound: int):
     if q.is_zero():
         raise ZeroDenominator("q is zero")
     if bound < 0:
-        raise ValueError("bound must be non-negative")
+        raise InvalidArgument("bound must be non-negative")
     field = p.ring.field
     yring = uni_ring(field)
     num, den = r.num, r.den
@@ -433,16 +428,14 @@ def member_Kpq(r: RatFunc, p: Poly, q: Poly, bound: int):
         basis_polys = [p**j * q ** (d - j) for j in range(d + 1)]
         cols = [-(den * b) for b in basis_polys] + [num * b for b in basis_polys]
         for vec in field_nullspace(coefficient_rows(cols, field), 2 * (d + 1), field):
-            f2_cleared = p.ring.zero()
-            for j in range(d + 1):
-                f2_cleared = f2_cleared + basis_polys[j].scale(vec[d + 1 + j])
-            if f2_cleared.is_zero():
+            f2 = Poly(yring, {(j,): vec[d + 1 + j] for j in range(d + 1)})
+            if eval_univar_at_ratio(f2, p, q, d).is_zero():
                 continue
             f1 = Poly(yring, {(j,): vec[j] for j in range(d + 1)})
-            f2 = Poly(yring, {(j,): vec[d + 1 + j] for j in range(d + 1)})
             f1, f2 = _reduce_pair(f1, f2)
-            lhs = r * RatFunc.from_poly(eval_univar_at_ratio(f2, p, q, d))
-            if lhs == RatFunc.from_poly(eval_univar_at_ratio(f1, p, q, d)):
+            f1_at = eval_univar_at_ratio(f1, p, q, d)
+            f2_at = eval_univar_at_ratio(f2, p, q, d)
+            if num * f2_at == den * f1_at:
                 return f1, f2
     return None
 

@@ -10,10 +10,13 @@ import random
 from fractions import Fraction
 
 from ratmaps.linalg import field_rank
+from ratmaps.errors import RingMismatch
 from ratmaps.polyring import (
     Poly,
+    PolyRing,
     RatFunc,
     RatMap,
+    _as_ratfunc,
     clear_denominators,
     eval_univar_at_ratio,
     is_primitive,
@@ -421,6 +424,90 @@ def reference_cond45_failure(h, g, p, q, fs):
         if g * (RatFunc.from_poly(eval_univar_at_ratio(f, p, q, s)) / qs) != h[k]:
             return k
     return None
+
+
+# -- references for substitution: the Fraction and Fp Poly paths ---------
+#
+# The library substitutes on the packed-int kernel in one routine; these
+# are the three Poly-arithmetic routines it replaced, unchanged.
+
+
+def _reference_power_table(base, max_exp: int, one):
+    table = [one]
+    for _ in range(max_exp):
+        table.append(table[-1] * base)
+    return table
+
+
+def reference_compose_poly(a: Poly, images, target: PolyRing) -> Poly:
+    """a with variable i replaced by the polynomial images[i]."""
+    if target.field != a.ring.field:
+        raise RingMismatch("composition cannot change the coefficient field")
+    maxes = [a.degree_in(j) for j in range(a.ring.nvars)]
+    tables = [
+        _reference_power_table(img, mx, target.one()) if mx else None
+        for img, mx in zip(images, maxes)
+    ]
+    total = target.zero()
+    for e, c in a.terms.items():
+        term = target.const(c)
+        for i, k in enumerate(e):
+            if k:
+                term = term * tables[i][k]
+        total = total + term
+    return total
+
+
+def reference_compose_poly_ratfunc(a: Poly, images, target: PolyRing) -> RatFunc:
+    """a with variable i replaced by the rational function images[i].
+
+    Runs over a common denominator so that only one final reduction is
+    needed: with images n_i/d_i and M_i the highest power of variable i
+    in a, the result is (sum_e c_e prod n_i^{e_i} d_i^{M_i-e_i}) / prod d_i^{M_i}.
+    """
+    if target.field != a.ring.field:
+        raise RingMismatch("composition cannot change the coefficient field")
+    images = [_as_ratfunc(img, target) for img in images]
+    maxes = [a.degree_in(j) for j in range(a.ring.nvars)]
+    num_tabs = [
+        _reference_power_table(img.num, mx, target.one()) if mx else None
+        for img, mx in zip(images, maxes)
+    ]
+    den_tabs = [
+        _reference_power_table(img.den, mx, target.one()) if mx else None
+        for img, mx in zip(images, maxes)
+    ]
+    num_total = target.zero()
+    for e, c in a.terms.items():
+        term = target.const(c)
+        for i, k in enumerate(e):
+            if maxes[i]:
+                term = term * num_tabs[i][k] * den_tabs[i][maxes[i] - k]
+        num_total = num_total + term
+    den_total = target.one()
+    for i, mx in enumerate(maxes):
+        if mx:
+            den_total = den_total * den_tabs[i][mx]
+    return RatFunc(num_total, den_total)
+
+
+def reference_eval_univar_at_ratio(f: Poly, p: Poly, q: Poly, s: int) -> Poly:
+    """q^s * f(p/q) for univariate f with deg f <= s: sum c_j p^j q^(s-j)."""
+    if f.ring.nvars != 1:
+        raise ValueError("expected a univariate polynomial")
+    ring = p.ring
+    if f.is_zero():
+        return ring.zero()
+    d = f.total_degree()
+    if d > s:
+        raise ValueError("clearing exponent smaller than the degree")
+    p_tab = _reference_power_table(p, d, ring.one())
+    q_tab = _reference_power_table(q, s, ring.one())
+    total = ring.zero()
+    for e, c in f.terms.items():
+        j = e[0]
+        total = total + (p_tab[j] * q_tab[s - j]).scale(c)
+    return total
 
 
 def lagrange_derivative_at_zero(values, nodes):

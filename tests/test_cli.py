@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ratmaps.cli import main
 
 
@@ -43,6 +45,44 @@ def test_precondition_exit_code(capsys):
     code, out, err = run_cli(capsys, "gcd", "(0, 0)")
     assert code == 1
     assert "precondition" in err
+
+
+def test_non_prime_modulus_is_a_usage_error(capsys):
+    # like a malformed modulus: argparse prints the reason and exits 2
+    for flag, reason in (("fp:4", "modulus 4 is not prime"), ("fp:x", "'fp:x'")):
+        with pytest.raises(SystemExit) as exc:
+            main(["gcd", "x1", "--field", flag])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --field: " in err and reason in err, err
+
+
+OUT_OF_RANGE = [
+    (["member-kpq", "x1", "x1", "x2", "--bound", "-1"], "bound must be non-negative"),
+    (
+        ["trdeg", "(x1, x2)", "--field", "fp:5", "--bound", "0"],
+        "degree_bound must be at least 1",
+    ),
+    (["homogenize", "y1^2", "--s", "1"], "component degree exceeds the bound"),
+    (
+        ["dehomogenize", "(y1^2 + y2)"],
+        "component y1^2 + y2 is not homogeneous of degree 2",
+    ),
+    (
+        ["divisor-transport", "y1^2 + y2", "--inverse"],
+        "expected a homogeneous bivariate polynomial",
+    ),
+    (
+        ["gcd-subst", "--mode", "homog", "(y1^2 + y2, y1)", "x1", "x2"],
+        "components must be homogeneous or zero",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, reason", OUT_OF_RANGE)
+def test_out_of_range_arguments_are_precondition_errors(capsys, argv, reason):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", f"precondition violated: {reason}\n")
 
 
 def test_verdict_false_still_exits_zero(capsys):
@@ -230,6 +270,14 @@ GOLDEN_CASES = [
     ["primpart", "(x1/(x1+x2), x2^2/(x1^2-x2^2), 2/(3*x1))"],
     ["qt-check", "(x2/(x1+1), 0, (x1 - x2)/(x1+1))"],
     ["gn-classify", "(0, 0, (2*x1 - x2)^2/(x1*x2 + x2^2))"],
+    ["homogenize", "(y1^2 + 1, 2*y1)", "--s", "3"],
+    ["dehomogenize", "(y1^2 + y1*y2, 3*y2^2)"],
+    ["divisor-transport", "y1^2 - 1/2"],
+    ["divisor-transport", "y1^2 - y1*y2", "--inverse"],
+    ["gcd-subst", "--mode", "uni", "(y1^2 - 1, y1^2 + 2*y1 + 1)", "x1^2 + x2/3"],
+    ["translation-check", "(x2/(x1+1), 0, (x1 - x2)/(x1+1))"],
+    ["pqtrans", "x1", "x2", "--g", "y1^2;y1+1", "--mode", "shift", "--eps", "2/3"],
+    ["member-kp", "x1^4 + 2*x1^2*x2 + x2^2 + 1", "x1^2 + x2"],
 ]
 
 

@@ -13,6 +13,9 @@ from conftest import (
     random_nonzero_poly,
     random_poly,
     random_ratfunc,
+    reference_compose_poly,
+    reference_compose_poly_ratfunc,
+    reference_eval_univar_at_ratio,
     reference_gcd2,
     reference_gcd_many,
     seeded,
@@ -34,6 +37,8 @@ from ratmaps.polyring import (
     RatFunc,
     RatMap,
     clear_denominators,
+    compose_poly,
+    compose_poly_ratfunc,
     degrees,
     eval_univar_at_ratio,
     gcd_many,
@@ -307,6 +312,149 @@ def test_subst_matches_cleared_route_random():
         via_subst = subst(f, [RatFunc(p, q)], R2)
         via_clearing = RatFunc(eval_univar_at_ratio(f, p, q, s), q**s)
         assert via_subst == via_clearing
+
+
+# -- substitution on the kernel against the Poly references ---------------
+
+SUBST_FIELDS = (QQ, PrimeField(2), PrimeField(3), PrimeField(32003))
+
+
+def _frac_poly(rng, ring, max_deg=2, n_terms=3):
+    """A random poly whose coefficients are divided by unequal small
+    integers, so that over QQ its denominators differ from term to term."""
+    field = ring.field
+    terms = {}
+    for e, c in random_poly(rng, ring, max_deg, n_terms).terms.items():
+        d = field.from_int(rng.choice([1, 2, 3, 5, 7]))
+        terms[e] = c / d if d else c
+    return Poly(ring, terms)
+
+
+def _subst_rings(rng, field):
+    """A source ring in y and a target ring in x, 1-3 variables each."""
+    src = PolyRing(field, tuple(f"y{i + 1}" for i in range(rng.randint(1, 3))))
+    tgt = PolyRing(field, tuple(f"x{i + 1}" for i in range(rng.randint(1, 3))))
+    return src, tgt
+
+
+def _subst_source(rng, ring, shape):
+    """shape 0: zero; 1: every term contains one variable; else general."""
+    if shape == 0:
+        return ring.zero()
+    a = _frac_poly(rng, ring, 3, 4)
+    return a * ring.var(rng.randrange(ring.nvars)) if shape == 1 else a
+
+
+def _subst_images(rng, ring, k, shape):
+    """k images; shape 0: all zero; 1: all constant; else mixed."""
+    if shape == 0:
+        return [ring.zero()] * k
+    if shape == 1:
+        return [_frac_poly(rng, ring, 0, 1) for _ in range(k)]
+    return [_frac_poly(rng, ring, rng.randint(0, 2), 3) for _ in range(k)]
+
+
+def test_compose_poly_matches_reference_random():
+    rng = seeded(71)
+    for field in SUBST_FIELDS:
+        for i in range(80):
+            src, tgt = _subst_rings(rng, field)
+            a = _subst_source(rng, src, i % 5)
+            images = _subst_images(rng, tgt, src.nvars, i % 7)
+            expected = reference_compose_poly(a, images, tgt)
+            assert compose_poly(a, images, tgt) == expected, (a, images)
+
+
+def test_compose_poly_ratfunc_matches_reference_random():
+    rng = seeded(72)
+    for field in SUBST_FIELDS:
+        for i in range(60):
+            src, tgt = _subst_rings(rng, field)
+            a = _subst_source(rng, src, i % 5)
+            images = []
+            for num in _subst_images(rng, tgt, src.nvars, i % 7):
+                kind = rng.randrange(4)
+                if kind == 0:
+                    images.append(rng.randint(-2, 2))
+                elif kind == 1:
+                    images.append(num)
+                else:
+                    den = _frac_poly(rng, tgt, 2, 2)
+                    images.append(RatFunc(num, den) if den.terms else num)
+            expected = reference_compose_poly_ratfunc(a, images, tgt)
+            assert compose_poly_ratfunc(a, images, tgt) == expected, (a, images)
+
+
+def test_eval_univar_at_ratio_matches_reference_random():
+    rng = seeded(73)
+    for field in SUBST_FIELDS:
+        yring = PolyRing(field, ("y1",))
+        for i in range(80):
+            _, tgt = _subst_rings(rng, field)
+            f = _subst_source(rng, yring, i % 5)
+            p, q = _subst_images(rng, tgt, 2, i % 7)
+            s = int(max(f.total_degree(), 0)) + rng.randint(0, 2)
+            expected = reference_eval_univar_at_ratio(f, p, q, s)
+            assert eval_univar_at_ratio(f, p, q, s) == expected, (f, p, q, s)
+            if f.total_degree() > 0:
+                with pytest.raises(ValueError):
+                    eval_univar_at_ratio(f, p, q, int(f.total_degree()) - 1)
+
+
+def test_substitution_checks_rings_and_fields():
+    yring = PolyRing(QQ, ("y1",))
+    f = yring.var(0) ** 2
+    with pytest.raises(RingMismatch):
+        compose_poly(f, [X1], PolyRing(PrimeField(5), ("x1", "x2")))
+    with pytest.raises(RingMismatch):
+        compose_poly_ratfunc(f, [RatFunc(X1, X2)], PolyRing(QQ, ("x1",)))
+    with pytest.raises(RingMismatch):
+        eval_univar_at_ratio(f, X1, PolyRing(QQ, ("x1",)).var(0), 2)
+    with pytest.raises(ValueError):
+        eval_univar_at_ratio(X1, X1, X2, 2)
+
+
+def test_substitution_packs_once_at_its_first_width(monkeypatch):
+    """A substitution sizes its slots from sum M_i times the largest image
+    degree, so it packs once; the gcds of RatFunc reduction are not counted."""
+    widths, in_gcd = [], []
+
+    class Recording(polyring._Packing):
+        __slots__ = ()
+
+        def __init__(self, n, w, mod):
+            if not in_gcd:
+                widths.append(w)
+            super().__init__(n, w, mod)
+
+    def prs_gcd(*args, real=polyring._prs_gcd):
+        in_gcd.append(True)
+        try:
+            return real(*args)
+        finally:
+            in_gcd.pop()
+
+    def once(fn, *args):
+        widths.clear()
+        fn(*args)
+        assert len(widths) == 1, (fn.__name__, args, widths)
+
+    monkeypatch.setattr(polyring, "_Packing", Recording)
+    monkeypatch.setattr(polyring, "_prs_gcd", prs_gcd)
+    rng = seeded(74)
+    for field in (QQ, PrimeField(32003)):
+        yring = PolyRing(field, ("y1",))
+        for i in range(40):
+            src, tgt = _subst_rings(rng, field)
+            a = _subst_source(rng, src, 2 + i % 2)
+            images = _subst_images(rng, tgt, src.nvars, 2)
+            once(compose_poly, a, images, tgt)
+            dens = [_frac_poly(rng, tgt, 2, 2) for _ in images]
+            ratios = [RatFunc(n, d) if d.terms else n for n, d in zip(images, dens)]
+            once(compose_poly_ratfunc, a, ratios, tgt)
+            f = _subst_source(rng, yring, 2)
+            p, q = _subst_images(rng, tgt, 2, 2)
+            once(eval_univar_at_ratio, f, p, q, int(max(f.total_degree(), 0)) + 1)
 
 
 def test_homogeneous_parts():
