@@ -64,6 +64,12 @@ def _x_context(args, texts, minimum=1):
     return trees, ring
 
 
+def _x_polys(args, texts) -> list:
+    """The polynomials of texts, over the x ring they share."""
+    trees, ring = _x_context(args, texts)
+    return [elaborate_poly(t, ring) for t in trees]
+
+
 def _square_ring(args, tree, others=()) -> PolyRing:
     """The x ring of tree and others, padded so that the map tree is square.
 
@@ -88,10 +94,6 @@ def _reduced_pair(text: str, args) -> integrality.ReducedPair:
     f1 = elaborate_poly(parse(parts[0]), ring)
     f2 = elaborate_poly(parse(parts[1]), ring)
     return integrality.ReducedPair(f1, f2)
-
-
-def _scalar(text, args):
-    return parse_scalar(text, args.field)
 
 
 # -- handlers -----------------------------------------------------------------
@@ -165,21 +167,17 @@ def cmd_gcd_subst(args):
         if len(texts) != 2:
             raise ParseError("gcd-subst uni expects FTUPLE and P", 0)
         fs = elaborate_poly_tuple(parse(texts[0]), homog.uni_ring(args.field))
-        trees, ring = _x_context(args, texts[1:])
-        p = elaborate_poly(trees[0], ring)
+        (p,) = _x_polys(args, texts[1:])
         return {"gcd_substituted": str(subfield.gcd_subst_uni(fs, p))}
     if len(texts) != 3:
         raise ParseError("gcd-subst homog expects HTUPLE, P and Q", 0)
     hs = elaborate_poly_tuple(parse(texts[0]), homog.bi_ring(args.field))
-    trees, ring = _x_context(args, texts[1:])
-    p = elaborate_poly(trees[0], ring)
-    q = elaborate_poly(trees[1], ring)
+    p, q = _x_polys(args, texts[1:])
     return {"gcd_substituted": str(subfield.gcd_subst_homog(hs, p, q))}
 
 
 def cmd_mobius_equiv(args):
-    trees, ring = _x_context(args, _exprs(args, 4))
-    p, q, ps, qs = (elaborate_poly(t, ring) for t in trees)
+    p, q, ps, qs = _x_polys(args, _exprs(args, 4))
     t = subfield.mobius_equiv(p, q, ps, qs)
     if t is None:
         return {"equivalent": False, "matrix": None}
@@ -190,8 +188,7 @@ def cmd_mobius_equiv(args):
 
 
 def cmd_unit_combo(args):
-    trees, ring = _x_context(args, _exprs(args, 2))
-    p, q = (elaborate_poly(t, ring) for t in trees)
+    p, q = _x_polys(args, _exprs(args, 2))
     combo = subfield.unit_combination(p, q)
     if combo is None:
         return {"exists": False}
@@ -199,14 +196,12 @@ def cmd_unit_combo(args):
 
 
 def cmd_enother(args):
-    trees, ring = _x_context(args, _exprs(args, 2))
-    p, q = (elaborate_poly(t, ring) for t in trees)
+    p, q = _x_polys(args, _exprs(args, 2))
     return subfield.enother_chain(p, q).to_dict()
 
 
 def cmd_member_kp(args):
-    trees, ring = _x_context(args, _exprs(args, 2))
-    r, p = (elaborate_poly(t, ring) for t in trees)
+    r, p = _x_polys(args, _exprs(args, 2))
     f = subfield.member_Kp(r, p)
     if f is None:
         return {"member": False}
@@ -234,7 +229,20 @@ def cmd_luroth_gen(args):
 
 def _load_witness_file(path):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"witness file is not JSON: {exc.msg}", exc.pos) from None
+
+
+def _witness_text(entry, key: str, default=None) -> str:
+    """The string entry[key] of a witness object; a ParseError otherwise."""
+    if not isinstance(entry, dict):
+        raise ParseError("a witness entry must be a JSON object", 0)
+    value = entry.get(key, default)
+    if not isinstance(value, str):
+        raise ParseError(f"witness entry needs a string {key!r}", 0)
+    return value
 
 
 def _parse_h_tuple(text: str, args):
@@ -250,13 +258,13 @@ def _parse_h_tuple(text: str, args):
 def cmd_hmgrk2_verify(args):
     h_tree = parse(_exprs(args, 1)[0])
     data = _load_witness_file(args.witness)
-    xtrees = [h_tree, parse(data["p"]), parse(data["q"]), parse(data["g"])]
+    xtrees = [h_tree] + [parse(_witness_text(data, k)) for k in ("p", "q", "g")]
     ring = x_ring_for(xtrees, args.field)
     h_map = elaborate_map(h_tree, ring)
     p = elaborate_poly(xtrees[1], ring)
     q = elaborate_poly(xtrees[2], ring)
     g = elaborate(xtrees[3], ring)
-    h_tuple = _parse_h_tuple(data.get("h", "0"), args)
+    h_tuple = _parse_h_tuple(_witness_text(data, "h", "0"), args)
     w = subfield.LurothWitness(g, h_tuple, p, q)
     return subfield.hmgrk2_verify(h_map, w).to_dict()
 
@@ -267,30 +275,27 @@ def cmd_valuation(args):
     if args.theta == "inf":
         point = integrality.ProjPoint.infinity()
     else:
-        point = integrality.ProjPoint.finite(_scalar(args.theta, args))
+        point = integrality.ProjPoint.finite(parse_scalar(args.theta, args.field))
     v = integrality.valuation(g, point)
     return {"valuation": "inf" if v == float("inf") else int(v)}
 
 
 def cmd_integral(args):
-    trees, ring = _x_context(args, _exprs(args, 2))
-    p, q = (elaborate_poly(t, ring) for t in trees)
+    p, q = _x_polys(args, _exprs(args, 2))
     g = _reduced_pair(args.g, args)
     res = integrality.integral_over_Kg(p, q, g)
     return res.to_dict()
 
 
 def cmd_integral_set(args):
-    trees, ring = _x_context(args, _exprs(args, 2))
-    p, q = (elaborate_poly(t, ring) for t in trees)
+    p, q = _x_polys(args, _exprs(args, 2))
     gs = [_reduced_pair(g, args) for g in args.g]
     idx = integrality.integral_over_KG(p, q, gs)
     return {"index": idx, "found": idx is not None}
 
 
 def cmd_regen_integral(args):
-    trees, ring = _x_context(args, _exprs(args, 2))
-    p, q = (elaborate_poly(t, ring) for t in trees)
+    p, q = _x_polys(args, _exprs(args, 2))
     g = _reduced_pair(args.g, args)
     out = integrality.regenerate_integral(p, q, g)
     if out is None:
@@ -299,11 +304,10 @@ def cmd_regen_integral(args):
 
 
 def cmd_pqtrans(args):
-    trees, ring = _x_context(args, _exprs(args, 2))
-    p, q = (elaborate_poly(t, ring) for t in trees)
+    p, q = _x_polys(args, _exprs(args, 2))
     g = _reduced_pair(args.g, args)
-    eps = _scalar(args.eps, args) if args.eps is not None else None
-    theta = _scalar(args.theta, args) if args.theta is not None else None
+    eps = parse_scalar(args.eps, args.field) if args.eps is not None else None
+    theta = parse_scalar(args.theta, args.field) if args.theta is not None else None
     ps, qs, gs = integrality.pqtrans(p, q, g, args.mode, eps=eps, theta=theta)
     return {
         "pstar": str(ps),
@@ -326,27 +330,26 @@ def cmd_gn_classify(args):
     entries = []
     if args.witness:
         data = _load_witness_file(args.witness)
-        entries = [data] if isinstance(data, dict) else list(data)
+        entries = data if isinstance(data, list) else [data]
     xtrees = []
     parsed = []
     for entry in entries:
-        trio = (parse(entry["p"]), parse(entry["q"]), parse(entry["g"]))
-        parsed.append(trio)
+        trio = tuple(parse(_witness_text(entry, k)) for k in ("p", "q", "g"))
+        parsed.append((_witness_text(entry, "kind"), trio))
         xtrees.extend(trio)
     ring = _square_ring(args, h_tree, xtrees)
     h = elaborate_map(h_tree, ring)
     witnesses = []
-    for entry, (pt, qt, gt) in zip(entries, parsed):
-        kind = entry["kind"]
+    for entry, (kind, (pt, qt, gt)) in zip(entries, parsed):
         p = elaborate_poly(pt, ring)
         q = elaborate_poly(qt, ring)
         g = elaborate(gt, ring)
         h_tuple = f_tuple = None
         if kind == "cond3":
-            h_tuple = _parse_h_tuple(entry.get("h", "0"), args)
-        else:
+            h_tuple = _parse_h_tuple(_witness_text(entry, "h", "0"), args)
+        elif kind in ("cond4", "cond5"):
             yring = homog.uni_ring(args.field)
-            f_tuple = elaborate_poly_tuple(parse(entry["f"]), yring)
+            f_tuple = elaborate_poly_tuple(parse(_witness_text(entry, "f")), yring)
         witnesses.append(gn.GNWitness(kind, g, p, q, h=h_tuple, f=f_tuple))
     return gn.gn_classify(h, witnesses).to_dict()
 
@@ -422,11 +425,12 @@ def build_parser() -> argparse.ArgumentParser:
             help="coefficient field: q (default) or fp:P",
         )
         p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument("--bound", type=int, default=6, help="search bound (default 6)")
         if name == "homogenize":
             p.add_argument("--s", type=int, default=None, help="homogenization degree")
         if name == "divisor-transport":
             p.add_argument("--inverse", action="store_true")
+        if name in ("trdeg", "member-kpq"):
+            p.add_argument("--bound", type=int, default=6, help="search bound (default 6)")
         if name == "trdeg":
             p.add_argument("--with-t", dest="with_t", action="store_true")
         if name == "gcd-subst":

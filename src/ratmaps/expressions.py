@@ -10,7 +10,8 @@ Grammar (whitespace-insensitive, no implicit multiplication):
 A leading unary minus is accepted so that every canonically printed value
 parses back; exponents must be non-negative integer literals.  Parenthesized
 comma lists are tuples and are only meaningful at the top level of an
-argument.  Division lowers to rational functions at elaboration time.
+argument.  Subtrees without division lower to polynomials; from the first
+division on, values are reduced rational functions.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ParseError, UnknownVariable
-from .polyring import Poly, PolyRing, RatFunc, RatMap, print_canonical
+from .polyring import Poly, PolyRing, RatFunc, RatMap, _as_ratfunc, print_canonical
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^(),]))")
 
@@ -186,30 +187,37 @@ def idents(tree) -> set:
 
 def elaborate(tree, ring: PolyRing) -> RatFunc:
     """Lower an expression tree to a rational function over the given ring."""
+    return _as_ratfunc(_lower(tree, ring), ring)
+
+
+def _lower(tree, ring: PolyRing):
+    """A Poly for a subtree without division, else a reduced RatFunc."""
     if isinstance(tree, TupleExpr):
         raise ParseError("tuple not allowed inside a scalar expression", tree.offset)
     if isinstance(tree, Num):
-        return RatFunc.from_poly(ring.const(tree.value))
+        return ring.const(tree.value)
     if isinstance(tree, Var):
         if tree.name not in ring.names:
             raise UnknownVariable(f"unknown variable {tree.name!r}", tree.offset)
-        return RatFunc.from_poly(ring.var(ring.names.index(tree.name)))
+        return ring.var(ring.names.index(tree.name))
     if isinstance(tree, Neg):
-        return -elaborate(tree.child, ring)
+        return -_lower(tree.child, ring)
     if isinstance(tree, Pow):
-        return elaborate(tree.base, ring) ** tree.exponent
+        return _lower(tree.base, ring) ** tree.exponent
     if isinstance(tree, BinOp):
-        left = elaborate(tree.left, ring)
-        right = elaborate(tree.right, ring)
+        left = _lower(tree.left, ring)
+        right = _lower(tree.right, ring)
+        if tree.op == "/":
+            if right.is_zero():
+                raise ParseError("division by zero", tree.offset)
+            return _as_ratfunc(left, ring) / right
+        if isinstance(right, RatFunc):
+            left = _as_ratfunc(left, ring)
         if tree.op == "+":
             return left + right
         if tree.op == "-":
             return left - right
-        if tree.op == "*":
-            return left * right
-        if right.is_zero():
-            raise ParseError("division by zero", tree.offset)
-        return left / right
+        return left * right
     raise TypeError(f"not an expression node: {tree!r}")
 
 

@@ -7,7 +7,9 @@ H = g * h(p, q) (resp. g * f(p/q)) whose building blocks are annihilated by
 the gradients of p and q.  The classifier computes each side independently
 and raises an alarm if they ever disagree: the equivalence is the theorem
 under test, never an assumption.  The trace identity and the witness
-identities are decided on cleared numerators on the packed-int kernel.
+identities, the nilpotency power, the core check and the translation
+identity are decided on cleared numerators, most of them on the packed-int
+kernel: no check reduces a fraction.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from dataclasses import dataclass, field as dc_field
 from .errors import (
     AssertionFailure,
     DegreeOrder,
-    IndeterminateForm,
     IndeterminateComposition,
     NotCoprime,
     NotSquare,
@@ -32,21 +33,20 @@ from .polyring import (
     PolyRing,
     RatFunc,
     RatMap,
-    _k_addmul,
+    _k_derivative,
+    _k_dot,
     _k_mul,
     _k_quotient_rule,
-    _k_reduce,
     _k_sub,
+    _substitute,
     clear_denominators,
     eval_univar_at_ratio,
     first_mismatch,
     is_primitive,
-    jacobian,
     on_kernel,
     poly_jacobian,
     primitive_part,
     relabel,
-    subst,
 )
 from .subfield import trdeg_rank
 
@@ -58,38 +58,32 @@ def _require_square(h: RatMap) -> int:
     return n
 
 
-def _rf_zero(ring) -> RatFunc:
-    return RatFunc.from_poly(ring.zero())
+def _on_cleared_jacobian(h: RatMap, factor: int, fn):
+    """fn(K, N, m) on the kernel for H = N / D and JH = m / D^2, with products
+    of degree at most factor * deg (D, N); over QQ one integer scales all."""
+    d, nums = clear_denominators(h.comps)
+    deg = max(p.total_degree() for p in (d, *nums) if not p.is_zero())
+
+    def run(K, packed):
+        d, *nums = packed[0]
+        return fn(K, nums, [_k_quotient_rule(nk, d, len(nums), K) for nk in nums])
+
+    return on_kernel([[d, *nums]], factor * deg, run)
 
 
 def _trace_conditions(h: RatMap):
-    """(JH . H = tr JH . H, JH . H = 0), decided on cleared numerators.
-
-    With H_i = N_i / D, dH_k/dx_i = (d_iN_k D - N_k d_iD)/D^2, so both sides
-    live over D^3; their numerators are compared on the packed-int kernel.
-    Both have degree 3 in (N, D), so over QQ the one integer that clears
-    the coefficients scales each by its cube and leaves both verdicts alone.
-    """
+    """(JH . H = tr JH . H, JH . H = 0), decided on cleared numerators:
+    over D^3, JH . H is m . N and tr JH . H is tr m times N."""
     _require_square(h)
-    d, nums = clear_denominators(h.comps)
-    deg = max(p.total_degree() for p in (d, *nums) if not p.is_zero())
-    return on_kernel([[d, *nums]], 3 * deg, _trace_sides)
+    return _on_cleared_jacobian(h, 3, _trace_sides)
 
 
-def _trace_sides(K, packed):
-    d, *nums = packed[0]
+def _trace_sides(K, nums, m):
     n = len(nums)
-    jac = [_k_quotient_rule(nk, d, n, K) for nk in nums]
-    trace = {}
-    for i in range(n):
-        _k_addmul(trace, {0: 1}, jac[i][i], K)
-    trace = _k_reduce(trace, K.mod)
+    trace = _k_dot([{0: 1}] * n, [m[i][i] for i in range(n)], K)
     qt = zero = True
     for k in range(n):
-        lhs = {}
-        for i in range(n):
-            _k_addmul(lhs, nums[i], jac[k][i], K)
-        lhs = _k_reduce(lhs, K.mod)
+        lhs = _k_dot(nums, m[k], K)
         zero = zero and not lhs
         qt = qt and not _k_sub(lhs, _k_mul(nums[k], trace, K), K)
     return qt, zero
@@ -126,53 +120,66 @@ def gquasi_invariance(h: RatMap, g: RatFunc) -> GquasiReport:
 
 
 def translation_invariance(h: RatMap) -> bool:
-    """Exact test of H(x + tH) = H in K(x)(t)."""
+    """Exact test of H(x + tH) = H in K(x)(t): with the images x_i + t H_i
+    passed as (x_i D_i + t N_i) / D_i, H_k = N_k / D_k composes to A / B,
+    and the identity is A D_k = B N_k."""
     n = _require_square(h)
     ring = h.ring
     ext = PolyRing(ring.field, ring.names + ("t",))
     vm = list(range(n))
-    t = RatFunc.from_poly(ext.var(n))
-    embedded = [
-        RatFunc(relabel(c.num, ext, vm), relabel(c.den, ext, vm), _reduced=True)
-        for c in h.comps
-    ]
-    images = [RatFunc.from_poly(ext.var(i)) + t * embedded[i] for i in range(n)]
-    for k in range(n):
-        try:
-            composed = subst(h[k], images, ext)
-        except IndeterminateForm as exc:
-            raise IndeterminateComposition(str(exc)) from exc
-        if composed != embedded[k]:
+    t = ext.var(n)
+    nums = [relabel(c.num, ext, vm) for c in h.comps]
+    dens = [relabel(c.den, ext, vm) for c in h.comps]
+    images = [ext.var(i) * dens[i] + t * nums[i] for i in range(n)]
+    image_dens = [None if c.den.is_one() else dens[i] for i, c in enumerate(h.comps)]
+    for k, c in enumerate(h.comps):
+        maxes = [max(c.num.degree_in(j), c.den.degree_in(j)) for j in range(n)]
+        a, b = _substitute([c.num, c.den], images, image_dens, maxes, ext)
+        if b.is_zero():
+            raise IndeterminateComposition(
+                "denominator vanishes identically after substitution"
+            )
+        if a * dens[k] != b * nums[k]:
             return False
     return True
 
 
-def _mat_mul(a, b, ring):
-    n = len(a)
-    zero = _rf_zero(ring)
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(n)), zero) for j in range(n)]
-        for i in range(n)
-    ]
-
-
 def nilpotent_jacobian(h: RatMap) -> bool:
-    """Whether (JH)^n = 0 over K(x), by exact matrix powers."""
+    """Whether (JH)^n = 0 over K(x): JH = m / D^2, so iff m^n = 0 on the kernel."""
     n = _require_square(h)
-    jac = jacobian(h)
-    power = jac
-    for _ in range(n - 1):
-        if all(entry.is_zero() for row in power for entry in row):
+    return _on_cleared_jacobian(h, 2 * n, _nilpotent)
+
+
+def _nilpotent(K, nums, m):
+    cols = list(zip(*m))
+    power = m
+    for _ in range(len(m) - 1):
+        if not any(any(row) for row in power):
             return True
-        power = _mat_mul(power, jac, h.ring)
-    return all(entry.is_zero() for row in power for entry in row)
+        power = [[_k_dot(row, col, K) for col in cols] for row in power]
+    return not any(any(row) for row in power)
+
+
+def _annihilates(rows, polys) -> bool:
+    """Whether row . v = 0 for every row and every coefficient vector v of polys."""
+    ring = rows[0][0].ring
+    for vec in coefficient_rows(polys, ring.field):
+        for row in rows:
+            dot = ring.zero()
+            for j, c in enumerate(vec):
+                dot = dot + row[j].scale(c)
+            if not dot.is_zero():
+                return False
+    return True
 
 
 def bivariate_core_check(core) -> bool:
     """J(core) . core(y) = 0 and tr J(core) . core(y) = 0 in K[x, y].
 
-    core is a square tuple of polynomials; the second copy of the
-    variables is fresh, so both products live in a doubled ring.
+    core(y) is the sum over monomials y^e of c_e y^e, c_e the coefficient
+    vectors of core, so the first product vanishes iff J(core) kills every
+    c_e.  The second vanishes iff tr J(core) = 0, since a zero core has a
+    zero Jacobian.
     """
     core = tuple(core)
     if not core:
@@ -181,23 +188,11 @@ def bivariate_core_check(core) -> bool:
     n = ring.nvars
     if len(core) != n:
         raise NotSquare(f"{len(core)} components in {n} variables")
-    big = PolyRing(ring.field, ring.names + tuple(f"y{i + 1}" for i in range(n)))
-    x_map = list(range(n))
-    y_map = list(range(n, 2 * n))
     jac = poly_jacobian(core, ring)
-    jac_big = [[relabel(e, big, x_map) for e in row] for row in jac]
-    core_y = [relabel(c, big, y_map) for c in core]
-    zero = big.zero()
-    for k in range(n):
-        prod = zero
-        for i in range(n):
-            prod = prod + jac_big[k][i] * core_y[i]
-        if not prod.is_zero():
-            return False
-    trace = zero
+    trace = ring.zero()
     for i in range(n):
-        trace = trace + jac_big[i][i]
-    return all((trace * cy).is_zero() for cy in core_y)
+        trace = trace + jac[i][i]
+    return trace.is_zero() and _annihilates(jac, core)
 
 
 # -- witnesses ---------------------------------------------------------------
@@ -251,22 +246,6 @@ def _verify_cond3(h_map: RatMap, w: GNWitness):
     return True, ""
 
 
-def _gradients_annihilate(fs, p: Poly, q: Poly) -> bool:
-    """Jp . f = Jq . f = 0, tested on every coefficient vector of f."""
-    ring = p.ring
-    n = ring.nvars
-    grad_p = [p.derivative(j) for j in range(n)]
-    grad_q = [q.derivative(j) for j in range(n)]
-    for vec in coefficient_rows(fs, ring.field):
-        for grad in (grad_p, grad_q):
-            dot = ring.zero()
-            for j in range(n):
-                dot = dot + grad[j].scale(vec[j])
-            if not dot.is_zero():
-                return False
-    return True
-
-
 def _verify_cond45(h_map: RatMap, w: GNWitness):
     fs = tuple(w.f) if w.f is not None else None
     if fs is None or len(fs) != h_map.m:
@@ -284,7 +263,7 @@ def _verify_cond45(h_map: RatMap, w: GNWitness):
     k = first_mismatch(h_map, w.g, cleared, w.q**s)
     if k is not None:
         return False, f"H = g*f(p/q) fails at component {k}"
-    if not _gradients_annihilate(fs, w.p, w.q):
+    if not _annihilates(poly_jacobian((w.p, w.q), w.p.ring), fs):
         return False, "Jp . f = Jq . f = 0 fails"
     return True, ""
 
@@ -372,6 +351,10 @@ def flem_conclude(fs, p: Poly, q: Poly, mode: str) -> bool:
     Returns whether the hypothesis holds; when it does, the conclusion
     Jp . f = Jq . f = 0 is verified on the coefficient vectors of f, and
     a failure there is an internal alarm.
+
+    With J(p/q) = G / q^2, G_j = q d_jp - p d_jq, and f(p/q) = F / q^s,
+    each dot product is zero iff its numerator is: G . F and G . F' in
+    mode i (F' the same evaluation of f'), G . F and Jq . F in mode ii.
     """
     fs = tuple(fs)
     ring = p.ring
@@ -384,20 +367,25 @@ def flem_conclude(fs, p: Poly, q: Poly, mode: str) -> bool:
         raise DegreeOrder("deg p exceeds deg q")
     if all(f.is_zero() for f in fs):
         return True
-    ratio = RatFunc(p, q)
-    grad_ratio = [ratio.derivative(j) for j in range(n)]
-    f_at = [subst(f, [ratio], ring) for f in fs]
-    dot1 = sum((grad_ratio[j] * f_at[j] for j in range(n)), _rf_zero(ring))
-    if mode == "i":
-        fp_at = [subst(f.derivative(0), [ratio], ring) for f in fs]
-        dot2 = sum((grad_ratio[j] * fp_at[j] for j in range(n)), _rf_zero(ring))
-    elif mode == "ii":
-        grad_q = [RatFunc.from_poly(q.derivative(j)) for j in range(n)]
-        dot2 = sum((grad_q[j] * f_at[j] for j in range(n)), _rf_zero(ring))
-    else:
+    if mode not in ("i", "ii"):
         raise ValueError(f"unknown mode {mode!r}")
-    hypothesis = dot1.is_zero() and dot2.is_zero()
-    if hypothesis and not _gradients_annihilate(fs, p, q):
+    s = int(max(f.total_degree() for f in fs if not f.is_zero()))
+    group = [p, q, *(eval_univar_at_ratio(f, p, q, s) for f in fs)]
+    if mode == "i":
+        group += [eval_univar_at_ratio(f.derivative(0), p, q, s) for f in fs]
+
+    def dots(K, packed):
+        kp, kq, *at = packed[0]
+        grad = _k_quotient_rule(kp, kq, n, K)
+        if mode == "i":
+            second = _k_dot(grad, at[n:], K)
+        else:
+            second = _k_dot([_k_derivative(kq, j, K) for j in range(n)], at[:n], K)
+        return not _k_dot(grad, at[:n], K) and not second
+
+    deg = max(t.total_degree() for t in group if not t.is_zero())
+    hypothesis = on_kernel([group], 3 * deg, dots)
+    if hypothesis and not _annihilates(poly_jacobian((p, q), ring), fs):
         raise AssertionFailure("hypothesis held but Jp . f = Jq . f = 0 failed")
     return hypothesis
 
@@ -434,13 +422,8 @@ def constant_span_bound(h_map: RatMap) -> SpanBoundReport:
     field = h_map.ring.field
     if h_map.is_zero():
         return SpanBoundReport([], 0, 0, n, True)
-    yring = PolyRing(field, tuple(f"y{i + 1}" for i in range(n)))
-    vm = list(range(n))
-    comps_y = [
-        RatFunc(relabel(c.num, yring, vm), relabel(c.den, yring, vm), _reduced=True)
-        for c in h_map.comps
-    ]
-    _, cleared = clear_denominators(comps_y)
+    # the coefficient vectors of H(y) are those of H(x)
+    _, cleared = clear_denominators(h_map.comps)
     vectors = coefficient_rows(cleared, field)
     chosen = independent_subset(vectors, field)
     dim = len(chosen)

@@ -43,8 +43,19 @@ def bi_ring(field) -> PolyRing:
     return PolyRing(field, ("y1", "y2"))
 
 
+class _PolyTuple:
+    """The ring and the printed form of the polynomial tuples below."""
+
+    @property
+    def ring(self):
+        return self.polys[0].ring
+
+    def __str__(self):
+        return "(" + ", ".join(str(p) for p in self.polys) + ")"
+
+
 @dataclass(frozen=True)
-class UniTuple:
+class UniTuple(_PolyTuple):
     """A nonzero tuple of univariate polynomials with a degree bound."""
 
     polys: tuple
@@ -59,16 +70,9 @@ class UniTuple:
             if not p.is_zero() and p.total_degree() > self.bound:
                 raise InvalidArgument("component degree exceeds the bound")
 
-    @property
-    def ring(self):
-        return self.polys[0].ring
-
-    def __str__(self):
-        return "(" + ", ".join(str(p) for p in self.polys) + ")"
-
 
 @dataclass(frozen=True)
-class HomogTuple:
+class HomogTuple(_PolyTuple):
     """A nonzero tuple of bivariate polynomials, homogeneous of one degree."""
 
     polys: tuple
@@ -86,13 +90,6 @@ class HomogTuple:
                 raise InvalidArgument(
                     f"component {p} is not homogeneous of degree {self.degree}"
                 )
-
-    @property
-    def ring(self):
-        return self.polys[0].ring
-
-    def __str__(self):
-        return "(" + ", ".join(str(p) for p in self.polys) + ")"
 
 
 def _homog(p: Poly, s: int) -> Poly:

@@ -25,10 +25,11 @@ from .polyring import (
     Poly,
     PolyRing,
     RatFunc,
+    _substitute,
     compose_poly,
     eval_univar_at_ratio,
     gcd_many,
-    subst,
+    require_transcendental,
 )
 
 POS_INF = math.inf
@@ -190,7 +191,7 @@ def integral_over_Kg(p: Poly, q: Poly, g: ReducedPair) -> IntegralityResult:
     pair.  When integral, the monic relation (f1(Y) - g f2(Y))/lc(f1) is
     returned and verified to vanish at Y = p/q exactly.
     """
-    _require_transcendental(p, q)
+    require_transcendental(p, q)
     if g.f1.is_constant() and g.f2.is_constant():
         raise ConstantPart("f1 and f2 are both constant, so g lies in K")
     d1, d2 = g.f1.total_degree(), g.f2.total_degree()
@@ -201,19 +202,16 @@ def integral_over_Kg(p: Poly, q: Poly, g: ReducedPair) -> IntegralityResult:
     f1_y = compose_poly(g.f1, [yvar], rring)
     f2_y = compose_poly(g.f2, [yvar], rring)
     relation = (f1_y - gvar * f2_y).scale(p.ring.field.one() / g.f1.lc())
-    value = subst(
-        relation,
-        [RatFunc(p, q), g.value_at(p, q)],
-        p.ring,
-    )
-    if not value.is_zero():
+    if not _vanishes_at(relation, p, q, g):
         raise AssertionFailure("monic integral relation failed to vanish at p/q")
     return IntegralityResult(True, relation)
 
 
-def _require_transcendental(p: Poly, q: Poly):
-    if q.is_zero() or RatFunc(p, q).is_constant():
-        raise ConstantRatio("p/q lies in K")
+def _vanishes_at(relation: Poly, p: Poly, q: Poly, g: ReducedPair) -> bool:
+    """Whether relation(Y, g) cleared at Y = p/q, g = a/b is the zero polynomial."""
+    a, b = _cleared_at(g.f1, g.f2, p, q)
+    maxes = [relation.degree_in(0), relation.degree_in(1)]
+    return _substitute([relation], [p, a], [q, b], maxes, p.ring)[0].is_zero()
 
 
 def pqtrans(p: Poly, q: Poly, g: ReducedPair, mode: str, eps=None, theta=None):
@@ -270,7 +268,7 @@ def regenerate_integral(p: Poly, q: Poly, g: ReducedPair):
     for a K-root of f2 whose multiplicity exceeds that of f1 and inverts
     there; None means no generator of K(p/q) is integral over K[g].
     """
-    _require_transcendental(p, q)
+    require_transcendental(p, q)
     if g.f1.is_constant() and g.f2.is_constant():
         raise ConstantPart("f1 and f2 are both constant, so g lies in K")
     if g.f1.total_degree() > g.f2.total_degree():
@@ -296,7 +294,7 @@ def integral_over_KG(p: Poly, q: Poly, gs) -> object:
     Deciding integrality over K[G] reduces to the elementwise question,
     so a single scan settles it.
     """
-    _require_transcendental(p, q)
+    require_transcendental(p, q)
     for i, g in enumerate(gs):
         if g.f1.is_constant() and g.f2.is_constant():
             raise ConstantPart(f"element {i} of G lies in K")

@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from .errors import (
     AllZero,
+    ConstantRatio,
     DivisionByZero,
     IndeterminateForm,
     InternalCheckError,
@@ -582,6 +583,14 @@ def _k_sub(a: dict, b: dict, K: _Packing) -> dict:
     return _k_reduce(out, K.mod)
 
 
+def _k_dot(us, vs, K: _Packing) -> dict:
+    """sum_i us[i] * vs[i]."""
+    out = {}
+    for a, b in zip(us, vs):
+        _k_addmul(out, *((a, b) if len(a) <= len(b) else (b, a)), K)
+    return _k_reduce(out, K.mod)
+
+
 def _k_derivative(t: dict, j: int, K: _Packing) -> dict:
     sh, mask, unit = (K.n - 1 - j) * K.w, K.mask, K.unit(j)
     out = {}
@@ -806,6 +815,12 @@ def first_mismatch(h, g, nums, den: Poly):
         return None
 
     return on_kernel([group], 3 * deg, first)
+
+
+def require_transcendental(p: Poly, q: Poly):
+    """ConstantRatio unless q != 0 and p/q is not in K: p = 0 or p lc(q) = q lc(p)."""
+    if q.is_zero() or p.is_zero() or p.scale(q.lc()) == q.scale(p.lc()):
+        raise ConstantRatio("p/q lies in K")
 
 
 def is_primitive(polys) -> bool:

@@ -21,7 +21,6 @@ from .errors import (
     BothConstant,
     CharPUnsupported,
     ConstantP,
-    ConstantRatio,
     InvalidArgument,
     NotCoprime,
     NotPrimitivePair,
@@ -53,6 +52,7 @@ from .polyring import (
     is_primitive,
     on_kernel,
     relabel,
+    require_transcendental,
 )
 
 
@@ -89,10 +89,6 @@ class Mobius:
             self.t21 * other.t12 + self.t22 * other.t22,
         )
 
-    def inverse(self) -> Mobius:
-        """The adjugate, an inverse up to the nonzero scalar det."""
-        return Mobius(self.t22, -self.t12, -self.t21, self.t11)
-
     def is_scalar(self) -> bool:
         return (not self.t12) and (not self.t21) and self.t11 == self.t22
 
@@ -104,9 +100,6 @@ class Mobius:
                 if a * d != c * b:
                     return False
         return True
-
-    def entries(self):
-        return (self.t11, self.t12, self.t21, self.t22)
 
 
 # -- transcendence degree ----------------------------------------------------
@@ -294,8 +287,7 @@ def mobius_equiv(p: Poly, q: Poly, pstar: Poly, qstar: Poly):
     the four entries; an invertible solution is verified exactly before it
     is returned, and None means the fields differ.
     """
-    if q.is_zero() or RatFunc(p, q).is_constant():
-        raise ConstantRatio("p/q lies in K")
+    require_transcendental(p, q)
     if not is_primitive([p, q]):
         raise NotCoprime("(p, q) is not reduced")
     if not pstar.is_zero() or not qstar.is_zero():

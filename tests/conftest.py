@@ -9,8 +9,19 @@ code paths they are used to check.
 import random
 from fractions import Fraction
 
-from ratmaps.linalg import field_rank
-from ratmaps.errors import RingMismatch
+from ratmaps.linalg import coefficient_rows, field_rank
+from ratmaps.errors import (
+    AssertionFailure,
+    DegreeOrder,
+    IndeterminateComposition,
+    IndeterminateForm,
+    NotCoprime,
+    NotSquare,
+    ParseError,
+    RingMismatch,
+    UnknownVariable,
+)
+from ratmaps.expressions import BinOp, Neg, Num, Pow, TupleExpr, Var
 from ratmaps.polyring import (
     Poly,
     PolyRing,
@@ -21,6 +32,9 @@ from ratmaps.polyring import (
     eval_univar_at_ratio,
     is_primitive,
     jacobian,
+    poly_jacobian,
+    relabel,
+    subst,
 )
 from ratmaps.fields import QQ
 from ratmaps.homog import uni_ring
@@ -508,6 +522,169 @@ def reference_eval_univar_at_ratio(f: Poly, p: Poly, q: Poly, s: int) -> Poly:
         j = e[0]
         total = total + (p_tab[j] * q_tab[s - j]).scale(c)
     return total
+
+
+# -- references for the cleared identities: the RatFunc paths -------------
+#
+# The library decides these checks as polynomial identities on cleared
+# denominators and lowers division-free input to Poly; the references are
+# the reduced-RatFunc code they replaced, unchanged.
+
+
+def _reference_rf_zero(ring) -> RatFunc:
+    return RatFunc.from_poly(ring.zero())
+
+
+def _reference_mat_mul(a, b, ring):
+    n = len(a)
+    zero = _reference_rf_zero(ring)
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(n)), zero) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def reference_nilpotent_jacobian(h: RatMap) -> bool:
+    """Whether (JH)^n = 0 over K(x), by exact matrix powers.
+
+    Reduces every entry of every power: it does not finish on generic
+    3-variable rational maps."""
+    n = h.ring.nvars
+    jac = jacobian(h)
+    power = jac
+    for _ in range(n - 1):
+        if all(entry.is_zero() for row in power for entry in row):
+            return True
+        power = _reference_mat_mul(power, jac, h.ring)
+    return all(entry.is_zero() for row in power for entry in row)
+
+
+def reference_bivariate_core_check(core) -> bool:
+    """J(core) . core(y) = 0 and tr J(core) . core(y) = 0 in a doubled ring."""
+    core = tuple(core)
+    ring = core[0].ring
+    n = ring.nvars
+    big = PolyRing(ring.field, ring.names + tuple(f"y{i + 1}" for i in range(n)))
+    x_map = list(range(n))
+    y_map = list(range(n, 2 * n))
+    jac = poly_jacobian(core, ring)
+    jac_big = [[relabel(e, big, x_map) for e in row] for row in jac]
+    core_y = [relabel(c, big, y_map) for c in core]
+    zero = big.zero()
+    for k in range(n):
+        prod = zero
+        for i in range(n):
+            prod = prod + jac_big[k][i] * core_y[i]
+        if not prod.is_zero():
+            return False
+    trace = zero
+    for i in range(n):
+        trace = trace + jac_big[i][i]
+    return all((trace * cy).is_zero() for cy in core_y)
+
+
+def _reference_gradients_annihilate(fs, p: Poly, q: Poly) -> bool:
+    """Jp . f = Jq . f = 0, tested on every coefficient vector of f."""
+    ring = p.ring
+    n = ring.nvars
+    grad_p = [p.derivative(j) for j in range(n)]
+    grad_q = [q.derivative(j) for j in range(n)]
+    for vec in coefficient_rows(fs, ring.field):
+        for grad in (grad_p, grad_q):
+            dot = ring.zero()
+            for j in range(n):
+                dot = dot + grad[j].scale(vec[j])
+            if not dot.is_zero():
+                return False
+    return True
+
+
+def reference_flem_conclude(fs, p: Poly, q: Poly, mode: str) -> bool:
+    """flem_conclude on reduced rational functions p/q, f(p/q) and J(p/q)."""
+    fs = tuple(fs)
+    ring = p.ring
+    n = ring.nvars
+    if len(fs) != n:
+        raise NotSquare(f"{len(fs)} components in {n} variables")
+    if not is_primitive([p, q]):
+        raise NotCoprime("gcd(p, q) is not a unit")
+    if p.total_degree() > q.total_degree():
+        raise DegreeOrder("deg p exceeds deg q")
+    if all(f.is_zero() for f in fs):
+        return True
+    ratio = RatFunc(p, q)
+    grad_ratio = [ratio.derivative(j) for j in range(n)]
+    f_at = [subst(f, [ratio], ring) for f in fs]
+    zero = _reference_rf_zero(ring)
+    dot1 = sum((grad_ratio[j] * f_at[j] for j in range(n)), zero)
+    if mode == "i":
+        fp_at = [subst(f.derivative(0), [ratio], ring) for f in fs]
+        dot2 = sum((grad_ratio[j] * fp_at[j] for j in range(n)), zero)
+    elif mode == "ii":
+        grad_q = [RatFunc.from_poly(q.derivative(j)) for j in range(n)]
+        dot2 = sum((grad_q[j] * f_at[j] for j in range(n)), zero)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    hypothesis = dot1.is_zero() and dot2.is_zero()
+    if hypothesis and not _reference_gradients_annihilate(fs, p, q):
+        raise AssertionFailure("hypothesis held but Jp . f = Jq . f = 0 failed")
+    return hypothesis
+
+
+def reference_translation_invariance(h: RatMap) -> bool:
+    """H(x + tH) = H in K(x)(t), on reduced rational functions."""
+    n = h.ring.nvars
+    ring = h.ring
+    ext = PolyRing(ring.field, ring.names + ("t",))
+    vm = list(range(n))
+    t = RatFunc.from_poly(ext.var(n))
+    embedded = [
+        RatFunc(relabel(c.num, ext, vm), relabel(c.den, ext, vm), _reduced=True)
+        for c in h.comps
+    ]
+    images = [RatFunc.from_poly(ext.var(i)) + t * embedded[i] for i in range(n)]
+    for k in range(n):
+        try:
+            composed = subst(h[k], images, ext)
+        except IndeterminateForm as exc:
+            raise IndeterminateComposition(str(exc)) from exc
+        if composed != embedded[k]:
+            return False
+    return True
+
+
+def reference_elaborate(tree, ring: PolyRing) -> RatFunc:
+    """Lower an expression tree with every node a reduced rational function."""
+    if isinstance(tree, TupleExpr):
+        raise ParseError("tuple not allowed inside a scalar expression", tree.offset)
+    if isinstance(tree, Num):
+        return RatFunc.from_poly(ring.const(tree.value))
+    if isinstance(tree, Var):
+        if tree.name not in ring.names:
+            raise UnknownVariable(f"unknown variable {tree.name!r}", tree.offset)
+        return RatFunc.from_poly(ring.var(ring.names.index(tree.name)))
+    if isinstance(tree, Neg):
+        return -reference_elaborate(tree.child, ring)
+    if isinstance(tree, Pow):
+        return reference_elaborate(tree.base, ring) ** tree.exponent
+    if isinstance(tree, BinOp):
+        left = reference_elaborate(tree.left, ring)
+        right = reference_elaborate(tree.right, ring)
+        if tree.op == "+":
+            return left + right
+        if tree.op == "-":
+            return left - right
+        if tree.op == "*":
+            return left * right
+        if right.is_zero():
+            raise ParseError("division by zero", tree.offset)
+        return left / right
+    raise TypeError(f"not an expression node: {tree!r}")
+
+
+def reference_relation_vanishes(relation: Poly, p: Poly, q: Poly, pair) -> bool:
+    """relation(p/q, g) = 0 by substituting reduced p/q and g = value_at."""
+    return subst(relation, [RatFunc(p, q), pair.value_at(p, q)], p.ring).is_zero()
 
 
 def lagrange_derivative_at_zero(values, nodes):

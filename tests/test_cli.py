@@ -150,6 +150,61 @@ def test_gn_classify_witness_file(tmp_path, capsys):
     assert data["witnesses"][0]["verified"] is True
 
 
+MALFORMED_WITNESSES = [
+    (
+        "hmgrk2-verify",
+        '{"g": "1", "h": "(y1^2, y1*y2, y2^2)", "q": "x2"}',
+        "witness entry needs a string 'p' (at offset 0)",
+    ),
+    ("hmgrk2-verify", "{not json", "witness file is not JSON: "),
+    ("gn-classify", "[1, 2", "witness file is not JSON: "),
+    (
+        "gn-classify",
+        '{"g": "1", "f": "(0, 0, y1)", "p": "x1", "q": "x2"}',
+        "witness entry needs a string 'kind' (at offset 0)",
+    ),
+    ("gn-classify", "[1]", "a witness entry must be a JSON object (at offset 0)"),
+    ("gn-classify", "5", "a witness entry must be a JSON object (at offset 0)"),
+    (
+        "gn-classify",
+        '{"kind": "cond4", "g": "1", "p": "x1", "q": "x2"}',
+        "witness entry needs a string 'f' (at offset 0)",
+    ),
+    (
+        "gn-classify",
+        '{"kind": "cond4", "g": "1", "f": "(0, 0, y1)", "p": 1, "q": "x2"}',
+        "witness entry needs a string 'p' (at offset 0)",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, text, reason", MALFORMED_WITNESSES)
+def test_malformed_witness_file_is_a_parse_error(tmp_path, capsys, command, text, reason):
+    w = tmp_path / "w.json"
+    w.write_text(text)
+    h = "(x1^2, x1*x2, x2^2)" if command == "hmgrk2-verify" else "(0, 0, x1/x2)"
+    code, out, err = run_cli(capsys, command, h, "--witness", str(w))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: {reason}"), err
+
+
+def test_unknown_witness_kind_needs_no_f(tmp_path, capsys):
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps({"kind": "cond9", "g": "1", "p": "x1", "q": "x2"}))
+    code, data, _ = run_json(capsys, "gn-classify", "(0, 0, x1/x2)", "--witness", str(w))
+    assert code == 0
+    assert data["witnesses"] == [
+        {"kind": "cond9", "verified": False, "reason": "unknown witness kind 'cond9'"}
+    ]
+
+
+def test_bound_only_where_it_is_read(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gcd", "x1", "--bound", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bound 3" in capsys.readouterr().err
+
+
 def test_pqtrans_flags(capsys):
     code, data, _ = run_json(
         capsys,
@@ -236,13 +291,14 @@ def test_cached_parser_matches_fresh_parser(monkeypatch, capsys):
 # fields and in both output modes.  Expected stdout and exit codes live in
 # tests/data/readme_golden.json as {key: [exit code, stdout]}, keyed as
 # golden_runs yields them; a change that alters any byte of them must say
-# why and record them anew.  WITNESS stands for a witness file written by
-# the test.
+# why and record them anew.  WITNESS and HMG_WITNESS stand for witness
+# files written by the test: a gn-classify list and an hmgrk2-verify entry.
 
 GOLDEN_WITNESS = [
     {"kind": "cond4", "g": "1", "f": "(0, 0, y1)", "p": "x1", "q": "x2"},
     {"kind": "cond4", "g": "1", "f": "(0, 0, y1 + 1)", "p": "x1", "q": "x2"},
 ]
+GOLDEN_HMG_WITNESS = {"g": "1", "h": "(y1^2, y1*y2, y2^2)", "p": "x1", "q": "x2"}
 
 GOLDEN_CASES = [
     ["gcd", "(x1^2, x1*x2)"],
@@ -278,6 +334,14 @@ GOLDEN_CASES = [
     ["translation-check", "(x2/(x1+1), 0, (x1 - x2)/(x1+1))"],
     ["pqtrans", "x1", "x2", "--g", "y1^2;y1+1", "--mode", "shift", "--eps", "2/3"],
     ["member-kp", "x1^4 + 2*x1^2*x2 + x2^2 + 1", "x1^2 + x2"],
+    ["nilpotent-check", "(x2^2, 0)"],
+    ["nilpotent-check", "(x2/(x1+1), x1^2)"],
+    ["nilpotent-check", "((x1*x3 - x2)*x3/(x3 + 1), (x1*x3 - x2)*x3^2/(x3 + 1), 0)"],
+    ["bivariate-core", "(x3^2 - x3, x3, 0)"],
+    ["bivariate-core", "(x2^2, -x1*x2)"],
+    ["unit-combo", "x1", "1-x1"],
+    ["integral-set", "x1", "x2", "--g", "1;y1", "--g", "y1^2;y1+1"],
+    ["hmgrk2-verify", "(x1^2, x1*x2, x2^2)", "--witness", "HMG_WITNESS"],
 ]
 
 
@@ -285,15 +349,32 @@ def _golden_key(argv, field, json_mode):
     return " ".join(argv + ["--field", field] + (["--json"] if json_mode else []))
 
 
-def golden_runs(witness_path):
-    """(key, argv) for every golden case, field and output mode."""
+def golden_runs(witness_paths):
+    """(key, argv) for every golden case, field and output mode; witness
+    placeholders are replaced by the paths in witness_paths."""
     for argv in GOLDEN_CASES:
         for field in ("q", "fp:32003"):
             for json_mode in (False, True):
                 key = _golden_key(argv, field, json_mode)
-                run = [witness_path if a == "WITNESS" else a for a in argv]
+                run = [witness_paths.get(a, a) for a in argv]
                 run += ["--field", field] + (["--json"] if json_mode else [])
                 yield key, run
+
+
+def _write_golden_witnesses(tmp_path):
+    paths = {}
+    for name, data in (("WITNESS", GOLDEN_WITNESS), ("HMG_WITNESS", GOLDEN_HMG_WITNESS)):
+        path = tmp_path / f"{name.lower()}.json"
+        path.write_text(json.dumps(data))
+        paths[name] = str(path)
+    return paths
+
+
+def test_every_subcommand_has_a_golden_case():
+    from ratmaps.cli import _COMMANDS
+
+    covered = {argv[0] for argv in GOLDEN_CASES}
+    assert [name for name, _, _ in _COMMANDS if name not in covered] == []
 
 
 def test_readme_examples_golden(tmp_path, capsys):
@@ -302,10 +383,8 @@ def test_readme_examples_golden(tmp_path, capsys):
     expected = json.loads(
         (pathlib.Path(__file__).parent / "data" / "readme_golden.json").read_text()
     )
-    witness = tmp_path / "witness.json"
-    witness.write_text(json.dumps(GOLDEN_WITNESS))
     keys = []
-    for key, argv in golden_runs(str(witness)):
+    for key, argv in golden_runs(_write_golden_witnesses(tmp_path)):
         keys.append(key)
         code, out, _ = run_cli(capsys, *argv)
         assert [code, out] == expected[key], key

@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_nonzero_poly, random_ratfunc, seeded
+import time
+
+from conftest import random_nonzero_poly, random_ratfunc, reference_elaborate, seeded
 from ratmaps.errors import ParseError, UnknownVariable
 from ratmaps.expressions import (
     elaborate,
@@ -93,3 +95,62 @@ def test_x_ring_inference():
     assert ring.names == ("x1",)
     with pytest.raises(UnknownVariable):
         x_ring_for([parse("y1")], QQ)
+
+
+# -- Poly until the first division, against reduced RatFunc at every node ----
+
+
+def _random_expr(rng, names, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(names + [str(rng.randint(0, 5))])
+    kind = rng.randrange(6)
+    if kind == 0:
+        return f"({_random_expr(rng, names, depth - 1)})^{rng.randint(0, 3)}"
+    if kind == 1:
+        return f"-({_random_expr(rng, names, depth - 1)})"
+    op = "+-*/"[kind - 2]
+    left = _random_expr(rng, names, depth - 1)
+    right = _random_expr(rng, names, depth - 1)
+    return f"({left}) {op} ({right})"
+
+
+def _outcome(fn, tree, ring):
+    try:
+        return fn(tree, ring)
+    except ParseError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(32003)])
+def test_elaborate_matches_ratfunc_at_every_node_random(field):
+    rng = seeded(93)
+    kinds = set()
+    for n in (2, 3):
+        ring = PolyRing(field, tuple(f"x{i + 1}" for i in range(n)))
+        for _ in range(120):
+            tree = parse(_random_expr(rng, list(ring.names), 4))
+            expected = _outcome(reference_elaborate, tree, ring)
+            assert _outcome(elaborate, tree, ring) == expected, tree
+            if isinstance(expected, str):
+                kinds.add("division by zero")
+                continue
+            if expected.is_polynomial():
+                assert elaborate_poly(tree, ring) == expected.num
+                kinds.add("polynomial")
+            else:
+                with pytest.raises(ParseError, match="proper fraction"):
+                    elaborate_poly(tree, ring)
+                kinds.add("fraction")
+    assert kinds == {"division by zero", "polynomial", "fraction"}
+
+
+def test_cancelling_product_reduces_as_it_goes():
+    # 80 factors (x1 + k)/(x1 + k + 1): each division reduces, so the
+    # product never grows past one factor; reducing only at the end would
+    # multiply out degree-80 numerator and denominator first
+    text = "*".join(f"((x1 + {k})/(x1 + {k + 1}))" for k in range(1, 81))
+    ring = PolyRing(QQ, ("x1",))
+    start = time.perf_counter()
+    value = elaborate(parse(text), ring)
+    assert time.perf_counter() - start < 2.0
+    assert str(value) == "(x1 + 1)/(x1 + 81)"

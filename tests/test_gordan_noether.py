@@ -2,13 +2,19 @@ from fractions import Fraction
 
 import pytest
 
+import time
+
 from conftest import (
     random_cond45_case,
     random_nonzero_poly,
     random_poly,
     random_square_map,
+    reference_bivariate_core_check,
     reference_cleared_sides,
     reference_cond45_failure,
+    reference_flem_conclude,
+    reference_nilpotent_jacobian,
+    reference_translation_invariance,
     seeded,
 )
 from ratmaps.errors import DegreeOrder, NotSquare, PreconditionNotVerified, ZeroScalar
@@ -27,13 +33,17 @@ from ratmaps.gordan_noether import (
     qt_condition,
     translation_invariance,
 )
+from ratmaps.expressions import elaborate_map, parse
 from ratmaps.polyring import (
     Poly,
     PolyRing,
     RatFunc,
     RatMap,
+    compose_poly,
     eval_univar_at_ratio,
     first_mismatch,
+    is_primitive,
+    relabel,
 )
 
 R2 = PolyRing(QQ, ("x1", "x2"))
@@ -188,8 +198,6 @@ def test_quasi_translations_have_nilpotent_jacobians_random():
     # polynomial maps H = (0, 0, f3(p)) with p free of x3 satisfy
     # H(x + tH) = H; their Jacobians must be nilpotent
     rng = seeded(30)
-    from ratmaps.polyring import compose_poly
-
     done = 0
     while done < 50:
         p = random_poly(rng, R3, 2, 3)
@@ -451,3 +459,204 @@ def test_witness_identity_matches_ratfunc_path_random(field):
             )
             assert first_mismatch(h, g, hp, ring.one()) == expected, (h, g, hp)
     assert seen == {True, False}
+
+
+# -- the cleared identities against the reduced-RatFunc paths ----------------
+
+FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(32003)]
+
+
+def _ring(field, n):
+    return PolyRing(field, tuple(f"x{i + 1}" for i in range(n)))
+
+
+def _only_after(p, k):
+    """The terms of p free of x_1..x_(k+1)."""
+    return Poly(p.ring, {e: c for e, c in p.terms.items() if not any(e[: k + 1])})
+
+
+def _nilpotent_by_construction(rng, ring):
+    """P H(P^-1 x) for a strictly triangular H, H_k a fraction in the
+    variables after x_k only, and a random permutation P."""
+    n = ring.nvars
+    perm = list(range(n))
+    rng.shuffle(perm)
+    comps = [None] * n
+    for k in range(n):
+        num = _only_after(random_poly(rng, ring, 3, 3), k)
+        den = _only_after(random_nonzero_poly(rng, ring, 2, 2), k)
+        if den.is_zero():
+            den = ring.one()
+        comps[perm[k]] = RatFunc(relabel(num, ring, perm), relabel(den, ring, perm))
+    return RatMap(comps)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_nilpotent_jacobian_matches_ratfunc_path_random(field):
+    # the reference reduces every entry of every matrix power and does not
+    # finish on generic 3-variable maps: those get only maps built nilpotent
+    rng = seeded(81)
+    seen = set()
+    for _ in range(40):
+        h = random_square_map(rng, _ring(field, 2))
+        verdict = nilpotent_jacobian(h)
+        assert verdict == reference_nilpotent_jacobian(h), h
+        seen.add(verdict)
+    assert seen == {True, False}
+    for n in (2, 3):
+        for _ in range(15):
+            h = _nilpotent_by_construction(rng, _ring(field, n))
+            assert nilpotent_jacobian(h) is reference_nilpotent_jacobian(h) is True, h
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_nilpotent_jacobian_needs_every_power(field):
+    # JH^2 != 0 = JH^3: a power loop one step short would answer False
+    ring = _ring(field, 3)
+    x1, x2, x3 = ring.var(0), ring.var(1), ring.var(2)
+    h = RatMap(
+        [RatFunc(x2**2, x3 + ring.one()), RatFunc.from_poly(x3**2), RatFunc.from_poly(ring.one())]
+    )
+    assert nilpotent_jacobian(h) is reference_nilpotent_jacobian(h) is True
+    assert nilpotent_jacobian(RatMap.from_polys([x2, x3, x1])) is False
+
+
+def test_nilpotent_check_on_a_three_variable_rational_map_is_fast():
+    # the reduced matrix powers of this map had not finished after 10
+    # minutes; tr JH = -2/(x3^2 - 4 x3) + 1/(x1 + 1) != 0, so not nilpotent
+    tree = parse(
+        "((x2 + 3)/(x3^2 + 4*x2 + 1), (1 - 2*x2)/(x3^2 - 4*x3), "
+        "(x1*x2 + x2 + x3)/(x1 + 1))"
+    )
+    h = elaborate_map(tree, R3)
+    start = time.perf_counter()
+    assert nilpotent_jacobian(h) is False
+    assert time.perf_counter() - start < 2.0
+
+
+def test_translation_check_on_unequal_denominators_is_fast():
+    # composing reduced fractions took more than 100 s on this map; a map
+    # with H(x + tH) = H has JH.H = 0, which fails here
+    tree = parse("((x1*x3 + x2^2)/(x1^2 + x3^2), (5/2 - x3)/x1^2, 0)")
+    h = elaborate_map(tree, R3)
+    start = time.perf_counter()
+    assert translation_invariance(h) is False
+    assert time.perf_counter() - start < 2.0
+    assert classical_gn_condition(h) is False
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_bivariate_core_check_matches_doubled_ring_random(field):
+    rng = seeded(82)
+    seen = set()
+    for n in (2, 3):
+        ring = _ring(field, n)
+        for _ in range(40):
+            if rng.random() < 0.5:
+                # numerators of maps like (0, H_2(x_1)) kill their coefficient vectors
+                core = tuple(c.num for c in random_square_map(rng, ring))
+            else:
+                core = tuple(random_poly(rng, ring, 2, 2) for _ in range(n))
+            verdict = bivariate_core_check(core)
+            assert verdict == reference_bivariate_core_check(core), core
+            seen.add(verdict)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_translation_invariance_matches_ratfunc_path_random(field):
+    # the reference takes minutes on some 3-variable maps with unequal
+    # denominators, such as ((x1 x3 + x2^2)/(x1^2 + x3^2), (5/2 - x3)/x1^2, 0):
+    # in three variables it gets the numerators of the random maps only
+    rng = seeded(83)
+    seen = set()
+    for n in (2, 3):
+        ring = _ring(field, n)
+        for _ in range(25):
+            h = random_square_map(rng, ring)
+            if n == 3:
+                h = RatMap.from_polys([c.num for c in h])
+            verdict = translation_invariance(h)
+            assert verdict == reference_translation_invariance(h), h
+            seen.add(verdict)
+    assert seen == {True, False}
+
+
+def _flem_case(rng, ring, fdeg, pdeg):
+    """(fs, p, q) with gcd(p, q) = 1, deg p <= deg q <= pdeg and deg f <= fdeg.
+
+    Half of them take p and q as polynomials in one linear form
+    w = x1 + a_2 x2 + ... and f = sum_j g_j (a_j e_1 - e_j): every
+    coefficient vector of f is orthogonal to grad w, so both hypotheses
+    hold, while the g_j of unequal degrees keep each dot product from
+    vanishing term by term.
+    """
+    n = ring.nvars
+    field = ring.field
+    yring = uni_ring(field)
+    if rng.random() < 0.5:
+        while True:
+            p = random_poly(rng, ring, pdeg, 3)
+            q = random_nonzero_poly(rng, ring, pdeg, 3)
+            if p.total_degree() > q.total_degree():
+                p, q = q, p
+            if is_primitive([p, q]):
+                return tuple(random_poly(rng, yring, fdeg, 3) for _ in range(n)), p, q
+    # a_j is +-1 or +-2, and 1 where that is 0 in the field
+    a = [field.one()]
+    a += [field.from_int(rng.choice([1, -1, 2, -2])) or field.one() for _ in range(n - 1)]
+    w = Poly(ring, {tuple(int(i == j) for i in range(n)): a[j] for j in range(n)})
+    while True:
+        pw = random_poly(rng, yring, pdeg, 3)
+        qw = random_nonzero_poly(rng, yring, pdeg, 3)
+        if pw.total_degree() > qw.total_degree():
+            pw, qw = qw, pw
+        if not qw.is_constant() and is_primitive([pw, qw]):
+            break
+    p, q = compose_poly(pw, [w], ring), compose_poly(qw, [w], ring)
+    gs = [random_nonzero_poly(rng, yring, fdeg, 3) for _ in range(n - 1)]
+    f1 = yring.zero()
+    for aj, g in zip(a[1:], gs):
+        f1 = f1 + g.scale(aj)
+    return (f1, *(-g for g in gs)), p, q
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_flem_conclude_matches_ratfunc_path_random(field):
+    # the reference takes seconds to minutes on 3-variable cases with
+    # quadratic p and q: those get linear ones
+    rng = seeded(84)
+    seen = set()
+    for n, fdeg, pdeg in ((2, 3, 2), (3, 2, 1)):
+        ring = _ring(field, n)
+        for _ in range(25):
+            fs, p, q = _flem_case(rng, ring, fdeg, pdeg)
+            for mode in ("i", "ii"):
+                verdict = flem_conclude(fs, p, q, mode)
+                assert verdict == reference_flem_conclude(fs, p, q, mode), (fs, p, q, mode)
+                seen.add(verdict)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("mode", ["i", "ii"])
+def test_flem_conclude_over_gf32003_is_fast(mode):
+    # 20 to 30 s per mode on reduced rational functions
+    field = PrimeField(32003)
+    ring = _ring(field, 3)
+    yring = uni_ring(field)
+    x1, x2, x3 = ring.var(0), ring.var(1), ring.var(2)
+    y = yring.var(0)
+
+    def c(k, r=yring):
+        return r.const(k)
+
+    fs = (
+        c(31999) * y**2 + c(31999) * y + c(32001),
+        y**3 + c(2) * y**2 + c(31999) * y,
+        c(32002) * y + c(31999),
+    )
+    p = c(4, ring) * x1 * x3 + c(32002, ring)
+    q = c(32002, ring) * x1**2 + c(3, ring) * x2 * x3 + x3
+    start = time.perf_counter()
+    assert flem_conclude(fs, p, q, mode) is False
+    assert time.perf_counter() - start < 2.0

@@ -3,22 +3,24 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_nonzero_poly, random_poly, seeded
+from conftest import random_nonzero_poly, random_poly, reference_relation_vanishes, seeded
 from ratmaps.errors import ConstantPart, ConstantRatio, DegenerateImage
-from ratmaps.fields import QQ
+from ratmaps.fields import PrimeField, QQ
 from ratmaps.homog import uni_ring
 from ratmaps.integrality import (
     ProjPoint,
     ReducedPair,
+    _vanishes_at,
     integral_over_KG,
     integral_over_Kg,
     pqtrans,
     regenerate_integral,
+    relation_ring,
     valuation,
     valuation_fraction,
     valuation_laws_check,
 )
-from ratmaps.polyring import PolyRing, RatFunc, subst
+from ratmaps.polyring import PolyRing, RatFunc, require_transcendental, subst
 
 YR = uni_ring(QQ)
 Y = YR.var(0)
@@ -227,3 +229,71 @@ def test_integral_over_kG_consistency_random():
         else:
             assert verdicts[idx] and not any(verdicts[:idx])
         done += 1
+
+
+# -- cleared identities against the reduced-RatFunc paths ------------------
+
+FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(32003)]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_relation_check_matches_ratfunc_path_random(field):
+    # the relations integral_over_Kg returns vanish; their multiples too,
+    # and a relation with one coefficient changed, or a random one, does not
+    rng = seeded(91)
+    yring = uni_ring(field)
+    rring = relation_ring(field)
+    seen = set()
+    for n in (2, 3):
+        ring = PolyRing(field, tuple(f"x{i + 1}" for i in range(n)))
+        done = 0
+        while done < 15:
+            p = random_poly(rng, ring, 2, 3)
+            q = random_nonzero_poly(rng, ring, 2, 3)
+            try:
+                require_transcendental(p, q)
+                f1 = random_poly(rng, yring, 3, 3)
+                pair = ReducedPair(f1, random_nonzero_poly(rng, yring, 2, 2))
+            except (ConstantRatio, ConstantPart):
+                continue
+            if pair.f1.is_constant() and pair.f2.is_constant():
+                continue
+            res = integral_over_Kg(p, q, pair)
+            rel = res.relation if res.integral else random_nonzero_poly(rng, rring, 3, 3)
+            for relation in (
+                rel,
+                rel * random_nonzero_poly(rng, rring, 1, 2),
+                rel + rring.const(1),
+                random_poly(rng, rring, 2, 3),
+            ):
+                verdict = _vanishes_at(relation, p, q, pair)
+                assert verdict == reference_relation_vanishes(relation, p, q, pair)
+                seen.add(verdict)
+            done += 1
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_constant_ratio_matches_reduced_fraction_random(field):
+    rng = seeded(92)
+    ring = PolyRing(field, ("x1", "x2"))
+    seen = set()
+    for _ in range(200):
+        q = random_poly(rng, ring, 2, 3)
+        kind = rng.randrange(3)
+        if kind == 0:
+            p = q.scale(field.from_int(rng.randint(-3, 3)))
+        elif kind == 1:
+            p = ring.const(rng.randint(-3, 3))
+        else:
+            p = random_poly(rng, ring, 2, 3)
+        expected = q.is_zero() or RatFunc(p, q).is_constant()
+        try:
+            require_transcendental(p, q)
+            constant = False
+        except ConstantRatio as exc:
+            assert str(exc) == "p/q lies in K"
+            constant = True
+        assert constant == expected, (p, q)
+        seen.add(constant)
+    assert seen == {True, False}
