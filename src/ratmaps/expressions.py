@@ -17,49 +17,43 @@ division on, values are reduced rational functions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ParseError, UnknownVariable
 from .polyring import Poly, PolyRing, RatFunc, RatMap, _as_ratfunc, print_canonical
+from .records import FrozenRecord
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^(),]))")
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(FrozenRecord):
     value: int
     offset: int
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(FrozenRecord):
     name: str
     offset: int
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(FrozenRecord):
     op: str
     left: object
     right: object
     offset: int
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(FrozenRecord):
     child: object
     offset: int
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(FrozenRecord):
     base: object
     exponent: int
     offset: int
 
 
-@dataclass(frozen=True)
-class TupleExpr:
+class TupleExpr(FrozenRecord):
     items: tuple
     offset: int
 

@@ -8,6 +8,7 @@ its own field, and mixing fields raises ``FieldMismatch``.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 from .errors import DivisionByZero, FieldMismatch, NotPrime, ZeroPolynomial
@@ -237,9 +238,11 @@ def roots_in_K(f) -> list:
     Returns ``[(root, multiplicity), ...]`` in a deterministic order.
     Over the rationals the candidates come from the rational-root
     theorem applied to the content-normalized integer form; over GF(p)
-    every residue is tried, by one Horner pass over plain ints.
-    Multiplicities are found by deflation, so each reported pair
-    satisfies (y - root)^mult | f exactly.
+    they are the roots of r = gcd(f, y^p - y), the product of f's distinct
+    linear factors, with y^p mod f taken by repeated squaring and r split
+    by seeded Cantor-Zassenhaus (both residues tried for p = 2), ascending
+    by residue.  Multiplicities are found by deflation, so each reported
+    pair satisfies (y - root)^mult | f exactly.
     """
     from .polyring import Poly  # local import to avoid a cycle
 
@@ -252,16 +255,7 @@ def roots_in_K(f) -> list:
 
     field = f.ring.field
     if isinstance(field, PrimeField):
-        # Horner on plain ints, 2^16 residues at a time to bound memory;
-        # only the zeros found reach the deflation below
-        p, top, candidates = field.p, f.total_degree(), []
-        dense = [f.terms[(e,)].v if (e,) in f.terms else 0 for e in range(top, -1, -1)]
-        for lo in range(0, p, 1 << 16):
-            ts = range(lo, min(p, lo + (1 << 16)))
-            values = [0] * len(ts)
-            for c in dense:
-                values = [(v * t + c) % p for t, v in zip(ts, values)]
-            candidates += [Fp(t, p) for t, v in zip(ts, values) if not v]
+        candidates = [Fp(t, field.p) for t in _fp_roots(f, field.p)]
     else:
         candidates = sorted(_rational_candidates(f))
 
@@ -271,6 +265,39 @@ def roots_in_K(f) -> list:
         if mult > 0:
             out.append((theta, mult))
     return out
+
+
+def _fp_roots(f, p: int) -> list:
+    """The distinct roots of f in GF(p) as ascending residues."""
+    from .polyring import _CERT_SEED, _uni_divmod, _uni_eval, _uni_gcd, _uni_powmod, _uni_trim
+
+    dense = [0] * (f.total_degree() + 1)
+    for (e,), c in f.terms.items():
+        dense[e] = c.v
+    if len(dense) == 1:
+        return []
+    # y^p - y mod f
+    h = _uni_powmod([0, 1], p, dense, p) + [0, 0]
+    h[1] -= 1
+    r = _uni_gcd(dense, _uni_trim([c % p for c in h]), p)
+    if p == 2:
+        return [t for t in (0, 1) if not _uni_eval(r, t, p)]
+    # r is a product of distinct linear factors: (y + a)^((p-1)/2) - 1
+    # vanishes at the roots t with t + a a nonzero square, about half
+    rng, roots, todo = random.Random(_CERT_SEED), [], [r]
+    while todo:
+        g = todo.pop()
+        if len(g) == 2:
+            roots.append(-g[0] % p)
+        elif len(g) > 2:
+            while True:
+                h = _uni_powmod([rng.randrange(p), 1], (p - 1) // 2, g, p) or [0]
+                h[0] = (h[0] - 1) % p
+                d = _uni_gcd(g, _uni_trim(h), p)
+                if 1 < len(d) < len(g):
+                    todo += [d, _uni_divmod(g, d, p)[0]]
+                    break
+    return sorted(roots)
 
 
 def _rational_candidates(f):

@@ -14,8 +14,6 @@ kernel: no check reduces a fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from .errors import (
     AssertionFailure,
     DegreeOrder,
@@ -40,6 +38,7 @@ from .polyring import (
     _k_sub,
     _substitute,
     clear_denominators,
+    cross_equal,
     eval_univar_at_ratio,
     first_mismatch,
     is_primitive,
@@ -48,6 +47,7 @@ from .polyring import (
     primitive_part,
     relabel,
 )
+from .records import FrozenRecord, Record
 from .subfield import trdeg_rank
 
 
@@ -99,8 +99,7 @@ def classical_gn_condition(h: RatMap) -> bool:
     return _trace_conditions(h)[1]
 
 
-@dataclass
-class GquasiReport:
+class GquasiReport(Record):
     original: bool
     scaled: bool
 
@@ -139,7 +138,7 @@ def translation_invariance(h: RatMap) -> bool:
             raise IndeterminateComposition(
                 "denominator vanishes identically after substitution"
             )
-        if a * dens[k] != b * nums[k]:
+        if not cross_equal(a, dens[k], b, nums[k]):
             return False
     return True
 
@@ -198,8 +197,7 @@ def bivariate_core_check(core) -> bool:
 # -- witnesses ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GNWitness:
+class GNWitness(FrozenRecord):
     """Decomposition data for conditions (3), (4) or (5) of the classifier.
 
     kind "cond3" carries h (a HomogTuple, or None for zero); kinds "cond4"
@@ -214,8 +212,7 @@ class GNWitness:
     f: object = None
 
 
-@dataclass
-class WitnessVerdict:
+class WitnessVerdict(Record):
     kind: str
     verified: bool
     reason: str = ""
@@ -268,14 +265,13 @@ def _verify_cond45(h_map: RatMap, w: GNWitness):
     return True, ""
 
 
-@dataclass
-class GNReport:
+class GNReport(Record):
     qt: bool
     core_bivariate: bool
     classical_zero: bool
     trdeg_tH: object = None
     core: tuple = ()
-    witnesses: list = dc_field(default_factory=list)
+    witnesses: list = []
     char_zero_remark: object = None
 
     def to_dict(self):
@@ -390,8 +386,7 @@ def flem_conclude(fs, p: Poly, q: Poly, mode: str) -> bool:
     return hypothesis
 
 
-@dataclass
-class SpanBoundReport:
+class SpanBoundReport(Record):
     spanning_vectors: list
     span_dim: int
     rank_core: int

@@ -9,8 +9,6 @@ deg h(p,q) = s * deg(p,q), low deg h(p,q) = s * low deg(p,q).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     AssertionFailure,
     BothZero,
@@ -33,6 +31,7 @@ from .polyring import (
     gcd_many,
     tuple_degrees,
 )
+from .records import FrozenRecord
 
 
 def uni_ring(field) -> PolyRing:
@@ -54,8 +53,7 @@ class _PolyTuple:
         return "(" + ", ".join(str(p) for p in self.polys) + ")"
 
 
-@dataclass(frozen=True)
-class UniTuple(_PolyTuple):
+class UniTuple(_PolyTuple, FrozenRecord):
     """A nonzero tuple of univariate polynomials with a degree bound."""
 
     polys: tuple
@@ -71,8 +69,7 @@ class UniTuple(_PolyTuple):
                 raise InvalidArgument("component degree exceeds the bound")
 
 
-@dataclass(frozen=True)
-class HomogTuple(_PolyTuple):
+class HomogTuple(_PolyTuple, FrozenRecord):
     """A nonzero tuple of bivariate polynomials, homogeneous of one degree."""
 
     polys: tuple

@@ -12,7 +12,6 @@ decidable by root inspection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
     AssertionFailure,
@@ -27,16 +26,17 @@ from .polyring import (
     RatFunc,
     _substitute,
     compose_poly,
+    cross_equal,
     eval_univar_at_ratio,
     gcd_many,
     require_transcendental,
 )
+from .records import FrozenRecord, Record
 
 POS_INF = math.inf
 
 
-@dataclass(frozen=True)
-class ProjPoint:
+class ProjPoint(FrozenRecord):
     """A point of the projective line: a field element or infinity."""
 
     at_infinity: bool
@@ -54,8 +54,7 @@ class ProjPoint:
         return "inf" if self.at_infinity else str(self.value)
 
 
-@dataclass(frozen=True)
-class ReducedPair:
+class ReducedPair(FrozenRecord):
     """A pair (f1, f2) of univariate polynomials, reduced and f2 nonzero."""
 
     f1: Poly
@@ -119,8 +118,7 @@ def valuation_fraction(pair, theta: ProjPoint):
     return valuation(f1, theta) - valuation(f2, theta)
 
 
-@dataclass
-class ValuationLaws:
+class ValuationLaws(Record):
     product_ok: bool
     ultrametric_ok: bool
     lhs_product: object
@@ -168,8 +166,7 @@ def valuation_laws_check(pair, pair2, theta: ProjPoint) -> ValuationLaws:
     )
 
 
-@dataclass
-class IntegralityResult:
+class IntegralityResult(Record):
     integral: bool
     relation: Poly = None  # monic in Y over K[g], when integral
 
@@ -249,7 +246,7 @@ def pqtrans(p: Poly, q: Poly, g: ReducedPair, mode: str, eps=None, theta=None):
         raise ValueError(f"unknown mode {mode!r}")
     a1, b1 = _cleared_at(f1s, f2s, pstar, qstar)
     a2, b2 = _cleared_at(f1, f2, p, q)
-    if a1 * b2 != a2 * b1:
+    if not cross_equal(a1, b2, a2, b1):
         raise AssertionFailure("transformed representation changed the function")
     gstar = ReducedPair(f1s, f2s) if isinstance(g, ReducedPair) else (f1s, f2s)
     return pstar, qstar, gstar

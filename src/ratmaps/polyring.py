@@ -2,10 +2,13 @@
 
 Polynomials are dictionaries from exponent tuples to nonzero coefficients,
 ordered canonically by graded lexicographic order for printing and leading
-term queries.  Greatest common divisors use one primitive polynomial
-remainder sequence with recursive content extraction, variable by variable,
-for both fields, on monomials packed into ints and int coefficients.  Most
-gcds the library asks for are 1, so over the rationals a modular coprimality
+term queries.  Greatest common divisors run on monomials packed into ints
+and int coefficients.  Over GF(p) they are computed by Brown's dense
+evaluation-interpolation algorithm, accepted only after exact trial
+division; over the rationals, and over GF(p) when the field has too few
+usable evaluation points, by one primitive polynomial remainder sequence
+with recursive content extraction, variable by variable.  Most gcds the
+library asks for are 1, so over the rationals a modular coprimality
 certificate runs first: it evaluates all variables but one at a point,
 modulo a prime, and compares univariate gcd degrees (Brown's degree-bound
 argument).  It either proves the gcd constant or answers "unknown", and the
@@ -19,7 +22,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -34,6 +36,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .fields import Field, QQ
+from .records import FrozenRecord
 
 NEG_INF = -math.inf
 POS_INF = math.inf
@@ -319,8 +322,7 @@ class Poly:
         return f"<Poly {poly_str(self)}>"
 
 
-@dataclass(frozen=True)
-class DegreePair:
+class DegreePair(FrozenRecord):
     """Top and bottom total degree, with deg 0 = -inf and low deg 0 = +inf."""
 
     deg: object
@@ -357,16 +359,20 @@ def poly_arith(a: Poly, b: Poly, op: str) -> Poly:
 #
 # Kronecker-packed monomials (_Packing) with plain int coefficients, cleared
 # integers over QQ and residues over GF(p), with no Fraction or Fp object
-# per operation.  It runs one primitive PRS for gcds over both fields, the
-# bulk identities of the classifier (trace identity, Bareiss rank, witness
-# check) and every substitution (_substitute).  _k_ints converts from Poly,
-# _on_packing sizes the slot width and _k_poly converts back, so Poly keeps
-# its tuple keys.
+# per operation.  It runs the gcds of both fields, the bulk identities of
+# the classifier (trace identity, Bareiss rank, witness check) and every
+# substitution (_substitute).  _k_ints converts from Poly, _on_packing
+# sizes the slot width and _k_poly converts back, so Poly keeps its tuple
+# keys.  Univariate polynomials over GF(p) are dense ascending residue
+# lists (_uni_*), shared by both gcd paths and by fields.roots_in_K.
 #
-# The rational path is entered through a coprimality certificate on the
-# cleared integers read modulo _CERT_PRIME.  It takes plain ints modulo any
-# prime and is tested on GF(p) residues too, but the GF(p) path does not
-# call it (ROADMAP item 4).  The certificate is exact.  Let
+# Over GF(p), _gcd2 runs Brown's modular gcd (_brown) and falls back on the
+# primitive PRS only when the field runs out of usable evaluation points.
+# The rational path runs the primitive PRS, entered through a coprimality
+# certificate on the cleared integers read modulo _CERT_PRIME.  The
+# certificate takes plain ints modulo any prime and is tested on GF(p)
+# residues too; over GF(p) _brown's degree-0 image makes the same argument.
+# The certificate is exact.  Let
 # g = gcd(a, b), taken primitive in Z[x] over QQ, so that g divides a and b
 # over Z (Gauss).  Map to GF(p) and fix every variable but x_j at a point: g's
 # image divides the images of a and b, and when a's (or b's) x_j-leading
@@ -383,6 +389,8 @@ _CERT_PRIME = (1 << 61) - 1
 # points drawn per variable while both leading coefficients vanish there
 _CERT_TRIES = 3
 _CERT_SEED = 0x5EED
+# Brown's evaluation points: an arithmetic progression through GF(p)
+_POINT_START, _POINT_STEP = 0x2F6B_93A1_C4D5_E807, 0x1D3C_5A7F_9E2B_4C61
 
 
 def _uni_image(t: dict, j: int, d: int, point, p: int) -> list:
@@ -397,25 +405,75 @@ def _uni_image(t: dict, j: int, d: int, point, p: int) -> list:
     return [c % p for c in out]
 
 
-def _uni_gcd_degree(a: list, b: list, p: int) -> int:
-    """Degree of gcd(a, b) in GF(p)[y] for dense ascending lists; -1 if both vanish."""
+def _uni_trim(a: list) -> list:
     while a and not a[-1]:
         a.pop()
-    while b and not b[-1]:
-        b.pop()
+    return a
+
+
+def _uni_eval(a: list, x: int, p: int) -> int:
+    v = 0
+    for c in reversed(a):
+        v = (v * x + c) % p
+    return v
+
+
+def _uni_mul(a: list, b: list, p: int) -> list:
+    """Product of trimmed dense lists in GF(p)[y]."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for k, d in enumerate(b, i):
+                out[k] += c * d
+    return [c % p for c in out]
+
+
+def _uni_divmod(a: list, b: list, p: int):
+    """(quotient, remainder) of dense a by the trimmed nonzero b in GF(p)[y]."""
+    a, db = a[:], len(b) - 1
+    inv = pow(b[-1], -1, p)
+    quot = [0] * max(len(a) - db, 0)
+    for i in range(len(a) - 1 - db, -1, -1):
+        if f := a[i + db] * inv % p:
+            quot[i] = f
+            a[i : i + db] = [(x - f * y) % p for x, y in zip(a[i : i + db], b)]
+    return quot, _uni_trim(a[:db])
+
+
+def _uni_gcd(a: list, b: list, p: int) -> list:
+    """Monic gcd in GF(p)[y] of dense ascending lists; [] if both vanish."""
+    a, b = _uni_trim(a[:]), _uni_trim(b[:])
     while b:
-        inv = pow(b[-1], -1, p)
-        db = len(b) - 1
+        # a becomes its remainder by b in place
+        inv, db = pow(b[-1], -1, p), len(b) - 1
         while len(a) > db:
-            f = a[-1] * inv % p
-            shift = len(a) - 1 - db
+            f, shift = a[-1] * inv % p, len(a) - 1 - db
             for k in range(db):
                 a[shift + k] = (a[shift + k] - f * b[k]) % p
             a.pop()
             while a and not a[-1]:
                 a.pop()
         a, b = b, a
-    return len(a) - 1
+    if len(a) == 1:
+        return [1]
+    if a and a[-1] != 1:
+        inv = pow(a[-1], -1, p)
+        a = [c * inv % p for c in a]
+    return a
+
+
+def _uni_powmod(a: list, n: int, f: list, p: int) -> list:
+    """a^n mod f in GF(p)[y], by repeated squaring."""
+    result, base = [1], _uni_divmod(a, f, p)[1]
+    while n:
+        if n & 1:
+            result = _uni_divmod(_uni_mul(result, base, p), f, p)[1]
+        n >>= 1
+        if n:
+            base = _uni_divmod(_uni_mul(base, base, p), f, p)[1]
+    return result
 
 
 def _coprime_certified(ta: dict, tb: dict, p: int) -> bool:
@@ -436,7 +494,7 @@ def _coprime_certified(ta: dict, tb: dict, p: int) -> bool:
             ia = _uni_image(ta, j, da, point, p)
             ib = _uni_image(tb, j, db, point, p)
             if ia[-1] or ib[-1]:
-                if _uni_gcd_degree(ia, ib, p) != 0:
+                if len(_uni_gcd(ia, ib, p)) != 1:
                     return False
                 break
         else:
@@ -742,12 +800,156 @@ def _prs_gcd(ta: dict, tb: dict, nvars: int, mod: int) -> dict:
     )
 
 
+# -- GF(p) gcds by evaluation and interpolation -----------------------------
+#
+# Brown, "On Euclid's algorithm and the computation of polynomial greatest
+# common divisors", JACM 18 (1971).  _brown views a residue dict in the
+# first m variables as a polynomial in x_0..x_{m-2} (the main variables)
+# with coefficients in GF(p)[x_{m-1}], takes contents there, and evaluates
+# x_{m-1} at points where both leading coefficients survive.  At such a
+# point the image of the primitive gcd G keeps its leading main monomial,
+# because lc(G) divides both leading coefficients, and divides the gcd of
+# the images.  So an image gcd of degree 0 proves G = 1 at once; an image
+# whose leading monomial is higher than another's is unlucky and skipped;
+# a lower one restarts.  Images scaled by gamma = gcd of the leading
+# coefficients are Newton-interpolated in x_{m-1}.  A candidate is tried
+# when the interpolant stops changing or has as many points as its degree
+# bound needs, and it is returned only if it divides both inputs exactly
+# (_k_divexact): a common divisor with the images' leading monomial is the
+# gcd, whatever points were drawn.
+
+
+def _eval_points(p: int):
+    """Every residue of GF(p) once: from a fixed start by a fixed step mod p."""
+    start, step = _POINT_START % p, _POINT_STEP % p or 1
+    return ((start + k * step) % p for k in range(p))
+
+
+def _uni_content(rows, p: int) -> list:
+    """Monic gcd of nonzero dense lists, shortest first, stopping at 1."""
+    g = []
+    for r in sorted(rows, key=len):
+        g = _uni_gcd(r, g, p)
+        if len(g) == 1:
+            break
+    return g
+
+
+def _k_split(t: dict, m: int, K: _Packing) -> dict:
+    """t as {main key: dense ascending coefficients in x_{m-1}}."""
+    sh, mask, u = (K.n - m) * K.w, K.mask, K.unit(m - 1)
+    rows = {}
+    for e, c in t.items():
+        k = (e >> sh) & mask
+        row = rows.setdefault(e - k * u, [])
+        if len(row) <= k:
+            row.extend([0] * (k + 1 - len(row)))
+        row[k] = c
+    return rows
+
+
+def _k_join(rows: dict, u: int) -> dict:
+    """The inverse of _k_split, u the key of x_{m-1}."""
+    return {k + i * u: c for k, r in rows.items() for i, c in enumerate(r) if c}
+
+
+def _k_divides(g: dict, t: dict, K: _Packing) -> bool:
+    try:
+        _k_divexact(t, g, K)
+    except NotDivisible:
+        return False
+    return True
+
+
+def _newton(H: dict, img: dict, q: list, alpha: int, p: int) -> bool:
+    """Extend the interpolant H, which fits at the roots of q, to take the
+    values img at alpha; True if that changed it."""
+    inv = pow(_uni_eval(q, alpha, p), -1, p)
+    w = [c * inv % p for c in q]
+    changed = False
+    for k in H.keys() | img.keys():
+        r = H.get(k, [])
+        if d := (img.get(k, 0) - _uni_eval(r, alpha, p)) % p:
+            changed = True
+            r = r + [0] * (len(w) - len(r))
+            H[k] = [(x + d * y) % p for x, y in zip(r, w)]
+    return changed
+
+
+def _brown(a: dict, b: dict, m: int, K: _Packing):
+    """Monic gcd over GF(K.mod) of nonzero residue dicts in the first m
+    variables of K, or None when the field runs out of usable points."""
+    p, u = K.mod, K.unit(m - 1)
+    if not max(a) or not max(b):
+        return {0: 1}
+    A, B = _k_split(a, m, K), _k_split(b, m, K)
+    if m == 1:
+        return _k_join({0: _uni_gcd(A[0], B[0], p)}, u)
+    if all(len(r) == 1 for r in (*A.values(), *B.values())):
+        return _brown(a, b, m - 1, K)
+    ca, cb = _uni_content(A.values(), p), _uni_content(B.values(), p)
+    if len(ca) > 1:
+        A = {k: _uni_divmod(r, ca, p)[0] for k, r in A.items()}
+    if len(cb) > 1:
+        B = {k: _uni_divmod(r, cb, p)[0] for k, r in B.items()}
+    cont = _uni_gcd(ca, cb, p)
+    lead_a, lead_b = A[max(A)], B[max(B)]
+    gamma = _uni_gcd(lead_a, lead_b, p)
+    # deg in x_{m-1} of gamma / lc(G) * G
+    bound = len(gamma) + min(max(map(len, A.values())), max(map(len, B.values()))) - 2
+    # a divisor has no larger total degree than either input
+    dmax = min(max(a), max(b)) >> K.tshift
+    best = H = q = None
+    for alpha in _eval_points(p):
+        if not (_uni_eval(lead_a, alpha, p) and _uni_eval(lead_b, alpha, p)):
+            continue
+        images = [{k: v for k, r in X.items() if (v := _uni_eval(r, alpha, p))} for X in (A, B)]
+        img = _brown(*images, m - 1, K)
+        if img is None:
+            return None
+        top = max(img)
+        if not top:
+            return _k_join({0: cont}, u)
+        if best is not None and top > best:
+            continue
+        scale = _uni_eval(gamma, alpha, p)
+        img = {k: v * scale % p for k, v in img.items()}
+        if best is None or top < best:
+            best, H, q, changed = top, {k: [v] for k, v in img.items()}, [1], True
+        else:
+            changed = _newton(H, img, q, alpha, p)
+        q = _uni_mul(q, [-alpha % p, 1], p)
+        if changed and len(q) <= bound + 1:
+            continue
+        hc = _uni_content(H.values(), p)
+        rows = {k: _uni_mul(_uni_divmod(r, hc, p)[0], cont, p) for k, r in H.items()}
+        if any((k >> K.tshift) + len(r) - 1 > dmax for k, r in rows.items()):
+            continue
+        g = _k_normal(_k_join(rows, u), p)
+        if _k_divides(g, a, K) and _k_divides(g, b, K):
+            return g
+    return None
+
+
+def _modular_gcd(ta: dict, tb: dict, nvars: int, p: int):
+    """Monic gcd of two nonconstant tuple-keyed residue dicts by _brown, or None."""
+    bound = max(sum(e) for t in (ta, tb) for e in t)
+
+    def run(K):
+        g = _brown(K.pack(ta), K.pack(tb), nvars, K)
+        return None if g is None else K.unpack(g)
+
+    return _on_packing(nvars, p, bound, run)
+
+
 def _gcd2(a: Poly, b: Poly) -> Poly:
     """Monic gcd of two nonzero polynomials.
 
-    Over QQ a modular certificate answers most coprime pairs.  The rest,
-    and every pair over GF(p), go to the packed-monomial PRS on cleared
-    integers or on residues.
+    Over GF(p), Brown's modular gcd (_brown): evaluation, interpolation and
+    exact trial division.  Over QQ a modular certificate answers most
+    coprime pairs.  The rest, over QQ, and the GF(p) pairs for which the
+    field has too few usable points, go to the packed-monomial PRS on
+    cleared integers or on residues.
     """
     ring = a.ring
     if a == b:
@@ -756,7 +958,11 @@ def _gcd2(a: Poly, b: Poly) -> Poly:
         return ring.one()
     mod = ring.field.characteristic
     ta, tb = _k_ints([a, b])
-    if not mod:
+    if mod:
+        g = _modular_gcd(ta, tb, ring.nvars, mod)
+        if g is not None:
+            return _k_poly(ring, g)
+    else:
         ta, tb = _k_normal(ta, 0), _k_normal(tb, 0)
         if _coprime_certified(ta, tb, _CERT_PRIME):
             return ring.one()
@@ -815,6 +1021,21 @@ def first_mismatch(h, g, nums, den: Poly):
         return None
 
     return on_kernel([group], 3 * deg, first)
+
+
+def cross_equal(a: Poly, b: Poly, c: Poly, d: Poly) -> bool:
+    """Whether a*b == c*d, decided on the kernel; over QQ the one clearing
+    integer of the four scales both sides alike."""
+    group = [a, b, c, d]
+    if any(t.ring != a.ring for t in group):
+        raise RingMismatch("cross-multiplied polynomials live in different rings")
+    deg = max((t.total_degree() for t in group if t.terms), default=0)
+
+    def equal(K, packed):
+        ka, kb, kc, kd = packed[0]
+        return _k_mul(ka, kb, K) == _k_mul(kc, kd, K)
+
+    return on_kernel([group], 2 * deg, equal)
 
 
 def require_transcendental(p: Poly, q: Poly):

@@ -12,7 +12,6 @@ decompositions H = g * h(p, q).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
 
 from .errors import (
     AllConstant,
@@ -46,6 +45,7 @@ from .polyring import (
     _k_quotient_rule,
     clear_denominators,
     compose_poly,
+    cross_equal,
     eval_univar_at_ratio,
     first_mismatch,
     gcd_many,
@@ -54,13 +54,13 @@ from .polyring import (
     relabel,
     require_transcendental,
 )
+from .records import FrozenRecord, Record
 
 
 # -- GL2 action ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Mobius:
+class Mobius(FrozenRecord):
     """An invertible 2x2 matrix over K acting on generator pairs (p, q)."""
 
     t11: object
@@ -159,8 +159,7 @@ def trdeg_rank(h: RatMap, with_t: bool = False) -> int:
     return on_kernel(groups, bareiss_bound(h.m, ncols, 2 * deg), rank)
 
 
-@dataclass
-class DependenceSearch:
+class DependenceSearch(Record):
     """Outcome of the bounded algebraic-dependence search."""
 
     value: int
@@ -305,7 +304,7 @@ def mobius_equiv(p: Poly, q: Poly, pstar: Poly, qstar: Poly):
             continue
         cand = Mobius(*vec)
         num, den = cand.apply(p, q)
-        if num * qstar == den * pstar:
+        if cross_equal(num, qstar, den, pstar):
             return cand
     return None
 
@@ -325,8 +324,7 @@ def unit_combination(p: Poly, q: Poly):
     return None if sol is None else (sol[0], sol[1])
 
 
-@dataclass
-class EnotherChain:
+class EnotherChain(Record):
     """Verdicts for the chain linking a unit combination to K(p/q) = K(p, q)."""
 
     has_unit_combo: bool
@@ -427,7 +425,7 @@ def member_Kpq(r: RatFunc, p: Poly, q: Poly, bound: int):
             f1, f2 = _reduce_pair(f1, f2)
             f1_at = eval_univar_at_ratio(f1, p, q, d)
             f2_at = eval_univar_at_ratio(f2, p, q, d)
-            if num * f2_at == den * f1_at:
+            if cross_equal(num, f2_at, den, f1_at):
                 return f1, f2
     return None
 
@@ -511,8 +509,7 @@ def luroth_generator_1var(rs) -> tuple:
 # -- witness verification for H = g * h(p, q) -----------------------------------
 
 
-@dataclass(frozen=True)
-class LurothWitness:
+class LurothWitness(FrozenRecord):
     """Decomposition data: H = g * h(p, q) with h primitive homogeneous or zero."""
 
     g: RatFunc
@@ -521,8 +518,7 @@ class LurothWitness:
     q: Poly
 
 
-@dataclass
-class CheckItem:
+class CheckItem(Record):
     name: str
     status: str  # "pass" | "fail" | "skip"
     detail: str = ""
@@ -531,9 +527,8 @@ class CheckItem:
         return {"name": self.name, "status": self.status, "detail": self.detail}
 
 
-@dataclass
-class Hmgrk2Report:
-    items: list = dc_field(default_factory=list)
+class Hmgrk2Report(Record):
+    items: list = []
     trdeg_tH: object = None
     note: str = ""
 

@@ -36,7 +36,7 @@ from ratmaps.polyring import (
     relabel,
     subst,
 )
-from ratmaps.fields import QQ
+from ratmaps.fields import Fp, QQ, _multiplicity
 from ratmaps.homog import uni_ring
 from ratmaps.subfield import adjoin_t
 
@@ -700,6 +700,20 @@ def lagrange_derivative_at_zero(values, nodes):
             dsum += Fraction(1) / (0 - si)
         total += gk * prod * dsum
     return total
+
+
+def reference_fp_roots(f):
+    """roots_in_K over GF(p) by testing every residue: Horner's rule on plain
+    ints, 2^16 residues at a time, then deflation of the zeros found."""
+    p, top, candidates = f.ring.field.p, f.total_degree(), []
+    dense = [f.terms[(e,)].v if (e,) in f.terms else 0 for e in range(top, -1, -1)]
+    for lo in range(0, p, 1 << 16):
+        ts = range(lo, min(p, lo + (1 << 16)))
+        values = [0] * len(ts)
+        for c in dense:
+            values = [(v * t + c) % p for t, v in zip(ts, values)]
+        candidates += [Fp(t, p) for t, v in zip(ts, values) if not v]
+    return [(theta, _multiplicity(f, theta)) for theta in candidates]
 
 
 def seeded(n=0):

@@ -1,8 +1,9 @@
+import time
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_nonzero_poly, seeded
+from conftest import random_nonzero_poly, reference_fp_roots, seeded
 from ratmaps.errors import DivisionByZero, FieldMismatch, NotPrime, ZeroPolynomial
 from ratmaps.fields import Fp, PrimeField, QQ, field_arith, is_prime, roots_in_K
 from ratmaps.homog import uni_ring
@@ -154,8 +155,9 @@ def test_roots_fp_match_exhaustive_evaluation():
 
 
 def test_roots_fp_across_residue_blocks():
-    # GF(65537): the residues are scanned in blocks of 2^16, so 65535 ends
-    # the first block and 65536 is alone in the second; 3 is a non-residue
+    # GF(65537): roots at the top of the residue range (a residue scan in
+    # blocks of 2^16 would end one block at 65535 and hold 65536 alone in
+    # the next); 3 is a non-residue
     p = 65537
     ring = uni_ring(PrimeField(p))
     y = ring.var(0)
@@ -176,3 +178,38 @@ def test_roots_multiplicity_invariant_fp():
             linear = y - ring.const(theta)
             assert (linear**mult).divides(f)
             assert not (linear ** (mult + 1)).divides(f)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 1009, 10007])
+def test_roots_fp_match_horner_scan(p):
+    # the residue scan the gcd with y^p - y replaced, kept as the reference
+    rng = seeded(37)
+    ring = uni_ring(PrimeField(p))
+    y = ring.var(0)
+    with_roots = 0
+    for _ in range(40):
+        f = random_nonzero_poly(rng, ring, max_deg=6, n_terms=5)
+        for _ in range(rng.randint(0, 3)):  # planted roots, some repeated
+            f = f * (y - ring.const(rng.randrange(p))) ** rng.randint(1, 2)
+        expected = reference_fp_roots(f)
+        assert roots_in_K(f) == expected, f
+        with_roots += bool(expected)
+    assert with_roots >= 20
+
+
+def test_roots_fp_large_prime_quintic():
+    # at p = 2^61 - 1 no residue scan could finish; the gcd with y^p - y
+    # takes 61 squarings modulo f
+    p = (1 << 61) - 1
+    ring = uni_ring(PrimeField(p))
+    y = ring.var(0)
+    r = 12345678901234567
+    # y^2 + 1 has no root: -1 is not a square modulo p = 3 (mod 4)
+    f = ((y - ring.const(3)) ** 2 * (y - ring.const(r)) * (y**2 + ring.one())).scale(
+        ring.field.from_int(7)
+    )
+    assert f.total_degree() == 5
+    start = time.perf_counter()
+    found = roots_in_K(f)
+    assert time.perf_counter() - start < 0.25
+    assert [(theta.v, mult) for theta, mult in found] == [(3, 2), (r, 1)]

@@ -112,12 +112,15 @@ def test_kernel_identities_need_no_second_width(monkeypatch):
                 widths.append(w)
             super().__init__(n, w, mod)
 
-    def prs_gcd(*args, real=polyring._prs_gcd):
-        in_gcd.append(True)
-        try:
-            return real(*args)
-        finally:
-            in_gcd.pop()
+    def gcd(real):
+        def counted(*args):
+            in_gcd.append(True)
+            try:
+                return real(*args)
+            finally:
+                in_gcd.pop()
+
+        return counted
 
     def once(fn, *args):
         widths.clear()
@@ -127,7 +130,8 @@ def test_kernel_identities_need_no_second_width(monkeypatch):
 
     rng = seeded(64)
     monkeypatch.setattr(polyring, "_Packing", Recording)
-    monkeypatch.setattr(polyring, "_prs_gcd", prs_gcd)
+    for name in ("_prs_gcd", "_modular_gcd"):
+        monkeypatch.setattr(polyring, name, gcd(getattr(polyring, name)))
     for field in (QQ, PrimeField(32003)):
         ring = polyring.PolyRing(field, ("x1", "x2", "x3"))
         for size in (3, 4, 5):

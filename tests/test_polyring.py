@@ -1,3 +1,4 @@
+import itertools
 import math
 import signal
 import time
@@ -39,6 +40,7 @@ from ratmaps.polyring import (
     clear_denominators,
     compose_poly,
     compose_poly_ratfunc,
+    cross_equal,
     degrees,
     eval_univar_at_ratio,
     gcd_many,
@@ -427,12 +429,15 @@ def test_substitution_packs_once_at_its_first_width(monkeypatch):
                 widths.append(w)
             super().__init__(n, w, mod)
 
-    def prs_gcd(*args, real=polyring._prs_gcd):
-        in_gcd.append(True)
-        try:
-            return real(*args)
-        finally:
-            in_gcd.pop()
+    def gcd(real):
+        def counted(*args):
+            in_gcd.append(True)
+            try:
+                return real(*args)
+            finally:
+                in_gcd.pop()
+
+        return counted
 
     def once(fn, *args):
         widths.clear()
@@ -440,7 +445,8 @@ def test_substitution_packs_once_at_its_first_width(monkeypatch):
         assert len(widths) == 1, (fn.__name__, args, widths)
 
     monkeypatch.setattr(polyring, "_Packing", Recording)
-    monkeypatch.setattr(polyring, "_prs_gcd", prs_gcd)
+    for name in ("_prs_gcd", "_modular_gcd"):
+        monkeypatch.setattr(polyring, name, gcd(getattr(polyring, name)))
     rng = seeded(74)
     for field in (QQ, PrimeField(32003)):
         yring = PolyRing(field, ("y1",))
@@ -498,12 +504,14 @@ def certificate_says_constant(a, b):
 
 @pytest.fixture
 def gcd_pair(monkeypatch):
-    """(gcd with the certificate, PRS gcd with it switched off) of a pair."""
+    """(gcd as _gcd2 computes it, PRS gcd with the certificate and the
+    GF(p) modular path switched off) of a pair."""
 
     def both(a, b):
         fast = polyring._gcd2(a, b)
         with monkeypatch.context() as m:
             m.setattr(polyring, "_coprime_certified", lambda ta, tb, p: False)
+            m.setattr(polyring, "_modular_gcd", lambda ta, tb, nvars, p: None)
             return fast, polyring._gcd2(a, b)
 
     return both
@@ -638,6 +646,8 @@ def test_kernel_widens_and_reruns(monkeypatch):
         assert widths == [w0, 2 * w0]
     ring = PolyRing(PrimeField(32003), ("x1", "x2"))
     a, b = ring.poly(ta), ring.poly(tb)
+    # the PRS behind _gcd2: the modular path, which runs first, switched off
+    monkeypatch.setattr(polyring, "_modular_gcd", lambda ta, tb, nvars, p: None)
     for h in (ring.one(), ring.var(0) + ring.var(1)):
         widths.clear()
         assert polyring._gcd2(a * h, b * h) == reference_gcd2(a * h, b * h) == h
@@ -694,6 +704,121 @@ def test_kernel_divexact_borrow_raises(mod):
     assert polyring._k_divexact(K.pack({(2, 1): 3}), x2, K) == K.pack({(2, 0): 3})
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(32003)], ids=str)
+def test_cross_equal_matches_poly_products(field):
+    rng = seeded(52)
+    ring = PolyRing(field, ("x1", "x2", "x3"))
+    equal = 0
+    for _ in range(40):
+        u, v, w = (random_poly(rng, ring, 2, 3) for _ in range(3))
+        if field == QQ:
+            k = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        else:
+            k = field.from_int(rng.randint(1, 2))
+        # u*v * w against u*k * v*w/k: the four have different denominators
+        a, b, c, d = u * v, w, u.scale(k), (v * w).scale(field.one() / k)
+        if rng.random() < 0.4:
+            d = d + ring.const(rng.randint(1, 2))
+        assert cross_equal(a, b, c, d) == (a * b == c * d), (a, b, c, d)
+        equal += a * b == c * d
+    assert equal >= 15
+    assert cross_equal(ring.zero(), ring.zero(), ring.zero(), ring.one())
+    with pytest.raises(RingMismatch):
+        cross_equal(X1, X1, X1, ring.one())
+
+
+# -- Brown's modular gcd over GF(p) against the reference PRS -----------------
+
+
+@pytest.mark.parametrize("p", [5, 7, 101, 32003, MERSENNE_61])
+def test_modular_gcd_matches_reference_prs(p, monkeypatch):
+    fallbacks = []
+
+    def prs_gcd(*args, real=polyring._prs_gcd):
+        fallbacks.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polyring, "_prs_gcd", prs_gcd)
+    rng = seeded(47)
+    field = PrimeField(p)
+    planted = 0
+    for trial in range(48):
+        nvars = 1 + trial % 4
+        ring = PolyRing(field, tuple(f"x{i + 1}" for i in range(nvars)))
+        a, b = (random_nonzero_poly(rng, ring, 3, 3) for _ in range(2))
+        kind = trial // 4 % 4
+        if kind == 1:
+            g = random_nonzero_poly(rng, ring, 2, 3)
+        elif kind == 2:
+            # a factor in the last variable only: a content at the top level
+            v = ring.var(nvars - 1)
+            g = v ** rng.randint(1, 3) + ring.const(rng.randrange(1, p))
+        elif kind == 3:
+            # a factor in one other variable, a content after evaluation
+            v = ring.var(rng.randrange(nvars))
+            g = (v + ring.const(rng.randrange(p))) * random_nonzero_poly(rng, ring, 1, 2)
+        else:
+            g = ring.one()
+        a, b = a * g, b * g
+        ref = reference_gcd2(a, b)
+        assert polyring._gcd2(a, b) == ref, (a, b)
+        planted += not ref.is_constant()
+    assert planted >= 24
+    if p > 7:
+        assert not fallbacks
+
+
+def test_modular_gcd_falls_back_when_leading_coefficients_vanish_everywhere():
+    # over GF(7) the x1-leading coefficient x2^7 - x2 is 0 at every point
+    ring = PolyRing(PrimeField(7), ("x1", "x2"))
+    x1, x2 = ring.var(0), ring.var(1)
+    g = (x2**7 - x2) * x1 + ring.one()
+    a, b = g * (x1 + x2), g * (x1 + ring.one())
+    assert polyring._modular_gcd(*polyring._k_ints([a, b]), 2, 7) is None
+    assert polyring._gcd2(a, b) == reference_gcd2(a, b) == g.monic()
+
+
+def test_modular_gcd_rejects_unlucky_points(monkeypatch):
+    real_points, real_divides = polyring._eval_points, polyring._k_divides
+    first, drawn, verdicts = [], [], []
+
+    def points_from_first(p):
+        rest = (t for t in real_points(p) if t not in first)
+        for t in itertools.chain(first, rest):
+            drawn.append(t)
+            yield t
+
+    def divides(g, t, K):
+        verdicts.append(real_divides(g, t, K))
+        return verdicts[-1]
+
+    def gcd_from(points, a, b):
+        first[:] = points
+        drawn.clear()
+        verdicts.clear()
+        # an image merged into the interpolant at a skipped point would
+        # keep it from settling until the field runs out of points
+        with time_limit(10):
+            return polyring._gcd2(a, b)
+
+    monkeypatch.setattr(polyring, "_eval_points", points_from_first)
+    monkeypatch.setattr(polyring, "_k_divides", divides)
+    ring = PolyRing(PrimeField(32003), ("x1", "x2"))
+    x1, x2 = ring.var(0), ring.var(1)
+    # at x2 = 1 both inputs become x1 + 1; the degree bound in x2 is 0, so
+    # that one image is tried, and the trial division rejects it
+    assert gcd_from([1], x1 + x2, x1 + ring.one()) == ring.one()
+    assert drawn[0] == 1 and verdicts == [False]
+    # with a planted factor g the image at x2 = 1 has degree 2 in x1, one
+    # more than g: first, the lower degree at the next point restarts; after
+    # a lucky point, the higher degree is skipped
+    g = x1 + x2 + ring.const(2)
+    a, b = g * (x1 + x2), g * (x1 + ring.one())
+    for points in ([1], [5, 1]):
+        assert gcd_from(points, a, b) == reference_gcd2(a, b) == g
+        assert drawn[: len(points)] == points and verdicts == [True, True]
+
+
 @contextmanager
 def time_limit(seconds):
     """Raise TimeoutError in the block after the given wall time (POSIX)."""
@@ -730,6 +855,8 @@ def test_prs_guard_stops_a_remainder_that_keeps_its_degree(monkeypatch):
         return r
 
     monkeypatch.setattr(polyring, "_k_prem", prem_one_step_short)
+    # over GF(p) the modular path would answer before the PRS
+    monkeypatch.setattr(polyring, "_modular_gcd", lambda ta, tb, nvars, p: None)
     for field in (QQ, PrimeField(32003)):
         ring = PolyRing(field, ("x1", "x2"))
         x1, x2 = ring.var(0), ring.var(1)
