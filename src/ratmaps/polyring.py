@@ -3,19 +3,20 @@
 Polynomials are dictionaries from exponent tuples to nonzero coefficients,
 ordered canonically by graded lexicographic order for printing and leading
 term queries.  Greatest common divisors run on monomials packed into ints
-and int coefficients.  Over GF(p) they are computed by Brown's dense
-evaluation-interpolation algorithm, accepted only after exact trial
-division; over the rationals, and over GF(p) when the field has too few
-usable evaluation points, by one primitive polynomial remainder sequence
-with recursive content extraction, variable by variable.  Most gcds the
-library asks for are 1, so over the rationals a modular coprimality
-certificate runs first: it evaluates all variables but one at a point,
-modulo a prime, and compares univariate gcd degrees (Brown's degree-bound
-argument).  It either proves the gcd constant or answers "unknown", and the
-remainder sequence then decides; an unlucky prime or point costs only that
-fallback, never a wrong gcd.  Rational functions are kept reduced with a
-monic denominator, so equality is plain structural equality.  Substitution
-runs on the same integer kernel, in one routine.
+and int coefficients, by Brown's dense evaluation-interpolation algorithm:
+over GF(p) directly, over the rationals on the cleared integers modulo a
+few 61-bit primes, combined by the Chinese remainder theorem.  Either way a
+gcd is accepted only after exact trial division.  Most gcds the library
+asks for are 1, so over the rationals a modular coprimality certificate
+runs first: it evaluates all variables but one at a point, modulo a prime,
+and compares univariate gcd degrees (Brown's degree-bound argument).  It
+either proves the gcd constant or answers "unknown".  When the primes run
+out, or GF(p) has too few usable evaluation points, one primitive
+polynomial remainder sequence with recursive content extraction decides;
+an unlucky prime or point costs a retry or that fallback, never a wrong
+gcd.  Rational functions are kept reduced with a monic denominator, so
+equality is plain structural equality.  Substitution runs on the same
+integer kernel, in one routine.
 """
 
 from __future__ import annotations
@@ -366,12 +367,14 @@ def poly_arith(a: Poly, b: Poly, op: str) -> Poly:
 # keys.  Univariate polynomials over GF(p) are dense ascending residue
 # lists (_uni_*), shared by both gcd paths and by fields.roots_in_K.
 #
-# Over GF(p), _gcd2 runs Brown's modular gcd (_brown) and falls back on the
-# primitive PRS only when the field runs out of usable evaluation points.
-# The rational path runs the primitive PRS, entered through a coprimality
-# certificate on the cleared integers read modulo _CERT_PRIME.  The
-# certificate takes plain ints modulo any prime and is tested on GF(p)
-# residues too; over GF(p) _brown's degree-0 image makes the same argument.
+# _gcd2 runs Brown's modular gcd (_brown) over both fields: over GF(p)
+# directly, over QQ on the cleared integers modulo _PRIMES, with CRT and
+# trial division over Z (_crt_gcd).  It falls back on the primitive PRS
+# only when the primes run out or GF(p) has too few usable evaluation
+# points.  Over QQ a coprimality certificate on the cleared integers read
+# modulo _CERT_PRIME runs first: it answers most unit gcds more cheaply
+# than a degree-0 image of _brown.  The certificate takes plain ints
+# modulo any prime and is tested on GF(p) residues too.
 # The certificate is exact.  Let
 # g = gcd(a, b), taken primitive in Z[x] over QQ, so that g divides a and b
 # over Z (Gauss).  Map to GF(p) and fix every variable but x_j at a point: g's
@@ -381,14 +384,16 @@ def poly_arith(a: Poly, b: Poly, op: str) -> Poly:
 # deg_j g = 0, and proving it for every variable shared by a and b proves g
 # constant.  Nothing else is ever concluded: a prime or point at which the
 # leading coefficients vanish, or the images share a factor that a and b do
-# not, only sends the pair to the PRS, which is also the path for every
-# non-constant gcd.
+# not, only sends the pair on to the modular gcd, which is also the path
+# for every non-constant gcd.
 
 # the Mersenne prime 2^61 - 1: rational inputs are certified modulo it
 _CERT_PRIME = (1 << 61) - 1
 # points drawn per variable while both leading coefficients vanish there
 _CERT_TRIES = 3
 _CERT_SEED = 0x5EED
+# the primes of the rational modular gcd (_crt_gcd)
+_PRIMES = (_CERT_PRIME, (1 << 61) - 31, (1 << 61) - 45, (1 << 61) - 229)
 # Brown's evaluation points: an arithmetic progression through GF(p)
 _POINT_START, _POINT_STEP = 0x2F6B_93A1_C4D5_E807, 0x1D3C_5A7F_9E2B_4C61
 
@@ -931,25 +936,68 @@ def _brown(a: dict, b: dict, m: int, K: _Packing):
     return None
 
 
-def _modular_gcd(ta: dict, tb: dict, nvars: int, p: int):
-    """Monic gcd of two nonconstant tuple-keyed residue dicts by _brown, or None."""
+# Over Z the same argument runs over the primes instead of the points.  A
+# prime that divides neither grlex leading coefficient keeps lm(G) for the
+# primitive gcd G, whose image divides the image gcd; so an image with a
+# higher leading monomial than another prime's is unlucky and a lower one
+# restarts, and a degree-0 image gives the candidate 1 at once.  Images
+# scaled by gamma = gcd(lc(a), lc(b)), a multiple of lc(G), are
+# CRT-combined; the primitive part of the symmetric lift is returned only
+# if it divides a and b exactly over Z.  Such a common divisor with the
+# leading monomial of an image gcd is G up to sign.
+
+
+def _crt_gcd(a: dict, b: dict, K: _Packing):
+    """Primitive gcd, up to sign, of integer-primitive packed dicts over Z,
+    from _brown's images modulo _PRIMES; None when the primes run out."""
+    la, lb = a[max(a)], b[max(b)]
+    gamma = math.gcd(la, lb)
+    best = None
+    for p in _PRIMES:
+        if not (la % p and lb % p):
+            continue
+        # at a 61-bit prime _brown never runs out of evaluation points
+        img = _brown(_k_reduce(a, p), _k_reduce(b, p), K.n, _Packing(K.n, K.w, p))
+        top = max(img)
+        if best is not None and top > best:
+            continue
+        img = {k: v * gamma % p for k, v in img.items()}
+        if best is None or top < best:
+            best, H, M = top, img, p
+        else:
+            inv = pow(M, -1, p)
+            for k in H.keys() | img.keys():
+                h = H.get(k, 0)
+                H[k] = h + M * ((img.get(k, 0) - h) * inv % p)
+            M *= p
+        g = _k_normal({k: v - M if 2 * v > M else v for k, v in H.items() if v}, 0)
+        if _k_divides(g, a, K) and _k_divides(g, b, K):
+            return g
+    return None
+
+
+def _modular_gcd(ta: dict, tb: dict, nvars: int, mod: int):
+    """gcd of two nonconstant tuple-keyed int dicts by _brown, or None: over
+    GF(mod) the monic gcd, over Z (mod 0, inputs integer-primitive) _crt_gcd."""
     bound = max(sum(e) for t in (ta, tb) for e in t)
 
     def run(K):
-        g = _brown(K.pack(ta), K.pack(tb), nvars, K)
+        a, b = K.pack(ta), K.pack(tb)
+        g = _brown(a, b, nvars, K) if mod else _crt_gcd(a, b, K)
         return None if g is None else K.unpack(g)
 
-    return _on_packing(nvars, p, bound, run)
+    return _on_packing(nvars, mod, bound, run)
 
 
 def _gcd2(a: Poly, b: Poly) -> Poly:
     """Monic gcd of two nonzero polynomials.
 
-    Over GF(p), Brown's modular gcd (_brown): evaluation, interpolation and
-    exact trial division.  Over QQ a modular certificate answers most
-    coprime pairs.  The rest, over QQ, and the GF(p) pairs for which the
-    field has too few usable points, go to the packed-monomial PRS on
-    cleared integers or on residues.
+    Over QQ a modular certificate answers most coprime pairs first.  Then
+    Brown's modular gcd runs: over GF(p) by evaluation, interpolation and
+    exact trial division (_brown), over QQ on the cleared integers by
+    _brown modulo a few 61-bit primes, CRT and exact trial division over Z
+    (_crt_gcd).  The pairs it leaves, when the primes run out or the field
+    has too few usable points, go to the packed-monomial PRS.
     """
     ring = a.ring
     if a == b:
@@ -958,15 +1006,14 @@ def _gcd2(a: Poly, b: Poly) -> Poly:
         return ring.one()
     mod = ring.field.characteristic
     ta, tb = _k_ints([a, b])
-    if mod:
-        g = _modular_gcd(ta, tb, ring.nvars, mod)
-        if g is not None:
-            return _k_poly(ring, g)
-    else:
+    if not mod:
         ta, tb = _k_normal(ta, 0), _k_normal(tb, 0)
         if _coprime_certified(ta, tb, _CERT_PRIME):
             return ring.one()
-    return _k_poly(ring, _prs_gcd(ta, tb, ring.nvars, mod)).monic()
+    g = _modular_gcd(ta, tb, ring.nvars, mod)
+    if g is None:
+        g = _prs_gcd(ta, tb, ring.nvars, mod)
+    return _k_poly(ring, g).monic()
 
 
 def gcd_many(polys) -> Poly:

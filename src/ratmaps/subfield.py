@@ -230,11 +230,14 @@ def trdeg_bounded_dependence(
 
 
 def _exponents_upto(nvars: int, bound: int):
+    """Exponent vectors of total degree <= bound, by total degree, then
+    lexicographically: the column order of the nullspace search."""
     out = []
     for total in range(bound + 1):
-        for e in itertools.product(range(bound + 1), repeat=nvars):
-            if sum(e) == total:
-                out.append(e)
+        # nvars - 1 bars among total + nvars - 1 places cut total into parts
+        for bars in itertools.combinations(range(total + nvars - 1), nvars - 1):
+            cuts = (-1, *bars, total + nvars - 1)
+            out.append(tuple(b - a - 1 for a, b in zip(cuts, cuts[1:])))
     return out
 
 

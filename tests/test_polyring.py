@@ -505,7 +505,7 @@ def certificate_says_constant(a, b):
 @pytest.fixture
 def gcd_pair(monkeypatch):
     """(gcd as _gcd2 computes it, PRS gcd with the certificate and the
-    GF(p) modular path switched off) of a pair."""
+    modular path of either field switched off) of a pair."""
 
     def both(a, b):
         fast = polyring._gcd2(a, b)
@@ -730,15 +730,21 @@ def test_cross_equal_matches_poly_products(field):
 # -- Brown's modular gcd over GF(p) against the reference PRS -----------------
 
 
-@pytest.mark.parametrize("p", [5, 7, 101, 32003, MERSENNE_61])
-def test_modular_gcd_matches_reference_prs(p, monkeypatch):
-    fallbacks = []
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The arguments of every _prs_gcd call."""
+    calls = []
 
     def prs_gcd(*args, real=polyring._prs_gcd):
-        fallbacks.append(args)
+        calls.append(args)
         return real(*args)
 
     monkeypatch.setattr(polyring, "_prs_gcd", prs_gcd)
+    return calls
+
+
+@pytest.mark.parametrize("p", [5, 7, 101, 32003, MERSENNE_61])
+def test_modular_gcd_matches_reference_prs(p, fallbacks):
     rng = seeded(47)
     field = PrimeField(p)
     planted = 0
@@ -819,6 +825,129 @@ def test_modular_gcd_rejects_unlucky_points(monkeypatch):
         assert drawn[: len(points)] == points and verdicts == [True, True]
 
 
+# -- the modular gcd over QQ (_crt_gcd) against the reference PRS -------------
+
+
+def primitive_integer(g):
+    """The monic rational g as an integer-primitive dict."""
+    scale = math.lcm(*(c.denominator for c in g.terms.values()))
+    return polyring._k_normal({e: int(c * scale) for e, c in g.terms.items()}, 0)
+
+
+def qq_modular(a, b):
+    """_modular_gcd on the pair as _gcd2 feeds it over QQ, signed as
+    primitive_integer signs it; None if it gave none."""
+    ta, tb = (polyring._k_normal(t, 0) for t in polyring._k_ints([a, b]))
+    g = polyring._modular_gcd(ta, tb, a.ring.nvars, 0)
+    if g is not None and g[max(g, key=polyring._grlex)] < 0:
+        g = {e: -c for e, c in g.items()}
+    return g
+
+
+@pytest.fixture
+def primes_used(monkeypatch):
+    """The primes of each top-level _brown call, in order."""
+    used = []
+
+    def brown(a, b, m, K, real=polyring._brown):
+        if m == K.n:
+            used.append(K.mod)
+        return real(a, b, m, K)
+
+    monkeypatch.setattr(polyring, "_brown", brown)
+    return used
+
+
+def test_modular_primes_are_61_bit_primes():
+    for p in polyring._PRIMES:
+        assert p.bit_length() == 61
+        # Miller-Rabin with these bases is a proof below 3.3 * 10^24
+        d, s = p - 1, 0
+        while not d % 2:
+            d, s = d // 2, s + 1
+        for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+            x = pow(a, d, p)
+            assert x in (1, p - 1) or p - 1 in (pow(x, 2**i, p) for i in range(1, s))
+
+
+def test_modular_gcd_qq_matches_reference_prs(fallbacks, primes_used):
+    rng = seeded(83)
+    planted = crt = 0
+    for trial in range(60):
+        nvars = 1 + trial % 4
+        ring = PolyRing(QQ, tuple(f"x{i + 1}" for i in range(nvars)))
+        a, b = (random_nonzero_poly(rng, ring, 3, 3) for _ in range(2))
+        kind = trial // 4 % 5
+        if kind == 1:
+            g = random_nonzero_poly(rng, ring, 2, 3)
+        elif kind == 2:
+            # a factor in the last variable only: a polynomial content
+            v = ring.var(nvars - 1)
+            g = ring.const(rng.choice((-2, 3))) * v ** rng.randint(1, 3)
+            g = g + ring.const(rng.randint(1, 5))
+        elif kind == 3:
+            # coefficients above 2^70: the images of two or more primes
+            g = random_nonzero_poly(rng, ring, 2, 3).scale(rng.randint(2**70, 2**90))
+            g = g + ring.const(rng.randint(2**70, 2**120)) * ring.var(rng.randrange(nvars))
+        elif kind == 4:
+            # a factor in one other variable, times a denominator
+            v = ring.var(rng.randrange(nvars))
+            g = ring.const(rng.randint(2, 7)) * v + ring.const(rng.randint(-9, 9))
+            g = g.scale(Fraction(1, 6)) * random_nonzero_poly(rng, ring, 1, 2)
+        else:
+            g = ring.one()
+        # negative and rational leading coefficients
+        a = (a * g).scale(Fraction(-rng.randint(1, 9), rng.randint(1, 9)))
+        b = (b * g).scale(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), 5))
+        ref = reference_gcd2(a, b)
+        primes_used.clear()
+        if not (a.is_constant() or b.is_constant()):
+            assert qq_modular(a, b) == primitive_integer(ref), (a, b)
+            crt += len(set(primes_used)) > 1
+        assert polyring._gcd2(a, b) == ref, (a, b)
+        assert gcd_many([a, b, g]) == reference_gcd_many([a, b, g]), (a, b, g)
+        planted += not ref.is_constant()
+    assert planted >= 30 and crt >= 6
+    assert not fallbacks
+
+
+def test_modular_gcd_qq_skips_and_restarts_on_unlucky_primes(monkeypatch, primes_used):
+    big, other, bad = polyring._PRIMES[:3]
+    x1, x2 = X1, X2
+    # 1. the first prime divides lc(a): it is skipped
+    g = R2.const(3) * x1 + x2 - ONE
+    a, b = g * (R2.const(big) * x1 + ONE), g * (R2.const(2) * x2 + ONE)
+    monkeypatch.setattr(polyring, "_PRIMES", (big, other))
+    assert qq_modular(a, b) == primitive_integer(g.monic())
+    assert primes_used == [other]
+    # 2. modulo bad the cofactors share x1 + 3: the first image is one degree
+    # too high, its candidate divides a but not b, and the next prime restarts
+    a, b = g * (x1 + R2.const(3)), g * (x1 + R2.const(3 + bad))
+    monkeypatch.setattr(polyring, "_PRIMES", (bad, big))
+    primes_used.clear()
+    assert qq_modular(a, b) == primitive_integer(g.monic())
+    assert primes_used == [bad, big]
+    # 3. coefficients need two primes; the too-high image in between is
+    # skipped, not combined
+    g = R2.const(2**80 + 1) * x1 - R2.const(3**50) * x2 + R2.const(7)
+    a, b = g * (x1 + R2.const(3)), g * (x1 + R2.const(3 + bad))
+    monkeypatch.setattr(polyring, "_PRIMES", (big, bad, other))
+    primes_used.clear()
+    assert qq_modular(a, b) == primitive_integer(g.monic())
+    assert primes_used == [big, bad, other]
+    assert polyring._gcd2(a, b) == reference_gcd2(a, b) == g.monic()
+
+
+def test_modular_gcd_qq_falls_back_when_the_primes_run_out(fallbacks):
+    # every listed prime divides the leading coefficient of a
+    g = X1 * X2 + R2.const(2) * X2 - ONE
+    a = g * (R2.const(math.prod(polyring._PRIMES)) * X1 + X2)
+    b = g * (X1 - R2.const(5) * X2)
+    assert qq_modular(a, b) is None
+    assert polyring._gcd2(a, b) == reference_gcd2(a, b) == g.monic()
+    assert len(fallbacks) == 1
+
+
 @contextmanager
 def time_limit(seconds):
     """Raise TimeoutError in the block after the given wall time (POSIX)."""
@@ -855,7 +984,7 @@ def test_prs_guard_stops_a_remainder_that_keeps_its_degree(monkeypatch):
         return r
 
     monkeypatch.setattr(polyring, "_k_prem", prem_one_step_short)
-    # over GF(p) the modular path would answer before the PRS
+    # the modular path would answer before the PRS, over either field
     monkeypatch.setattr(polyring, "_modular_gcd", lambda ta, tb, nvars, p: None)
     for field in (QQ, PrimeField(32003)):
         ring = PolyRing(field, ("x1", "x2"))

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from ratmaps.homog import HomogTuple, bi_ring, uni_ring
 from ratmaps.polyring import Poly, PolyRing, RatFunc, RatMap, is_primitive
 from ratmaps.subfield import (
     LurothWitness,
+    _exponents_upto,
     Mobius,
     enother_chain,
     gcd_subst_homog,
@@ -176,6 +178,16 @@ def test_bounded_dependence_examples():
 
     res = trdeg_bounded_dependence(RatMap.from_polys([X1, X1**2]), False, 2)
     assert res.value == 1
+
+
+def test_exponents_upto_matches_filtered_product():
+    # the column order of the nullspace search: by total degree, then
+    # lexicographically, as the filter over the whole box produced them
+    for nvars in range(1, 5):
+        for bound in range(7):
+            box = list(itertools.product(range(bound + 1), repeat=nvars))
+            expected = [e for total in range(bound + 1) for e in box if sum(e) == total]
+            assert _exponents_upto(nvars, bound) == expected, (nvars, bound)
 
 
 # -- gcd under substitution ---------------------------------------------------
