@@ -1,15 +1,19 @@
-"""Exact linear algebra: Gaussian elimination over K, Bareiss over K[x].
+"""Exact linear algebra: one fraction-free elimination loop for all matrices.
 
-The field-coefficient routines drive the many small linear systems in the
-subfield and integrality modules (unit combinations, Moebius recovery,
-membership searches).  The fraction-free routine computes ranks of matrices
-with polynomial entries on the packed-int kernel of polyring, each row
-scaled to integer coefficients.  subfield.trdeg_rank builds its Jacobian
-rows on the kernel directly, each row of the rational Jacobian scaled by
-its own denominator squared, which keeps the rank and needs no gcd.
+_bareiss is Bareiss' elimination (Math. Comp. 22, 1968): an entry a below
+the pivot row becomes (pivot * a - b * c) / prev, exact by Sylvester's
+identity.  Matrices over K run on ints (over QQ each row times the lcm of
+its denominators; over GF(p) residues, reduced mod p with no division),
+then back-substitute in K to the vectors of the reduced row echelon form.
+Matrices over K[x] run on the packed-int kernel of polyring, each row
+scaled to integer coefficients; subfield.trdeg_rank builds its Jacobian
+rows there directly, each row times its denominator squared.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from math import lcm
 
 from .polyring import (
     _grlex,
@@ -21,69 +25,82 @@ from .polyring import (
 )
 
 
-def _echelonize(rows, field):
-    """In-place row reduction; returns the list of pivot column indices."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    zero = field.zero()
-    pivots = []
-    r = 0
+def _bareiss(work, step, one):
+    """Eliminate the rows in work in place; returns the pivot columns.
+
+    step(pivot, a, b, c, prev) updates entry a, with b below the pivot, c
+    above a and prev the previous pivot (at first one).  Row k keeps its
+    pivot at pivots[k]; entries in earlier pivot columns are left stale."""
+    nrows, ncols = len(work), len(work[0]) if work else 0
+    pivots, prev = [], one
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != zero:
-                pivot_row = i
-                break
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, nrows) if work[i][c]), None)
         if pivot_row is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = field.one() / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != zero:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        top, pivot = work[r], work[r][c]
+        for row in work[r + 1 :]:
+            b = row[c]
+            for j in range(c + 1, ncols):
+                row[j] = step(pivot, row[j], b, top[j], prev)
+        prev = pivot
         pivots.append(c)
-        r += 1
-        if r == len(rows):
+        if r + 1 == nrows:
             break
     return pivots
 
 
+def _eliminate(rows, field):
+    """(work, pivots): the rows cleared to ints, then run through _bareiss."""
+    p = field.characteristic
+    if p:
+        work = [[v.v for v in row] for row in rows]
+        return work, _bareiss(work, lambda piv, a, b, c, prev: (piv * a - b * c) % p, 1)
+    work = []
+    for row in rows:
+        m = reduce(lcm, (v.denominator for v in row), 1)
+        work.append([v.numerator * (m // v.denominator) for v in row])
+    return work, _bareiss(work, lambda piv, a, b, c, prev: (piv * a - b * c) // prev, 1)
+
+
+def _back_substitute(work, pivots, col, sign, ncols, field):
+    """x over the field with x_j = 0 off the pivots and, for every pivot row
+    k, sum_j work[k][j] x_j = sign * work[k][col], solved bottom-up."""
+    x = [field.zero()] * ncols
+    for k in range(len(pivots) - 1, -1, -1):
+        row = work[k]
+        acc = field.from_int(sign * row[col])
+        for j in pivots[k + 1 :]:
+            acc -= x[j] * row[j]
+        x[pivots[k]] = acc / row[pivots[k]]
+    return x
+
+
 def field_rank(rows, field) -> int:
-    work = [list(r) for r in rows]
-    return len(_echelonize(work, field))
+    return len(_eliminate(rows, field)[1])
 
 
 def field_solve(rows, rhs, field):
-    """One solution of A x = b over the field, or None if inconsistent."""
+    """One solution of A x = b over the field, or None if inconsistent; the
+    free unknowns are 0."""
     if not rows:
         return None
     ncols = len(rows[0])
-    work = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots = _echelonize(work, field)
-    zero = field.zero()
+    work, pivots = _eliminate([list(r) + [b] for r, b in zip(rows, rhs)], field)
     if ncols in pivots:  # pivot in the augmented column: inconsistent
         return None
-    sol = [zero] * ncols
-    for r, c in enumerate(pivots):
-        sol[c] = work[r][ncols]
-    return sol
+    return _back_substitute(work, pivots, ncols, 1, ncols, field)
 
 
 def field_nullspace(rows, ncols, field):
-    """A basis of the nullspace of A, as a list of length-ncols vectors."""
-    work = [list(r) for r in rows]
-    pivots = _echelonize(work, field)
-    zero, one = field.zero(), field.one()
-    free = [c for c in range(ncols) if c not in pivots]
+    """A basis of the nullspace of A, as a list of length-ncols vectors: one
+    per free column, 1 there and 0 at the other free columns."""
+    work, pivots = _eliminate(rows, field)
     basis = []
-    for fc in free:
-        vec = [zero] * ncols
-        vec[fc] = one
-        for r, c in enumerate(pivots):
-            vec[c] = -work[r][fc]
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = _back_substitute(work, pivots, fc, -1, ncols, field)
+        vec[fc] = field.one()
         basis.append(vec)
     return basis
 
@@ -94,9 +111,7 @@ def independent_subset(vectors, field):
     One elimination of the matrix whose columns are the vectors: its pivot
     columns are exactly the vectors outside the span of the earlier ones.
     """
-    if not vectors:
-        return []
-    return _echelonize([list(col) for col in zip(*vectors)], field)
+    return _eliminate([list(col) for col in zip(*vectors)], field)[1]
 
 
 class PackedMatrix(list):
@@ -131,27 +146,10 @@ def poly_matrix_rank(rows) -> int:
 
 
 def _bareiss_rank(K, work) -> int:
-    nrows, ncols = len(work), len(work[0])
-    prev = {0: 1}
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if work[i][c]), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        pivot = work[r][c]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                cross = _k_sub(
-                    _k_mul(pivot, work[i][j], K), _k_mul(work[i][c], work[r][j], K), K
-                )
-                work[i][j] = _k_divexact(cross, prev, K)
-            work[i][c] = {}
-        prev = pivot
-        r += 1
-        if r == nrows:
-            break
-    return r
+    def step(pivot, a, b, c, prev):
+        return _k_divexact(_k_sub(_k_mul(pivot, a, K), _k_mul(b, c, K), K), prev, K)
+
+    return len(_bareiss(work, step, {0: 1}))
 
 
 def ratfunc_matrix_rank(rows) -> int:

@@ -309,11 +309,6 @@ class Poly:
             buckets.setdefault(sum(e), {})[e] = c
         return [(d, Poly(self.ring, t)) for d, t in sorted(buckets.items())]
 
-    def trailing_part(self) -> Poly:
-        if self.is_zero():
-            raise ZeroPolynomial("zero polynomial has no trailing part")
-        return self.homogeneous_parts()[0][1]
-
     # -- printing ----------------------------------------------------------
 
     def __str__(self):

@@ -20,6 +20,7 @@ from .errors import (
     BothConstant,
     CharPUnsupported,
     ConstantP,
+    ConstantRatio,
     InvalidArgument,
     NotCoprime,
     NotPrimitivePair,
@@ -405,10 +406,15 @@ def member_Kp(r: Poly, p: Poly):
 
 
 def member_Kpq(r: RatFunc, p: Poly, q: Poly, bound: int):
-    """Search for f1, f2 with r = f1(p/q)/f2(p/q) and deg <= bound.
+    """(f1, f2) with r = f1(p/q)/f2(p/q), f1 and f2 coprime and f2 monic,
+    or None; decides r in K(p/q) up to max(deg f1, deg f2) <= bound.
 
-    An empty result means only "not found within the bound"; it is never
-    a certificate of non-membership in K(p/q).
+    With p/q nonconstant and reduced and r = N/D nonconstant, a member's
+    degree is forced: e = max(deg f1, deg f2) has e * max(deg p, deg q) =
+    max(deg N, deg D), since the homogenized F1(p, q) and F2(p, q) are
+    coprime and at most one of them loses its top-degree part.  One linear
+    system at degree e then has a nullspace of dimension at most one, so
+    None proves r not in K(p/q) unless e exceeds the bound.
     """
     if q.is_zero():
         raise ZeroDenominator("q is zero")
@@ -416,33 +422,33 @@ def member_Kpq(r: RatFunc, p: Poly, q: Poly, bound: int):
         raise InvalidArgument("bound must be non-negative")
     field = p.ring.field
     yring = uni_ring(field)
-    num, den = r.num, r.den
-    for d in range(bound + 1):
-        basis_polys = [p**j * q ** (d - j) for j in range(d + 1)]
-        cols = [-(den * b) for b in basis_polys] + [num * b for b in basis_polys]
-        for vec in field_nullspace(coefficient_rows(cols, field), 2 * (d + 1), field):
-            f2 = Poly(yring, {(j,): vec[d + 1 + j] for j in range(d + 1)})
-            if eval_univar_at_ratio(f2, p, q, d).is_zero():
-                continue
-            f1 = Poly(yring, {(j,): vec[j] for j in range(d + 1)})
-            f1, f2 = _reduce_pair(f1, f2)
-            f1_at = eval_univar_at_ratio(f1, p, q, d)
-            f2_at = eval_univar_at_ratio(f2, p, q, d)
-            if cross_equal(num, f2_at, den, f1_at):
-                return f1, f2
-    return None
-
-
-def _reduce_pair(f1: Poly, f2: Poly):
-    if not f1.is_zero():
-        g = gcd_many([f1, f2])
-        if not g.is_one():
-            f1, f2 = f1.divexact(g), f2.divexact(g)
-    c = f2.lc()
-    one = f2.ring.field.one()
-    if c != one:
-        inv = one / c
-        f1, f2 = f1.scale(inv), f2.scale(inv)
+    if r.is_constant():
+        return yring.const(r.constant_value()), yring.one()
+    try:
+        require_transcendental(p, q)
+    except ConstantRatio:
+        return None  # K(p/q) = K
+    g = gcd_many([p, q])
+    p, q, num, den = p.divexact(g), q.divexact(g), r.num, r.den
+    d, rest = divmod(
+        max(num.total_degree(), den.total_degree()),
+        max(p.total_degree(), q.total_degree()),
+    )
+    if rest or d > bound:
+        return None
+    basis_polys = [p**j * q ** (d - j) for j in range(d + 1)]
+    cols = [-(den * b) for b in basis_polys] + [num * b for b in basis_polys]
+    basis = field_nullspace(coefficient_rows(cols, field), 2 * (d + 1), field)
+    if not basis:
+        return None
+    vec = basis[0]
+    f1 = Poly(yring, {(j,): vec[j] for j in range(d + 1)})
+    f2 = Poly(yring, {(j,): vec[d + 1 + j] for j in range(d + 1)})
+    f1, f2 = f1.scale(field.one() / f2.lc()), f2.monic()
+    if len(basis) > 1 or not cross_equal(
+        num, eval_univar_at_ratio(f2, p, q, d), den, eval_univar_at_ratio(f1, p, q, d)
+    ):
+        raise AssertionFailure(f"no single pair of degree {d} represents r in K(p/q)")
     return f1, f2
 
 

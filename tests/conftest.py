@@ -7,9 +7,11 @@ code paths they are used to check.
 """
 
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
-from ratmaps.linalg import coefficient_rows, field_rank
+from ratmaps.linalg import coefficient_rows
 from ratmaps.errors import (
     AssertionFailure,
     DegreeOrder,
@@ -29,7 +31,9 @@ from ratmaps.polyring import (
     RatMap,
     _as_ratfunc,
     clear_denominators,
+    cross_equal,
     eval_univar_at_ratio,
+    gcd_many,
     is_primitive,
     jacobian,
     poly_jacobian,
@@ -410,14 +414,113 @@ def reference_poly_matrix_rank(rows):
     return r
 
 
+# -- reference elimination: Gauss-Jordan on field elements ------------------
+#
+# The library eliminates fraction free on cleared ints; these are the
+# Fraction and Fp routines it replaced, unchanged.
+
+
+def reference_echelonize(rows, field):
+    """In-place row reduction; returns the list of pivot column indices."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    zero = field.zero()
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(rows)):
+            if rows[i][c] != zero:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = field.one() / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != zero:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+def reference_field_rank(rows, field) -> int:
+    work = [list(r) for r in rows]
+    return len(reference_echelonize(work, field))
+
+
+def reference_field_solve(rows, rhs, field):
+    """One solution of A x = b over the field, or None if inconsistent."""
+    if not rows:
+        return None
+    ncols = len(rows[0])
+    work = [list(r) + [b] for r, b in zip(rows, rhs)]
+    pivots = reference_echelonize(work, field)
+    zero = field.zero()
+    if ncols in pivots:  # pivot in the augmented column: inconsistent
+        return None
+    sol = [zero] * ncols
+    for r, c in enumerate(pivots):
+        sol[c] = work[r][ncols]
+    return sol
+
+
+def reference_field_nullspace(rows, ncols, field):
+    """A basis of the nullspace of A, as a list of length-ncols vectors."""
+    work = [list(r) for r in rows]
+    pivots = reference_echelonize(work, field)
+    zero, one = field.zero(), field.one()
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [zero] * ncols
+        vec[fc] = one
+        for r, c in enumerate(pivots):
+            vec[c] = -work[r][fc]
+        basis.append(vec)
+    return basis
+
+
 def reference_independent_subset(vectors, field):
     """Greedy scan: keep each vector that raises the rank of those kept."""
     kept, chosen = [], []
     for idx, v in enumerate(vectors):
-        if field_rank(kept + [v], field) > len(kept):
+        if reference_field_rank(kept + [v], field) > len(kept):
             kept.append(v)
             chosen.append(idx)
     return chosen
+
+
+def reference_member_Kpq(r, p, q, bound):
+    """member_Kpq by trying every degree d <= bound, one linear system each."""
+    field = p.ring.field
+    yring = uni_ring(field)
+    num, den = r.num, r.den
+    for d in range(bound + 1):
+        basis_polys = [p**j * q ** (d - j) for j in range(d + 1)]
+        cols = [-(den * b) for b in basis_polys] + [num * b for b in basis_polys]
+        rows = coefficient_rows(cols, field)
+        for vec in reference_field_nullspace(rows, 2 * (d + 1), field):
+            f2 = Poly(yring, {(j,): vec[d + 1 + j] for j in range(d + 1)})
+            if eval_univar_at_ratio(f2, p, q, d).is_zero():
+                continue
+            f1 = Poly(yring, {(j,): vec[j] for j in range(d + 1)})
+            if not f1.is_zero():
+                g = gcd_many([f1, f2])
+                f1, f2 = f1.divexact(g), f2.divexact(g)
+            inv = field.one() / f2.lc()
+            f1, f2 = f1.scale(inv), f2.scale(inv)
+            f1_at = eval_univar_at_ratio(f1, p, q, d)
+            f2_at = eval_univar_at_ratio(f2, p, q, d)
+            if cross_equal(num, f2_at, den, f1_at):
+                return f1, f2
+    return None
 
 
 def reference_trdeg_rank(h, with_t):
@@ -714,6 +817,22 @@ def reference_fp_roots(f):
             values = [(v * t + c) % p for t, v in zip(ts, values)]
         candidates += [Fp(t, p) for t, v in zip(ts, values) if not v]
     return [(theta, _multiplicity(f, theta)) for theta in candidates]
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block after the given wall time (POSIX)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def seeded(n=0):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import time_limit
 from ratmaps.cli import main
 
 
@@ -114,6 +115,22 @@ def test_member_kpq_bound_flag(capsys):
     )
     assert code == 0
     assert data["found"] is True and data["f2"] == "y1^2"
+
+
+def test_member_kpq_large_bound_solves_at_the_forced_degree(capsys):
+    with time_limit(1):
+        code, data, _ = run_json(
+            capsys, "member-kpq", "x1^2 + x2", "x1 + x2^2", "x2", "--bound", "1000000"
+        )
+    assert code == 0
+    assert data == {"command": "member-kpq", "field": "q", "found": False, "bound": 1000000}
+    member = ["member-kpq", "((x1 + x2^2)^2 + x2^2)/((x1 + x2^2)*x2)", "x1 + x2^2", "x2"]
+    with time_limit(1):
+        code, data, _ = run_json(capsys, *member, "--bound", "1000000")
+    assert code == 0
+    _, forced, _ = run_json(capsys, *member, "--bound", "2")
+    assert forced["found"] is True and forced["f1"] == "y1^2 + 1" and forced["f2"] == "y1"
+    assert data == dict(forced, bound=1000000)
 
 
 def test_valuation_infinity(capsys):
@@ -309,6 +326,8 @@ GOLDEN_CASES = [
     ["mobius-equiv", "x1", "x2", "x1+x2", "x2"],
     ["enother", "x1", "1-x1"],
     ["member-kpq", "(x2^2)/(x1^2)", "x1", "x2", "--bound", "2"],
+    ["member-kpq", "(x2^2)/(x1^2)", "x1*x2", "x2^2", "--bound", "6"],
+    ["member-kpq", "x1 + x2", "x1", "x2", "--bound", "6"],
     ["luroth-gen", "x1^2", "x1^3"],
     ["valuation", "y1^2+3*y1", "--theta", "inf"],
     ["integral", "x1", "x2", "--g", "y1^3;y1+1"],

@@ -5,14 +5,24 @@ from conftest import (
     random_nonzero_poly,
     random_poly,
     random_square_map,
+    reference_echelonize,
+    reference_field_nullspace,
+    reference_field_rank,
+    reference_field_solve,
     reference_independent_subset,
     reference_poly_matrix_rank,
     seeded,
 )
-from ratmaps import polyring
+from ratmaps import linalg, polyring
 from ratmaps.fields import PrimeField, QQ
 from ratmaps.gordan_noether import _trace_conditions
-from ratmaps.linalg import independent_subset, poly_matrix_rank
+from ratmaps.linalg import (
+    field_nullspace,
+    field_rank,
+    field_solve,
+    independent_subset,
+    poly_matrix_rank,
+)
 from ratmaps.polyring import eval_univar_at_ratio, first_mismatch
 from ratmaps.subfield import trdeg_rank
 
@@ -97,6 +107,99 @@ def test_independent_subset_matches_per_vector_scan():
             vectors = reference_inputs(rng, field, rng.randint(0, 4))
             expected = reference_independent_subset(vectors, field)
             assert independent_subset(vectors, field) == expected, vectors
+
+
+# -- field elimination against the Gauss-Jordan reference -------------------
+
+ELIMINATION_FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(2**61 - 1)]
+
+
+def random_entry(rng, field):
+    if field == QQ:
+        num = rng.randint(-9, 9) if rng.random() < 0.8 else rng.randint(-(10**12), 10**12)
+        return Fraction(num, rng.randint(1, 6))
+    return field.from_int(rng.randrange(field.characteristic))
+
+
+def random_field_matrix(rng, field, nrows, ncols):
+    """Sparse or dense rows, zero rows, rows combined from earlier ones and
+    zero columns, so that the rank is often below min(nrows, ncols)."""
+    density = rng.choice([0.2, 0.5, 1.0])
+    zero = field.zero()
+    rows = []
+    for _ in range(nrows):
+        kind = rng.randrange(5 if rows else 3)
+        if kind == 0:
+            row = [zero] * ncols
+        elif kind in (1, 2):
+            row = [random_entry(rng, field) if rng.random() < density else zero
+                   for _ in range(ncols)]
+        else:
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = random_entry(rng, field), random_entry(rng, field)
+            row = [s * x + t * y for x, y in zip(a, b)]
+        rows.append(row)
+    for c in range(ncols):
+        if rng.random() < 0.15:
+            for row in rows:
+                row[c] = zero
+    return rows
+
+
+def apply(rows, x, field):
+    return [sum((a * b for a, b in zip(row, x)), field.zero()) for row in rows]
+
+
+def test_field_elimination_matches_gauss_jordan_reference():
+    rng = seeded(65)
+    for field in ELIMINATION_FIELDS:
+        ranks, inconsistent = set(), 0
+        for _ in range(120):
+            nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+            rows = random_field_matrix(rng, field, nrows, ncols)
+            expected = reference_echelonize([list(r) for r in rows], field)
+            assert linalg._eliminate(rows, field)[1] == expected, rows
+            rank = field_rank(rows, field)
+            assert rank == reference_field_rank(rows, field) == len(expected)
+            ranks.add(rank)
+            basis = field_nullspace(rows, ncols, field)
+            assert basis == reference_field_nullspace(rows, ncols, field), rows
+            assert len(basis) == ncols - rank
+            for vec in basis:
+                assert apply(rows, vec, field) == [field.zero()] * nrows
+            x0 = [random_entry(rng, field) for _ in range(ncols)]
+            random_rhs = [random_entry(rng, field) for _ in range(nrows)]
+            for rhs in (apply(rows, x0, field), random_rhs):
+                sol = field_solve(rows, rhs, field)
+                assert sol == reference_field_solve(rows, rhs, field), (rows, rhs)
+                if sol is None:
+                    inconsistent += 1
+                else:
+                    assert apply(rows, sol, field) == rhs
+            columns = [list(col) for col in zip(*rows)]
+            assert independent_subset(columns, field) == expected
+        assert {0, 1, 2, 3} <= ranks and inconsistent > 10, (field, ranks)
+
+
+def test_field_elimination_of_empty_matrices():
+    for field in ELIMINATION_FIELDS:
+        zero, one = field.zero(), field.one()
+        # no rows: every unknown is free
+        assert field_rank([], field) == reference_field_rank([], field) == 0
+        assert field_solve([], [], field) is reference_field_solve([], [], field) is None
+        identity = [[one if i == j else zero for j in range(3)] for i in range(3)]
+        assert field_nullspace([], 3, field) == reference_field_nullspace([], 3, field)
+        assert field_nullspace([], 3, field) == identity
+        assert independent_subset([], field) == []
+        # no columns: consistent exactly when the right-hand side is zero
+        empty = [[], []]
+        assert field_rank(empty, field) == reference_field_rank(empty, field) == 0
+        assert field_solve(empty, [zero, zero], field) == []
+        assert reference_field_solve(empty, [zero, zero], field) == []
+        assert field_solve(empty, [zero, one], field) is None
+        assert reference_field_solve(empty, [zero, one], field) is None
+        assert field_nullspace(empty, 0, field) == []
+        assert independent_subset([[], [], []], field) == []
 
 
 def test_kernel_identities_need_no_second_width(monkeypatch):

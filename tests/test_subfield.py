@@ -9,8 +9,10 @@ from conftest import (
     random_nonzero_poly,
     random_poly,
     random_ratfunc,
+    reference_member_Kpq,
     reference_trdeg_rank,
     seeded,
+    time_limit,
 )
 from ratmaps.errors import (
     AssertionFailure,
@@ -23,7 +25,14 @@ from ratmaps.errors import (
 )
 from ratmaps.fields import PrimeField, QQ
 from ratmaps.homog import HomogTuple, bi_ring, uni_ring
-from ratmaps.polyring import Poly, PolyRing, RatFunc, RatMap, is_primitive
+from ratmaps.polyring import (
+    Poly,
+    PolyRing,
+    RatFunc,
+    RatMap,
+    eval_univar_at_ratio,
+    is_primitive,
+)
 from ratmaps.subfield import (
     LurothWitness,
     _exponents_upto,
@@ -397,6 +406,74 @@ def test_member_kpq_bound_is_not_a_negative_certificate():
     r = RatFunc(X2**2, X1**2)
     assert member_Kpq(r, X1, X2, 1) is None
     assert member_Kpq(r, X1, X2, 2) is not None
+
+
+def random_kpq_case(rng, ring):
+    """(r, p, q) with p and q often sharing a planted factor, p sometimes 0
+    or a multiple of q, and r constant, random or f1(p/q)/f2(p/q)."""
+    p = random_poly(rng, ring, 2, 3)
+    q = random_nonzero_poly(rng, ring, 2, 3)
+    shape = rng.randrange(10)
+    if shape == 0:
+        p = ring.zero()
+    elif shape == 1:
+        p = q.scale(ring.field.from_int(rng.randint(1, 4)))
+    elif shape < 5:
+        common = random_nonzero_poly(rng, ring, 1, 2)
+        p, q = p * common, q * common
+    kind = rng.randrange(6)
+    if kind == 0:
+        return RatFunc.from_poly(ring.const(rng.randint(-2, 2))), p, q
+    if kind == 1:
+        return random_ratfunc(rng, ring, 2, 3), p, q
+    yring = uni_ring(ring.field)
+    f1 = random_poly(rng, yring, 2, 3)
+    f2 = random_nonzero_poly(rng, yring, 2, 3)
+    s = max(f1.total_degree(), f2.total_degree(), 0)
+    den = eval_univar_at_ratio(f2, p, q, s)
+    if den.is_zero():
+        return random_ratfunc(rng, ring, 2, 3), p, q
+    return RatFunc(eval_univar_at_ratio(f1, p, q, s), den), p, q
+
+
+def test_member_kpq_matches_degree_loop_reference():
+    rng = seeded(66)
+    found = 0
+    for field in (QQ, PrimeField(7), PrimeField(101)):
+        for n in (1, 2, 3):
+            ring = PolyRing(field, tuple(f"x{i + 1}" for i in range(n)))
+            for _ in range(40):
+                r, p, q = random_kpq_case(rng, ring)
+                bound = rng.randint(0, 4)
+                out = member_Kpq(r, p, q, bound)
+                assert out == reference_member_Kpq(r, p, q, bound), (r, p, q, bound)
+                found += out is not None
+    assert found > 100
+
+
+def test_member_kpq_constant_cases():
+    assert member_Kpq(RatFunc.from_poly(R2.zero()), X1, X2, 0) == (YR.zero(), YR.one())
+    three = RatFunc.from_poly(R2.const(3))
+    assert member_Kpq(three, X1 + X2, X1, 5) == (YR.const(3), YR.one())
+    # K(p/q) = K when p = 0 or p = c q
+    r = RatFunc(X1, X2)
+    assert member_Kpq(r, R2.zero(), X2, 4) is None
+    assert member_Kpq(r, (X1 + X2).scale(Fraction(2, 3)), X1 + X2, 4) is None
+
+
+def test_member_kpq_solves_one_system_whatever_the_bound():
+    # r is not in K(p/q); the degree loop took over 10 s here at bound 40
+    r = RatFunc.from_poly(X1**2 + X2)
+    p, q = X1 + X2**2, X2
+    with time_limit(1):
+        assert member_Kpq(r, p, q, 10**6) is None
+    # a member is found at its forced degree e = 3, and only from there on
+    f1, f2 = Y**3 - Y + YR.one(), Y**2 + YR.const(2)
+    r = RatFunc(eval_univar_at_ratio(f1, p, q, 3), eval_univar_at_ratio(f2, p, q, 3))
+    with time_limit(1):
+        assert member_Kpq(r, p, q, 10**6) == member_Kpq(r, p, q, 3) == (f1, f2)
+    assert member_Kpq(r, p, q, 2) is None
+    assert reference_member_Kpq(r, p, q, 3) == (f1, f2)
 
 
 # -- the constructive generator ------------------------------------------------
