@@ -134,6 +134,15 @@ class Field:
     def from_int(self, n: int):
         raise NotImplementedError
 
+    def element(self, c):
+        """c as an element of this field: an int (not a bool) is converted,
+        and anything else but this field's own elements raises FieldMismatch."""
+        if isinstance(c, (Fraction, Fp)) and getattr(c, "p", 0) == self.characteristic:
+            return c
+        if isinstance(c, int) and not isinstance(c, bool):
+            return self.from_int(c)
+        raise FieldMismatch(f"{c!r} is not an element of {self!r}")
+
 
 class Rationals(Field):
     characteristic = 0

@@ -25,10 +25,9 @@ from .polyring import (
     PolyRing,
     RatFunc,
     _substitute,
-    compose_poly,
     cross_equal,
-    eval_univar_at_ratio,
     gcd_many,
+    relabel,
     require_transcendental,
 )
 from .records import FrozenRecord, Record
@@ -103,10 +102,10 @@ def _pair_polys(g):
 
 
 def _cleared_at(f1: Poly, f2: Poly, p: Poly, q: Poly):
-    """(q^s f1(p/q), q^s f2(p/q)) for s = max(deg f1, deg f2), the second nonzero."""
+    """(q^s f1(p/q), q^s f2(p/q)) for s = max(deg f1, deg f2), the second
+    nonzero: one substitution, so both share the power tables of p and q."""
     s = int(max(f1.total_degree(), f2.total_degree(), 0))
-    num = eval_univar_at_ratio(f1, p, q, s)
-    den = eval_univar_at_ratio(f2, p, q, s)
+    num, den = _substitute([f1, f2], [p], [q], [s], p.ring)
     if den.is_zero():
         raise ConstantRatio("f2(p/q) vanishes")
     return num, den
@@ -195,9 +194,9 @@ def integral_over_Kg(p: Poly, q: Poly, g: ReducedPair) -> IntegralityResult:
     if d1 <= d2:
         return IntegralityResult(False)
     rring = relation_ring(p.ring.field)
-    yvar, gvar = rring.var(0), rring.var(1)
-    f1_y = compose_poly(g.f1, [yvar], rring)
-    f2_y = compose_poly(g.f2, [yvar], rring)
+    gvar = rring.var(1)
+    f1_y = relabel(g.f1, rring, [0])
+    f2_y = relabel(g.f2, rring, [0])
     relation = (f1_y - gvar * f2_y).scale(p.ring.field.one() / g.f1.lc())
     if not _vanishes_at(relation, p, q, g):
         raise AssertionFailure("monic integral relation failed to vanish at p/q")
@@ -218,6 +217,8 @@ def pqtrans(p: Poly, q: Poly, g: ReducedPair, mode: str, eps=None, theta=None):
     invert: q* = p - theta*q, p* = q + eps*(p - theta*q),
             f_i* = (y - eps)^s f_i(1/(y - eps) + theta) with
             s = max(deg f1, deg f2).
+    Each mode is one substitution of y into both f1 and f2: y -> y - eps,
+    or y -> (1 + theta*(y - eps))/(y - eps) cleared to the s-th power.
     The identity f1*(p*/q*)/f2*(p*/q*) = f1(p/q)/f2(p/q) is verified
     exactly before returning.
     """
@@ -226,22 +227,20 @@ def pqtrans(p: Poly, q: Poly, g: ReducedPair, mode: str, eps=None, theta=None):
     zero = field.zero()
     eps = zero if eps is None else eps
     yring = f2.ring
-    y = yring.var(0)
+    y_eps = yring.var(0) - yring.const(eps)
+    s = int(max(f1.total_degree(), f2.total_degree()))
     if mode == "shift":
         pstar = p + q.scale(eps)
         qstar = q
-        shift = y - yring.const(eps)
-        f1s = compose_poly(f1, [shift], yring)
-        f2s = compose_poly(f2, [shift], yring)
+        f1s, f2s = _substitute([f1, f2], [y_eps], [None], [s], yring)
     elif mode == "invert":
         theta = zero if theta is None else theta
         qstar = p - q.scale(theta)
         if qstar.is_zero():
             raise DegenerateImage("p - theta*q is identically zero")
         pstar = q + qstar.scale(eps)
-        s = int(max(f1.total_degree(), f2.total_degree()))
-        f1s = _invert_rep(f1, theta, eps, s, yring)
-        f2s = _invert_rep(f2, theta, eps, s, yring)
+        num = yring.one() + y_eps.scale(theta)
+        f1s, f2s = _substitute([f1, f2], [num], [y_eps], [s], yring)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     a1, b1 = _cleared_at(f1s, f2s, pstar, qstar)
@@ -250,12 +249,6 @@ def pqtrans(p: Poly, q: Poly, g: ReducedPair, mode: str, eps=None, theta=None):
         raise AssertionFailure("transformed representation changed the function")
     gstar = ReducedPair(f1s, f2s) if isinstance(g, ReducedPair) else (f1s, f2s)
     return pstar, qstar, gstar
-
-
-def _invert_rep(f: Poly, theta, eps, s: int, yring: PolyRing) -> Poly:
-    """(y - eps)^s * f(1/(y - eps) + theta), always a polynomial for deg f <= s."""
-    y_eps = yring.var(0) - yring.const(eps)
-    return eval_univar_at_ratio(f, yring.one() + y_eps.scale(theta), y_eps, s)
 
 
 def regenerate_integral(p: Poly, q: Poly, g: ReducedPair):

@@ -80,9 +80,7 @@ class PolyRing:
         return Poly(self, {(0,) * self.nvars: self.field.one()})
 
     def const(self, c) -> Poly:
-        if isinstance(c, int):
-            c = self.field.from_int(c)
-        return Poly(self, {(0,) * self.nvars: c})
+        return Poly(self, {(0,) * self.nvars: self.field.element(c)})
 
     def var(self, i: int) -> Poly:
         e = [0] * self.nvars
@@ -90,14 +88,15 @@ class PolyRing:
         return Poly(self, {tuple(e): self.field.one()})
 
     def poly(self, terms: dict) -> Poly:
-        """Public constructor: validates exponents, coerces int coefficients."""
+        """Public constructor: validates exponents, coerces int coefficients
+        and rejects a coefficient from another field (FieldMismatch)."""
+        element = self.field.element
         clean = {}
         for e, c in terms.items():
             e = tuple(e)
             if len(e) != self.nvars or any(k < 0 or not isinstance(k, int) for k in e):
                 raise ValueError(f"bad exponent vector {e}")
-            if isinstance(c, int):
-                c = self.field.from_int(c)
+            c = element(c)
             if c:
                 clean[e] = c
         return Poly(self, clean)

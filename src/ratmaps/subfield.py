@@ -44,10 +44,9 @@ from .polyring import (
     RatMap,
     _k_mul,
     _k_quotient_rule,
-    clear_denominators,
+    _substitute,
     compose_poly,
     cross_equal,
-    eval_univar_at_ratio,
     first_mismatch,
     gcd_many,
     is_primitive,
@@ -118,7 +117,8 @@ def adjoin_t(h: RatMap) -> RatMap:
     for c in h.comps:
         num = relabel(c.num, ext, vm)
         den = relabel(c.den, ext, vm)
-        comps.append(RatFunc(num * t, den))
+        # num/den is reduced and den is free of t, so num*t/den is reduced too
+        comps.append(RatFunc(num * t, den, _reduced=True))
     return RatMap(comps)
 
 
@@ -188,40 +188,35 @@ def trdeg_bounded_dependence(
     upper bound for the transcendence degree.  It is never certified as
     the exact transcendence degree (relations beyond the bound may exist),
     hence certified is always False.
+
+    Step k substitutes h_j = N_j / D_j into every monomial y^e of degree
+    <= B = degree_bound in y_1..y_k, each y_j cleared to its B-th power:
+    column e is the polynomial h^e * prod_j D_j^B, from one power table per
+    N_j and D_j on the packed-int kernel, with no gcd.  All columns share
+    the nonzero factor prod_j D_j^B, so their K-linear relations are those
+    of the h^e.
     """
     if degree_bound < 1:
         raise InvalidArgument("degree_bound must be at least 1")
     target = adjoin_t(h) if with_t else h
-    comps = list(target.comps)
-    field = target.ring.field
-    names = tuple(f"h{i + 1}" for i in range(len(comps)))
-    rel_ring = PolyRing(field, names)
+    field, m = target.ring.field, target.m
+    rel_ring = PolyRing(field, tuple(f"h{i + 1}" for i in range(m)))
+    nums = [c.num for c in target.comps]
+    dens = [None if c.den.is_one() else c.den for c in target.comps]
     independent = 0
     relations = []
-    prods = {(): RatFunc.from_poly(target.ring.one())}
-    for i in range(len(comps)):
-        exps = _exponents_upto(i + 1, degree_bound)
-        cols = []
-        for e in exps:
-            if e not in prods:
-                base = prods[e[:-1] + (e[-1] - 1,)] if e[-1] else prods[e[:-1]]
-                prods[e] = base * comps[i] if e[-1] else base
-            cols.append(prods[e])
-        _, cleared = clear_denominators(cols)
-        basis = field_nullspace(coefficient_rows(cleared, field), len(cols), field)
-        found = None
-        for vec in basis:
-            if any(c for e, c in zip(exps, vec) if e[-1] > 0):
-                found = vec
-                break
+    for i in range(m):
+        pad = (0,) * (m - i - 1)
+        exps = [e + pad for e in _exponents_upto(i + 1, degree_bound)]
+        monos = [Poly(rel_ring, {e: field.one()}) for e in exps]
+        maxes = [degree_bound] * (i + 1) + [0] * len(pad)
+        cols = _substitute(monos, nums, dens, maxes, target.ring)
+        basis = field_nullspace(coefficient_rows(cols, field), len(cols), field)
+        found = next((v for v in basis if any(c for e, c in zip(exps, v) if e[i])), None)
         if found is None:
             independent += 1
         else:
-            terms = {}
-            for e, c in zip(exps, found):
-                if c:
-                    terms[e + (0,) * (len(comps) - len(e))] = c
-            relations.append(Poly(rel_ring, terms))
+            relations.append(Poly(rel_ring, dict(zip(exps, found))))
     note = (
         "no dependence found within the bound"
         if not relations
@@ -382,7 +377,8 @@ def enother_chain(p: Poly, q: Poly) -> EnotherChain:
 
 
 def member_Kp(r: Poly, p: Poly):
-    """A univariate F with r = F(p), or None; decides r in K[p]."""
+    """A univariate F with r = F(p), or None; decides r in K[p] by solving
+    r = sum_j F_j p^j for j <= deg r / deg p, the p^j from one power table."""
     if p.is_constant():
         raise ConstantP("p must not be constant")
     yring = uni_ring(p.ring.field)
@@ -395,9 +391,8 @@ def member_Kp(r: Poly, p: Poly):
         return None
     d = deg_r // deg_p
     field = p.ring.field
-    powers = [p.ring.one()]
-    for _ in range(d):
-        powers.append(powers[-1] * p)
+    monos = [Poly(yring, {(j,): field.one()}) for j in range(d + 1)]
+    powers = _substitute(monos, [p], [None], [d], p.ring)
     matrix = coefficient_rows(powers + [r], field)
     sol = field_solve([row[:-1] for row in matrix], [row[-1] for row in matrix], field)
     if sol is None:
@@ -436,7 +431,8 @@ def member_Kpq(r: RatFunc, p: Poly, q: Poly, bound: int):
     )
     if rest or d > bound:
         return None
-    basis_polys = [p**j * q ** (d - j) for j in range(d + 1)]
+    monos = [Poly(yring, {(j,): field.one()}) for j in range(d + 1)]
+    basis_polys = _substitute(monos, [p], [q], [d], p.ring)  # p^j q^(d-j)
     cols = [-(den * b) for b in basis_polys] + [num * b for b in basis_polys]
     basis = field_nullspace(coefficient_rows(cols, field), 2 * (d + 1), field)
     if not basis:
@@ -445,9 +441,8 @@ def member_Kpq(r: RatFunc, p: Poly, q: Poly, bound: int):
     f1 = Poly(yring, {(j,): vec[j] for j in range(d + 1)})
     f2 = Poly(yring, {(j,): vec[d + 1 + j] for j in range(d + 1)})
     f1, f2 = f1.scale(field.one() / f2.lc()), f2.monic()
-    if len(basis) > 1 or not cross_equal(
-        num, eval_univar_at_ratio(f2, p, q, d), den, eval_univar_at_ratio(f1, p, q, d)
-    ):
+    f1_at, f2_at = _substitute([f1, f2], [p], [q], [d], p.ring)
+    if len(basis) > 1 or not cross_equal(num, f2_at, den, f1_at):
         raise AssertionFailure(f"no single pair of degree {d} represents r in K(p/q)")
     return f1, f2
 

@@ -11,7 +11,7 @@ import signal
 from contextlib import contextmanager
 from fractions import Fraction
 
-from ratmaps.linalg import coefficient_rows
+from ratmaps.linalg import coefficient_rows, field_nullspace, field_solve
 from ratmaps.errors import (
     AssertionFailure,
     DegreeOrder,
@@ -42,7 +42,7 @@ from ratmaps.polyring import (
 )
 from ratmaps.fields import Fp, QQ, _multiplicity
 from ratmaps.homog import uni_ring
-from ratmaps.subfield import adjoin_t
+from ratmaps.subfield import DependenceSearch, _exponents_upto, adjoin_t
 
 
 def random_poly(rng, ring, max_deg=3, n_terms=4, nonzero=False):
@@ -625,6 +625,84 @@ def reference_eval_univar_at_ratio(f: Poly, p: Poly, q: Poly, s: int) -> Poly:
         j = e[0]
         total = total + (p_tab[j] * q_tab[s - j]).scale(c)
     return total
+
+
+# -- references for the power tables: the Poly-product paths ---------------
+#
+# The dependence search, K[p] membership and the pqtrans representations
+# take their powers from one substitution on the packed-int kernel; these
+# are the reduced-RatFunc and Poly-product constructions they replaced.
+
+
+def reference_trdeg_bounded_dependence(h: RatMap, with_t=False, degree_bound=2):
+    """The dependence search on reduced RatFunc products h^e, each step's
+    columns cleared by the lcm of their denominators."""
+    target = adjoin_t(h) if with_t else h
+    comps = list(target.comps)
+    field = target.ring.field
+    rel_ring = PolyRing(field, tuple(f"h{i + 1}" for i in range(len(comps))))
+    independent = 0
+    relations = []
+    prods = {(): RatFunc.from_poly(target.ring.one())}
+    for i in range(len(comps)):
+        exps = _exponents_upto(i + 1, degree_bound)
+        cols = []
+        for e in exps:
+            if e not in prods:
+                base = prods[e[:-1] + (e[-1] - 1,)] if e[-1] else prods[e[:-1]]
+                prods[e] = base * comps[i] if e[-1] else base
+            cols.append(prods[e])
+        _, cleared = clear_denominators(cols)
+        basis = field_nullspace(coefficient_rows(cleared, field), len(cols), field)
+        found = next((v for v in basis if any(c for e, c in zip(exps, v) if e[-1])), None)
+        if found is None:
+            independent += 1
+        else:
+            terms = {}
+            for e, c in zip(exps, found):
+                if c:
+                    terms[e + (0,) * (len(comps) - len(e))] = c
+            relations.append(Poly(rel_ring, terms))
+    note = (
+        "no dependence found within the bound"
+        if not relations
+        else f"{len(relations)} dependence(s) found"
+    )
+    return DependenceSearch(independent, False, relations, note)
+
+
+def reference_member_Kp(r: Poly, p: Poly):
+    """member_Kp for nonconstant r, with p^0 .. p^d as Poly products."""
+    deg_r, deg_p = r.total_degree(), p.total_degree()
+    if deg_r % deg_p:
+        return None
+    field = p.ring.field
+    powers = [p.ring.one()]
+    for _ in range(deg_r // deg_p):
+        powers.append(powers[-1] * p)
+    matrix = coefficient_rows(powers + [r], field)
+    sol = field_solve([row[:-1] for row in matrix], [row[-1] for row in matrix], field)
+    if sol is None:
+        return None
+    return Poly(uni_ring(field), {(i,): c for i, c in enumerate(sol)})
+
+
+def reference_pqtrans_rep(f1: Poly, f2: Poly, mode: str, eps, theta):
+    """(f1*, f2*) of pqtrans: f(y - eps) by Poly powers, or
+    (y - eps)^s f(1/(y - eps) + theta) as q^s f(p/q) by Poly powers."""
+    yring = f2.ring
+    y_eps = yring.var(0) - yring.const(eps)
+    if mode == "shift":
+        return tuple(reference_compose_poly(f, [y_eps], yring) for f in (f1, f2))
+    s = int(max(f1.total_degree(), f2.total_degree()))
+    num = yring.one() + y_eps.scale(theta)
+    return tuple(reference_eval_univar_at_ratio(f, num, y_eps, s) for f in (f1, f2))
+
+
+def reference_cleared_at(f1: Poly, f2: Poly, p: Poly, q: Poly):
+    """(q^s f1(p/q), q^s f2(p/q)) for s = max(deg f1, deg f2), by Poly powers."""
+    s = int(max(f1.total_degree(), f2.total_degree(), 0))
+    return tuple(reference_eval_univar_at_ratio(f, p, q, s) for f in (f1, f2))
 
 
 # -- references for the cleared identities: the RatFunc paths -------------

@@ -109,6 +109,16 @@ def test_trdeg_char_p_fallback(capsys):
     assert data["trdeg"] == 2 and data["certified"] is False
 
 
+def test_trdeg_char_p_search_builds_its_columns_without_gcds(capsys):
+    # columns built as reduced RatFunc products, cleared by their lcm,
+    # took several times this limit at bound 7
+    h = "(x1^2/(x2+1), x1*x2/(x1+x2^2+3), (x2^3+x1)/(x1^2+x2))"
+    with time_limit(4):
+        code, data, _ = run_json(capsys, "trdeg", h, "--field", "fp:32003", "--bound", "7")
+    assert code == 0
+    assert data["trdeg"] == 3 and data["certified"] is False
+
+
 def test_member_kpq_bound_flag(capsys):
     code, data, _ = run_json(
         capsys, "member-kpq", "(x2^2)/(x1^2)", "x1", "x2", "--bound", "2"

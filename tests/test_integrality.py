@@ -3,13 +3,21 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_nonzero_poly, random_poly, reference_relation_vanishes, seeded
+from conftest import (
+    random_nonzero_poly,
+    random_poly,
+    reference_cleared_at,
+    reference_pqtrans_rep,
+    reference_relation_vanishes,
+    seeded,
+)
 from ratmaps.errors import ConstantPart, ConstantRatio, DegenerateImage
 from ratmaps.fields import PrimeField, QQ
 from ratmaps.homog import uni_ring
 from ratmaps.integrality import (
     ProjPoint,
     ReducedPair,
+    _cleared_at,
     _vanishes_at,
     integral_over_KG,
     integral_over_Kg,
@@ -297,3 +305,33 @@ def test_constant_ratio_matches_reduced_fraction_random(field):
         assert constant == expected, (p, q)
         seen.add(constant)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_power_tables_match_poly_product_references_random(field):
+    # _cleared_at and pqtrans's shift and invert representations against
+    # Poly-product formulas, with f1 = 0, constant f and s = 0 among them
+    rng = seeded(93)
+    yring = uni_ring(field)
+    ring = PolyRing(field, ("x1", "x2"))
+    seen = set()
+    for _ in range(80):
+        kind = rng.randrange(4)
+        f1 = yring.zero() if kind == 0 else random_poly(rng, yring, 3 * (kind > 1), 3)
+        f2 = random_nonzero_poly(rng, yring, 3 * (kind != 1), 3)
+        p, q = random_poly(rng, ring, 2, 3), random_nonzero_poly(rng, ring, 2, 3)
+        expected = reference_cleared_at(f1, f2, p, q)
+        if expected[1].is_zero():
+            with pytest.raises(ConstantRatio):
+                _cleared_at(f1, f2, p, q)
+            continue
+        assert _cleared_at(f1, f2, p, q) == expected
+        eps, theta = (field.from_int(rng.randint(-3, 3)) for _ in range(2))
+        for mode in ("shift", "invert"):
+            try:
+                _, _, rep = pqtrans(p, q, (f1, f2), mode, eps=eps, theta=theta)
+            except (DegenerateImage, ConstantRatio):
+                continue
+            assert rep == reference_pqtrans_rep(f1, f2, mode, eps, theta)
+            seen.add((mode, kind))
+    assert len(seen) == 8

@@ -23,12 +23,13 @@ from conftest import (
 from ratmaps import polyring
 from ratmaps.errors import (
     AllZero,
+    FieldMismatch,
     InternalCheckError,
     NotDivisible,
     RingMismatch,
     ZeroMap,
 )
-from ratmaps.fields import PrimeField, QQ
+from ratmaps.fields import Fp, PrimeField, QQ
 from ratmaps.polyring import (
     NEG_INF,
     POS_INF,
@@ -55,6 +56,30 @@ from ratmaps.polyring import (
 R2 = PolyRing(QQ, ("x1", "x2"))
 X1, X2 = R2.var(0), R2.var(1)
 ONE = R2.one()
+
+
+def test_coefficients_from_another_field_are_rejected():
+    gf7 = PolyRing(PrimeField(7), ("x1",))
+    for ring, bad in [
+        (gf7, Fraction(1, 2)),
+        (gf7, Fp(3, 5)),
+        (gf7, True),
+        (R2, Fp(3, 5)),
+        (R2, 1.5),
+        (R2, "1"),
+        (R2, True),
+    ]:
+        one = (0,) * ring.nvars
+        with pytest.raises(FieldMismatch):
+            ring.poly({one: bad})
+        with pytest.raises(FieldMismatch):
+            ring.poly({(1,) + one[1:]: ring.field.one(), one: bad})
+        with pytest.raises(FieldMismatch):
+            ring.const(bad)
+    # ints and the ring's own elements are accepted
+    assert gf7.poly({(1,): Fp(3, 7), (0,): 9}) == gf7.var(0).scale(Fp(3, 7)) + gf7.const(2)
+    assert R2.poly({(1, 0): Fraction(1, 2), (0, 0): 1}) == X1.scale(Fraction(1, 2)) + ONE
+    assert R2.const(Fraction(2, 3)) * R2.const(3) == R2.const(2)
 
 
 def test_poly_arith_examples():

@@ -9,11 +9,14 @@ from conftest import (
     random_nonzero_poly,
     random_poly,
     random_ratfunc,
+    reference_member_Kp,
     reference_member_Kpq,
+    reference_trdeg_bounded_dependence,
     reference_trdeg_rank,
     seeded,
     time_limit,
 )
+from ratmaps import polyring
 from ratmaps.errors import (
     AssertionFailure,
     BothConstant,
@@ -30,13 +33,16 @@ from ratmaps.polyring import (
     PolyRing,
     RatFunc,
     RatMap,
+    compose_poly,
     eval_univar_at_ratio,
     is_primitive,
+    relabel,
 )
 from ratmaps.subfield import (
     LurothWitness,
     _exponents_upto,
     Mobius,
+    adjoin_t,
     enother_chain,
     gcd_subst_homog,
     gcd_subst_uni,
@@ -187,6 +193,71 @@ def test_bounded_dependence_examples():
 
     res = trdeg_bounded_dependence(RatMap.from_polys([X1, X1**2]), False, 2)
     assert res.value == 1
+
+
+def random_dependence_map(rng, ring):
+    """1-3 random fractions, sometimes zero or constant, often with a
+    planted relation: h3 = h1^2 + h2, h2 = h1^2 or the homogeneous
+    h2 h3 = h1^2, which tH keeps."""
+    comps = [random_ratfunc(rng, ring, 2, 2) for _ in range(rng.randint(1, 3))]
+    shape = rng.randrange(4)
+    if shape == 0 and len(comps) == 3:
+        comps[2] = comps[0] * comps[0] + comps[1]
+    elif shape == 1 and len(comps) == 3 and not comps[1].is_zero():
+        comps[2] = comps[0] * comps[0] / comps[1]
+    elif shape < 3 and len(comps) >= 2:
+        comps[-1] = comps[0] * comps[0]
+    return RatMap(comps)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 101, 32003])
+def test_bounded_dependence_matches_ratfunc_reference_random(p):
+    rng = seeded(30 + p)
+    ring = PolyRing(PrimeField(p), ("x1", "x2"))
+    found = 0
+    for _ in range(40):
+        h = random_dependence_map(rng, ring)
+        bound, with_t = rng.randint(1, 3), rng.random() < 0.5
+        expected = reference_trdeg_bounded_dependence(h, with_t, bound).to_dict()
+        assert trdeg_bounded_dependence(h, with_t, bound).to_dict() == expected, (
+            h,
+            with_t,
+            bound,
+        )
+        found += bool(expected["relations"])
+    assert found >= 5
+
+
+def test_adjoin_t_builds_the_reduced_fraction_random():
+    # num*t/den is taken as reduced without a gcd; the gcd agrees
+    rng = seeded(31)
+    for field in (QQ, PrimeField(7)):
+        ring = PolyRing(field, ("x1", "x2"))
+        ext = PolyRing(field, ("x1", "x2", "t"))
+        for _ in range(20):
+            h = random_dependence_map(rng, ring)
+            for c, ct in zip(h.comps, adjoin_t(h).comps):
+                num, den = (relabel(a, ext, [0, 1]) for a in (c.num, c.den))
+                assert ct == RatFunc(num * ext.var(2), den)
+
+
+def test_bounded_dependence_reaches_no_gcd(monkeypatch):
+    ring = PolyRing(PrimeField(7), ("x1", "x2"))
+    a, b = ring.var(0), ring.var(1)
+    h1 = RatFunc(a**2, b + ring.one())
+    h2 = RatFunc(a * b, a + b**2 + ring.const(3))
+    h3s = [RatFunc(b**3 + a, a**2 + b), h1 * h1 + h2, h1 * h1 / h2]
+    cases = [(RatMap([h1, h2, h3]), with_t) for h3 in h3s for with_t in (False, True)]
+    expected = [trdeg_bounded_dependence(h, with_t, 3).to_dict() for h, with_t in cases]
+    assert expected[2]["relations"] and expected[5]["relations"]
+
+    def forbidden(*args):
+        raise AssertionError("the dependence search reached a gcd or an lcm")
+
+    monkeypatch.setattr(polyring, "_gcd2", forbidden)
+    monkeypatch.setattr(polyring, "poly_lcm", forbidden)
+    for (h, with_t), want in zip(cases, expected):
+        assert trdeg_bounded_dependence(h, with_t, 3).to_dict() == want
 
 
 def test_exponents_upto_matches_filtered_product():
@@ -390,6 +461,29 @@ def test_member_kp_random_soundness():
         f = member_Kp(r, p)
         assert f is not None
         assert compose_poly(f, [p], R2) == r
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(32003)])
+def test_member_kp_matches_power_reference_random(field):
+    rng = seeded(21)
+    ring = PolyRing(field, ("x1", "x2"))
+    yring = uni_ring(field)
+    found = 0
+    for _ in range(40):
+        p = random_nonzero_poly(rng, ring, 2, 3)
+        if p.is_constant():
+            continue
+        if rng.random() < 0.5:
+            r = compose_poly(random_poly(rng, yring, 3, 3), [p], ring)
+        else:
+            r = random_poly(rng, ring, 4, 4)
+        out = member_Kp(r, p)
+        if r.is_constant():
+            assert out is not None and compose_poly(out, [p], ring) == r
+            continue
+        assert out == reference_member_Kp(r, p), (r, p)
+        found += out is not None
+    assert found >= 10
 
 
 def test_member_kpq_examples():
