@@ -136,11 +136,12 @@ class Field:
 
     def element(self, c):
         """c as an element of this field: an int (not a bool) is converted,
-        and anything else but this field's own elements raises FieldMismatch."""
-        if isinstance(c, (Fraction, Fp)) and getattr(c, "p", 0) == self.characteristic:
-            return c
+        and anything else but this field's own elements raises FieldMismatch.
+        Plain type tests: isinstance against Fraction, an ABC, is slow."""
         if isinstance(c, int) and not isinstance(c, bool):
             return self.from_int(c)
+        if type(c) in (Fraction, Fp) and getattr(c, "p", 0) == self.characteristic:
+            return c
         raise FieldMismatch(f"{c!r} is not an element of {self!r}")
 
 

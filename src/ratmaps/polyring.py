@@ -90,13 +90,13 @@ class PolyRing:
     def poly(self, terms: dict) -> Poly:
         """Public constructor: validates exponents, coerces int coefficients
         and rejects a coefficient from another field (FieldMismatch)."""
-        element = self.field.element
+        element, from_int = self.field.element, self.field.from_int
         clean = {}
         for e, c in terms.items():
             e = tuple(e)
             if len(e) != self.nvars or any(k < 0 or not isinstance(k, int) for k in e):
                 raise ValueError(f"bad exponent vector {e}")
-            c = element(c)
+            c = from_int(c) if type(c) is int else element(c)
             if c:
                 clean[e] = c
         return Poly(self, clean)

@@ -45,6 +45,7 @@ from .polyring import (
     _k_mul,
     _k_quotient_rule,
     _substitute,
+    clear_denominators,
     compose_poly,
     cross_equal,
     first_mismatch,
@@ -189,34 +190,35 @@ def trdeg_bounded_dependence(
     the exact transcendence degree (relations beyond the bound may exist),
     hence certified is always False.
 
-    Step k substitutes h_j = N_j / D_j into every monomial y^e of degree
-    <= B = degree_bound in y_1..y_k, each y_j cleared to its B-th power:
-    column e is the polynomial h^e * prod_j D_j^B, from one power table per
-    N_j and D_j on the packed-int kernel, with no gcd.  All columns share
-    the nonzero factor prod_j D_j^B, so their K-linear relations are those
-    of the h^e.
+    Step k clears h_1..h_k over the lcm L of their denominators, h_j =
+    N_j / L, and substitutes y_0 = L, y_j = N_j into every monomial
+    y_0^(B - |e|) y^e with |e| <= B = degree_bound: column e is the
+    polynomial h^e * L^B, from one power table per image on the packed-int
+    kernel.  All columns share the nonzero factor L^B, so their K-linear
+    relations are those of the h^e; the only gcds are the step's lcm of
+    the k denominators, none per column.
     """
     if degree_bound < 1:
         raise InvalidArgument("degree_bound must be at least 1")
     target = adjoin_t(h) if with_t else h
-    field, m = target.ring.field, target.m
-    rel_ring = PolyRing(field, tuple(f"h{i + 1}" for i in range(m)))
-    nums = [c.num for c in target.comps]
-    dens = [None if c.den.is_one() else c.den for c in target.comps]
+    field, m, bound = target.ring.field, target.m, degree_bound
+    names = tuple(f"h{i + 1}" for i in range(m))
+    rel_ring = PolyRing(field, names)
     independent = 0
     relations = []
     for i in range(m):
-        pad = (0,) * (m - i - 1)
-        exps = [e + pad for e in _exponents_upto(i + 1, degree_bound)]
-        monos = [Poly(rel_ring, {e: field.one()}) for e in exps]
-        maxes = [degree_bound] * (i + 1) + [0] * len(pad)
-        cols = _substitute(monos, nums, dens, maxes, target.ring)
+        hom_ring = PolyRing(field, ("h0",) + names[: i + 1])
+        exps = _exponents_upto(i + 1, bound)
+        monos = [Poly(hom_ring, {(bound - sum(e),) + e: field.one()}) for e in exps]
+        lcm, nums = clear_denominators(target.comps[: i + 1])
+        cols = _substitute(monos, [lcm, *nums], [None] * (i + 2), [bound] * (i + 2), target.ring)
         basis = field_nullspace(coefficient_rows(cols, field), len(cols), field)
         found = next((v for v in basis if any(c for e, c in zip(exps, v) if e[i])), None)
         if found is None:
             independent += 1
         else:
-            relations.append(Poly(rel_ring, dict(zip(exps, found))))
+            pad = (0,) * (m - i - 1)
+            relations.append(Poly(rel_ring, {e + pad: c for e, c in zip(exps, found)}))
     note = (
         "no dependence found within the bound"
         if not relations

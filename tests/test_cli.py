@@ -109,14 +109,27 @@ def test_trdeg_char_p_fallback(capsys):
     assert data["trdeg"] == 2 and data["certified"] is False
 
 
-def test_trdeg_char_p_search_builds_its_columns_without_gcds(capsys):
-    # columns built as reduced RatFunc products, cleared by their lcm,
-    # took several times this limit at bound 7
-    h = "(x1^2/(x2+1), x1*x2/(x1+x2^2+3), (x2^3+x1)/(x1^2+x2))"
+@pytest.mark.parametrize(
+    "h, bound, trdeg",
+    [
+        # pairwise coprime denominators: columns built as reduced RatFunc
+        # products and cleared by their lcm took 7.5 s
+        ("(x1^2/(x2+1), x1*x2/(x1+x2^2+3), (x2^3+x1)/(x1^2+x2))", "7", 3),
+        # one shared denominator: columns cleared by the product of the
+        # denominators, not their lcm, took 5.7 s
+        (
+            "((x1^2+x2)/(x1^2*x2+x2^2+1), (x1*x2+1)/(x1^2*x2+x2^2+1),"
+            " (x2^3+x1)/(x1^2*x2+x2^2+1))",
+            "8",
+            2,
+        ),
+    ],
+)
+def test_trdeg_char_p_search_finishes_within_4_s(capsys, h, bound, trdeg):
     with time_limit(4):
-        code, data, _ = run_json(capsys, "trdeg", h, "--field", "fp:32003", "--bound", "7")
+        code, data, _ = run_json(capsys, "trdeg", h, "--field", "fp:32003", "--bound", bound)
     assert code == 0
-    assert data["trdeg"] == 3 and data["certified"] is False
+    assert data["trdeg"] == trdeg and data["certified"] is False
 
 
 def test_member_kpq_bound_flag(capsys):

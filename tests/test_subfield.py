@@ -241,23 +241,34 @@ def test_adjoin_t_builds_the_reduced_fraction_random():
                 assert ct == RatFunc(num * ext.var(2), den)
 
 
-def test_bounded_dependence_reaches_no_gcd(monkeypatch):
+def test_bounded_dependence_gcds_only_clear_the_denominators(monkeypatch):
+    # each step's one gcd per denominator builds their lcm; no column
+    # takes a gcd, so the count does not grow with the bound
     ring = PolyRing(PrimeField(7), ("x1", "x2"))
     a, b = ring.var(0), ring.var(1)
     h1 = RatFunc(a**2, b + ring.one())
     h2 = RatFunc(a * b, a + b**2 + ring.const(3))
     h3s = [RatFunc(b**3 + a, a**2 + b), h1 * h1 + h2, h1 * h1 / h2]
     cases = [(RatMap([h1, h2, h3]), with_t) for h3 in h3s for with_t in (False, True)]
-    expected = [trdeg_bounded_dependence(h, with_t, 3).to_dict() for h, with_t in cases]
+    expected = [trdeg_bounded_dependence(h, with_t, 4).to_dict() for h, with_t in cases]
     assert expected[2]["relations"] and expected[5]["relations"]
 
-    def forbidden(*args):
-        raise AssertionError("the dependence search reached a gcd or an lcm")
+    calls = []
+    real_gcd2 = polyring._gcd2
 
-    monkeypatch.setattr(polyring, "_gcd2", forbidden)
-    monkeypatch.setattr(polyring, "poly_lcm", forbidden)
+    def counted(x, y):
+        calls.append(y)
+        return real_gcd2(x, y)
+
+    monkeypatch.setattr(polyring, "_gcd2", counted)
     for (h, with_t), want in zip(cases, expected):
-        assert trdeg_bounded_dependence(h, with_t, 3).to_dict() == want
+        dens = [c.den for c in (adjoin_t(h) if with_t else h).comps]
+        for bound in (1, 4):
+            calls.clear()
+            got = trdeg_bounded_dependence(h, with_t, bound).to_dict()
+            # steps 2 and 3 take 1 and 2 gcds to join their denominators
+            assert len(calls) <= 3 and all(y in dens for y in calls), (h, with_t, bound)
+        assert got == want
 
 
 def test_exponents_upto_matches_filtered_product():
