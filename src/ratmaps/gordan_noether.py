@@ -8,8 +8,10 @@ the gradients of p and q.  The classifier computes each side independently
 and raises an alarm if they ever disagree: the equivalence is the theorem
 under test, never an assumption.  The trace identity and the witness
 identities, the nilpotency power, the core check and the translation
-identity are decided on cleared numerators, most of them on the packed-int
-kernel: no check reduces a fraction.
+identity are decided on cleared numerators, with every gradient taken on
+the packed-int kernel: no check reduces a fraction.  The classifier clears
+H once; one kernel Jacobian of the core answers condition (2) and the
+characteristic-zero remark.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import (
     ZeroScalar,
 )
 from .homog import HomogTuple, compose_homog_at
-from .linalg import coefficient_rows, independent_subset, poly_matrix_rank
+from .linalg import _bareiss_rank, coefficient_rows, independent_subset
 from .polyring import (
     Poly,
     PolyRing,
@@ -33,18 +35,17 @@ from .polyring import (
     RatMap,
     _k_derivative,
     _k_dot,
+    _k_ints,
     _k_mul,
     _k_quotient_rule,
     _k_sub,
+    _split_content,
     _substitute,
     clear_denominators,
     cross_equal,
-    eval_univar_at_ratio,
     first_mismatch,
     is_primitive,
     on_kernel,
-    poly_jacobian,
-    primitive_part,
     relabel,
 )
 from .records import FrozenRecord, Record
@@ -58,10 +59,11 @@ def _require_square(h: RatMap) -> int:
     return n
 
 
-def _on_cleared_jacobian(h: RatMap, factor: int, fn):
-    """fn(K, N, m) on the kernel for H = N / D and JH = m / D^2, with products
-    of degree at most factor * deg (D, N); over QQ one integer scales all."""
-    d, nums = clear_denominators(h.comps)
+def _on_cleared_jacobian(cleared, factor: int, fn):
+    """fn(K, N, m) on the kernel for cleared = (D, N), H = N / D and JH =
+    m / D^2, with products of degree at most factor * deg (D, N); over QQ
+    one integer scales all."""
+    d, nums = cleared
     deg = max(p.total_degree() for p in (d, *nums) if not p.is_zero())
 
     def run(K, packed):
@@ -75,7 +77,7 @@ def _trace_conditions(h: RatMap):
     """(JH . H = tr JH . H, JH . H = 0), decided on cleared numerators:
     over D^3, JH . H is m . N and tr JH . H is tr m times N."""
     _require_square(h)
-    return _on_cleared_jacobian(h, 3, _trace_sides)
+    return _on_cleared_jacobian(clear_denominators(h.comps), 3, _trace_sides)
 
 
 def _trace_sides(K, nums, m):
@@ -87,6 +89,14 @@ def _trace_sides(K, nums, m):
         zero = zero and not lhs
         qt = qt and not _k_sub(lhs, _k_mul(nums[k], trace, K), K)
     return qt, zero
+
+
+def _core_sides(K, nums, m):
+    """(condition (2), J(core) . core = 0) for the polynomial core nums with
+    Jacobian m (see bivariate_core_check)."""
+    trace = _k_dot([{0: 1}] * len(m), [row[i] for i, row in enumerate(m)], K)
+    zero = not any(_k_dot(nums, row, K) for row in m)
+    return not trace and _annihilates(K, m, nums), zero
 
 
 def qt_condition(h: RatMap) -> bool:
@@ -146,7 +156,7 @@ def translation_invariance(h: RatMap) -> bool:
 def nilpotent_jacobian(h: RatMap) -> bool:
     """Whether (JH)^n = 0 over K(x): JH = m / D^2, so iff m^n = 0 on the kernel."""
     n = _require_square(h)
-    return _on_cleared_jacobian(h, 2 * n, _nilpotent)
+    return _on_cleared_jacobian(clear_denominators(h.comps), 2 * n, _nilpotent)
 
 
 def _nilpotent(K, nums, m):
@@ -159,16 +169,17 @@ def _nilpotent(K, nums, m):
     return not any(any(row) for row in power)
 
 
-def _annihilates(rows, polys) -> bool:
-    """Whether row . v = 0 for every row and every coefficient vector v of polys."""
-    ring = rows[0][0].ring
-    for vec in coefficient_rows(polys, ring.field):
-        for row in rows:
-            dot = ring.zero()
-            for j, c in enumerate(vec):
-                dot = dot + row[j].scale(c)
-            if not dot.is_zero():
-                return False
+def _gradients(K, ts) -> list:
+    return [[_k_derivative(t, j, K) for j in range(K.n)] for t in ts]
+
+
+def _annihilates(K, grads, ints) -> bool:
+    """Whether g . c = 0 for every row g of grads and every coefficient
+    vector c of ints, int polynomials on one scale (_k_ints)."""
+    for e in {e for t in ints for e in t}:
+        vec = [{0: t[e]} if e in t else {} for t in ints]
+        if any(_k_dot(g, vec, K) for g in grads):
+            return False
     return True
 
 
@@ -183,15 +194,10 @@ def bivariate_core_check(core) -> bool:
     core = tuple(core)
     if not core:
         raise NotSquare("empty tuple")
-    ring = core[0].ring
-    n = ring.nvars
+    n = core[0].ring.nvars
     if len(core) != n:
         raise NotSquare(f"{len(core)} components in {n} variables")
-    jac = poly_jacobian(core, ring)
-    trace = ring.zero()
-    for i in range(n):
-        trace = trace + jac[i][i]
-    return trace.is_zero() and _annihilates(jac, core)
+    return _on_cleared_jacobian((core[0].ring.one(), core), 2, _core_sides)[0]
 
 
 # -- witnesses ---------------------------------------------------------------
@@ -256,11 +262,15 @@ def _verify_cond45(h_map: RatMap, w: GNWitness):
             return False, "gcd(p, q) is not a unit"
     degs = [f.total_degree() for f in fs if not f.is_zero()]
     s = int(max(degs)) if degs else 0
-    cleared = [eval_univar_at_ratio(f, w.p, w.q, s) for f in fs]
+    cleared = _substitute(fs, [w.p], [w.q], [s], w.p.ring)
     k = first_mismatch(h_map, w.g, cleared, w.q**s)
     if k is not None:
         return False, f"H = g*f(p/q) fails at component {k}"
-    if not _annihilates(poly_jacobian((w.p, w.q), w.p.ring), fs):
+    ints = _k_ints(fs)
+    deg = max(t.total_degree() for t in (w.p, w.q) if t.terms)
+    if not on_kernel(
+        [[w.p, w.q]], deg, lambda K, pq: _annihilates(K, _gradients(K, pq[0]), ints)
+    ):
         return False, "Jp . f = Jq . f = 0 fails"
     return True, ""
 
@@ -298,6 +308,7 @@ def gn_classify(h_map: RatMap, witnesses=()) -> GNReport:
     """
     _require_square(h_map)
     report = GNReport(False, False, False)
+    zero = h_map.is_zero()
     if h_map.ring.field.characteristic == 0:
         report.trdeg_tH = trdeg_rank(h_map, with_t=True)
         if report.trdeg_tH > 2:
@@ -305,21 +316,18 @@ def gn_classify(h_map: RatMap, witnesses=()) -> GNReport:
                 f"trdeg K(tH) = {report.trdeg_tH} > 2: the classification "
                 "does not apply"
             )
-    report.qt, report.classical_zero = _trace_conditions(h_map)
-    if h_map.is_zero():
-        report.core = tuple(h_map.ring.zero() for _ in range(h_map.m))
-        report.core_bivariate = True
-    else:
-        _, core = primitive_part(h_map)
-        report.core = core
-        report.core_bivariate = bivariate_core_check(core)
+    cleared = clear_denominators(h_map.comps)
+    report.qt, report.classical_zero = _on_cleared_jacobian(cleared, 3, _trace_sides)
+    report.core = tuple(cleared[1]) if zero else _split_content(cleared[1])[1]
+    report.core_bivariate, core_zero = _on_cleared_jacobian(
+        (h_map.ring.one(), report.core), 2, _core_sides
+    )
     if report.qt != report.core_bivariate:
         raise AssertionFailure(
             "conditions (1) and (2) disagree; the classification theorem "
             "forbids this"
         )
-    if h_map.ring.field.characteristic == 0 and not h_map.is_zero():
-        core_zero = classical_gn_condition(RatMap.from_polys(report.core))
+    if h_map.ring.field.characteristic == 0 and not zero:
         report.char_zero_remark = {
             "core_jh_dot_h_zero": core_zero,
             "agrees_with_qt": core_zero == report.qt,
@@ -366,24 +374,22 @@ def flem_conclude(fs, p: Poly, q: Poly, mode: str) -> bool:
     if mode not in ("i", "ii"):
         raise ValueError(f"unknown mode {mode!r}")
     s = int(max(f.total_degree() for f in fs if not f.is_zero()))
-    group = [p, q, *(eval_univar_at_ratio(f, p, q, s) for f in fs)]
-    if mode == "i":
-        group += [eval_univar_at_ratio(f.derivative(0), p, q, s) for f in fs]
+    ders = [f.derivative(0) for f in fs] if mode == "i" else []
+    group = [p, q, *_substitute([*fs, *ders], [p], [q], [s], ring)]
+    ints = _k_ints(fs)
 
     def dots(K, packed):
         kp, kq, *at = packed[0]
-        grad = _k_quotient_rule(kp, kq, n, K)
-        if mode == "i":
-            second = _k_dot(grad, at[n:], K)
-        else:
-            second = _k_dot([_k_derivative(kq, j, K) for j in range(n)], at[:n], K)
-        return not _k_dot(grad, at[:n], K) and not second
+        grads = _gradients(K, [kp, kq])
+        ratio = _k_quotient_rule(kp, kq, n, K)
+        second = _k_dot(ratio, at[n:], K) if mode == "i" else _k_dot(grads[1], at, K)
+        hypothesis = not _k_dot(ratio, at[:n], K) and not second
+        if hypothesis and not _annihilates(K, grads, ints):
+            raise AssertionFailure("hypothesis held but Jp . f = Jq . f = 0 failed")
+        return hypothesis
 
     deg = max(t.total_degree() for t in group if not t.is_zero())
-    hypothesis = on_kernel([group], 3 * deg, dots)
-    if hypothesis and not _annihilates(poly_jacobian((p, q), ring), fs):
-        raise AssertionFailure("hypothesis held but Jp . f = Jq . f = 0 failed")
-    return hypothesis
+    return on_kernel([group], 3 * deg, dots)
 
 
 class SpanBoundReport(Record):
@@ -412,18 +418,20 @@ def constant_span_bound(h_map: RatMap) -> SpanBoundReport:
     hold for H.
     """
     n = _require_square(h_map)
-    if not qt_condition(h_map):
+    cleared = clear_denominators(h_map.comps)
+    if not _on_cleared_jacobian(cleared, 3, _trace_sides)[0]:
         raise PreconditionNotVerified("the trace identity does not hold for H")
     field = h_map.ring.field
     if h_map.is_zero():
         return SpanBoundReport([], 0, 0, n, True)
     # the coefficient vectors of H(y) are those of H(x)
-    _, cleared = clear_denominators(h_map.comps)
-    vectors = coefficient_rows(cleared, field)
+    vectors = coefficient_rows(cleared[1], field)
     chosen = independent_subset(vectors, field)
     dim = len(chosen)
-    _, core = primitive_part(h_map)
-    rank_core = poly_matrix_rank(poly_jacobian(core, h_map.ring))
+    core = _split_content(cleared[1])[1]
+    rank_core = _on_cleared_jacobian(
+        (h_map.ring.one(), core), 2 * n, lambda K, _, m: _bareiss_rank(K, m)
+    )
     bound = n - rank_core
     return SpanBoundReport(
         [vectors[i] for i in chosen], dim, rank_core, bound, dim <= bound

@@ -25,8 +25,8 @@ from .polyring import (
     PolyRing,
     RatFunc,
     RatMap,
+    _substitute,
     compose_poly,
-    eval_univar_at_ratio,
     first_mismatch,
     gcd_many,
     tuple_degrees,
@@ -165,7 +165,7 @@ def hfc_decompose(h_map: RatMap, i: int, p: Poly, q: Poly, f: UniTuple):
     fi = f.polys[i]
     if fi.is_zero():
         raise WitnessRejected("witness component at the pivot index is zero")
-    cleared = [eval_univar_at_ratio(fk, p, q, s) for fk in f.polys]
+    cleared = _substitute(f.polys, [p], [q], [s], p.ring)
     if cleared[i].is_zero():
         raise WitnessRejected("f_i(p/q) vanishes")
     pivot = h_map[i]

@@ -114,15 +114,6 @@ def independent_subset(vectors, field):
     return _eliminate([list(col) for col in zip(*vectors)], field)[1]
 
 
-class PackedMatrix(list):
-    """Rows of kernel polynomials on the packing K, which poly_matrix_rank
-    takes in place of Poly rows; K must hold bareiss_bound of the matrix."""
-
-    def __init__(self, rows, K):
-        super().__init__(rows)
-        self.K = K
-
-
 def bareiss_bound(nrows: int, ncols: int, deg: int) -> int:
     """Top total degree in Bareiss on entries of degree <= deg: after k pivots
     entries are minors of degree (k+1)*deg, so products reach 2*min(m-1, n)*deg."""
@@ -137,8 +128,6 @@ def poly_matrix_rank(rows) -> int:
     polynomials; Bareiss is fraction free, so every division by the
     previous pivot is exact in Z[x] (resp. GF(p)[x]).
     """
-    if isinstance(rows, PackedMatrix):
-        return _bareiss_rank(rows.K, [list(r) for r in rows])
     if not rows or not rows[0]:
         return 0
     deg = max((p.total_degree() for r in rows for p in r if p.terms), default=0)

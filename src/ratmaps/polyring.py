@@ -21,9 +21,11 @@ integer kernel, in one routine.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from fractions import Fraction
+from operator import neg
 
 from .errors import (
     AllZero,
@@ -234,23 +236,34 @@ class Poly:
         if self.is_zero():
             return self
         eb, cb = b.lead_term()
+        rest = [(e2, c2) for e2, c2 in b.terms.items() if e2 != eb]
         rem = dict(self.terms)
         quot = {}
-        while rem:
-            er = max(rem, key=_grlex)
-            cr = rem[er]
-            e = tuple(a - bb for a, bb in zip(er, eb))
+        # the monomials of rem on a heap under their negated grlex keys, so
+        # the top is the leading one; a monomial cancelled from rem stays on
+        # the heap and is skipped when it surfaces
+        heap = [(-sum(e), tuple(map(neg, e)), e) for e in rem]
+        heapq.heapify(heap)
+        while heap:
+            er = heapq.heappop(heap)[2]
+            cr = rem.pop(er, None)
+            if cr is None:
+                continue
+            e = tuple([a - bb for a, bb in zip(er, eb)])
             if any(k < 0 for k in e):
                 raise NotDivisible("leading monomial does not divide")
             c = cr / cb
             quot[e] = c
-            for e2, c2 in b.terms.items():
-                key = tuple(a + bb for a, bb in zip(e, e2))
+            # the product with b's leading term cancels er, popped above
+            for e2, c2 in rest:
+                key = tuple([a + bb for a, bb in zip(e, e2)])
                 acc = rem.get(key)
-                v = -(c * c2) if acc is None else acc - c * c2
-                if v:
+                if acc is None:
+                    rem[key] = -(c * c2)
+                    heapq.heappush(heap, (-sum(key), tuple(map(neg, key)), key))
+                elif v := acc - c * c2:
                     rem[key] = v
-                elif acc is not None:
+                else:
                     del rem[key]
         return Poly(self.ring, quot)
 
@@ -1298,10 +1311,6 @@ def jacobian(h: RatMap):
     return [[h[i].derivative(j) for j in range(n)] for i in range(h.m)]
 
 
-def poly_jacobian(polys, ring: PolyRing):
-    return [[p.derivative(j) for j in range(ring.nvars)] for p in polys]
-
-
 def primitive_part(h: RatMap):
     """Decompose h = g * core with core a primitive polynomial tuple.
 
@@ -1311,9 +1320,14 @@ def primitive_part(h: RatMap):
     if h.is_zero():
         raise ZeroMap("the zero map has no primitive part")
     d, nums = clear_denominators(h.comps)
-    g = gcd_many(nums)
-    core = tuple(n.divexact(g) if not n.is_zero() else n for n in nums)
+    g, core = _split_content(nums)
     return RatFunc(g, d), core
+
+
+def _split_content(nums):
+    """(g, nums / g) for g the monic gcd of nums, which has a nonzero entry."""
+    g = gcd_many(nums)
+    return g, tuple(n.divexact(g) if not n.is_zero() else n for n in nums)
 
 
 # -- substitution ----------------------------------------------------------

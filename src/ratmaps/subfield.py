@@ -28,14 +28,13 @@ from .errors import (
     WitnessRejected,
     ZeroDenominator,
 )
-from .homog import HomogTuple, compose_homog_at, degree_formula, uni_ring
+from .homog import HomogTuple, bi_ring, compose_homog_at, degree_formula, uni_ring
 from .linalg import (
-    PackedMatrix,
+    _bareiss_rank,
     bareiss_bound,
     coefficient_rows,
     field_nullspace,
     field_solve,
-    poly_matrix_rank,
 )
 from .polyring import (
     Poly,
@@ -155,7 +154,7 @@ def trdeg_rank(h: RatMap, with_t: bool = False) -> int:
             if with_t:
                 row.append(_k_mul(num, den, K))
             rows.append(row)
-        return poly_matrix_rank(PackedMatrix(rows, K))
+        return _bareiss_rank(K, rows)
 
     groups = [[c.num, c.den] for c in h.comps]
     return on_kernel(groups, bareiss_bound(h.m, ncols, 2 * deg), rank)
@@ -433,9 +432,10 @@ def member_Kpq(r: RatFunc, p: Poly, q: Poly, bound: int):
     )
     if rest or d > bound:
         return None
-    monos = [Poly(yring, {(j,): field.one()}) for j in range(d + 1)]
-    basis_polys = _substitute(monos, [p], [q], [d], p.ring)  # p^j q^(d-j)
-    cols = [-(den * b) for b in basis_polys] + [num * b for b in basis_polys]
+    # -y^j and z y^j at y = p/q (degree d), z = num/den (degree 1)
+    one, yz = field.one(), bi_ring(field)
+    monos = [Poly(yz, {(j, k): one if k else -one}) for k in (0, 1) for j in range(d + 1)]
+    cols = _substitute(monos, [p, num], [q, den], [d, 1], p.ring)
     basis = field_nullspace(coefficient_rows(cols, field), 2 * (d + 1), field)
     if not basis:
         return None

@@ -18,6 +18,7 @@ from ratmaps.errors import (
     IndeterminateComposition,
     IndeterminateForm,
     NotCoprime,
+    NotDivisible,
     NotSquare,
     ParseError,
     RingMismatch,
@@ -36,7 +37,6 @@ from ratmaps.polyring import (
     gcd_many,
     is_primitive,
     jacobian,
-    poly_jacobian,
     relabel,
     subst,
 )
@@ -290,6 +290,28 @@ def certify_coprime_by_resultant(a, b, rng, attempts=8):
 # the library ran over GF(p) before that kernel, kept here as the oracle.
 
 
+def reference_divexact(a: Poly, b: Poly) -> Poly:
+    """Exact division that rescans the remainder for its grlex-leading term
+    at every step; raises NotDivisible as Poly.divexact does."""
+    eb = max(b.terms, key=lambda e: (sum(e), e))
+    cb = b.terms[eb]
+    rem, quot = dict(a.terms), {}
+    while rem:
+        er = max(rem, key=lambda e: (sum(e), e))
+        e = tuple(x - y for x, y in zip(er, eb))
+        if any(k < 0 for k in e):
+            raise NotDivisible("leading monomial does not divide")
+        quot[e] = c = rem[er] / cb
+        for e2, c2 in b.terms.items():
+            key = tuple(x + y for x, y in zip(e, e2))
+            v = rem.get(key, a.ring.field.zero()) - c * c2
+            if v:
+                rem[key] = v
+            else:
+                rem.pop(key, None)
+    return Poly(a.ring, quot)
+
+
 def reference_prem(a, b, j):
     """Pseudo-remainder of a by b in variable j, scaled by b's leading
     coefficient at every step; the callers take primitive parts afterwards."""
@@ -531,6 +553,32 @@ def reference_trdeg_rank(h, with_t):
     return reference_poly_matrix_rank([clear_denominators(r)[1] for r in jac])
 
 
+def _reference_primitive(polys) -> bool:
+    nz = [f for f in polys if not f.is_zero()]
+    return bool(nz) and reference_gcd_many(nz).is_one()
+
+
+def reference_verify_cond45(h, w):
+    """(verified, reason) for a cond4 or cond5 witness, on normalised
+    rational functions and Poly gradients."""
+    fs = tuple(w.f) if w.f is not None else None
+    if fs is None or len(fs) != h.m:
+        return False, "f is missing or has the wrong number of components"
+    if w.q.is_zero():
+        return False, "q is zero, f(p/q) undefined"
+    if w.kind == "cond5":
+        if not _reference_primitive(fs):
+            return False, "gcd of the components of f is not a unit"
+        if not _reference_primitive([w.p, w.q]):
+            return False, "gcd(p, q) is not a unit"
+    k = reference_cond45_failure(h, w.g, w.p, w.q, fs)
+    if k is not None:
+        return False, f"H = g*f(p/q) fails at component {k}"
+    if not _reference_gradients_annihilate(fs, w.p, w.q):
+        return False, "Jp . f = Jq . f = 0 fails"
+    return True, ""
+
+
 def reference_cond45_failure(h, g, p, q, fs):
     """The first component k with H_k != g * f_k(p/q), in normalised
     rational functions, or None."""
@@ -738,6 +786,11 @@ def reference_nilpotent_jacobian(h: RatMap) -> bool:
             return True
         power = _reference_mat_mul(power, jac, h.ring)
     return all(entry.is_zero() for row in power for entry in row)
+
+
+def poly_jacobian(polys, ring):
+    """The Jacobian of a polynomial tuple, one Poly derivative per entry."""
+    return [[p.derivative(j) for j in range(ring.nvars)] for p in polys]
 
 
 def reference_bivariate_core_check(core) -> bool:

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -5,24 +6,38 @@ import pytest
 import time
 
 from conftest import (
+    poly_jacobian,
     random_cond45_case,
     random_nonzero_poly,
     random_poly,
+    random_ratfunc,
     random_square_map,
     reference_bivariate_core_check,
     reference_cleared_sides,
     reference_cond45_failure,
     reference_flem_conclude,
     reference_nilpotent_jacobian,
+    reference_poly_matrix_rank,
     reference_translation_invariance,
+    reference_verify_cond45,
     seeded,
 )
-from ratmaps.errors import DegreeOrder, NotSquare, PreconditionNotVerified, ZeroScalar
+from ratmaps import gordan_noether, polyring
+from ratmaps.errors import (
+    DegreeOrder,
+    NotSquare,
+    PreconditionNotVerified,
+    TrdegTooLarge,
+    ZeroScalar,
+)
 from ratmaps.fields import PrimeField, QQ
 from ratmaps.homog import HomogTuple, bi_ring, uni_ring
 from ratmaps.gordan_noether import (
     GNWitness,
+    _core_sides,
+    _on_cleared_jacobian,
     _trace_conditions,
+    _verify_cond45,
     bivariate_core_check,
     classical_gn_condition,
     constant_span_bound,
@@ -43,6 +58,7 @@ from ratmaps.polyring import (
     eval_univar_at_ratio,
     first_mismatch,
     is_primitive,
+    primitive_part,
     relabel,
 )
 
@@ -660,3 +676,134 @@ def test_flem_conclude_over_gf32003_is_fast(mode):
     start = time.perf_counter()
     assert flem_conclude(fs, p, q, mode) is False
     assert time.perf_counter() - start < 2.0
+
+
+# -- one clearing and one kernel Jacobian per map ------------------------------
+
+
+def _count_calls(monkeypatch, targets, counts):
+    """Count calls of each (module, name) in counts[name]."""
+    for module, name in targets:
+        real = getattr(module, name)
+
+        def counted(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+
+CLEARING = [(polyring, "clear_denominators"), (gordan_noether, "clear_denominators")]
+
+
+def test_gn_classify_clears_template_maps_once_without_a_gcd(monkeypatch):
+    # the parent cleared H for the trace identity, for the primitive part and
+    # for the core's remark, and reduced g = gcd / D, which it threw away
+    rng = seeded(93)
+    cases = []
+    while len(cases) < 20:
+        h, fs, p, q, g = _cond4_template(rng)
+        if not h[2].den.is_constant():
+            cases.append((h, GNWitness("cond4", g, p, q, f=fs)))
+    counts = Counter()
+    _count_calls(monkeypatch, CLEARING + [(polyring, "_gcd2")], counts)
+    for h, w in cases:
+        counts.clear()
+        report = gn_classify(h, [w])
+        assert report.qt and report.core_bivariate and report.witnesses[0].verified
+        assert counts == {"clear_denominators": 1}, (h, counts)
+
+
+def test_constant_span_bound_clears_h_once(monkeypatch):
+    rng = seeded(94)
+    maps = [_cond4_template(rng)[0] for _ in range(10)]
+    for field in (QQ, PrimeField(7)):
+        ring = _ring(field, 3)
+        for _ in range(30):
+            h = random_square_map(rng, ring)
+            if not h.is_zero() and qt_condition(h):
+                maps.append(h)
+            # (a, b, 0)/d in x3 alone: JH . H = 0, and rank J(core) = 1 unless
+            # a and b are proportional
+            a, b, d = (_only_after(random_poly(rng, ring, 3, 3), 1) for _ in range(3))
+            if d.is_zero() or (a.is_zero() and b.is_zero()):
+                continue
+            maps.append(RatMap([RatFunc(a, d), RatFunc(b, d), RatFunc.from_poly(ring.zero())]))
+    counts = Counter()
+    _count_calls(monkeypatch, CLEARING, counts)
+    ranks = set()
+    for h in maps:
+        counts.clear()
+        rep = constant_span_bound(h)
+        assert counts == {"clear_denominators": 1}, (h, counts)
+        core = primitive_part(h)[1]
+        assert rep.rank_core == reference_poly_matrix_rank(poly_jacobian(core, h.ring)), h
+        ranks.add(rep.rank_core)
+    assert len(ranks) > 1, ranks
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(7), PrimeField(32003)])
+def test_core_jacobian_dot_core_matches_classical_condition_random(field):
+    rng = seeded(91)
+    seen = set()
+    for n in (1, 2, 3):
+        ring = _ring(field, n)
+        for _ in range(30):
+            if rng.random() < 0.5:
+                core = tuple(c.num for c in random_square_map(rng, ring))
+            else:
+                core = tuple(random_poly(rng, ring, 2, 2) for _ in range(n))
+            as_map = RatMap.from_polys(core)
+            zero = _on_cleared_jacobian((ring.one(), core), 2, _core_sides)[1]
+            assert zero == classical_gn_condition(as_map), core
+            assert zero == all(e.is_zero() for e in reference_cleared_sides(as_map)[0])
+            seen.add(zero)
+    assert seen == {True, False}
+
+
+def test_char_zero_remark_matches_classical_condition_of_core_random():
+    rng = seeded(92)
+    maps = [_cond4_template(rng)[0] for _ in range(20)]
+    maps += [random_square_map(rng, _ring(QQ, n)) for n in (1, 2) for _ in range(40)]
+    seen = set()
+    for h in maps:
+        if h.is_zero():
+            continue
+        try:
+            report = gn_classify(h)
+        except TrdegTooLarge:
+            continue
+        assert report.core == primitive_part(h)[1], h
+        expected = classical_gn_condition(RatMap.from_polys(report.core))
+        remark = report.char_zero_remark
+        assert remark["core_jh_dot_h_zero"] is expected, h
+        assert remark["agrees_with_qt"] is (expected == report.qt), h
+        seen.add((expected, report.qt))
+    # in characteristic zero the remark always agrees with the trace identity
+    assert seen == {(True, True), (False, False)}, seen
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(7), PrimeField(32003)])
+def test_verify_cond45_matches_reference_random(field):
+    rng = seeded(95)
+    reasons = set()
+    for n, fdeg, pdeg in ((2, 3, 2), (3, 2, 1)):
+        ring = _ring(field, n)
+        for _ in range(25):
+            if rng.random() < 0.3:
+                h, g, p, q, fs, _ = random_cond45_case(rng, ring)
+            else:
+                fs, p, q = _flem_case(rng, ring, fdeg, pdeg)
+                g = random_ratfunc(rng, ring, 1, 2)
+                degs = [f.total_degree() for f in fs if not f.is_zero()]
+                s = int(max(degs)) if degs else 0
+                comps = [g * RatFunc(eval_univar_at_ratio(f, p, q, s), q**s) for f in fs]
+                if rng.random() < 0.2:
+                    k = rng.randrange(n)
+                    comps[k] = comps[k] + RatFunc.from_poly(ring.one())
+                h = RatMap(comps)
+            w = GNWitness(rng.choice(["cond4", "cond5"]), g, p, q, f=fs)
+            verdict = _verify_cond45(h, w)
+            assert verdict == reference_verify_cond45(h, w), (h, w)
+            reasons.add(verdict[1].split(" at component")[0])
+    assert {"", "H = g*f(p/q) fails", "Jp . f = Jq . f = 0 fails"} <= reasons, reasons

@@ -14,6 +14,7 @@ from conftest import (
     random_ratfunc,
     reference_compose_poly,
     reference_compose_poly_ratfunc,
+    reference_divexact,
     reference_eval_univar_at_ratio,
     reference_gcd2,
     reference_gcd_many,
@@ -1004,3 +1005,59 @@ def test_prs_guard_stops_a_remainder_that_keeps_its_degree(monkeypatch):
             with time_limit(10), pytest.raises(InternalCheckError):
                 polyring._gcd2(a, b)
             assert time.perf_counter() - start < 5
+
+
+# -- exact division without rescanning the remainder ---------------------------
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)])
+def test_divexact_does_not_rescan_the_remainder(field, monkeypatch):
+    # a 1,771-term quotient: rescanning the remainder for its leading term
+    # at every step calls _grlex about 1.7 million times and takes about
+    # 0.5 s; the heap of monomials needs no _grlex call beyond lead_term's
+    ring = PolyRing(field, ("x1", "x2", "x3"))
+    x1, x2, x3 = ring.var(0), ring.var(1), ring.var(2)
+    b = x1 - x2 + ring.const(2)
+    q = (x1 + x2 + x3 + ring.one()) ** 20
+    a = q * b
+    calls = 0
+    real = polyring._grlex
+
+    def counted(e):
+        nonlocal calls
+        calls += 1
+        return real(e)
+
+    monkeypatch.setattr(polyring, "_grlex", counted)
+    start = time.perf_counter()
+    assert a.divexact(b) == q
+    assert time.perf_counter() - start < 0.3
+    assert calls <= len(b.terms), calls
+    with pytest.raises(NotDivisible):
+        (a + x3**25).divexact(b)
+    with pytest.raises(NotDivisible):
+        (a + ring.one()).divexact(b)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(7), PrimeField(32003)])
+def test_divexact_matches_rescanning_reference_random(field):
+    rng = seeded(96)
+    seen = set()
+    for n in (1, 2, 3):
+        ring = PolyRing(field, tuple(f"x{i + 1}" for i in range(n)))
+        for _ in range(40):
+            b = random_nonzero_poly(rng, ring, 3, 3)
+            a = random_poly(rng, ring, 3, 4) * b
+            if rng.random() < 0.5:
+                a = a + random_poly(rng, ring, 4, 2)
+            try:
+                expected = reference_divexact(a, b)
+            except NotDivisible:
+                expected = NotDivisible
+            try:
+                got = a.divexact(b)
+            except NotDivisible:
+                got = NotDivisible
+            assert got == expected, (a, b)
+            seen.add(got is NotDivisible)
+    assert seen == {True, False}
