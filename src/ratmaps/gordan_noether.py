@@ -10,8 +10,8 @@ under test, never an assumption.  The trace identity and the witness
 identities, the nilpotency power, the core check and the translation
 identity are decided on cleared numerators, with every gradient taken on
 the packed-int kernel: no check reduces a fraction.  The classifier clears
-H once; one kernel Jacobian of the core answers condition (2) and the
-characteristic-zero remark.
+H once; one kernel Jacobian of H answers (1) and trdeg K(tH), one of the
+core answers (2) and the characteristic-zero remark.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from .errors import (
     TrdegTooLarge,
     ZeroScalar,
 )
-from .homog import HomogTuple, compose_homog_at
-from .linalg import _bareiss_rank, coefficient_rows, independent_subset
+from .homog import HomogTuple, bi_ring
+from .linalg import _bareiss_rank, bareiss_bound, coefficient_rows, independent_subset
 from .polyring import (
     Poly,
     PolyRing,
@@ -49,7 +49,6 @@ from .polyring import (
     relabel,
 )
 from .records import FrozenRecord, Record
-from .subfield import trdeg_rank
 
 
 def _require_square(h: RatMap) -> int:
@@ -89,6 +88,14 @@ def _trace_sides(K, nums, m):
         zero = zero and not lhs
         qt = qt and not _k_sub(lhs, _k_mul(nums[k], trace, K), K)
     return qt, zero
+
+
+def _classify_sides(K, nums, m):
+    """_trace_sides and, in characteristic zero, trdeg K(tH) = rank [m | N]:
+    D^2 times row k of J(tH) over (x, t) is [t m_k, D N_k], and column
+    scalings (by t, by D and over QQ by the clearing integer) keep the rank."""
+    rank = None if K.mod else _bareiss_rank(K, [[*r, nk] for r, nk in zip(m, nums)])
+    return (*_trace_sides(K, nums, m), rank)
 
 
 def _core_sides(K, nums, m):
@@ -227,46 +234,45 @@ class WitnessVerdict(Record):
         return {"kind": self.kind, "verified": self.verified, "reason": self.reason}
 
 
-def _verify_cond3(h_map: RatMap, w: GNWitness):
-    if not is_primitive([w.p, w.q]):
-        return False, "gcd(p, q) is not a unit"
-    if w.h is None:
-        hp = [h_map.ring.zero()] * h_map.m
-    else:
-        if not isinstance(w.h, HomogTuple):
-            return False, "h must be a HomogTuple or None"
-        if len(w.h.polys) != h_map.m:
-            return False, "h has the wrong number of components"
-        c = h_map.ring.field.characteristic
-        if w.h.degree > 0 and c > 0 and w.h.degree % c == 0:
-            return False, "characteristic divides deg h"
-        hp = [compose_homog_at(comp, w.p, w.q) for comp in w.h.polys]
-    k = first_mismatch(h_map, w.g, hp, h_map.ring.one())
-    if k is not None:
-        return False, f"H = g*h(p,q) fails at component {k}"
-    if not classical_gn_condition(RatMap.from_polys(hp)):
-        return False, "J(h(p,q)) . h(p,q) is nonzero"
-    return True, ""
-
-
-def _verify_cond45(h_map: RatMap, w: GNWitness):
-    fs = tuple(w.f) if w.f is not None else None
-    if fs is None or len(fs) != h_map.m:
-        return False, "f is missing or has the wrong number of components"
-    if w.q.is_zero():
-        return False, "q is zero, f(p/q) undefined"
-    if w.kind == "cond5":
-        if not is_primitive(fs):
-            return False, "gcd of the components of f is not a unit"
+def _verify_witness(h_map: RatMap, w: GNWitness):
+    """(verified, reason): one substitution of the blocks and 1 gives F, F(1)
+    (h(p, q), 1 for cond3; q^s f(p/q), q^s for cond4 and cond5), then
+    H = g F / F(1) and J(F) . F = 0 (_trace_sides), resp. Jp . f = Jq . f = 0."""
+    m, c = h_map.m, h_map.ring.field.characteristic
+    if w.kind == "cond3":
         if not is_primitive([w.p, w.q]):
             return False, "gcd(p, q) is not a unit"
-    degs = [f.total_degree() for f in fs if not f.is_zero()]
-    s = int(max(degs)) if degs else 0
-    cleared = _substitute(fs, [w.p], [w.q], [s], w.p.ring)
-    k = first_mismatch(h_map, w.g, cleared, w.q**s)
+        if w.h is not None and not isinstance(w.h, HomogTuple):
+            return False, "h must be a HomogTuple or None"
+        blocks = [bi_ring(h_map.ring.field).zero()] * m if w.h is None else w.h.polys
+        if len(blocks) != m:
+            return False, "h has the wrong number of components"
+        if w.h is not None and w.h.degree > 0 and c > 0 and w.h.degree % c == 0:
+            return False, "characteristic divides deg h"
+        images, dens, shape = [w.p, w.q], [None, None], "h(p,q)"
+    elif w.kind in ("cond4", "cond5"):
+        blocks = tuple(w.f) if w.f is not None else ()
+        if len(blocks) != m:
+            return False, "f is missing or has the wrong number of components"
+        if w.q.is_zero():
+            return False, "q is zero, f(p/q) undefined"
+        if w.kind == "cond5" and not is_primitive(blocks):
+            return False, "gcd of the components of f is not a unit"
+        if w.kind == "cond5" and not is_primitive([w.p, w.q]):
+            return False, "gcd(p, q) is not a unit"
+        images, dens, shape = [w.p], [w.q], "f(p/q)"
+    else:
+        return False, f"unknown witness kind {w.kind!r}"
+    maxes = [max(b.degree_in(j) for b in blocks) for j in range(len(images))]
+    *F, F1 = _substitute([*blocks, blocks[0].ring.one()], images, dens, maxes, w.p.ring)
+    k = first_mismatch(h_map, w.g, F, F1)
     if k is not None:
-        return False, f"H = g*f(p/q) fails at component {k}"
-    ints = _k_ints(fs)
+        return False, f"H = g*{shape} fails at component {k}"
+    if w.kind == "cond3":
+        if not _on_cleared_jacobian((F1, F), 3, _trace_sides)[1]:
+            return False, "J(h(p,q)) . h(p,q) is nonzero"
+        return True, ""
+    ints = _k_ints(blocks)
     deg = max(t.total_degree() for t in (w.p, w.q) if t.terms)
     if not on_kernel(
         [[w.p, w.q]], deg, lambda K, pq: _annihilates(K, _gradients(K, pq[0]), ints)
@@ -303,29 +309,27 @@ def gn_classify(h_map: RatMap, witnesses=()) -> GNReport:
     are always computed; each supplied witness for (3), (4) or (5) is
     verified from scratch.  Any disagreement that the classification
     theorem forbids raises an internal alarm.  In characteristic zero the
-    precondition trdeg K(tH) <= 2 is enforced; in positive characteristic
-    it is the caller's assertion.
+    precondition trdeg K(tH) <= 2 is enforced, on the Jacobian of (1); in
+    positive characteristic it is the caller's assertion.
     """
-    _require_square(h_map)
+    n = _require_square(h_map)
     report = GNReport(False, False, False)
     zero = h_map.is_zero()
-    if h_map.ring.field.characteristic == 0:
-        report.trdeg_tH = trdeg_rank(h_map, with_t=True)
-        if report.trdeg_tH > 2:
-            raise TrdegTooLarge(
-                f"trdeg K(tH) = {report.trdeg_tH} > 2: the classification "
-                "does not apply"
-            )
     cleared = clear_denominators(h_map.comps)
-    report.qt, report.classical_zero = _on_cleared_jacobian(cleared, 3, _trace_sides)
+    report.qt, report.classical_zero, report.trdeg_tH = _on_cleared_jacobian(
+        cleared, max(3, bareiss_bound(n, n + 1, 2)), _classify_sides
+    )
+    if report.trdeg_tH is not None and report.trdeg_tH > 2:
+        raise TrdegTooLarge(
+            f"trdeg K(tH) = {report.trdeg_tH} > 2: the classification does not apply"
+        )
     report.core = tuple(cleared[1]) if zero else _split_content(cleared[1])[1]
     report.core_bivariate, core_zero = _on_cleared_jacobian(
         (h_map.ring.one(), report.core), 2, _core_sides
     )
     if report.qt != report.core_bivariate:
         raise AssertionFailure(
-            "conditions (1) and (2) disagree; the classification theorem "
-            "forbids this"
+            "conditions (1) and (2) disagree; the classification theorem forbids this"
         )
     if h_map.ring.field.characteristic == 0 and not zero:
         report.char_zero_remark = {
@@ -333,12 +337,7 @@ def gn_classify(h_map: RatMap, witnesses=()) -> GNReport:
             "agrees_with_qt": core_zero == report.qt,
         }
     for w in witnesses:
-        if w.kind == "cond3":
-            ok, reason = _verify_cond3(h_map, w)
-        elif w.kind in ("cond4", "cond5"):
-            ok, reason = _verify_cond45(h_map, w)
-        else:
-            ok, reason = False, f"unknown witness kind {w.kind!r}"
+        ok, reason = _verify_witness(h_map, w)
         report.witnesses.append(WitnessVerdict(w.kind, ok, reason))
         if ok and not report.qt:
             raise AssertionFailure(

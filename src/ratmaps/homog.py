@@ -196,9 +196,7 @@ def degree_formula(h: HomogTuple, p: Poly, q: Poly):
     dp = tuple_degrees([p, q])
     expect_deg = s * dp.deg
     expect_low = s * dp.lowdeg
-    composed = [
-        compose_homog_at(c, p, q) for c in h.polys
-    ]
+    composed = _substitute(list(h.polys), [p, q], [None, None], [s, s], p.ring)
     if all(c.is_zero() for c in composed):
         raise AssertionFailure("h(p, q) vanished despite the linear-factor filter")
     actual = tuple_degrees(composed)

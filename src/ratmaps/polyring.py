@@ -1326,8 +1326,11 @@ def primitive_part(h: RatMap):
 
 def _split_content(nums):
     """(g, nums / g) for g the monic gcd of nums, which has a nonzero entry."""
-    g = gcd_many(nums)
-    return g, tuple(n.divexact(g) if not n.is_zero() else n for n in nums)
+    nz = [n for n in nums if n.terms]
+    if len(nz) != 1:  # else N / monic(N) is lc(N): no gcd, no division
+        g = gcd_many(nz)
+        return g, tuple(n.divexact(g) if n.terms else n for n in nums)
+    return nz[0].monic(), tuple(n.ring.const(n.lc()) if n.terms else n for n in nums)
 
 
 # -- substitution ----------------------------------------------------------

@@ -583,10 +583,9 @@ def hmgrk2_verify(h_map: RatMap, w: LurothWitness) -> Hmgrk2Report:
     if w.h is not None and len(w.h.polys) != h_map.m:
         raise WitnessRejected("h has the wrong number of components")
 
-    if w.h is None:
-        hp = [ring.zero() for _ in range(h_map.m)]
-    else:
-        hp = [compose_homog_at(c, w.p, w.q) for c in w.h.polys]
+    blocks = [bi_ring(field).zero()] * h_map.m if w.h is None else w.h.polys
+    d = 0 if w.h is None else w.h.degree
+    hp = _substitute(list(blocks), [w.p, w.q], [None, None], [d, d], w.p.ring)
     k = first_mismatch(h_map, w.g, hp, ring.one())
     if k is not None:
         raise WitnessRejected(f"H = g * h(p, q) fails at component {k}")

@@ -34,6 +34,7 @@ from ratmaps.polyring import (
     clear_denominators,
     cross_equal,
     eval_univar_at_ratio,
+    first_mismatch,
     gcd_many,
     is_primitive,
     jacobian,
@@ -41,7 +42,8 @@ from ratmaps.polyring import (
     subst,
 )
 from ratmaps.fields import Fp, QQ, _multiplicity
-from ratmaps.homog import uni_ring
+from ratmaps.gordan_noether import classical_gn_condition
+from ratmaps.homog import HomogTuple, compose_homog_at, uni_ring
 from ratmaps.subfield import DependenceSearch, _exponents_upto, adjoin_t
 
 
@@ -576,6 +578,32 @@ def reference_verify_cond45(h, w):
         return False, f"H = g*f(p/q) fails at component {k}"
     if not _reference_gradients_annihilate(fs, w.p, w.q):
         return False, "Jp . f = Jq . f = 0 fails"
+    return True, ""
+
+
+def reference_verify_cond3(h_map, w):
+    """(verified, reason) for a cond3 witness as the classifier checked it
+    before its one verifier: h(p, q) composed one component at a time, the
+    identity on first_mismatch and J(h(p,q)) . h(p,q) = 0 by the classical
+    condition of the composed map."""
+    if not is_primitive([w.p, w.q]):
+        return False, "gcd(p, q) is not a unit"
+    if w.h is None:
+        hp = [h_map.ring.zero()] * h_map.m
+    else:
+        if not isinstance(w.h, HomogTuple):
+            return False, "h must be a HomogTuple or None"
+        if len(w.h.polys) != h_map.m:
+            return False, "h has the wrong number of components"
+        c = h_map.ring.field.characteristic
+        if w.h.degree > 0 and c > 0 and w.h.degree % c == 0:
+            return False, "characteristic divides deg h"
+        hp = [compose_homog_at(comp, w.p, w.q) for comp in w.h.polys]
+    k = first_mismatch(h_map, w.g, hp, h_map.ring.one())
+    if k is not None:
+        return False, f"H = g*h(p,q) fails at component {k}"
+    if not classical_gn_condition(RatMap.from_polys(hp)):
+        return False, "J(h(p,q)) . h(p,q) is nonzero"
     return True, ""
 
 

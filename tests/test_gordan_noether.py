@@ -8,21 +8,25 @@ import time
 from conftest import (
     poly_jacobian,
     random_cond45_case,
+    random_homog_poly,
     random_nonzero_poly,
     random_poly,
     random_ratfunc,
     random_square_map,
     reference_bivariate_core_check,
     reference_cleared_sides,
+    reference_compose_poly,
     reference_cond45_failure,
     reference_flem_conclude,
     reference_nilpotent_jacobian,
     reference_poly_matrix_rank,
     reference_translation_invariance,
+    reference_trdeg_rank,
+    reference_verify_cond3,
     reference_verify_cond45,
     seeded,
 )
-from ratmaps import gordan_noether, polyring
+from ratmaps import gordan_noether, polyring, subfield
 from ratmaps.errors import (
     DegreeOrder,
     NotSquare,
@@ -37,7 +41,7 @@ from ratmaps.gordan_noether import (
     _core_sides,
     _on_cleared_jacobian,
     _trace_conditions,
-    _verify_cond45,
+    _verify_witness,
     bivariate_core_check,
     classical_gn_condition,
     constant_span_bound,
@@ -61,6 +65,7 @@ from ratmaps.polyring import (
     primitive_part,
     relabel,
 )
+from ratmaps.subfield import trdeg_rank
 
 R2 = PolyRing(QQ, ("x1", "x2"))
 X1, X2 = R2.var(0), R2.var(1)
@@ -803,7 +808,132 @@ def test_verify_cond45_matches_reference_random(field):
                     comps[k] = comps[k] + RatFunc.from_poly(ring.one())
                 h = RatMap(comps)
             w = GNWitness(rng.choice(["cond4", "cond5"]), g, p, q, f=fs)
-            verdict = _verify_cond45(h, w)
+            verdict = _verify_witness(h, w)
             assert verdict == reference_verify_cond45(h, w), (h, w)
             reasons.add(verdict[1].split(" at component")[0])
     assert {"", "H = g*f(p/q) fails", "Jp . f = Jq . f = 0 fails"} <= reasons, reasons
+
+
+def _cond3_case(rng, ring):
+    """(H, witness) for a cond3 witness H = g * h(p, q) in n >= 2 variables.
+
+    Half of the h live on the last component with p and q free of x_n, so
+    that J(h(p,q)) . h(p,q) = 0; the rest spread over every component.  The
+    witness is then kept valid or spoilt in one of the ways a caller can:
+    a wrong g or h, h = None, a plain tuple for h, or the wrong length.  A
+    degree divisible by the characteristic comes up over GF(2) and GF(7).
+    """
+    n, field = ring.nvars, ring.field
+    bring = bi_ring(field)
+    y1 = bring.var(0)
+    last = rng.random() < 0.5
+    p, q = random_poly(rng, ring, 2, 3), random_poly(rng, ring, 2, 3)
+    if last:  # p and q free of x_n
+        p, q = (Poly(ring, {e: c for e, c in t.terms.items() if not e[-1]}) for t in (p, q))
+    char = field.characteristic
+    d = char if char in (2, 7) and rng.random() < 0.15 else rng.randint(1, 3)
+    polys = [bring.zero()] * (n - 1) + [random_homog_poly(rng, bring, d, nonzero=True)]
+    if not last:
+        polys[:-1] = [random_homog_poly(rng, bring, d) for _ in range(n - 1)]
+    g = random_ratfunc(rng, ring, 1, 2)
+    h = HomogTuple(tuple(polys), d)
+    hp = [reference_compose_poly(c, [p, q], ring) for c in polys]
+    comps = [g * RatFunc.from_poly(c) for c in hp]
+    kind = rng.choice(["valid", "valid", "g", "h", "none", "tuple", "length"])
+    if kind == "g":
+        g = g + RatFunc.from_poly(ring.one())
+    elif kind == "h":
+        k = rng.randrange(n)
+        # y1^d alone may cancel the only nonzero component; y2^d cannot then
+        bumped = polys[k] + y1**d
+        polys[k] = bumped if not bumped.is_zero() else polys[k] + bring.var(1) ** d
+        h = HomogTuple(tuple(polys), d)
+    elif kind == "none":
+        h = None
+        if rng.random() < 0.5:
+            comps = [RatFunc.from_poly(ring.zero())] * n
+    elif kind == "tuple":
+        h = tuple(polys)
+    elif kind == "length":
+        h = HomogTuple(tuple(polys) + (y1**d,), d)
+    return RatMap(comps), GNWitness("cond3", g, p, q, h=h)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(7), PrimeField(32003)])
+def test_verify_witness_matches_reference_cond3_random(field):
+    rng = seeded(97)
+    reasons = set()
+    for n in (2, 3):
+        ring = _ring(field, n)
+        for _ in range(40):
+            h, w = _cond3_case(rng, ring)
+            verdict = _verify_witness(h, w)
+            assert verdict == reference_verify_cond3(h, w), (h, w)
+            reasons.add(verdict[1].split(" at component")[0])
+    expected = {
+        "",
+        "gcd(p, q) is not a unit",
+        "h must be a HomogTuple or None",
+        "h has the wrong number of components",
+        "H = g*h(p,q) fails",
+        "J(h(p,q)) . h(p,q) is nonzero",
+    }
+    if field.characteristic in (2, 7):
+        expected.add("characteristic divides deg h")
+    assert expected <= reasons, reasons
+
+
+def test_gn_classify_trdeg_matches_trdeg_rank_random():
+    # gn_classify reads trdeg K(tH) off the Jacobian of its trace identity;
+    # trdeg_rank builds its own rows, one denominator per component
+    rng = seeded(98)
+    ring3 = _ring(QQ, 3)
+    maps = [
+        RatMap.from_polys([ring3.zero()] * 3),
+        RatMap.from_polys([ring3.var(i) for i in range(3)]),
+    ]
+    for n in (1, 2, 3):
+        maps += [random_square_map(rng, _ring(QQ, n)) for _ in range(30)]
+    seen = set()
+    for h in maps:
+        expected = trdeg_rank(h, True)
+        assert expected == reference_trdeg_rank(h, True), h
+        seen.add(expected)
+        if expected > 2:
+            with pytest.raises(TrdegTooLarge) as exc:
+                gn_classify(h)
+            assert str(exc.value) == (
+                f"trdeg K(tH) = {expected} > 2: the classification does not apply"
+            )
+        else:
+            assert gn_classify(h).trdeg_tH == expected, h
+    assert seen == {0, 1, 2, 3}, seen
+    h = random_square_map(rng, _ring(PrimeField(7), 2))
+    assert gn_classify(h).trdeg_tH is None
+
+
+def test_gn_classify_builds_one_jacobian_of_h(monkeypatch):
+    # the parent ran trdeg_rank beside the trace identity, which built the
+    # quotient-rule rows of H a second time: 3n calls per map, not 2n
+    rng = seeded(99)
+    cases = []
+    for _ in range(15):
+        h, fs, p, q, g = _cond4_template(rng)
+        cases.append((h, [GNWitness("cond4", g, p, q, f=fs)]))
+    for field in (QQ, PrimeField(7)):
+        for n in (1, 2, 3):
+            cases += [(random_square_map(rng, _ring(field, n)), []) for _ in range(8)]
+    targets = [(subfield, "trdeg_rank")]
+    targets += [(m, "_k_quotient_rule") for m in (polyring, gordan_noether, subfield)]
+    counts = Counter()
+    _count_calls(monkeypatch, targets, counts)
+    classified = 0
+    for h, witnesses in cases:
+        counts.clear()
+        try:
+            gn_classify(h, witnesses)
+        except TrdegTooLarge:
+            continue
+        assert counts == {"_k_quotient_rule": 2 * h.m}, (h, counts)
+        classified += 1
+    assert classified > 40

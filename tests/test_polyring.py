@@ -38,6 +38,7 @@ from ratmaps.polyring import (
     PolyRing,
     RatFunc,
     RatMap,
+    _split_content,
     clear_denominators,
     compose_poly,
     compose_poly_ratfunc,
@@ -205,6 +206,35 @@ def test_clear_denominators_zero_and_unit_components(field, monkeypatch):
     assert nums == [ring.zero(), (x2 * (x1 - one)).scale(half), x1 * d, one]
     # the zero component and the polynomial one are never divided into d
     assert not any(b.is_one() for b in divisors)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+def test_split_content_lone_entry_matches_divexact_random(field, monkeypatch):
+    # a lone nonzero entry N divided by its monic gcd is the constant lc(N):
+    # no Poly.divexact is needed there, and more entries still divide
+    rng = seeded(100)
+    ring = PolyRing(field, ("x1", "x2", "x3"))
+    cases = []
+    for _ in range(60):
+        nums = [ring.zero()] * rng.randint(1, 3)
+        for k in rng.sample(range(len(nums)), rng.randint(1, len(nums))):
+            nums[k] = random_nonzero_poly(rng, ring, 3, 4)
+            if field == QQ and rng.random() < 0.5:
+                nums[k] = nums[k].scale(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        g = reference_gcd_many(nums)
+        quotients = tuple(reference_divexact(n, g) if n.terms else n for n in nums)
+        cases.append((nums, g, quotients))
+    calls = []
+    real = Poly.divexact
+    monkeypatch.setattr(Poly, "divexact", lambda a, b: calls.append(1) or real(a, b))
+    lone = 0
+    for nums, g, quotients in cases:
+        calls.clear()
+        assert _split_content(nums) == (g, quotients), nums
+        if sum(1 for n in nums if n.terms) == 1:
+            lone += 1
+            assert calls == [], nums
+    assert 10 < lone < len(cases)
 
 
 def test_primitive_part_round_trip_random():
