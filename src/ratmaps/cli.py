@@ -318,11 +318,9 @@ def cmd_pqtrans(args):
 
 
 def cmd_qt_check(args):
-    h = _square_map(args, _exprs(args, 1)[0])
-    return {
-        "qt_condition": gn.qt_condition(h),
-        "jh_dot_h_zero": gn.classical_gn_condition(h),
-    }
+    # both verdicts from one clearing of H
+    qt, zero = gn._trace_conditions(_square_map(args, _exprs(args, 1)[0]))
+    return {"qt_condition": qt, "jh_dot_h_zero": zero}
 
 
 def cmd_gn_classify(args):

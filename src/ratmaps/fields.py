@@ -20,7 +20,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all 64-bit integers."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -91,10 +91,8 @@ class Fp:
         return NotImplemented if o is None else o / self
 
     def __pow__(self, n: int):
-        if n < 0:
-            if self.v == 0:
-                raise DivisionByZero("zero to a negative power")
-            return Fp(pow(self.v, n, self.p), self.p)
+        if n < 0 and self.v == 0:
+            raise DivisionByZero("zero to a negative power")
         return Fp(pow(self.v, n, self.p), self.p)
 
     def __neg__(self):

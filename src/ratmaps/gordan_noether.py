@@ -27,7 +27,7 @@ from .errors import (
     ZeroScalar,
 )
 from .homog import HomogTuple, bi_ring
-from .linalg import _bareiss_rank, bareiss_bound, coefficient_rows, independent_subset
+from .linalg import _bareiss_rank, coefficient_rows, independent_subset
 from .polyring import (
     Poly,
     PolyRing,
@@ -58,25 +58,24 @@ def _require_square(h: RatMap) -> int:
     return n
 
 
-def _on_cleared_jacobian(cleared, factor: int, fn):
+def _on_cleared_jacobian(cleared, fn):
     """fn(K, N, m) on the kernel for cleared = (D, N), H = N / D and JH =
-    m / D^2, with products of degree at most factor * deg (D, N); over QQ
-    one integer scales all."""
+    m / D^2; over QQ one integer scales all.  The slot width is on_kernel's,
+    from deg (D, N)."""
     d, nums = cleared
-    deg = max(p.total_degree() for p in (d, *nums) if not p.is_zero())
 
     def run(K, packed):
         d, *nums = packed[0]
         return fn(K, nums, [_k_quotient_rule(nk, d, len(nums), K) for nk in nums])
 
-    return on_kernel([[d, *nums]], factor * deg, run)
+    return on_kernel([[d, *nums]], run)
 
 
 def _trace_conditions(h: RatMap):
     """(JH . H = tr JH . H, JH . H = 0), decided on cleared numerators:
     over D^3, JH . H is m . N and tr JH . H is tr m times N."""
     _require_square(h)
-    return _on_cleared_jacobian(clear_denominators(h.comps), 3, _trace_sides)
+    return _on_cleared_jacobian(clear_denominators(h.comps), _trace_sides)
 
 
 def _trace_sides(K, nums, m):
@@ -93,7 +92,10 @@ def _trace_sides(K, nums, m):
 def _classify_sides(K, nums, m):
     """_trace_sides and, in characteristic zero, trdeg K(tH) = rank [m | N]:
     D^2 times row k of J(tH) over (x, t) is [t m_k, D N_k], and column
-    scalings (by t, by D and over QQ by the clearing integer) keep the rank."""
+    scalings (by t, by D and over QQ by the clearing integer) keep the rank.
+    Bareiss on [m | N] forms products of degree up to 4(n-1) deg (D, N);
+    where they outgrow the first slot width, the pass reruns wider
+    (_on_packing)."""
     rank = None if K.mod else _bareiss_rank(K, [[*r, nk] for r, nk in zip(m, nums)])
     return (*_trace_sides(K, nums, m), rank)
 
@@ -162,8 +164,8 @@ def translation_invariance(h: RatMap) -> bool:
 
 def nilpotent_jacobian(h: RatMap) -> bool:
     """Whether (JH)^n = 0 over K(x): JH = m / D^2, so iff m^n = 0 on the kernel."""
-    n = _require_square(h)
-    return _on_cleared_jacobian(clear_denominators(h.comps), 2 * n, _nilpotent)
+    _require_square(h)
+    return _on_cleared_jacobian(clear_denominators(h.comps), _nilpotent)
 
 
 def _nilpotent(K, nums, m):
@@ -204,7 +206,7 @@ def bivariate_core_check(core) -> bool:
     n = core[0].ring.nvars
     if len(core) != n:
         raise NotSquare(f"{len(core)} components in {n} variables")
-    return _on_cleared_jacobian((core[0].ring.one(), core), 2, _core_sides)[0]
+    return _on_cleared_jacobian((core[0].ring.one(), core), _core_sides)[0]
 
 
 # -- witnesses ---------------------------------------------------------------
@@ -269,13 +271,12 @@ def _verify_witness(h_map: RatMap, w: GNWitness):
     if k is not None:
         return False, f"H = g*{shape} fails at component {k}"
     if w.kind == "cond3":
-        if not _on_cleared_jacobian((F1, F), 3, _trace_sides)[1]:
+        if not _on_cleared_jacobian((F1, F), _trace_sides)[1]:
             return False, "J(h(p,q)) . h(p,q) is nonzero"
         return True, ""
     ints = _k_ints(blocks)
-    deg = max(t.total_degree() for t in (w.p, w.q) if t.terms)
     if not on_kernel(
-        [[w.p, w.q]], deg, lambda K, pq: _annihilates(K, _gradients(K, pq[0]), ints)
+        [[w.p, w.q]], lambda K, pq: _annihilates(K, _gradients(K, pq[0]), ints)
     ):
         return False, "Jp . f = Jq . f = 0 fails"
     return True, ""
@@ -312,12 +313,12 @@ def gn_classify(h_map: RatMap, witnesses=()) -> GNReport:
     precondition trdeg K(tH) <= 2 is enforced, on the Jacobian of (1); in
     positive characteristic it is the caller's assertion.
     """
-    n = _require_square(h_map)
+    _require_square(h_map)
     report = GNReport(False, False, False)
     zero = h_map.is_zero()
     cleared = clear_denominators(h_map.comps)
     report.qt, report.classical_zero, report.trdeg_tH = _on_cleared_jacobian(
-        cleared, max(3, bareiss_bound(n, n + 1, 2)), _classify_sides
+        cleared, _classify_sides
     )
     if report.trdeg_tH is not None and report.trdeg_tH > 2:
         raise TrdegTooLarge(
@@ -325,7 +326,7 @@ def gn_classify(h_map: RatMap, witnesses=()) -> GNReport:
         )
     report.core = tuple(cleared[1]) if zero else _split_content(cleared[1])[1]
     report.core_bivariate, core_zero = _on_cleared_jacobian(
-        (h_map.ring.one(), report.core), 2, _core_sides
+        (h_map.ring.one(), report.core), _core_sides
     )
     if report.qt != report.core_bivariate:
         raise AssertionFailure(
@@ -387,8 +388,7 @@ def flem_conclude(fs, p: Poly, q: Poly, mode: str) -> bool:
             raise AssertionFailure("hypothesis held but Jp . f = Jq . f = 0 failed")
         return hypothesis
 
-    deg = max(t.total_degree() for t in group if not t.is_zero())
-    return on_kernel([group], 3 * deg, dots)
+    return on_kernel([group], dots)
 
 
 class SpanBoundReport(Record):
@@ -418,7 +418,7 @@ def constant_span_bound(h_map: RatMap) -> SpanBoundReport:
     """
     n = _require_square(h_map)
     cleared = clear_denominators(h_map.comps)
-    if not _on_cleared_jacobian(cleared, 3, _trace_sides)[0]:
+    if not _on_cleared_jacobian(cleared, _trace_sides)[0]:
         raise PreconditionNotVerified("the trace identity does not hold for H")
     field = h_map.ring.field
     if h_map.is_zero():
@@ -429,7 +429,7 @@ def constant_span_bound(h_map: RatMap) -> SpanBoundReport:
     dim = len(chosen)
     core = _split_content(cleared[1])[1]
     rank_core = _on_cleared_jacobian(
-        (h_map.ring.one(), core), 2 * n, lambda K, _, m: _bareiss_rank(K, m)
+        (h_map.ring.one(), core), lambda K, _, m: _bareiss_rank(K, m)
     )
     bound = n - rank_core
     return SpanBoundReport(

@@ -114,12 +114,6 @@ def independent_subset(vectors, field):
     return _eliminate([list(col) for col in zip(*vectors)], field)[1]
 
 
-def bareiss_bound(nrows: int, ncols: int, deg: int) -> int:
-    """Top total degree in Bareiss on entries of degree <= deg: after k pivots
-    entries are minors of degree (k+1)*deg, so products reach 2*min(m-1, n)*deg."""
-    return max(2 * min(nrows - 1, ncols), 1) * deg
-
-
 def poly_matrix_rank(rows) -> int:
     """Rank of a matrix with polynomial entries, by Bareiss elimination.
 
@@ -130,8 +124,7 @@ def poly_matrix_rank(rows) -> int:
     """
     if not rows or not rows[0]:
         return 0
-    deg = max((p.total_degree() for r in rows for p in r if p.terms), default=0)
-    return on_kernel(rows, bareiss_bound(len(rows), len(rows[0]), deg), _bareiss_rank)
+    return on_kernel(rows, _bareiss_rank)
 
 
 def _bareiss_rank(K, work) -> int:

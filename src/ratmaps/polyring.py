@@ -24,6 +24,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+import sys
 from fractions import Fraction
 from operator import neg
 
@@ -370,9 +371,13 @@ def poly_arith(a: Poly, b: Poly, op: str) -> Poly:
 # per operation.  It runs the gcds of both fields, the bulk identities of
 # the classifier (trace identity, Bareiss rank, witness check) and every
 # substitution (_substitute).  _k_ints converts from Poly, _on_packing
-# sizes the slot width and _k_poly converts back, so Poly keeps its tuple
-# keys.  Univariate polynomials over GF(p) are dense ascending residue
-# lists (_uni_*), shared by both gcd paths and by fields.roots_in_K.
+# packs and _k_poly converts back, so Poly keeps its tuple keys.  The slot
+# width has one rule, in _on_packing alone: the first width is read from
+# the inputs' total degree (_first_width), and any product that outgrows
+# it reruns the whole call at double the width, so no caller bounds the
+# degrees it will form.  Univariate polynomials over GF(p) are dense
+# ascending residue lists (_uni_*), shared by both gcd paths and by
+# fields.roots_in_K.
 #
 # _gcd2 runs Brown's modular gcd (_brown) over both fields: over GF(p)
 # directly, over QQ on the cleared integers modulo _PRIMES, with CRT and
@@ -573,36 +578,41 @@ class _Packing:
         return {tuple([key >> sh & mask for sh in shifts]): c for key, c in t.items()}
 
 
-def _first_width(bound: int) -> int:
-    """Slot bits for keys of total degree up to bound, plus a guard bit."""
-    return max(bound, 1).bit_length() + 1
+def _first_width(nvars: int, deg: int) -> int:
+    """Slot bits for inputs of total degree deg: room for the product of
+    two (2 * deg) plus a guard bit, and at least an equal share of one
+    CPython digit among the nvars + 1 slots, since a key that fits in one
+    digit costs no more with wider slots."""
+    floor = sys.int_info.bits_per_digit // (nvars + 1)
+    return max(max(2 * deg, 1).bit_length() + 1, floor)
 
 
-def _on_packing(nvars: int, mod: int, bound: int, fn):
-    """fn(K) on a packing whose slots hold total degree bound; a product that
-    outgrows them anyway (an OverflowError) reruns fn at double the width."""
-    w = _first_width(bound)
+def _on_packing(nvars: int, mod: int, groups, fn):
+    """fn(K, packed), packed mirroring groups (lists of tuple-keyed int
+    dicts) on one packing K.  This is the only place a slot width is
+    chosen: the first from the inputs' total degree alone (_first_width);
+    a product that outgrows it (an OverflowError) reruns fn at double the
+    width."""
+    deg = max((sum(e) for g in groups for t in g for e in t), default=0)
+    w = _first_width(nvars, deg)
     while True:
+        K = _Packing(nvars, w, mod)
         try:
-            return fn(_Packing(nvars, w, mod))
+            return fn(K, [[K.pack(t) for t in g] for g in groups])
         except OverflowError:
             w *= 2
 
 
-def on_kernel(groups, bound: int, fn):
+def on_kernel(groups, fn):
     """fn(K, packed), packed mirroring groups (lists of Poly) on one packing.
 
     Over QQ each group is multiplied by its own positive integer (_k_ints):
-    fn must ask only what such scaling leaves alone.  bound is the largest
-    total degree of any product fn forms.
+    fn must ask only what such scaling leaves alone.  The slot width comes
+    from the degrees of the packed polys (_on_packing).
     """
     ring = next(p.ring for g in groups for p in g)
     ints = [_k_ints(g) for g in groups]
-
-    def run(K):
-        return fn(K, [[K.pack(t) for t in g] for g in ints])
-
-    return _on_packing(ring.nvars, ring.field.characteristic, bound, run)
+    return _on_packing(ring.nvars, ring.field.characteristic, ints, fn)
 
 
 def _k_reduce(t: dict, mod: int) -> dict:
@@ -802,14 +812,11 @@ def _k_gcd(a: dict, b: dict, K: _Packing) -> dict:
 def _prs_gcd(ta: dict, tb: dict, nvars: int, mod: int) -> dict:
     """gcd up to a unit of two tuple-keyed int-coefficient polynomials.
 
-    Coefficients are read in Z (mod 0) or in GF(mod).  The slot width
-    starts from the inputs' largest total degree; a product that outgrows
-    it reruns the whole gcd at double the width.
+    Coefficients are read in Z (mod 0) or in GF(mod).  A pseudo-remainder
+    that outgrows the first slot width (_on_packing) reruns the whole gcd
+    at double the width.
     """
-    bound = 2 * max(sum(e) for t in (ta, tb) for e in t) + 1
-    return _on_packing(
-        nvars, mod, bound, lambda K: K.unpack(_k_gcd(K.pack(ta), K.pack(tb), K))
-    )
+    return _on_packing(nvars, mod, [[ta, tb]], lambda K, t: K.unpack(_k_gcd(*t[0], K)))
 
 
 # -- GF(p) gcds by evaluation and interpolation -----------------------------
@@ -986,14 +993,12 @@ def _crt_gcd(a: dict, b: dict, K: _Packing):
 def _modular_gcd(ta: dict, tb: dict, nvars: int, mod: int):
     """gcd of two nonconstant tuple-keyed int dicts by _brown, or None: over
     GF(mod) the monic gcd, over Z (mod 0, inputs integer-primitive) _crt_gcd."""
-    bound = max(sum(e) for t in (ta, tb) for e in t)
 
-    def run(K):
-        a, b = K.pack(ta), K.pack(tb)
-        g = _brown(a, b, nvars, K) if mod else _crt_gcd(a, b, K)
+    def run(K, ab):
+        g = _brown(*ab[0], nvars, K) if mod else _crt_gcd(*ab[0], K)
         return None if g is None else K.unpack(g)
 
-    return _on_packing(nvars, mod, bound, run)
+    return _on_packing(nvars, mod, [[ta, tb]], run)
 
 
 def _gcd2(a: Poly, b: Poly) -> Poly:
@@ -1063,7 +1068,6 @@ def first_mismatch(h, g, nums, den: Poly):
     """
     m = len(nums)
     group = [g.num, g.den, den, *nums, *(c.num for c in h), *(c.den for c in h)]
-    deg = max(t.total_degree() for t in group if t.terms)
 
     def first(K, packed):
         gn, gd, dk, *rest = packed[0]
@@ -1074,7 +1078,7 @@ def first_mismatch(h, g, nums, den: Poly):
                 return k
         return None
 
-    return on_kernel([group], 3 * deg, first)
+    return on_kernel([group], first)
 
 
 def cross_equal(a: Poly, b: Poly, c: Poly, d: Poly) -> bool:
@@ -1083,13 +1087,12 @@ def cross_equal(a: Poly, b: Poly, c: Poly, d: Poly) -> bool:
     group = [a, b, c, d]
     if any(t.ring != a.ring for t in group):
         raise RingMismatch("cross-multiplied polynomials live in different rings")
-    deg = max((t.total_degree() for t in group if t.terms), default=0)
 
     def equal(K, packed):
         ka, kb, kc, kd = packed[0]
         return _k_mul(ka, kb, K) == _k_mul(kc, kd, K)
 
-    return on_kernel([group], 2 * deg, equal)
+    return on_kernel([group], equal)
 
 
 def require_transcendental(p: Poly, q: Poly):
@@ -1405,8 +1408,7 @@ def _substitute(polys, nums, dens, maxes, target: PolyRing) -> list:
             out.append(_k_poly(target, total, t * s ** sum(maxes)))
         return out
 
-    deg = max(p.total_degree() for p in group if p.terms)
-    return on_kernel([group], sum(maxes) * deg, run)
+    return on_kernel([group], run)
 
 
 def compose_poly(a: Poly, images, target: PolyRing) -> Poly:

@@ -31,7 +31,6 @@ from .errors import (
 from .homog import HomogTuple, bi_ring, compose_homog_at, degree_formula, uni_ring
 from .linalg import (
     _bareiss_rank,
-    bareiss_bound,
     coefficient_rows,
     field_nullspace,
     field_solve,
@@ -144,8 +143,6 @@ def trdeg_rank(h: RatMap, with_t: bool = False) -> int:
         )
     if with_t and "t" in ring.names:
         raise ValueError("the ring already contains a variable named t")
-    ncols = ring.nvars + with_t
-    deg = max(p.total_degree() for c in h.comps for p in (c.num, c.den) if p.terms)
 
     def rank(K, packed):
         rows = []
@@ -157,7 +154,7 @@ def trdeg_rank(h: RatMap, with_t: bool = False) -> int:
         return _bareiss_rank(K, rows)
 
     groups = [[c.num, c.den] for c in h.comps]
-    return on_kernel(groups, bareiss_bound(h.m, ncols, 2 * deg), rank)
+    return on_kernel(groups, rank)
 
 
 class DependenceSearch(Record):
@@ -606,8 +603,8 @@ def hmgrk2_verify(h_map: RatMap, w: LurothWitness) -> Hmgrk2Report:
 
     nonzero_H = not h_map.is_zero()
     prim_hp = is_primitive(hp)
-    prim_h = w.h is not None and is_primitive(w.h.polys)
-    nonzero_h = w.h is not None
+    # a nonzero h that is not primitive was rejected above
+    prim_h = nonzero_h = w.h is not None
     report.add(
         "H != 0 <=> h(p,q) primitive <=> h primitive <=> h != 0",
         nonzero_H == prim_hp == prim_h == nonzero_h,

@@ -93,6 +93,26 @@ def test_verdict_false_still_exits_zero(capsys):
     assert data["jh_dot_h_zero"] is True
 
 
+def test_qt_check_clears_h_once(monkeypatch, capsys):
+    # both verdicts come from one clearing of the denominators of H
+    import ratmaps.gordan_noether as gn
+
+    calls = []
+    real = gn.clear_denominators
+
+    def counted(fracs):
+        calls.append(fracs)
+        return real(fracs)
+
+    monkeypatch.setattr(gn, "clear_denominators", counted)
+    for field in ("q", "fp:7"):
+        calls.clear()
+        code, data, _ = run_json(capsys, "qt-check", "(x2/(x1+1), 0)", "--field", field)
+        assert code == 0
+        assert (data["qt_condition"], data["jh_dot_h_zero"]) == (True, False)
+        assert len(calls) == 1
+
+
 def test_infile(tmp_path, capsys):
     f = tmp_path / "inputs.txt"
     f.write_text("x1\n1 - x1\n")

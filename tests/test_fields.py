@@ -45,6 +45,20 @@ def test_prime_field_construction():
         PrimeField(2**63 + 9)  # beyond the machine-word limit
 
 
+def test_fp_powers():
+    # oracle: repeated multiplication, and the inverse by search
+    for v in range(7):
+        x = Fp(v, 7)
+        for n in range(5):
+            assert x**n == Fp(v**n, 7)
+        if v:
+            inv = next(c for c in range(7) if v * c % 7 == 1)
+            assert x**-1 == Fp(inv, 7)
+            assert x**-2 == Fp(inv * inv, 7)
+    with pytest.raises(DivisionByZero):
+        Fp(0, 7) ** -1
+
+
 def test_is_prime_small():
     primes = [n for n in range(60) if is_prime(n)]
     # oracle: sieve

@@ -759,7 +759,7 @@ def test_core_jacobian_dot_core_matches_classical_condition_random(field):
             else:
                 core = tuple(random_poly(rng, ring, 2, 2) for _ in range(n))
             as_map = RatMap.from_polys(core)
-            zero = _on_cleared_jacobian((ring.one(), core), 2, _core_sides)[1]
+            zero = _on_cleared_jacobian((ring.one(), core), _core_sides)[1]
             assert zero == classical_gn_condition(as_map), core
             assert zero == all(e.is_zero() for e in reference_cleared_sides(as_map)[0])
             seen.add(zero)

@@ -1,4 +1,7 @@
+import itertools
 from fractions import Fraction
+
+import pytest
 
 from conftest import (
     random_cond45_case,
@@ -202,9 +205,52 @@ def test_field_elimination_of_empty_matrices():
         assert independent_subset([[], [], []], field) == []
 
 
+def _determinant(rows):
+    """The Leibniz expansion, one signed product per permutation."""
+    ring = rows[0][0].ring
+    total = ring.zero()
+    for perm in itertools.permutations(range(len(rows))):
+        term = ring.one()
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        odd = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+        total = total - term if odd else total + term
+    return total
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)])
+def test_bareiss_entries_are_minors(field):
+    """Sylvester's identity: after k pivots every entry below them is a
+    (k+1)-minor, so row k stays within degree (k+1)*deg and the last pivot
+    of a nonsingular square matrix is its determinant, up to the sign of
+    the row swaps.  Without the exact division by the previous pivot the
+    entries keep the earlier pivots as factors."""
+    rng = seeded(66)
+    ring = polyring.PolyRing(field, ("x1", "x2", "x3"))
+
+    def eliminate(K, work):
+        rank = linalg._bareiss_rank(K, work)
+        return rank, [[polyring._k_poly(ring, K.unpack(t)) for t in row] for row in work]
+
+    for size in (2, 3, 4, 5):
+        # integer coefficients: the kernel scales no row
+        rows = [
+            [random_nonzero_poly(rng, ring, 2, 3) for _ in range(size)]
+            for _ in range(size)
+        ]
+        deg = max(p.total_degree() for row in rows for p in row)
+        rank, work = polyring.on_kernel(rows, eliminate)
+        det = _determinant(rows)
+        assert not det.is_zero()
+        assert rank == size == reference_poly_matrix_rank(rows)
+        assert work[-1][-1] in (det, -det)
+        for k, row in enumerate(work):
+            assert all(p.total_degree() <= (k + 1) * deg for p in row[k:]), (size, k)
+
+
 def test_kernel_identities_need_no_second_width(monkeypatch):
-    """Each identity sizes its slots from a degree bound known in advance,
-    so it packs once; gcds (which may rerun wider) are not counted."""
+    """At the first slot width each identity packs once on these inputs;
+    gcds (which may rerun wider) are not counted."""
     widths, in_gcd = [], []
 
     class Recording(polyring._Packing):

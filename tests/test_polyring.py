@@ -472,8 +472,8 @@ def test_substitution_checks_rings_and_fields():
 
 
 def test_substitution_packs_once_at_its_first_width(monkeypatch):
-    """A substitution sizes its slots from sum M_i times the largest image
-    degree, so it packs once; the gcds of RatFunc reduction are not counted."""
+    """At the first slot width a substitution of these sizes packs once; the
+    gcds of RatFunc reduction are not counted."""
     widths, in_gcd = [], []
 
     class Recording(polyring._Packing):
@@ -667,7 +667,7 @@ def test_kernel_large_exponents_on_entry():
         a, b = g * (x2**129 + x1), g * (x1**2 * x3**5 + ring.one())
         assert polyring._gcd2(a, b) == g.monic()
     t = {(300, 0, 7): 1, (0, 129, 0): 2, (1, 1, 1): 3, (0, 0, 0): 4, (0, 0, 307): 5}
-    K = polyring._Packing(3, polyring._first_width(307), 0)
+    K = polyring._Packing(3, polyring._first_width(3, 307), 0)
     packed = K.pack(t)
     assert K.unpack(packed) == t
     # integer order on keys is grlex order
@@ -686,26 +686,55 @@ def test_kernel_widens_and_reruns(monkeypatch):
             super().__init__(n, w, mod)
 
     monkeypatch.setattr(polyring, "_Packing", Recording)
-    # total degree 3 gives a product bound of 2*3 + 1 = 7 and a first slot
-    # limit of 7; the pseudo-remainders of this coprime pair outgrow it, so the gcd reruns at double the width
-    w0 = polyring._first_width(7)
-    ta = {(3, 0): 1, (2, 1): -2, (1, 0): -4, (0, 1): -1}
-    tb = {(0, 3): 3, (1, 1): 1, (0, 0): 3}
+    # a coprime pair of total degree 3 in x1, x2, read in 8 variables: a
+    # 30-bit digit holds 9 slots of only 3 bits, so the first width is the
+    # 4 bits that degree 2*3 needs (slot limit 7), and the pseudo-remainders
+    # of the pair outgrow it: the gcd reruns at double the width
+    n = 8
+    pad = (0,) * (n - 2)
+    ta = {e + pad: c for e, c in {(3, 0): 1, (2, 1): -2, (1, 0): -4, (0, 1): -1}.items()}
+    tb = {e + pad: c for e, c in {(0, 3): 3, (1, 1): 1, (0, 0): 3}.items()}
+    w0 = polyring._first_width(n, 3)
+    assert w0 == (2 * 3).bit_length() + 1
     for mod in (0, 2, 32003, MERSENNE_61):
         pair = (ta, tb)
         if mod:
             pair = [{e: c % mod for e, c in t.items() if c % mod} for t in pair]
         widths.clear()
-        assert polyring._prs_gcd(*pair, 2, mod) == {(0, 0): 1}
+        assert polyring._prs_gcd(*pair, n, mod) == {(0,) * n: 1}
         assert widths == [w0, 2 * w0]
-    ring = PolyRing(PrimeField(32003), ("x1", "x2"))
-    a, b = ring.poly(ta), ring.poly(tb)
+    names = tuple(f"x{i + 1}" for i in range(n))
+    for field in (QQ, PrimeField(32003)):
+        ring = PolyRing(field, names)
+        a, b = ring.poly(ta), ring.poly(tb)
+
+        # (a*b)^2 has degree 12 > 7: on_kernel reruns too
+        def square_of_product(K, packed):
+            ab = polyring._k_mul(*packed[0], K)
+            return polyring._k_poly(ring, K.unpack(polyring._k_mul(ab, ab, K)))
+
+        widths.clear()
+        assert polyring.on_kernel([[a, b]], square_of_product) == (a * b) ** 2
+        assert widths == [w0, 2 * w0]
+        # a planted factor of degree 1 takes the inputs to degree 4: a first
+        # width of 5 bits (limit 15) leaves room, so each gcd packs once
+        h = ring.var(0) + ring.var(n - 1)
+        ah, bh = a * h, b * h
+        w1 = polyring._first_width(n, 4)
+        assert w1 == w0 + 1
+        mod = field.characteristic
+        pair = [polyring._k_normal(t, mod) for t in polyring._k_ints([ah, bh])]
+        for name in ("_modular_gcd", "_prs_gcd"):
+            widths.clear()
+            g = getattr(polyring, name)(*pair, n, mod)
+            assert polyring._k_poly(ring, g).monic() == reference_gcd2(ah, bh) == h
+            # _crt_gcd reads its images modulo each prime at the same width
+            assert set(widths) == {w1}, name
     # the PRS behind _gcd2: the modular path, which runs first, switched off
     monkeypatch.setattr(polyring, "_modular_gcd", lambda ta, tb, nvars, p: None)
-    for h in (ring.one(), ring.var(0) + ring.var(1)):
-        widths.clear()
-        assert polyring._gcd2(a * h, b * h) == reference_gcd2(a * h, b * h) == h
-    assert widths == [polyring._first_width(9)]  # a planted factor leaves room
+    widths.clear()
+    assert polyring._gcd2(a, b) == reference_gcd2(a, b) == ring.one()
+    assert widths == [w0, 2 * w0]
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(32003)])
@@ -724,7 +753,7 @@ def test_kernel_helpers_match_poly_arithmetic(field):
                 assert polyring._k_reduce(t, K.mod) == t
                 return Poly(ring, {e: field.from_int(c) for e, c in K.unpack(t).items()})
 
-            return polyring.on_kernel([[a, b]], 8, run)
+            return polyring.on_kernel([[a, b]], run)
 
         # over QQ the pair is scaled by one integer, the lcm of all its
         # denominators: products by its square
@@ -744,7 +773,7 @@ def test_kernel_helpers_match_poly_arithmetic(field):
 
 @pytest.mark.parametrize("mod", [0, 7])
 def test_kernel_divexact_borrow_raises(mod):
-    K = polyring._Packing(2, polyring._first_width(5), mod)
+    K = polyring._Packing(2, polyring._first_width(2, 5), mod)
     x1sq, x2 = K.pack({(2, 0): 1}), K.pack({(0, 1): 1})
     # x1^2 / x2 borrows from x1's slot into x2's: without the guard bit the
     # difference of the keys would read as x1 * x2^(2^w - 1)

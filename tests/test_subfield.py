@@ -16,7 +16,7 @@ from conftest import (
     seeded,
     time_limit,
 )
-from ratmaps import polyring
+from ratmaps import polyring, subfield
 from ratmaps.errors import (
     AssertionFailure,
     BothConstant,
@@ -660,6 +660,32 @@ def test_hmgrk2_verify_zero_map():
     w = LurothWitness(RatFunc.from_poly(R2.one()), None, X1, X2)
     report = hmgrk2_verify(h_map, w)
     assert report.all_ok()
+
+
+def test_hmgrk2_verify_takes_the_gcd_of_h_once(monkeypatch):
+    """h is tested for primitivity once, in the preconditions; the
+    four-way equivalence reads that verdict and prints the same detail."""
+    seen = []
+    real = subfield.is_primitive
+
+    def counted(polys):
+        seen.append(polys)
+        return real(polys)
+
+    monkeypatch.setattr(subfield, "is_primitive", counted)
+    one = RatFunc.from_poly(R2.one())
+    h = HomogTuple((Y1**2, Y1 * Y2, Y2**2), 2)
+    cases = [
+        (RatMap.from_polys([X1**2, X1 * X2, X2**2]), LurothWitness(one, h, X1, X2), "True"),
+        (RatMap.from_polys([R2.zero()] * 3), LurothWitness(one, None, X1, X2), "False"),
+    ]
+    for target, w, verdict in cases:
+        seen.clear()
+        report = hmgrk2_verify(target, w)
+        assert report.all_ok()
+        assert sum(polys is h.polys for polys in seen) == (w.h is not None)
+        item = next(i for i in report.items if i.name.startswith("H != 0"))
+        assert item.detail == ", ".join([verdict] * 4)
 
 
 def test_hmgrk2_verify_char_p_skips_trdeg_checks():
