@@ -66,7 +66,7 @@ def _on_cleared_jacobian(cleared, fn):
 
     def run(K, packed):
         d, *nums = packed[0]
-        return fn(K, nums, [_k_quotient_rule(nk, d, len(nums), K) for nk in nums])
+        return fn(K, nums, [_k_quotient_rule(nk, d, K) for nk in nums])
 
     return on_kernel([[d, *nums]], run)
 
@@ -151,8 +151,7 @@ def translation_invariance(h: RatMap) -> bool:
     images = [ext.var(i) * dens[i] + t * nums[i] for i in range(n)]
     image_dens = [None if c.den.is_one() else dens[i] for i, c in enumerate(h.comps)]
     for k, c in enumerate(h.comps):
-        maxes = [max(c.num.degree_in(j), c.den.degree_in(j)) for j in range(n)]
-        a, b = _substitute([c.num, c.den], images, image_dens, maxes, ext)
+        a, b = _substitute([c.num, c.den], images, image_dens, ext)
         if b.is_zero():
             raise IndeterminateComposition(
                 "denominator vanishes identically after substitution"
@@ -265,8 +264,7 @@ def _verify_witness(h_map: RatMap, w: GNWitness):
         images, dens, shape = [w.p], [w.q], "f(p/q)"
     else:
         return False, f"unknown witness kind {w.kind!r}"
-    maxes = [max(b.degree_in(j) for b in blocks) for j in range(len(images))]
-    *F, F1 = _substitute([*blocks, blocks[0].ring.one()], images, dens, maxes, w.p.ring)
+    *F, F1 = _substitute([*blocks, blocks[0].ring.one()], images, dens, w.p.ring)
     k = first_mismatch(h_map, w.g, F, F1)
     if k is not None:
         return False, f"H = g*{shape} fails at component {k}"
@@ -373,15 +371,14 @@ def flem_conclude(fs, p: Poly, q: Poly, mode: str) -> bool:
         return True
     if mode not in ("i", "ii"):
         raise ValueError(f"unknown mode {mode!r}")
-    s = int(max(f.total_degree() for f in fs if not f.is_zero()))
     ders = [f.derivative(0) for f in fs] if mode == "i" else []
-    group = [p, q, *_substitute([*fs, *ders], [p], [q], [s], ring)]
+    group = [p, q, *_substitute([*fs, *ders], [p], [q], ring)]
     ints = _k_ints(fs)
 
     def dots(K, packed):
         kp, kq, *at = packed[0]
         grads = _gradients(K, [kp, kq])
-        ratio = _k_quotient_rule(kp, kq, n, K)
+        ratio = _k_quotient_rule(kp, kq, K)
         second = _k_dot(ratio, at[n:], K) if mode == "i" else _k_dot(grads[1], at, K)
         hypothesis = not _k_dot(ratio, at[:n], K) and not second
         if hypothesis and not _annihilates(K, grads, ints):

@@ -165,7 +165,7 @@ def hfc_decompose(h_map: RatMap, i: int, p: Poly, q: Poly, f: UniTuple):
     fi = f.polys[i]
     if fi.is_zero():
         raise WitnessRejected("witness component at the pivot index is zero")
-    cleared = _substitute(f.polys, [p], [q], [s], p.ring)
+    cleared = _substitute(f.polys, [p], [q], p.ring)
     if cleared[i].is_zero():
         raise WitnessRejected("f_i(p/q) vanishes")
     pivot = h_map[i]
@@ -196,7 +196,7 @@ def degree_formula(h: HomogTuple, p: Poly, q: Poly):
     dp = tuple_degrees([p, q])
     expect_deg = s * dp.deg
     expect_low = s * dp.lowdeg
-    composed = _substitute(list(h.polys), [p, q], [None, None], [s, s], p.ring)
+    composed = _substitute(list(h.polys), [p, q], [None, None], p.ring)
     if all(c.is_zero() for c in composed):
         raise AssertionFailure("h(p, q) vanished despite the linear-factor filter")
     actual = tuple_degrees(composed)

@@ -102,10 +102,9 @@ def _pair_polys(g):
 
 
 def _cleared_at(f1: Poly, f2: Poly, p: Poly, q: Poly):
-    """(q^s f1(p/q), q^s f2(p/q)) for s = max(deg f1, deg f2), the second
-    nonzero: one substitution, so both share the power tables of p and q."""
-    s = int(max(f1.total_degree(), f2.total_degree(), 0))
-    num, den = _substitute([f1, f2], [p], [q], [s], p.ring)
+    """(q^s f1(p/q), q^s f2(p/q)), the second nonzero, for s = max(deg f1,
+    deg f2): one substitution reads s from both, so they share q^s."""
+    num, den = _substitute([f1, f2], [p], [q], p.ring)
     if den.is_zero():
         raise ConstantRatio("f2(p/q) vanishes")
     return num, den
@@ -206,8 +205,7 @@ def integral_over_Kg(p: Poly, q: Poly, g: ReducedPair) -> IntegralityResult:
 def _vanishes_at(relation: Poly, p: Poly, q: Poly, g: ReducedPair) -> bool:
     """Whether relation(Y, g) cleared at Y = p/q, g = a/b is the zero polynomial."""
     a, b = _cleared_at(g.f1, g.f2, p, q)
-    maxes = [relation.degree_in(0), relation.degree_in(1)]
-    return _substitute([relation], [p, a], [q, b], maxes, p.ring)[0].is_zero()
+    return _substitute([relation], [p, a], [q, b], p.ring)[0].is_zero()
 
 
 def pqtrans(p: Poly, q: Poly, g: ReducedPair, mode: str, eps=None, theta=None):
@@ -228,11 +226,10 @@ def pqtrans(p: Poly, q: Poly, g: ReducedPair, mode: str, eps=None, theta=None):
     eps = zero if eps is None else eps
     yring = f2.ring
     y_eps = yring.var(0) - yring.const(eps)
-    s = int(max(f1.total_degree(), f2.total_degree()))
     if mode == "shift":
         pstar = p + q.scale(eps)
         qstar = q
-        f1s, f2s = _substitute([f1, f2], [y_eps], [None], [s], yring)
+        f1s, f2s = _substitute([f1, f2], [y_eps], [None], yring)
     elif mode == "invert":
         theta = zero if theta is None else theta
         qstar = p - q.scale(theta)
@@ -240,7 +237,7 @@ def pqtrans(p: Poly, q: Poly, g: ReducedPair, mode: str, eps=None, theta=None):
             raise DegenerateImage("p - theta*q is identically zero")
         pstar = q + qstar.scale(eps)
         num = yring.one() + y_eps.scale(theta)
-        f1s, f2s = _substitute([f1, f2], [num], [y_eps], [s], yring)
+        f1s, f2s = _substitute([f1, f2], [num], [y_eps], yring)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     a1, b1 = _cleared_at(f1s, f2s, pstar, qstar)

@@ -370,7 +370,8 @@ def poly_arith(a: Poly, b: Poly, op: str) -> Poly:
 # integers over QQ and residues over GF(p), with no Fraction or Fp object
 # per operation.  It runs the gcds of both fields, the bulk identities of
 # the classifier (trace identity, Bareiss rank, witness check) and every
-# substitution (_substitute).  _k_ints converts from Poly, _on_packing
+# substitution (_substitute, which reads its clearing powers from the
+# polys it substitutes into).  _k_ints converts from Poly, _on_packing
 # packs and _k_poly converts back, so Poly keeps its tuple keys.  The slot
 # width has one rule, in _on_packing alone: the first width is read from
 # the inputs' total degree (_first_width), and any product that outgrows
@@ -680,15 +681,15 @@ def _k_derivative(t: dict, j: int, K: _Packing) -> dict:
     return _k_reduce(out, K.mod) if K.mod else out
 
 
-def _k_quotient_rule(num: dict, den: dict, n: int, K: _Packing) -> list:
-    """[d_i num * den - num * d_i den for i < n]: den^2 times grad(num/den)."""
+def _k_quotient_rule(num: dict, den: dict, K: _Packing) -> list:
+    """[d_i num * den - num * d_i den for i < K.n]: den^2 times grad(num/den)."""
     return [
         _k_sub(
             _k_mul(_k_derivative(num, i, K), den, K),
             _k_mul(num, _k_derivative(den, i, K), K),
             K,
         )
-        for i in range(n)
+        for i in range(K.n)
     ]
 
 
@@ -1363,29 +1364,31 @@ def _k_powers(t: dict, m: int, K: _Packing) -> list:
     return table
 
 
-def _substitute(polys, nums, dens, maxes, target: PolyRing) -> list:
+def _substitute(polys, nums, dens, target: PolyRing) -> list:
     """sum_e c_e prod_i n_i^e_i d_i^(M_i - e_i) for each poly sum_e c_e y^e.
 
-    The images n_i, d_i are Polys in target, d_i None for 1, and M_i =
-    maxes[i] bounds every e_i.  A term has degree M_i in (n_i, d_i), so over
-    QQ the one integer s clearing all images scales every term by s^(sum M);
-    a d_i of 1 becomes s, an integer top-up by s^(M_i - e_i).  The polys
-    are cleared by one integer t; the results are divided by t*s^(sum M).
+    The images n_i, d_i are Polys in target, d_i None for 1, and M_i is the
+    highest e_i over all the polys, so all results share each power of d_i.
+    A term has degree M_i in (n_i, d_i), so over QQ the one integer s
+    clearing all images scales every term by s^(sum M); a d_i of 1 becomes
+    s, an integer top-up by s^(M_i - e_i).  The polys are cleared by one
+    integer t; the results are divided by t*s^(sum M).
     """
     if target.field != polys[0].ring.field:
         raise RingMismatch("composition cannot change the coefficient field")
+    *ints, one = _k_ints([*polys, polys[0].ring.one()])
+    t, exps = one[(0,) * len(nums)], [e for c in ints for e in c]
+    maxes = [max((e[i] for e in exps), default=0) for i in range(len(nums))]
     used = [i for i, m in enumerate(maxes) if m]
     with_den = [i for i in used if dens[i] is not None]
     # a constant 1 rides along in each group: its image {0: s} reads the scale
     group = [target.one(), *(nums[i] for i in used), *(dens[i] for i in with_den)]
     if any(p.ring != target for p in group):
         raise RingMismatch("substitution images must lie in the target ring")
-    *ints, one = _k_ints([*polys, polys[0].ring.one()])
-    t, exps = one[(0,) * len(maxes)], [e for c in ints for e in c]
 
     def run(K, packed):
         s, images = packed[0][0][0], iter(packed[0][1:])
-        ntab = {i: _k_powers(next(images), max(e[i] for e in exps), K) for i in used}
+        ntab = {i: _k_powers(next(images), maxes[i], K) for i in used}
         dtab = {i: _k_powers(next(images), maxes[i], K) for i in with_den}
         out = []
         for c in ints:
@@ -1413,8 +1416,7 @@ def _substitute(polys, nums, dens, maxes, target: PolyRing) -> list:
 
 def compose_poly(a: Poly, images, target: PolyRing) -> Poly:
     """a with variable i replaced by the polynomial images[i]."""
-    maxes = [a.degree_in(j) for j in range(a.ring.nvars)]
-    return _substitute([a], images, [None] * len(maxes), maxes, target)[0]
+    return _substitute([a], images, [None] * len(images), target)[0]
 
 
 def compose_poly_ratfunc(a: Poly, images, target: PolyRing) -> RatFunc:
@@ -1422,14 +1424,14 @@ def compose_poly_ratfunc(a: Poly, images, target: PolyRing) -> RatFunc:
 
     Runs over a common denominator so that only one final reduction is
     needed: with images n_i/d_i and M_i the highest power of variable i
-    in a, the result is (sum_e c_e prod n_i^{e_i} d_i^{M_i-e_i}) / prod d_i^{M_i}.
+    in a, which _substitute reads from a, the result is
+    (sum_e c_e prod n_i^{e_i} d_i^{M_i-e_i}) / prod d_i^{M_i}.
     """
     images = [_as_ratfunc(img, target) for img in images]
-    maxes = [a.degree_in(j) for j in range(a.ring.nvars)]
     nums = [img.num for img in images]
     dens = [None if img.den.is_one() else img.den for img in images]
     # the constant 1 substitutes to the denominator prod d_i^M_i
-    return RatFunc(*_substitute([a, a.ring.one()], nums, dens, maxes, target))
+    return RatFunc(*_substitute([a, a.ring.one()], nums, dens, target))
 
 
 def subst(a, images, target: PolyRing) -> RatFunc:
@@ -1453,9 +1455,9 @@ def eval_univar_at_ratio(f: Poly, p: Poly, q: Poly, s: int) -> Poly:
         raise ValueError("expected a univariate polynomial")
     if f.is_zero():
         return p.ring.zero()
-    if f.total_degree() > s:
+    if (d := f.total_degree()) > s:
         raise ValueError("clearing exponent smaller than the degree")
-    return _substitute([f], [p], [q], [s], p.ring)[0]
+    return _substitute([f], [p], [q], p.ring)[0] * q ** (s - d)
 
 
 # -- canonical text --------------------------------------------------------

@@ -147,7 +147,7 @@ def trdeg_rank(h: RatMap, with_t: bool = False) -> int:
     def rank(K, packed):
         rows = []
         for num, den in packed:
-            row = _k_quotient_rule(num, den, ring.nvars, K)
+            row = _k_quotient_rule(num, den, K)
             if with_t:
                 row.append(_k_mul(num, den, K))
             rows.append(row)
@@ -207,7 +207,7 @@ def trdeg_bounded_dependence(
         exps = _exponents_upto(i + 1, bound)
         monos = [Poly(hom_ring, {(bound - sum(e),) + e: field.one()}) for e in exps]
         lcm, nums = clear_denominators(target.comps[: i + 1])
-        cols = _substitute(monos, [lcm, *nums], [None] * (i + 2), [bound] * (i + 2), target.ring)
+        cols = _substitute(monos, [lcm, *nums], [None] * (i + 2), target.ring)
         basis = field_nullspace(coefficient_rows(cols, field), len(cols), field)
         found = next((v for v in basis if any(c for e, c in zip(exps, v) if e[i])), None)
         if found is None:
@@ -390,7 +390,7 @@ def member_Kp(r: Poly, p: Poly):
     d = deg_r // deg_p
     field = p.ring.field
     monos = [Poly(yring, {(j,): field.one()}) for j in range(d + 1)]
-    powers = _substitute(monos, [p], [None], [d], p.ring)
+    powers = _substitute(monos, [p], [None], p.ring)
     matrix = coefficient_rows(powers + [r], field)
     sol = field_solve([row[:-1] for row in matrix], [row[-1] for row in matrix], field)
     if sol is None:
@@ -432,7 +432,7 @@ def member_Kpq(r: RatFunc, p: Poly, q: Poly, bound: int):
     # -y^j and z y^j at y = p/q (degree d), z = num/den (degree 1)
     one, yz = field.one(), bi_ring(field)
     monos = [Poly(yz, {(j, k): one if k else -one}) for k in (0, 1) for j in range(d + 1)]
-    cols = _substitute(monos, [p, num], [q, den], [d, 1], p.ring)
+    cols = _substitute(monos, [p, num], [q, den], p.ring)
     basis = field_nullspace(coefficient_rows(cols, field), 2 * (d + 1), field)
     if not basis:
         return None
@@ -440,7 +440,7 @@ def member_Kpq(r: RatFunc, p: Poly, q: Poly, bound: int):
     f1 = Poly(yring, {(j,): vec[j] for j in range(d + 1)})
     f2 = Poly(yring, {(j,): vec[d + 1 + j] for j in range(d + 1)})
     f1, f2 = f1.scale(field.one() / f2.lc()), f2.monic()
-    f1_at, f2_at = _substitute([f1, f2], [p], [q], [d], p.ring)
+    f1_at, f2_at = _substitute([f1, f2], [p], [q], p.ring)
     if len(basis) > 1 or not cross_equal(num, f2_at, den, f1_at):
         raise AssertionFailure(f"no single pair of degree {d} represents r in K(p/q)")
     return f1, f2
@@ -581,8 +581,7 @@ def hmgrk2_verify(h_map: RatMap, w: LurothWitness) -> Hmgrk2Report:
         raise WitnessRejected("h has the wrong number of components")
 
     blocks = [bi_ring(field).zero()] * h_map.m if w.h is None else w.h.polys
-    d = 0 if w.h is None else w.h.degree
-    hp = _substitute(list(blocks), [w.p, w.q], [None, None], [d, d], w.p.ring)
+    hp = _substitute(list(blocks), [w.p, w.q], [None, None], w.p.ring)
     k = first_mismatch(h_map, w.g, hp, ring.one())
     if k is not None:
         raise WitnessRejected(f"H = g * h(p, q) fails at component {k}")

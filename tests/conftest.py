@@ -31,6 +31,12 @@ from ratmaps.polyring import (
     RatFunc,
     RatMap,
     _as_ratfunc,
+    _k_addmul,
+    _k_ints,
+    _k_mul,
+    _k_poly,
+    _k_powers,
+    _k_reduce,
     clear_denominators,
     cross_equal,
     eval_univar_at_ratio,
@@ -38,6 +44,7 @@ from ratmaps.polyring import (
     gcd_many,
     is_primitive,
     jacobian,
+    on_kernel,
     relabel,
     subst,
 )
@@ -701,6 +708,59 @@ def reference_eval_univar_at_ratio(f: Poly, p: Poly, q: Poly, s: int) -> Poly:
         j = e[0]
         total = total + (p_tab[j] * q_tab[s - j]).scale(c)
     return total
+
+
+# The packed-int substitution with explicit clearing powers maxes[i].  The
+# library reads M_i as the highest exponent of y_i over the whole tuple;
+# with maxes set to those, the two agree exactly.
+
+
+def reference_substitute(polys, nums, dens, maxes, target: PolyRing) -> list:
+    """sum_e c_e prod_i n_i^e_i d_i^(M_i - e_i) for each poly sum_e c_e y^e.
+
+    The images n_i, d_i are Polys in target, d_i None for 1, and M_i =
+    maxes[i] bounds every e_i.  A term has degree M_i in (n_i, d_i), so over
+    QQ the one integer s clearing all images scales every term by s^(sum M);
+    a d_i of 1 becomes s, an integer top-up by s^(M_i - e_i).  The polys
+    are cleared by one integer t; the results are divided by t*s^(sum M).
+    """
+    if target.field != polys[0].ring.field:
+        raise RingMismatch("composition cannot change the coefficient field")
+    used = [i for i, m in enumerate(maxes) if m]
+    with_den = [i for i in used if dens[i] is not None]
+    # a constant 1 rides along in each group: its image {0: s} reads the scale
+    group = [target.one(), *(nums[i] for i in used), *(dens[i] for i in with_den)]
+    if any(p.ring != target for p in group):
+        raise RingMismatch("substitution images must lie in the target ring")
+    *ints, one = _k_ints([*polys, polys[0].ring.one()])
+    t, exps = one[(0,) * len(maxes)], [e for c in ints for e in c]
+
+    def run(K, packed):
+        s, images = packed[0][0][0], iter(packed[0][1:])
+        ntab = {i: _k_powers(next(images), max(e[i] for e in exps), K) for i in used}
+        dtab = {i: _k_powers(next(images), maxes[i], K) for i in with_den}
+        out = []
+        for c in ints:
+            total = {}
+            for e, coeff in c.items():
+                top, factors = 0, []
+                for i in used:
+                    k, m = e[i], maxes[i]
+                    if k:
+                        factors.append(ntab[i][k])
+                    if i not in dtab:
+                        top += m - k
+                    elif k < m:
+                        factors.append(dtab[i][m - k])
+                head = {0: coeff * s**top}
+                for f in factors[:-1]:
+                    head = _k_mul(head, f, K)
+                _k_addmul(total, head, factors[-1] if factors else {0: 1}, K)
+            total = K.unpack(_k_reduce(total, K.mod))
+            out.append(_k_poly(target, total, t * s ** sum(maxes)))
+        return out
+
+    return on_kernel([group], run)
 
 
 # -- references for the power tables: the Poly-product paths ---------------

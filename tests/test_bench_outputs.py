@@ -1,10 +1,12 @@
-"""Every benchmark member of classify and cli_mix gives its recorded output.
+"""Every benchmark member of every workload gives its recorded output.
 
 The members come from bench/workloads.py (read only: the benchmark's own
 generators build them, as a run does).  tests/data/bench_golden.json holds,
-for each of the 1,200 classify members, a digest of gn_classify(...).to_dict()
-and, for each of the 900 cli_mix members, its exit code and stdout.  A change
-that alters any of them must say why and record them anew:
+for each of the 960 gcd_subst_qq and 720 gcd_subst_fp members, a digest of
+the gcd_subst_homog answer; for each of the 1,200 classify members, a digest
+of gn_classify(...).to_dict(); and for each of the 900 cli_mix members, its
+exit code and stdout.  A change that alters any of them must say why and
+record them anew:
 
     PYTHONPATH=src python tests/test_bench_outputs.py --record
 """
@@ -18,9 +20,11 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 GOLDEN = Path(__file__).resolve().parent / "data" / "bench_golden.json"
-MODULES = ("polyring", "fields", "homog", "gordan_noether", "cli")
+MODULES = ("polyring", "fields", "homog", "subfield", "gordan_noether", "cli")
 
 
 def _workloads():
@@ -39,9 +43,18 @@ def _workloads():
     return workloads.WORKLOADS, lib
 
 
-def _digest(report) -> str:
-    text = json.dumps(report.to_dict(), sort_keys=True)
+def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def gcd_subst_outputs(name):
+    workloads, lib = _workloads()
+    w = workloads[name]
+    out = []
+    for i in range(w.population):
+        answer = w.call(lib, w.build(lib, w.member(i)))
+        out.append(_digest(repr(sorted(answer.items()))))
+    return out
 
 
 def classify_outputs():
@@ -50,7 +63,8 @@ def classify_outputs():
     out = []
     for i in range(w.population):
         h, witness = w.build(lib, w.member(i))
-        out.append(_digest(lib.gordan_noether.gn_classify(h, [witness])))
+        report = lib.gordan_noether.gn_classify(h, [witness])
+        out.append(_digest(json.dumps(report.to_dict(), sort_keys=True)))
     return out
 
 
@@ -70,6 +84,14 @@ def _expected():
     return json.loads(GOLDEN.read_text())
 
 
+@pytest.mark.parametrize("name, population", [("gcd_subst_qq", 960), ("gcd_subst_fp", 720)])
+def test_gcd_subst_answers_match_golden(name, population):
+    expected = _expected()[name]
+    got = gcd_subst_outputs(name)
+    assert len(got) == len(expected) == population
+    assert [i for i, (a, b) in enumerate(zip(got, expected)) if a != b] == []
+
+
 def test_classify_reports_match_golden():
     expected = _expected()["classify"]
     got = classify_outputs()
@@ -87,5 +109,10 @@ def test_cli_mix_outputs_match_golden():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit(__doc__)
-    data = {"classify": classify_outputs(), "cli_mix": cli_outputs()}
+    data = {
+        "gcd_subst_qq": gcd_subst_outputs("gcd_subst_qq"),
+        "gcd_subst_fp": gcd_subst_outputs("gcd_subst_fp"),
+        "classify": classify_outputs(),
+        "cli_mix": cli_outputs(),
+    }
     GOLDEN.write_text(json.dumps(data, indent=0) + "\n")

@@ -18,6 +18,7 @@ from conftest import (
     reference_eval_univar_at_ratio,
     reference_gcd2,
     reference_gcd_many,
+    reference_substitute,
     seeded,
     time_limit,
 )
@@ -39,6 +40,7 @@ from ratmaps.polyring import (
     RatFunc,
     RatMap,
     _split_content,
+    _substitute,
     clear_denominators,
     compose_poly,
     compose_poly_ratfunc,
@@ -450,12 +452,48 @@ def test_eval_univar_at_ratio_matches_reference_random():
             _, tgt = _subst_rings(rng, field)
             f = _subst_source(rng, yring, i % 5)
             p, q = _subst_images(rng, tgt, 2, i % 7)
-            s = int(max(f.total_degree(), 0)) + rng.randint(0, 2)
-            expected = reference_eval_univar_at_ratio(f, p, q, s)
-            assert eval_univar_at_ratio(f, p, q, s) == expected, (f, p, q, s)
+            for k in (0, 1, 2):
+                s = int(max(f.total_degree(), 0)) + k
+                expected = reference_eval_univar_at_ratio(f, p, q, s)
+                assert eval_univar_at_ratio(f, p, q, s) == expected, (f, p, q, s)
             if f.total_degree() > 0:
                 with pytest.raises(ValueError):
                     eval_univar_at_ratio(f, p, q, int(f.total_degree()) - 1)
+
+
+DIFF_FIELDS = (QQ, PrimeField(2), PrimeField(7), PrimeField(32003))
+
+
+def _nonzero_frac_poly(rng, ring):
+    while not (d := _frac_poly(rng, ring, 2, 2)).terms:
+        pass
+    return d
+
+
+def test_substitute_reads_its_clearing_powers_over_the_tuple():
+    """_substitute equals the kernel given maxes[i] = the highest exponent of
+    y_i over the whole tuple; the tuples mix zero, constant and nonconstant
+    polys, and the dens are all None, all given or mixed."""
+    rng = seeded(75)
+    for field in DIFF_FIELDS:
+        for i in range(90):
+            src, tgt = _subst_rings(rng, field)
+            polys = []
+            for _ in range(rng.randint(1, 4)):
+                kind = rng.randrange(3)
+                if kind == 0:
+                    polys.append(src.zero())
+                elif kind == 1:
+                    polys.append(src.const(field.from_int(rng.choice([1, 3, 5]))))
+                else:
+                    polys.append(_subst_source(rng, src, rng.randint(1, 2)))
+            nums = _subst_images(rng, tgt, src.nvars, i % 7)
+            given = [i % 3 == 1 or (i % 3 == 2 and rng.random() < 0.5) for _ in nums]
+            dens = [_nonzero_frac_poly(rng, tgt) if g else None for g in given]
+            exps = [e for a in polys for e in a.terms]
+            maxes = [max((e[j] for e in exps), default=0) for j in range(src.nvars)]
+            expected = reference_substitute(polys, nums, dens, maxes, tgt)
+            assert _substitute(polys, nums, dens, tgt) == expected, (polys, nums, dens)
 
 
 def test_substitution_checks_rings_and_fields():
