@@ -72,10 +72,8 @@ class _Tokens:
                 bad = len(src) - len(stripped)
                 raise ParseError(f"unexpected character {src[bad]!r}", bad)
             pos = m.end()
-            for kind in ("num", "ident", "op"):
-                if m.group(kind) is not None:
-                    self.items.append((kind, m.group(kind), m.start(kind)))
-                    break
+            kind = m.lastgroup
+            self.items.append((kind, m.group(kind), m.start(kind)))
         self.i = 0
 
     def peek(self):

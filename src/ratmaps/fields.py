@@ -312,7 +312,7 @@ def _rational_candidates(f):
     from .polyring import _k_ints, _k_normal
 
     # the coefficients of f cleared to coprime integers
-    ints = {e[0]: c for e, c in _k_normal(_k_ints([f])[0], 0).items()}
+    ints = {e[0]: c for e, c in _k_normal(_k_ints([f])[1][0], 0).items()}
     lo = min(ints)
     cands = {Fraction(0)} if lo > 0 else set()
     a0, ad = ints[lo], ints[max(ints)]

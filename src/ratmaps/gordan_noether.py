@@ -272,7 +272,7 @@ def _verify_witness(h_map: RatMap, w: GNWitness):
         if not _on_cleared_jacobian((F1, F), _trace_sides)[1]:
             return False, "J(h(p,q)) . h(p,q) is nonzero"
         return True, ""
-    ints = _k_ints(blocks)
+    ints = _k_ints(blocks)[1]
     if not on_kernel(
         [[w.p, w.q]], lambda K, pq: _annihilates(K, _gradients(K, pq[0]), ints)
     ):
@@ -373,7 +373,7 @@ def flem_conclude(fs, p: Poly, q: Poly, mode: str) -> bool:
         raise ValueError(f"unknown mode {mode!r}")
     ders = [f.derivative(0) for f in fs] if mode == "i" else []
     group = [p, q, *_substitute([*fs, *ders], [p], [q], ring)]
-    ints = _k_ints(fs)
+    ints = _k_ints(fs)[1]
 
     def dots(K, packed):
         kp, kq, *at = packed[0]

@@ -15,8 +15,8 @@ out, or GF(p) has too few usable evaluation points, one primitive
 polynomial remainder sequence with recursive content extraction decides;
 an unlucky prime or point costs a retry or that fallback, never a wrong
 gcd.  Rational functions are kept reduced with a monic denominator, so
-equality is plain structural equality.  Substitution runs on the same
-integer kernel, in one routine.
+equality is plain structural equality.  Substitution and exact division
+run on the same integer kernel, each in one routine.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import math
 import random
 import sys
 from fractions import Fraction
-from operator import neg
 
 from .errors import (
     AllZero,
@@ -171,11 +170,7 @@ class Poly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             acc = out.get(e)
-            v = c if acc is None else acc + c
-            if v:
-                out[e] = v
-            elif acc is not None:
-                del out[e]
+            out[e] = c if acc is None else acc + c
         return Poly(self.ring, out)
 
     def __sub__(self, other):
@@ -183,11 +178,7 @@ class Poly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             acc = out.get(e)
-            v = -c if acc is None else acc - c
-            if v:
-                out[e] = v
-            elif acc is not None:
-                del out[e]
+            out[e] = -c if acc is None else acc - c
         return Poly(self.ring, out)
 
     def __neg__(self):
@@ -230,43 +221,27 @@ class Poly:
         return hash((self.ring, frozenset(self.terms.items())))
 
     def divexact(self, b: Poly) -> Poly:
-        """The unique quotient self/b; raises NotDivisible otherwise."""
+        """The unique quotient self/b; raises NotDivisible otherwise.
+
+        Runs on the kernel: A = s*self and B = t*b are the int forms, and
+        over QQ B is divided by its integer content c.  By Gauss's lemma in
+        Z[x], A/(B/c) is integral whenever b divides self, and self/b is
+        that quotient times t/(s*c).  Over GF(p), s = t = c = 1.
+        """
         self._check(b)
         if b.is_zero():
             raise DivisionByZero("division by the zero polynomial")
         if self.is_zero():
             return self
-        eb, cb = b.lead_term()
-        rest = [(e2, c2) for e2, c2 in b.terms.items() if e2 != eb]
-        rem = dict(self.terms)
-        quot = {}
-        # the monomials of rem on a heap under their negated grlex keys, so
-        # the top is the leading one; a monomial cancelled from rem stays on
-        # the heap and is skipped when it surfaces
-        heap = [(-sum(e), tuple(map(neg, e)), e) for e in rem]
-        heapq.heapify(heap)
-        while heap:
-            er = heapq.heappop(heap)[2]
-            cr = rem.pop(er, None)
-            if cr is None:
-                continue
-            e = tuple([a - bb for a, bb in zip(er, eb)])
-            if any(k < 0 for k in e):
-                raise NotDivisible("leading monomial does not divide")
-            c = cr / cb
-            quot[e] = c
-            # the product with b's leading term cancels er, popped above
-            for e2, c2 in rest:
-                key = tuple([a + bb for a, bb in zip(e, e2)])
-                acc = rem.get(key)
-                if acc is None:
-                    rem[key] = -(c * c2)
-                    heapq.heappush(heap, (-sum(key), tuple(map(neg, key)), key))
-                elif v := acc - c * c2:
-                    rem[key] = v
-                else:
-                    del rem[key]
-        return Poly(self.ring, quot)
+        ring, mod = self.ring, self.ring.field.characteristic
+        (s, (ta,)), (t, (tb,)) = _k_ints([self]), _k_ints([b])
+        c = 1 if mod else math.gcd(*tb.values())
+        if c != 1:
+            tb = {e: v // c for e, v in tb.items()}
+        quot = _on_packing(
+            ring.nvars, mod, [[ta, tb]], lambda K, ab: K.unpack(_k_divexact(*ab[0], K))
+        )
+        return _k_poly(ring, {e: v * t for e, v in quot.items()}, s * c)
 
     def divides(self, other: Poly) -> bool:
         try:
@@ -278,18 +253,12 @@ class Poly:
     # -- calculus and evaluation ------------------------------------------
 
     def derivative(self, j: int) -> Poly:
-        field = self.ring.field
+        from_int = self.ring.field.from_int
         out = {}
         for e, c in self.terms.items():
-            k = e[j]
-            if k == 0:
-                continue
-            v = c * field.from_int(k)
-            if not v:
-                continue
-            e2 = e[:j] + (k - 1,) + e[j + 1 :]
-            acc = out.get(e2)
-            out[e2] = v if acc is None else acc + v
+            if k := e[j]:
+                # lowering e_j maps distinct monomials to distinct monomials
+                out[e[:j] + (k - 1,) + e[j + 1 :]] = c * from_int(k)
         return Poly(self.ring, out)
 
     def evaluate(self, values):
@@ -369,16 +338,17 @@ def poly_arith(a: Poly, b: Poly, op: str) -> Poly:
 # Kronecker-packed monomials (_Packing) with plain int coefficients, cleared
 # integers over QQ and residues over GF(p), with no Fraction or Fp object
 # per operation.  It runs the gcds of both fields, the bulk identities of
-# the classifier (trace identity, Bareiss rank, witness check) and every
+# the classifier (trace identity, Bareiss rank, witness check), every
 # substitution (_substitute, which reads its clearing powers from the
-# polys it substitutes into).  _k_ints converts from Poly, _on_packing
-# packs and _k_poly converts back, so Poly keeps its tuple keys.  The slot
-# width has one rule, in _on_packing alone: the first width is read from
-# the inputs' total degree (_first_width), and any product that outgrows
-# it reruns the whole call at double the width, so no caller bounds the
-# degrees it will form.  Univariate polynomials over GF(p) are dense
-# ascending residue lists (_uni_*), shared by both gcd paths and by
-# fields.roots_in_K.
+# polys it substitutes into) and every exact division (Poly.divexact on
+# _k_divexact).  _k_ints converts from Poly and returns its clearing
+# integer with the int forms, _on_packing packs and _k_poly converts back,
+# so Poly keeps its tuple keys.  The slot width has one rule, in
+# _on_packing alone: the first width is read from the inputs' total
+# degree (_first_width), and any product that outgrows it reruns the whole
+# call at double the width, so no caller bounds the degrees it will form.
+# Univariate polynomials over GF(p) are dense ascending residue lists
+# (_uni_*), shared by both gcd paths and by fields.roots_in_K.
 #
 # _gcd2 runs Brown's modular gcd (_brown) over both fields: over GF(p)
 # directly, over QQ on the cleared integers modulo _PRIMES, with CRT and
@@ -521,15 +491,16 @@ def _coprime_certified(ta: dict, tb: dict, p: int) -> bool:
 
 
 def _k_ints(polys):
-    """Int-coefficient dicts of the polys: over QQ all times one positive
-    integer (the lcm of their denominators), over GF(p) the residues."""
+    """(s, ints): ints the int-coefficient dicts of the polys, all times the
+    one positive integer s, over QQ the lcm of their denominators; over
+    GF(p) s = 1 and ints are the residues."""
     if polys and polys[0].ring.field == QQ:
-        scale = math.lcm(*{c.denominator for p in polys for c in p.terms.values()})
-        return [
-            {e: c.numerator * (scale // c.denominator) for e, c in p.terms.items()}
+        s = math.lcm(*{c.denominator for p in polys for c in p.terms.values()})
+        return s, [
+            {e: c.numerator * (s // c.denominator) for e, c in p.terms.items()}
             for p in polys
         ]
-    return [{e: c.v for e, c in p.terms.items()} for p in polys]
+    return 1, [{e: c.v for e, c in p.terms.items()} for p in polys]
 
 
 def _k_poly(ring: PolyRing, t: dict, scale: int = 1) -> Poly:
@@ -612,7 +583,7 @@ def on_kernel(groups, fn):
     from the degrees of the packed polys (_on_packing).
     """
     ring = next(p.ring for g in groups for p in g)
-    ints = [_k_ints(g) for g in groups]
+    ints = [_k_ints(g)[1] for g in groups]
     return _on_packing(ring.nvars, ring.field.characteristic, ints, fn)
 
 
@@ -700,24 +671,38 @@ def _k_divexact(a: dict, b: dict, K: _Packing) -> dict:
     mod = K.mod
     eb = max(b)
     cb = b[eb]
+    rest = [(e2, c2) for e2, c2 in b.items() if e2 != eb]
     inv = pow(cb, -1, mod) if mod else None
     rem = dict(a)
     quot = {}
-    while rem:
-        er = max(rem)
+    # the keys of rem on a heap, negated so that the top is the leading one
+    # (int order is grlex order); a key cancelled from rem stays on the heap
+    # and is skipped when it surfaces
+    heap = [-e for e in rem]
+    heapq.heapify(heap)
+    while heap:
+        er = -heapq.heappop(heap)
+        cr = rem.pop(er, None)
+        if cr is None:
+            continue
         e = er - eb
         if e < 0 or e & K.guard:
             raise NotDivisible("leading monomial does not divide")
         if mod:
-            c = rem[er] * inv % mod
+            c = cr * inv % mod
         else:
-            c, leftover = divmod(rem[er], cb)
+            c, leftover = divmod(cr, cb)
             if leftover:
                 raise NotDivisible("integer-polynomial division is not exact")
         quot[e] = c
-        for e2, c2 in b.items():
+        # the product with b's leading term cancels er, popped above
+        for e2, c2 in rest:
             key = e + e2
-            v = rem.get(key, 0) - c * c2
+            acc = rem.get(key)
+            if acc is None:
+                acc = 0
+                heapq.heappush(heap, -key)
+            v = acc - c * c2
             if mod:
                 v %= mod
             if v:
@@ -1018,7 +1003,7 @@ def _gcd2(a: Poly, b: Poly) -> Poly:
     if a.is_constant() or b.is_constant():
         return ring.one()
     mod = ring.field.characteristic
-    ta, tb = _k_ints([a, b])
+    ta, tb = _k_ints([a, b])[1]
     if not mod:
         ta, tb = _k_normal(ta, 0), _k_normal(tb, 0)
         if _coprime_certified(ta, tb, _CERT_PRIME):
@@ -1039,7 +1024,7 @@ def gcd_many(polys) -> Poly:
         if g.is_one():
             return g
         g = _gcd2(g, p)
-    return g.monic()
+    return g
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:
@@ -1108,10 +1093,7 @@ def is_primitive(polys) -> bool:
     In K[x], a GCD-domain and hence a PSP-domain, this certifies
     superprimitivity as well.  The all-zero tuple is not primitive.
     """
-    nz = [p for p in polys if not p.is_zero()]
-    if not nz:
-        return False
-    return gcd_many(nz).is_one()
+    return any(p.terms for p in polys) and gcd_many(polys).is_one()
 
 
 # -- rational functions ----------------------------------------------------
@@ -1376,18 +1358,18 @@ def _substitute(polys, nums, dens, target: PolyRing) -> list:
     """
     if target.field != polys[0].ring.field:
         raise RingMismatch("composition cannot change the coefficient field")
-    *ints, one = _k_ints([*polys, polys[0].ring.one()])
-    t, exps = one[(0,) * len(nums)], [e for c in ints for e in c]
+    t, ints = _k_ints(polys)
+    exps = [e for c in ints for e in c]
     maxes = [max((e[i] for e in exps), default=0) for i in range(len(nums))]
     used = [i for i, m in enumerate(maxes) if m]
     with_den = [i for i in used if dens[i] is not None]
-    # a constant 1 rides along in each group: its image {0: s} reads the scale
-    group = [target.one(), *(nums[i] for i in used), *(dens[i] for i in with_den)]
+    group = [*(nums[i] for i in used), *(dens[i] for i in with_den)]
     if any(p.ring != target for p in group):
         raise RingMismatch("substitution images must lie in the target ring")
+    s, image_ints = _k_ints(group)
 
     def run(K, packed):
-        s, images = packed[0][0][0], iter(packed[0][1:])
+        images = iter(packed[0])
         ntab = {i: _k_powers(next(images), maxes[i], K) for i in used}
         dtab = {i: _k_powers(next(images), maxes[i], K) for i in with_den}
         out = []
@@ -1411,7 +1393,7 @@ def _substitute(polys, nums, dens, target: PolyRing) -> list:
             out.append(_k_poly(target, total, t * s ** sum(maxes)))
         return out
 
-    return on_kernel([group], run)
+    return _on_packing(target.nvars, target.field.characteristic, [image_ints], run)
 
 
 def compose_poly(a: Poly, images, target: PolyRing) -> Poly:

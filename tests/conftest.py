@@ -321,6 +321,43 @@ def reference_divexact(a: Poly, b: Poly) -> Poly:
     return Poly(a.ring, quot)
 
 
+def reference_k_divexact(a: dict, b: dict, K) -> dict:
+    """Exact division of packed int dicts that rescans the remainder for its
+    leading key (max) at every step; raises NotDivisible as
+    polyring._k_divexact does, on a slot borrow, a remainder left over or
+    an inexact integer step over Z."""
+    if b == {0: 1}:
+        return a
+    mod = K.mod
+    eb = max(b)
+    cb = b[eb]
+    inv = pow(cb, -1, mod) if mod else None
+    rem = dict(a)
+    quot = {}
+    while rem:
+        er = max(rem)
+        e = er - eb
+        if e < 0 or e & K.guard:
+            raise NotDivisible("leading monomial does not divide")
+        if mod:
+            c = rem[er] * inv % mod
+        else:
+            c, leftover = divmod(rem[er], cb)
+            if leftover:
+                raise NotDivisible("integer-polynomial division is not exact")
+        quot[e] = c
+        for e2, c2 in b.items():
+            key = e + e2
+            v = rem.get(key, 0) - c * c2
+            if mod:
+                v %= mod
+            if v:
+                rem[key] = v
+            else:
+                rem.pop(key, None)
+    return quot
+
+
 def reference_prem(a, b, j):
     """Pseudo-remainder of a by b in variable j, scaled by b's leading
     coefficient at every step; the callers take primitive parts afterwards."""
@@ -732,7 +769,7 @@ def reference_substitute(polys, nums, dens, maxes, target: PolyRing) -> list:
     group = [target.one(), *(nums[i] for i in used), *(dens[i] for i in with_den)]
     if any(p.ring != target for p in group):
         raise RingMismatch("substitution images must lie in the target ring")
-    *ints, one = _k_ints([*polys, polys[0].ring.one()])
+    *ints, one = _k_ints([*polys, polys[0].ring.one()])[1]
     t, exps = one[(0,) * len(maxes)], [e for c in ints for e in c]
 
     def run(K, packed):

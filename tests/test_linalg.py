@@ -250,26 +250,27 @@ def test_bareiss_entries_are_minors(field):
 
 def test_kernel_identities_need_no_second_width(monkeypatch):
     """At the first slot width each identity packs once on these inputs;
-    gcds (which may rerun wider) are not counted."""
-    widths, in_gcd = [], []
+    gcds (which may rerun wider) and the exact divisions of clearing and
+    reduction (Poly.divexact, which packs once of its own) are not counted."""
+    widths, outside = [], []
 
     class Recording(polyring._Packing):
         __slots__ = ()
 
         def __init__(self, n, w, mod):
-            if not in_gcd:
+            if not outside:
                 widths.append(w)
             super().__init__(n, w, mod)
 
-    def gcd(real):
-        def counted(*args):
-            in_gcd.append(True)
+    def uncounted(real):
+        def run(*args):
+            outside.append(True)
             try:
                 return real(*args)
             finally:
-                in_gcd.pop()
+                outside.pop()
 
-        return counted
+        return run
 
     def once(fn, *args):
         widths.clear()
@@ -280,7 +281,8 @@ def test_kernel_identities_need_no_second_width(monkeypatch):
     rng = seeded(64)
     monkeypatch.setattr(polyring, "_Packing", Recording)
     for name in ("_prs_gcd", "_modular_gcd"):
-        monkeypatch.setattr(polyring, name, gcd(getattr(polyring, name)))
+        monkeypatch.setattr(polyring, name, uncounted(getattr(polyring, name)))
+    monkeypatch.setattr(polyring.Poly, "divexact", uncounted(polyring.Poly.divexact))
     for field in (QQ, PrimeField(32003)):
         ring = polyring.PolyRing(field, ("x1", "x2", "x3"))
         for size in (3, 4, 5):

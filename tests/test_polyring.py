@@ -18,6 +18,7 @@ from conftest import (
     reference_eval_univar_at_ratio,
     reference_gcd2,
     reference_gcd_many,
+    reference_k_divexact,
     reference_substitute,
     seeded,
     time_limit,
@@ -511,26 +512,27 @@ def test_substitution_checks_rings_and_fields():
 
 def test_substitution_packs_once_at_its_first_width(monkeypatch):
     """At the first slot width a substitution of these sizes packs once; the
-    gcds of RatFunc reduction are not counted."""
-    widths, in_gcd = [], []
+    gcds and exact divisions of RatFunc reduction are not counted (the
+    exact division packs once of its own: test_divexact_packs_once)."""
+    widths, outside = [], []
 
     class Recording(polyring._Packing):
         __slots__ = ()
 
         def __init__(self, n, w, mod):
-            if not in_gcd:
+            if not outside:
                 widths.append(w)
             super().__init__(n, w, mod)
 
-    def gcd(real):
-        def counted(*args):
-            in_gcd.append(True)
+    def uncounted(real):
+        def run(*args):
+            outside.append(True)
             try:
                 return real(*args)
             finally:
-                in_gcd.pop()
+                outside.pop()
 
-        return counted
+        return run
 
     def once(fn, *args):
         widths.clear()
@@ -539,7 +541,8 @@ def test_substitution_packs_once_at_its_first_width(monkeypatch):
 
     monkeypatch.setattr(polyring, "_Packing", Recording)
     for name in ("_prs_gcd", "_modular_gcd"):
-        monkeypatch.setattr(polyring, name, gcd(getattr(polyring, name)))
+        monkeypatch.setattr(polyring, name, uncounted(getattr(polyring, name)))
+    monkeypatch.setattr(polyring.Poly, "divexact", uncounted(polyring.Poly.divexact))
     rng = seeded(74)
     for field in (QQ, PrimeField(32003)):
         yring = PolyRing(field, ("y1",))
@@ -588,7 +591,7 @@ def certificate_says_constant(a, b):
     """The certificate on a nonconstant pair: the cleared integers modulo
     _CERT_PRIME over QQ (as _gcd2 feeds it), the residues over GF(p)."""
     if a.ring.field == QQ:
-        ta, tb = (polyring._k_normal(t, 0) for t in polyring._k_ints([a, b]))
+        ta, tb = (polyring._k_normal(t, 0) for t in polyring._k_ints([a, b])[1])
         return polyring._coprime_certified(ta, tb, polyring._CERT_PRIME)
     ta, tb = ({e: c.v for e, c in t.terms.items()} for t in (a, b))
     return polyring._coprime_certified(ta, tb, a.ring.field.p)
@@ -761,17 +764,20 @@ def test_kernel_widens_and_reruns(monkeypatch):
         w1 = polyring._first_width(n, 4)
         assert w1 == w0 + 1
         mod = field.characteristic
-        pair = [polyring._k_normal(t, mod) for t in polyring._k_ints([ah, bh])]
+        pair = [polyring._k_normal(t, mod) for t in polyring._k_ints([ah, bh])[1]]
+        # the reference divides exactly on the kernel: outside the window
+        assert reference_gcd2(ah, bh) == h
         for name in ("_modular_gcd", "_prs_gcd"):
             widths.clear()
             g = getattr(polyring, name)(*pair, n, mod)
-            assert polyring._k_poly(ring, g).monic() == reference_gcd2(ah, bh) == h
+            assert polyring._k_poly(ring, g).monic() == h
             # _crt_gcd reads its images modulo each prime at the same width
             assert set(widths) == {w1}, name
     # the PRS behind _gcd2: the modular path, which runs first, switched off
     monkeypatch.setattr(polyring, "_modular_gcd", lambda ta, tb, nvars, p: None)
+    assert reference_gcd2(a, b) == ring.one()
     widths.clear()
-    assert polyring._gcd2(a, b) == reference_gcd2(a, b) == ring.one()
+    assert polyring._gcd2(a, b) == ring.one()
     assert widths == [w0, 2 * w0]
 
 
@@ -901,7 +907,7 @@ def test_modular_gcd_falls_back_when_leading_coefficients_vanish_everywhere():
     x1, x2 = ring.var(0), ring.var(1)
     g = (x2**7 - x2) * x1 + ring.one()
     a, b = g * (x1 + x2), g * (x1 + ring.one())
-    assert polyring._modular_gcd(*polyring._k_ints([a, b]), 2, 7) is None
+    assert polyring._modular_gcd(*polyring._k_ints([a, b])[1], 2, 7) is None
     assert polyring._gcd2(a, b) == reference_gcd2(a, b) == g.monic()
 
 
@@ -958,7 +964,7 @@ def primitive_integer(g):
 def qq_modular(a, b):
     """_modular_gcd on the pair as _gcd2 feeds it over QQ, signed as
     primitive_integer signs it; None if it gave none."""
-    ta, tb = (polyring._k_normal(t, 0) for t in polyring._k_ints([a, b]))
+    ta, tb = (polyring._k_normal(t, 0) for t in polyring._k_ints([a, b])[1])
     g = polyring._modular_gcd(ta, tb, a.ring.nvars, 0)
     if g is not None and g[max(g, key=polyring._grlex)] < 0:
         g = {e: -c for e, c in g.items()}
@@ -1158,3 +1164,149 @@ def test_divexact_matches_rescanning_reference_random(field):
             assert got == expected, (a, b)
             seen.add(got is NotDivisible)
     assert seen == {True, False}
+
+
+# -- one exact division: Poly.divexact on the kernel's _k_divexact --------------
+
+
+def _random_int_dict(rng, n, max_deg, n_terms, mod):
+    t = {}
+    for _ in range(n_terms):
+        e = [0] * n
+        for _ in range(rng.randint(0, max_deg)):
+            e[rng.randrange(n)] += 1
+        t[tuple(e)] = t.get(tuple(e), 0) + rng.randint(-5, 5)
+    return {e: c % mod if mod else c for e, c in t.items() if (c % mod if mod else c)}
+
+
+def _k_divexact_or_raise(a, b, K, divexact):
+    try:
+        return divexact(a, b, K)
+    except NotDivisible:
+        return NotDivisible
+
+
+@pytest.mark.parametrize("mod", [0, 2, 7, 32003])
+def test_k_divexact_matches_rescanning_reference_random(mod):
+    rng = seeded(97)
+    seen = set()
+    for n in (1, 2, 3):
+        for _ in range(60):
+            b = _random_int_dict(rng, n, 3, 3, mod)
+            q = _random_int_dict(rng, n, 3, 4, mod)
+            if not b:
+                continue
+            K = polyring._Packing(n, polyring._first_width(n, 6), mod)
+            pb, pq = K.pack(b), K.pack(q)
+            pa = polyring._k_mul(pb, pq, K)
+            roll = rng.random()
+            if roll < 0.3:
+                pa = polyring._k_sub(pa, K.pack(_random_int_dict(rng, n, 3, 2, mod)), K)
+            elif roll < 0.5 and not mod:
+                # twice b divides a only where every coefficient of q is even
+                pb = {e: 2 * c for e, c in pb.items()}
+            expected = _k_divexact_or_raise(pa, pb, K, reference_k_divexact)
+            got = _k_divexact_or_raise(pa, pb, K, polyring._k_divexact)
+            assert got == expected, (n, K.unpack(pa), K.unpack(pb))
+            if got is not NotDivisible:
+                assert polyring._k_mul(got, pb, K) == pa
+            seen.add(got is NotDivisible)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("mod", [0, 2, 7, 32003])
+def test_k_divexact_matches_reference_when_not_divisible(mod):
+    K = polyring._Packing(2, polyring._first_width(2, 5), mod)
+    cases = [
+        # a slot borrow caught by the guard bit: x1^3 + x1^2 over x1*x2 + x2
+        ({(3, 0): 1, (2, 0): 1}, {(1, 1): 1, (0, 1): 1}),
+        # a remainder left over after two steps: x2^2 of (x1 + 1)*(x1*x2 + 1)
+        # + x2^2 over x1*x2 + 1, whose key borrows from x1's slot
+        ({(2, 1): 1, (1, 1): 1, (1, 0): 1, (0, 0): 1, (0, 2): 1}, {(1, 1): 1, (0, 0): 1}),
+        # a remainder left over below the divisor's degree: 1 of x1^2 + 1 over x1
+        ({(2, 0): 1, (0, 0): 1}, {(1, 0): 1}),
+    ]
+    if not mod:
+        # an inexact integer step over Z: x1 + 1 over 2*x1 + 2, and a later
+        # step, (2*x1 + 2)*(x1 + 1) + x1 + 1 over 2*x1 + 2
+        cases += [
+            ({(1, 0): 1, (0, 0): 1}, {(1, 0): 2, (0, 0): 2}),
+            ({(2, 0): 2, (1, 0): 5, (0, 0): 3}, {(1, 0): 2, (0, 0): 2}),
+        ]
+    for a, b in cases:
+        a = {e: c % mod for e, c in a.items()} if mod else a
+        pa, pb = K.pack(a), K.pack(b)
+        assert _k_divexact_or_raise(pa, pb, K, reference_k_divexact) is NotDivisible
+        assert _k_divexact_or_raise(pa, pb, K, polyring._k_divexact) is NotDivisible
+
+
+def test_divexact_over_qq_matches_reference():
+    """Clearing scales both sides: the quotient carries t/(s*c), with c the
+    integer content of the cleared divisor."""
+    ring = PolyRing(QQ, ("x1", "x2"))
+    x1, x2, one = ring.var(0), ring.var(1), ring.one()
+    F = Fraction
+    divisors = [
+        # rational coefficients
+        x1.scale(F(2, 3)) - x2.scale(F(5, 7)) + ring.const(F(1, 4)),
+        # cleared by 5 to 30*x1 + 36: integer content 6
+        x1.scale(6) + ring.const(F(36, 5)),
+        # negative leading coefficients
+        -(x1**2).scale(3) + x1 * x2 - ring.const(F(9, 2)),
+        x2.scale(-4) - x1.scale(F(8, 3)),
+        # constants
+        ring.const(F(5, 3)),
+        -one,
+    ]
+    quotients = [
+        one,
+        ring.const(F(-7, 12)),
+        x1 + ring.const(F(3, 4)),
+        (x2 - x1.scale(F(1, 6))) ** 2,
+        -(x1 * x2).scale(F(10, 9)) + x2.scale(F(2, 15)) - one,
+    ]
+    for b in divisors:
+        for q in quotients:
+            a = q * b
+            assert a.divexact(b) == reference_divexact(a, b) == q, (a, b)
+            if not b.is_constant():
+                for extra in (one, x2**4, x1.scale(F(1, 2))):
+                    with pytest.raises(NotDivisible):
+                        reference_divexact(a + extra, b)
+                    with pytest.raises(NotDivisible):
+                        (a + extra).divexact(b)
+    assert x1.divexact(x1.scale(2)) == ring.const(F(1, 2))
+    assert ring.const(F(3, 4)).divexact(ring.const(F(-9, 8))) == ring.const(F(-2, 3))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=str)
+def test_divexact_packs_once_at_its_first_width(field, monkeypatch):
+    """The quotient's keys never exceed the dividend's, so one packing at
+    the width of the inputs' total degree serves, divisible or not."""
+    widths = []
+
+    class Recording(polyring._Packing):
+        __slots__ = ()
+
+        def __init__(self, n, w, mod):
+            widths.append(w)
+            super().__init__(n, w, mod)
+
+    monkeypatch.setattr(polyring, "_Packing", Recording)
+    rng = seeded(98)
+    for n in (1, 2, 3):
+        ring = PolyRing(field, tuple(f"x{i + 1}" for i in range(n)))
+        for i in range(30):
+            b = random_nonzero_poly(rng, ring, 4, 3)
+            a = random_poly(rng, ring, 4, 4) * b
+            if i % 3 == 0:
+                a = a + random_poly(rng, ring, 8, 2)
+            if a.is_zero():
+                continue
+            widths.clear()
+            try:
+                a.divexact(b)
+            except NotDivisible:
+                pass
+            deg = max(a.total_degree(), b.total_degree())
+            assert widths == [polyring._first_width(n, deg)], (a, b)
