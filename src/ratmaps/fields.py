@@ -3,13 +3,16 @@
 Rational elements are plain ``fractions.Fraction`` values (always stored
 in lowest terms with positive denominator), prime-field elements are
 ``Fp`` instances carrying their modulus.  Every element therefore knows
-its own field, and mixing fields raises ``FieldMismatch``.
+its own field, and mixing fields raises ``FieldMismatch``.  ``roots_in_K``
+takes roots modulo a prime in both fields, over QQ lifted by Newton's iteration.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import DivisionByZero, FieldMismatch, NotPrime, ZeroPolynomial
 
@@ -227,30 +230,14 @@ def field_arith(a, b, op: str):
     raise ValueError(f"unknown op {op!r}")
 
 
-def _int_divisors(n: int):
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def roots_in_K(f) -> list:
     """All roots of a univariate polynomial lying in its own field.
 
-    Returns ``[(root, multiplicity), ...]`` in a deterministic order.
-    Over the rationals the candidates come from the rational-root
-    theorem applied to the content-normalized integer form; over GF(p)
-    they are the roots of r = gcd(f, y^p - y), the product of f's distinct
-    linear factors, with y^p mod f taken by repeated squaring and r split
-    by seeded Cantor-Zassenhaus (both residues tried for p = 2), ascending
-    by residue.  Multiplicities are found by deflation, so each reported
-    pair satisfies (y - root)^mult | f exactly.
+    Returns ``[(root, multiplicity), ...]``, ascending (by residue over
+    GF(p)).  Both fields find roots with ``_fp_roots``: over GF(p) directly,
+    over the rationals modulo a small prime, lifted by Newton's iteration
+    (``_rational_roots``).  Multiplicities come from repeated synthetic
+    division, so each reported pair satisfies (y - root)^mult | f exactly.
     """
     from .polyring import Poly  # local import to avoid a cycle
 
@@ -263,27 +250,19 @@ def roots_in_K(f) -> list:
 
     field = f.ring.field
     if isinstance(field, PrimeField):
-        candidates = [Fp(t, field.p) for t in _fp_roots(f, field.p)]
+        roots = [Fp(t, field.p) for t in _fp_roots([c.v for c in _dense(f)], field.p)]
     else:
-        candidates = sorted(_rational_candidates(f))
-
-    out = []
-    for theta in candidates:
-        mult = _multiplicity(f, theta)
-        if mult > 0:
-            out.append((theta, mult))
-    return out
+        roots = _rational_roots(f)
+    return [(theta, _multiplicity(f, theta)) for theta in roots]
 
 
-def _fp_roots(f, p: int) -> list:
-    """The distinct roots of f in GF(p) as ascending residues."""
+def _fp_roots(dense: list, p: int) -> list:
+    """The distinct roots in GF(p), ascending, of f given by its dense ascending
+    residues, the last nonzero: those of gcd(f, y^p - y), with y^p mod f by
+    repeated squaring, split by seeded Cantor-Zassenhaus (both residues tried
+    for p = 2)."""
     from .polyring import _CERT_SEED, _uni_divmod, _uni_eval, _uni_gcd, _uni_powmod, _uni_trim
 
-    dense = [0] * (f.total_degree() + 1)
-    for (e,), c in f.terms.items():
-        dense[e] = c.v
-    if len(dense) == 1:
-        return []
     # y^p - y mod f
     h = _uni_powmod([0, 1], p, dense, p) + [0, 0]
     h[1] -= 1
@@ -308,29 +287,50 @@ def _fp_roots(f, p: int) -> list:
     return sorted(roots)
 
 
-def _rational_candidates(f):
-    from .polyring import _k_ints, _k_normal
+def _rational_roots(f) -> list:
+    """The distinct rational roots of f, ascending.
 
-    # the coefficients of f cleared to coprime integers
-    ints = {e[0]: c for e, c in _k_normal(_k_ints([f])[1][0], 0).items()}
-    lo = min(ints)
-    cands = {Fraction(0)} if lo > 0 else set()
-    a0, ad = ints[lo], ints[max(ints)]
-    for r in _int_divisors(a0):
-        for s in _int_divisors(ad):
-            cands.update((Fraction(r, s), Fraction(-r, s)))
-    return cands
+    With a the lcm of the denominators of sf, the monic squarefree part of
+    f, every root theta makes a*theta an integer root of g = a^d sf(y/a),
+    below B = 1 + max|g_i| (Cauchy).  Newton's iteration lifts the simple
+    roots of g modulo the first odd prime P that keeps g squarefree until
+    P^(2^k) passes 2B; a symmetric lift r that is a root of g gives r/a.
+    """
+    from .polyring import _uni_eval, _uni_gcd, gcd_many
+
+    sf = _dense(f.divexact(gcd_many([f, f.derivative(0)])).monic())
+    a, d = math.lcm(*(v.denominator for v in sf)), len(sf) - 1
+    g = [int(v * a ** (d - i)) for i, v in enumerate(sf)]
+    dg = [i * v for i, v in enumerate(g)][1:]
+    bound, P = 1 + max(map(abs, g)), 3
+    while not is_prime(P) or len(_uni_gcd([v % P for v in g], [v % P for v in dg], P)) > 1:
+        P += 2
+    roots = []
+    for r in _fp_roots([v % P for v in g], P):
+        m = P
+        while m <= 2 * bound:
+            m *= m
+            r = (r - _uni_eval(g, r, m) * pow(_uni_eval(dg, r, m), -1, m)) % m
+        r = r - m if 2 * r > m else r
+        if not sum(v * r**i for i, v in enumerate(g)):
+            roots.append(Fraction(r, a))
+    return sorted(roots)
+
+
+def _dense(f) -> list:
+    """The coefficients of the nonzero univariate f, ascending, as field elements."""
+    zero = f.ring.field.zero()
+    return [f.terms.get((e,), zero) for e in range(f.total_degree() + 1)]
 
 
 def _multiplicity(f, theta) -> int:
-    """Multiplicity of theta as a root of f, by repeated exact division."""
-    from .polyring import Poly
-
-    ring = f.ring
-    linear = Poly(ring, {(1,): ring.field.one(), (0,): -theta})
-    mult = 0
-    g = f
-    while g.evaluate([theta]) == ring.field.zero() and not g.is_zero():
-        g = g.divexact(linear)
-        mult += 1
+    """Multiplicity of theta as a root of the nonzero univariate f: how often
+    synthetic division by y - theta (Horner's rule) leaves no remainder."""
+    a, mult = _dense(f)[::-1], 0
+    while len(a) > 1:
+        # a is descending: q holds the quotient, then the remainder a(theta)
+        q = list(accumulate(a, lambda v, c: v * theta + c))
+        if q.pop():
+            break
+        a, mult = q, mult + 1
     return mult

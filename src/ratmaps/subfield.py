@@ -649,12 +649,4 @@ def hmgrk2_verify(h_map: RatMap, w: LurothWitness) -> Hmgrk2Report:
 
 
 def _tuple_is_homogeneous(polys) -> bool:
-    nz = [p for p in polys if not p.is_zero()]
-    if not nz:
-        return True
-    degs = set()
-    for p in nz:
-        if not p.is_homogeneous():
-            return False
-        degs.add(p.total_degree())
-    return len(degs) == 1
+    return len({sum(e) for p in polys for e in p.terms}) <= 1

@@ -6,6 +6,7 @@ determinants, interpolation derivatives) deliberately avoid the library
 code paths they are used to check.
 """
 
+import math
 import random
 import signal
 from contextlib import contextmanager
@@ -48,7 +49,7 @@ from ratmaps.polyring import (
     relabel,
     subst,
 )
-from ratmaps.fields import Fp, QQ, _multiplicity
+from ratmaps.fields import Fp, QQ
 from ratmaps.gordan_noether import classical_gn_condition
 from ratmaps.homog import HomogTuple, compose_homog_at, uni_ring
 from ratmaps.subfield import DependenceSearch, _exponents_upto, adjoin_t
@@ -1061,6 +1062,18 @@ def lagrange_derivative_at_zero(values, nodes):
     return total
 
 
+def reference_multiplicity(f, theta) -> int:
+    """Multiplicity of theta as a root of f by repeated exact division by
+    y - theta (reference_divexact), while f still vanishes at theta."""
+    ring = f.ring
+    linear = Poly(ring, {(1,): ring.field.one(), (0,): -theta})
+    mult = 0
+    while not f.is_zero() and f.evaluate([theta]) == ring.field.zero():
+        f = reference_divexact(f, linear)
+        mult += 1
+    return mult
+
+
 def reference_fp_roots(f):
     """roots_in_K over GF(p) by testing every residue: Horner's rule on plain
     ints, 2^16 residues at a time, then deflation of the zeros found."""
@@ -1072,7 +1085,37 @@ def reference_fp_roots(f):
         for c in dense:
             values = [(v * t + c) % p for t, v in zip(ts, values)]
         candidates += [Fp(t, p) for t, v in zip(ts, values) if not v]
-    return [(theta, _multiplicity(f, theta)) for theta in candidates]
+    return [(theta, reference_multiplicity(f, theta)) for theta in candidates]
+
+
+def _reference_divisors(n: int) -> list:
+    """The positive divisors of n != 0 by trial division up to sqrt(|n|)."""
+    n, small, large = abs(n), [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def reference_rational_roots(f):
+    """roots_in_K over QQ by the rational-root theorem: every r/s with r | a0
+    and s | ad for the coprime integer coefficients a0..ad of f without its
+    factor y^lo, and 0 when lo > 0, kept where reference_multiplicity > 0."""
+    coeffs = {e: c for (e,), c in f.terms.items()}
+    s = math.lcm(*(c.denominator for c in coeffs.values()))
+    ints = {e: c.numerator * (s // c.denominator) for e, c in coeffs.items()}
+    content = math.gcd(*ints.values())
+    lo, hi = min(ints), max(ints)
+    cands = {Fraction(0)} if lo > 0 else set()
+    for r in _reference_divisors(ints[lo] // content):
+        for t in _reference_divisors(ints[hi] // content):
+            cands.update((Fraction(r, t), Fraction(-r, t)))
+    found = [(theta, reference_multiplicity(f, theta)) for theta in sorted(cands)]
+    return [(theta, mult) for theta, mult in found if mult]
 
 
 @contextmanager

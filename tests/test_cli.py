@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -174,6 +178,15 @@ def test_member_kpq_large_bound_solves_at_the_forced_degree(capsys):
     _, forced, _ = run_json(capsys, *member, "--bound", "2")
     assert forced["found"] is True and forced["f1"] == "y1^2 + 1" and forced["f2"] == "y1"
     assert data == dict(forced, bound=1000000)
+
+
+def test_regen_integral_with_a_40_digit_constant_term_within_1_s(capsys):
+    # f2's constant term is the product of two 20-digit primes, both roots
+    f2 = "(y1 - 99999999999999999989)*(y1 + 99999999999999999973)"
+    with time_limit(1):
+        code, data, _ = run_json(capsys, "regen-integral", "x1", "1", "--g", f"1;{f2}")
+    assert code == 0
+    assert data["found"] is True and data["qstar"] == "x1 + 99999999999999999973"
 
 
 def test_valuation_infinity(capsys):
@@ -440,8 +453,6 @@ def test_every_subcommand_has_a_golden_case():
 
 
 def test_readme_examples_golden(tmp_path, capsys):
-    import pathlib
-
     expected = json.loads(
         (pathlib.Path(__file__).parent / "data" / "readme_golden.json").read_text()
     )
@@ -451,3 +462,34 @@ def test_readme_examples_golden(tmp_path, capsys):
         code, out, _ = run_cli(capsys, *argv)
         assert [code, out] == expected[key], key
     assert sorted(keys) == sorted(expected)
+
+
+def test_library_and_cli_load_only_the_standard_library():
+    # ratmaps is dependency-free: a fresh interpreter imports it, runs one
+    # command and holds standard-library modules only.  -S skips the .pth
+    # files, which may import modules of their own; the installed packages
+    # stay importable on PYTHONPATH, so an optional import would show.
+    import site
+
+    import ratmaps
+
+    script = (
+        "import json, sys\n"
+        "from ratmaps.cli import main\n"
+        "code = main(['regen-integral', 'x1', '1', '--g', '1;(y1-1)^2'])\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    src = pathlib.Path(ratmaps.__file__).resolve().parent.parent
+    path = [str(src), *site.getsitepackages(), site.getusersitepackages()]
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    code, modules = json.loads(run.stdout.splitlines()[-1])
+    assert code == 0
+    tops = {name.split(".")[0] for name in modules}
+    assert tops - sys.stdlib_module_names - {"__main__", "ratmaps"} == set()

@@ -3,10 +3,26 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_nonzero_poly, reference_fp_roots, seeded
+from conftest import (
+    random_nonzero_poly,
+    reference_fp_roots,
+    reference_multiplicity,
+    reference_rational_roots,
+    seeded,
+    time_limit,
+)
 from ratmaps.errors import DivisionByZero, FieldMismatch, NotPrime, ZeroPolynomial
-from ratmaps.fields import Fp, PrimeField, QQ, field_arith, is_prime, roots_in_K
+from ratmaps.fields import (
+    Fp,
+    PrimeField,
+    QQ,
+    _multiplicity,
+    field_arith,
+    is_prime,
+    roots_in_K,
+)
 from ratmaps.homog import uni_ring
+from ratmaps.integrality import ProjPoint, valuation
 from ratmaps.polyring import Poly
 
 
@@ -227,3 +243,133 @@ def test_roots_fp_large_prime_quintic():
     found = roots_in_K(f)
     assert time.perf_counter() - start < 0.25
     assert [(theta.v, mult) for theta, mult in found] == [(3, 2), (r, 1)]
+
+
+def _planted_rational_poly(rng, ring):
+    """A polynomial over QQ with planted rational roots of multiplicity 1-3,
+    sometimes 0 as a root, an irreducible quadratic factor, a random factor,
+    a negative leading coefficient or no root at all; its end coefficients
+    stay below 10^8 so that the divisor reference stays fast."""
+    y = ring.var(0)
+    while True:
+        f = ring.const(rng.choice([1, 1, 2, -1, -3, 6]))
+        roots = [
+            Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(0, 3))
+        ]
+        if rng.random() < 0.25:  # 16 = 1 mod 3 and mod 5, so the prime search moves on
+            roots += [Fraction(1), Fraction(16)]
+        if rng.random() < 0.2:  # 16807 > 3^8: several Newton steps
+            roots.append(Fraction(rng.choice([16807, -20011]), rng.choice([1, 3, 7])))
+        for theta in roots:
+            linear = ring.const(theta.denominator) * y - ring.const(theta.numerator)
+            f = f * linear ** rng.choice([1, 1, 2, 3])
+        if rng.random() < 0.3:
+            f = f * y ** rng.randint(1, 3)
+        if rng.random() < 0.3:
+            f = f * rng.choice(
+                [y**2 + ring.one(), y**2 - ring.const(2), ring.const(3) * y**2 + y + ring.one()]
+            )
+        if rng.random() < 0.3:
+            f = f * random_nonzero_poly(rng, ring, max_deg=3, n_terms=3)
+        ends = [f.terms[e] for e in (min(f.terms), max(f.terms))]
+        if all(abs(c) < 10**8 for c in ends):
+            return f
+
+
+def test_rational_roots_match_divisor_reference():
+    # the parent's divisor enumeration is the reference: same roots, same
+    # multiplicities, same ascending order
+    rng = seeded(41)
+    ring = uni_ring(QQ)
+    seen = {"roots": 0, "zero": 0, "mult3": 0, "1 and 16": 0, "large": 0, "constant": 0}
+    for _ in range(150):
+        f = _planted_rational_poly(rng, ring)
+        expected = reference_rational_roots(f)
+        assert roots_in_K(f) == expected, f
+        thetas = [theta for theta, _ in expected]
+        seen["roots"] += bool(expected)
+        seen["zero"] += 0 in thetas
+        seen["mult3"] += any(mult == 3 for _, mult in expected)
+        seen["1 and 16"] += 1 in thetas and 16 in thetas
+        seen["large"] += any(abs(theta.numerator) > 3**8 for theta in thetas)
+        seen["constant"] += f.is_constant()
+    assert min(seen.values()) >= 3, seen
+
+
+@pytest.mark.parametrize("p", [0, 2, 7, 32003])
+def test_multiplicity_matches_deflation_reference(p):
+    # synthetic division against repeated exact division, at roots and at
+    # points that are not roots; valuation at finite points runs on it
+    field = QQ if p == 0 else PrimeField(p)
+    ring = uni_ring(field)
+    y = ring.var(0)
+    rng = seeded(43)
+
+    def point():
+        if p:
+            return field.from_int(rng.randrange(p))
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    mults = set()
+    for _ in range(40):
+        theta = point()
+        f = random_nonzero_poly(rng, ring, max_deg=4, n_terms=4)
+        f = f * (y - ring.const(theta)) ** rng.randint(0, 3)
+        for t in (theta, point(), point()):
+            expected = reference_multiplicity(f, t)
+            assert _multiplicity(f, t) == expected, (f, t)
+            assert valuation(f, ProjPoint.finite(t)) == expected
+            mults.add(expected)
+    assert {0, 1, 2, 3} <= mults
+
+
+def test_rational_roots_match_sympy():
+    # an independent cross-check beyond the divisor reference's reach: the
+    # linear factors of sympy's factorization over QQ
+    sympy = pytest.importorskip("sympy")
+    ring = uni_ring(QQ)
+    y = ring.var(0)
+    rng = seeded(47)
+    big = [Fraction(123456789123456789), Fraction(-(10**30 + 57), 7), Fraction(1, 720720)]
+    for k in range(30):
+        f = random_nonzero_poly(rng, ring, max_deg=4, n_terms=4)
+        for theta in rng.sample(big, rng.randint(0, 3)):
+            linear = ring.const(theta.denominator) * y - ring.const(theta.numerator)
+            f = f * linear ** rng.randint(1, 2)
+        if k % 3 == 0:
+            f = f * y ** rng.randint(1, 3)
+        top = f.total_degree()
+        coeffs = [f.terms.get((e,), Fraction(0)) for e in range(top, -1, -1)]
+        sym = sympy.Poly(
+            [sympy.Rational(c.numerator, c.denominator) for c in coeffs],
+            sympy.Symbol("y"),
+            domain="QQ",
+        )
+        expected = []
+        for factor, mult in sym.factor_list()[1]:
+            if factor.degree() == 1:
+                c1, c0 = factor.all_coeffs()
+                root = -c0 / c1
+                expected.append((Fraction(int(root.p), int(root.q)), mult))
+        assert roots_in_K(f) == sorted(expected), f
+
+
+def test_rational_roots_with_huge_end_coefficients_within_1_s():
+    # trial division over the end coefficients' divisors took 1.23 s on the
+    # first and could not finish on the others (about 10^20 steps)
+    ring = uni_ring(QQ)
+    y = ring.var(0)
+    p1, p2 = 99999999999999999989, 99999999999999999973  # 20-digit primes
+    theta = Fraction(-(10**30 + 57), 7)
+    cases = [
+        (y**2 + y + ring.const(10000019 * 10000079), []),
+        (y**2 + y + ring.const(p1 * p2), []),
+        ((y - ring.const(p1)) * (y + ring.const(p2)), [(Fraction(-p2), 1), (Fraction(p1), 1)]),
+        (
+            (ring.const(7) * y + ring.const(10**30 + 57)) ** 2 * (y**2 + ring.one()),
+            [(theta, 2)],
+        ),
+    ]
+    for f, expected in cases:
+        with time_limit(1):
+            assert roots_in_K(f) == expected

@@ -1,6 +1,12 @@
 import pytest
 
-from conftest import random_coprime_pair, random_homog_poly, random_nonzero_poly, seeded
+from conftest import (
+    random_coprime_pair,
+    random_homog_poly,
+    random_nonzero_poly,
+    seeded,
+    time_limit,
+)
 from ratmaps.errors import (
     DivisibleByY2,
     LinearFactorPresent,
@@ -104,6 +110,16 @@ def test_has_linear_factor():
     b5 = bi_ring(field5)
     a, b = b5.var(0), b5.var(1)
     assert has_linear_factor(a**2 + b**2)  # 2 and 3 are square roots of -1 mod 5
+
+
+def test_has_linear_factor_with_a_40_digit_coefficient_within_1_s():
+    # the product of two 20-digit primes: no divisor enumeration could finish
+    p1, p2 = 99999999999999999989, 99999999999999999973
+    a0 = BR.const(p1 * p2)
+    with time_limit(1):
+        assert not has_linear_factor(Y1**2 + Y1 * Y2 + a0 * Y2**2)
+        # (y1 + p1 y2)(y1 - p2 y2)
+        assert has_linear_factor(Y1**2 + BR.const(p1 - p2) * Y1 * Y2 - a0 * Y2**2)
 
 
 def test_hfc_decompose_quadratic_veronese():

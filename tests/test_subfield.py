@@ -688,6 +688,22 @@ def test_hmgrk2_verify_takes_the_gcd_of_h_once(monkeypatch):
         assert item.detail == ", ".join([verdict] * 4)
 
 
+def test_tuple_is_homogeneous_reads_one_degree_set():
+    # zero entries carry no terms; the all-zero tuple is homogeneous
+    zero, one = R2.zero(), R2.one()
+    cases = [
+        ([], True),
+        ([zero, zero], True),
+        ([zero, X1**2, X1 * X2], True),
+        ([one, R2.const(3), zero], True),
+        ([X1, X2**2], False),  # each homogeneous, of two degrees
+        ([X1**2 + X2, X2**2], False),  # an entry that is not homogeneous
+        ([zero, X1 + one], False),
+    ]
+    for polys, expected in cases:
+        assert subfield._tuple_is_homogeneous(polys) is expected, polys
+
+
 def test_hmgrk2_verify_char_p_skips_trdeg_checks():
     field = PrimeField(5)
     ring = PolyRing(field, ("x1", "x2"))
