@@ -298,7 +298,8 @@ def _rational_roots(f) -> list:
     """
     from .polyring import _uni_eval, _uni_gcd, gcd_many
 
-    sf = _dense(f.divexact(gcd_many([f, f.derivative(0)])).monic())
+    common = gcd_many([f, f.derivative(0)])
+    sf = _dense((f if common.is_one() else f.divexact(common)).monic())
     a, d = math.lcm(*(v.denominator for v in sf)), len(sf) - 1
     g = [int(v * a ** (d - i)) for i, v in enumerate(sf)]
     dg = [i * v for i, v in enumerate(g)][1:]

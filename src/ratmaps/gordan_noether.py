@@ -10,8 +10,11 @@ under test, never an assumption.  The trace identity and the witness
 identities, the nilpotency power, the core check and the translation
 identity are decided on cleared numerators, with every gradient taken on
 the packed-int kernel: no check reduces a fraction.  The classifier clears
-H once; one kernel Jacobian of H answers (1) and trdeg K(tH), one of the
-core answers (2) and the characteristic-zero remark.
+H once, and each of its checks is one packing: one kernel Jacobian of H
+answers (1) and trdeg K(tH), one of the core answers (2) and the
+characteristic-zero remark (both Jacobians built by _jacobian_rows), and
+each witness is substituted, compared with H and gradient-tested inside
+one more (_verify_witness).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .errors import (
     NotCoprime,
     NotSquare,
     PreconditionNotVerified,
+    RingMismatch,
     TrdegTooLarge,
     ZeroScalar,
 )
@@ -35,15 +39,19 @@ from .polyring import (
     RatMap,
     _k_derivative,
     _k_dot,
+    _k_first_mismatch,
     _k_ints,
+    _k_maxes,
     _k_mul,
+    _k_powers,
     _k_quotient_rule,
     _k_sub,
+    _k_substitute,
+    _on_packing,
     _split_content,
     _substitute,
     clear_denominators,
     cross_equal,
-    first_mismatch,
     is_primitive,
     on_kernel,
     relabel,
@@ -58,15 +66,36 @@ def _require_square(h: RatMap) -> int:
     return n
 
 
+def _jacobian_rows(d: dict, nums, K) -> list:
+    """Row k is d grad N_k - N_k grad d for packed d and N = nums: with
+    H = N / d, JH = rows / d^2.  grad d is taken once, and a zero N_k gives
+    a zero row.  A constant d (on the kernel that includes D = 1, over QQ
+    its clearing integer) gives the plain gradients grad N_k, every row
+    divided by the same nonzero d: the trace identity, the core check, the
+    nilpotency power and the ranks read off these rows do not change under
+    one nonzero factor that all rows share.  subfield.trdeg_rank, whose
+    rows have a denominator each, keeps _k_quotient_rule."""
+    grads = _gradients(K, nums)
+    if list(d) == [0]:
+        return grads
+    grad_d = _gradients(K, [d])[0]
+    return [
+        [_k_sub(_k_mul(a, d, K), _k_mul(nk, b, K), K) for a, b in zip(grad, grad_d)]
+        if nk
+        else grad
+        for nk, grad in zip(nums, grads)
+    ]
+
+
 def _on_cleared_jacobian(cleared, fn):
-    """fn(K, N, m) on the kernel for cleared = (D, N), H = N / D and JH =
-    m / D^2; over QQ one integer scales all.  The slot width is on_kernel's,
-    from deg (D, N)."""
+    """fn(K, N, m) on the kernel for cleared = (D, N), H = N / D, and m the
+    rows of _jacobian_rows; over QQ one integer scales all.  The slot width
+    is on_kernel's, from deg (D, N)."""
     d, nums = cleared
 
     def run(K, packed):
         d, *nums = packed[0]
-        return fn(K, nums, [_k_quotient_rule(nk, d, K) for nk in nums])
+        return fn(K, nums, _jacobian_rows(d, nums, K))
 
     return on_kernel([[d, *nums]], run)
 
@@ -92,7 +121,8 @@ def _trace_sides(K, nums, m):
 def _classify_sides(K, nums, m):
     """_trace_sides and, in characteristic zero, trdeg K(tH) = rank [m | N]:
     D^2 times row k of J(tH) over (x, t) is [t m_k, D N_k], and column
-    scalings (by t, by D and over QQ by the clearing integer) keep the rank.
+    scalings (by t, by D, over QQ by the clearing integer, and by the
+    constant D that _jacobian_rows leaves out) keep the rank.
     Bareiss on [m | N] forms products of degree up to 4(n-1) deg (D, N);
     where they outgrow the first slot width, the pass reruns wider
     (_on_packing)."""
@@ -162,7 +192,8 @@ def translation_invariance(h: RatMap) -> bool:
 
 
 def nilpotent_jacobian(h: RatMap) -> bool:
-    """Whether (JH)^n = 0 over K(x): JH = m / D^2, so iff m^n = 0 on the kernel."""
+    """Whether (JH)^n = 0 over K(x): JH is m (_jacobian_rows) over a
+    nonzero factor, so iff m^n = 0 on the kernel."""
     _require_square(h)
     return _on_cleared_jacobian(clear_denominators(h.comps), _nilpotent)
 
@@ -236,11 +267,21 @@ class WitnessVerdict(Record):
 
 
 def _verify_witness(h_map: RatMap, w: GNWitness):
-    """(verified, reason): one substitution of the blocks and 1 gives F, F(1)
-    (h(p, q), 1 for cond3; q^s f(p/q), q^s for cond4 and cond5), then
-    H = g F / F(1) and J(F) . F = 0 (_trace_sides), resp. Jp . f = Jq . f = 0."""
+    """(verified, reason), decided on one packing after the preconditions.
+
+    The groups are (p, q), (g.num, g.den) and each (H_k.num, H_k.den), each
+    on its own scale.  Inside, one substitution of the blocks and of 1
+    gives F and F(1) (h(p, q) and 1 for cond3; q^s f(p/q) and q^s for cond4
+    and cond5) on the scale of (p, q); then H = g F / F(1) is checked as
+    g.num F_k H_k.den = H_k.num g.den F(1), linear in every group, and last
+    J(F) . F = 0 for cond3 (F(1) is a constant, so J(F) is the plain
+    gradients), resp. Jp . f = Jq . f = 0 on the coefficient vectors of f.
+    A product that outgrows the first slot width reruns the whole check
+    wider (_on_packing).
+    """
     m, c = h_map.m, h_map.ring.field.characteristic
-    if w.kind == "cond3":
+    cond3 = w.kind == "cond3"
+    if cond3:
         if not is_primitive([w.p, w.q]):
             return False, "gcd(p, q) is not a unit"
         if w.h is not None and not isinstance(w.h, HomogTuple):
@@ -250,7 +291,7 @@ def _verify_witness(h_map: RatMap, w: GNWitness):
             return False, "h has the wrong number of components"
         if w.h is not None and w.h.degree > 0 and c > 0 and w.h.degree % c == 0:
             return False, "characteristic divides deg h"
-        images, dens, shape = [w.p, w.q], [None, None], "h(p,q)"
+        shape = "h(p,q)"
     elif w.kind in ("cond4", "cond5"):
         blocks = tuple(w.f) if w.f is not None else ()
         if len(blocks) != m:
@@ -261,23 +302,37 @@ def _verify_witness(h_map: RatMap, w: GNWitness):
             return False, "gcd of the components of f is not a unit"
         if w.kind == "cond5" and not is_primitive([w.p, w.q]):
             return False, "gcd(p, q) is not a unit"
-        images, dens, shape = [w.p], [w.q], "f(p/q)"
+        shape = "f(p/q)"
     else:
         return False, f"unknown witness kind {w.kind!r}"
-    *F, F1 = _substitute([*blocks, blocks[0].ring.one()], images, dens, w.p.ring)
-    k = first_mismatch(h_map, w.g, F, F1)
-    if k is not None:
-        return False, f"H = g*{shape} fails at component {k}"
-    if w.kind == "cond3":
-        if not _on_cleared_jacobian((F1, F), _trace_sides)[1]:
-            return False, "J(h(p,q)) . h(p,q) is nonzero"
-        return True, ""
-    ints = _k_ints(blocks)[1]
-    if not on_kernel(
-        [[w.p, w.q]], lambda K, pq: _annihilates(K, _gradients(K, pq[0]), ints)
-    ):
-        return False, "Jp . f = Jq . f = 0 fails"
-    return True, ""
+    ring = w.p.ring
+    if w.q.ring != ring or blocks[0].ring.field != ring.field:
+        raise RingMismatch("the blocks, p and q of a witness lie in different rings")
+    ints = _k_ints([*blocks, blocks[0].ring.one()])[1]
+    maxes = _k_maxes(ints, 2 if cond3 else 1)
+    s, pq = _k_ints([w.p, w.q])
+    groups = [pq, _k_ints([w.g.num, w.g.den])[1]]
+    groups += [_k_ints([hk.num, hk.den])[1] for hk in h_map.comps]
+
+    def checks(K, packed):
+        (kp, kq), (gn, gd), *hs = packed
+        if cond3:
+            ntab, dtab = {0: _k_powers(kp, maxes[0], K), 1: _k_powers(kq, maxes[1], K)}, {}
+        else:
+            ntab, dtab = {0: _k_powers(kp, maxes[0], K)}, {0: _k_powers(kq, maxes[0], K)}
+        *F, F1 = _k_substitute(ints, maxes, ntab, dtab, s, K)
+        k = _k_first_mismatch(gn, gd, F1, F, hs, K)
+        if k is not None:
+            return f"H = g*{shape} fails at component {k}"
+        if cond3:
+            if any(_k_dot(F, row, K) for row in _gradients(K, F)):
+                return "J(h(p,q)) . h(p,q) is nonzero"
+        elif not _annihilates(K, _gradients(K, [kp, kq]), ints[:-1]):
+            return "Jp . f = Jq . f = 0 fails"
+        return ""
+
+    reason = _on_packing(ring.nvars, ring.field.characteristic, groups, checks)
+    return not reason, reason
 
 
 class GNReport(Record):
@@ -322,7 +377,9 @@ def gn_classify(h_map: RatMap, witnesses=()) -> GNReport:
         raise TrdegTooLarge(
             f"trdeg K(tH) = {report.trdeg_tH} > 2: the classification does not apply"
         )
-    report.core = tuple(cleared[1]) if zero else _split_content(cleared[1])[1]
+    report.core = (
+        tuple(cleared[1]) if zero else _split_content(cleared[1], with_g=False)[1]
+    )
     report.core_bivariate, core_zero = _on_cleared_jacobian(
         (h_map.ring.one(), report.core), _core_sides
     )
@@ -424,7 +481,7 @@ def constant_span_bound(h_map: RatMap) -> SpanBoundReport:
     vectors = coefficient_rows(cleared[1], field)
     chosen = independent_subset(vectors, field)
     dim = len(chosen)
-    core = _split_content(cleared[1])[1]
+    core = _split_content(cleared[1], with_g=False)[1]
     rank_core = _on_cleared_jacobian(
         (h_map.ring.one(), core), lambda K, _, m: _bareiss_rank(K, m)
     )

@@ -430,20 +430,24 @@ def _uni_divmod(a: list, b: list, p: int):
     return quot, _uni_trim(a[:db])
 
 
+def _uni_rem(a: list, b: list, p: int) -> list:
+    """The trimmed a reduced in place modulo the trimmed nonzero b in GF(p)[y]."""
+    inv, db = pow(b[-1], -1, p), len(b) - 1
+    while len(a) > db:
+        f, shift = a[-1] * inv % p, len(a) - 1 - db
+        for k in range(db):
+            a[shift + k] = (a[shift + k] - f * b[k]) % p
+        a.pop()
+        while a and not a[-1]:
+            a.pop()
+    return a
+
+
 def _uni_gcd(a: list, b: list, p: int) -> list:
     """Monic gcd in GF(p)[y] of dense ascending lists; [] if both vanish."""
     a, b = _uni_trim(a[:]), _uni_trim(b[:])
     while b:
-        # a becomes its remainder by b in place
-        inv, db = pow(b[-1], -1, p), len(b) - 1
-        while len(a) > db:
-            f, shift = a[-1] * inv % p, len(a) - 1 - db
-            for k in range(db):
-                a[shift + k] = (a[shift + k] - f * b[k]) % p
-            a.pop()
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
+        a, b = b, _uni_rem(a, b, p)
     if len(a) == 1:
         return [1]
     if a and a[-1] != 1:
@@ -453,14 +457,14 @@ def _uni_gcd(a: list, b: list, p: int) -> list:
 
 
 def _uni_powmod(a: list, n: int, f: list, p: int) -> list:
-    """a^n mod f in GF(p)[y], by repeated squaring."""
-    result, base = [1], _uni_divmod(a, f, p)[1]
+    """a^n mod the trimmed f in GF(p)[y], by repeated squaring."""
+    result, base = [1], _uni_rem(_uni_trim(a[:]), f, p)
     while n:
         if n & 1:
-            result = _uni_divmod(_uni_mul(result, base, p), f, p)[1]
+            result = _uni_rem(_uni_mul(result, base, p), f, p)
         n >>= 1
         if n:
-            base = _uni_divmod(_uni_mul(base, base, p), f, p)[1]
+            base = _uni_rem(_uni_mul(base, base, p), f, p)
     return result
 
 
@@ -1046,23 +1050,30 @@ def clear_denominators(fracs):
     ]
 
 
+def _k_first_mismatch(gn, gd, den, nums, hs, K: _Packing):
+    """The first k with gn * nums[k] * b != a * gd * den for (a, b) = hs[k],
+    all packed, or None."""
+    rhs = _k_mul(gd, den, K)
+    for k, (a, b) in enumerate(hs):
+        if _k_mul(_k_mul(gn, nums[k], K), b, K) != _k_mul(a, rhs, K):
+            return k
+    return None
+
+
 def first_mismatch(h, g, nums, den: Poly):
     """The first k with h[k] != g * nums[k] / den (den nonzero), or None.
 
-    Decided on the kernel as g.num * nums[k] * h[k].den = h[k].num * g.den
-    * den; over QQ both sides pick up the cube of the one clearing integer.
+    Decided on the kernel (_k_first_mismatch) as g.num * nums[k] * h[k].den
+    = h[k].num * g.den * den; over QQ both sides pick up the cube of the
+    one clearing integer.
     """
     m = len(nums)
     group = [g.num, g.den, den, *nums, *(c.num for c in h), *(c.den for c in h)]
 
     def first(K, packed):
         gn, gd, dk, *rest = packed[0]
-        rhs = _k_mul(gd, dk, K)
-        for k in range(m):
-            lhs = _k_mul(_k_mul(gn, rest[k], K), rest[2 * m + k], K)
-            if _k_sub(lhs, _k_mul(rest[m + k], rhs, K), K):
-                return k
-        return None
+        hs = zip(rest[m : 2 * m], rest[2 * m :])
+        return _k_first_mismatch(gn, gd, dk, rest[:m], hs, K)
 
     return on_kernel([group], first)
 
@@ -1310,13 +1321,19 @@ def primitive_part(h: RatMap):
     return RatFunc(g, d), core
 
 
-def _split_content(nums):
-    """(g, nums / g) for g the monic gcd of nums, which has a nonzero entry."""
+def _split_content(nums, with_g=True):
+    """(g, nums / g) for g the monic gcd of nums, which has a nonzero entry.
+
+    A lone nonzero entry N needs no gcd and no division: nums / monic(N) is
+    the constant lc(N).  There g is monic(N), a division of its own, which
+    with_g=False skips (g is then None) for callers that keep only the core.
+    """
     nz = [n for n in nums if n.terms]
-    if len(nz) != 1:  # else N / monic(N) is lc(N): no gcd, no division
+    if len(nz) != 1:
         g = gcd_many(nz)
         return g, tuple(n.divexact(g) if n.terms else n for n in nums)
-    return nz[0].monic(), tuple(n.ring.const(n.lc()) if n.terms else n for n in nums)
+    g = nz[0].monic() if with_g else None
+    return g, tuple(n.ring.const(n.lc()) if n.terms else n for n in nums)
 
 
 # -- substitution ----------------------------------------------------------
@@ -1346,6 +1363,40 @@ def _k_powers(t: dict, m: int, K: _Packing) -> list:
     return table
 
 
+def _k_maxes(ints, n: int) -> list:
+    """M_i, the highest exponent of y_i in the tuple-keyed dicts ints, for i < n."""
+    exps = [e for c in ints for e in c]
+    return [max((e[i] for e in exps), default=0) for i in range(n)]
+
+
+def _k_substitute(ints, maxes, ntab: dict, dtab: dict, s: int, K: _Packing) -> list:
+    """Packed sum_e c_e prod_i n_i^e_i d_i^(M_i - e_i) for each tuple-keyed
+    int dict sum_e c_e y^e of ints, reduced.  M_i = maxes[i] bounds every
+    e_i.  ntab[i] = [1, n_i, ..., n_i^M_i] for every i that occurs (others
+    may be there too) and dtab[i] likewise for d_i, packed on one scale s
+    (1 over GF(p)); an i missing from dtab has d_i = 1, which becomes the
+    integer top-up s^(M_i - e_i), so every term carries s^(sum M)."""
+    out = []
+    for c in ints:
+        total = {}
+        for e, coeff in c.items():
+            top, factors = 0, []
+            for i in ntab:
+                k, m = e[i], maxes[i]
+                if k:
+                    factors.append(ntab[i][k])
+                if i not in dtab:
+                    top += m - k
+                elif k < m:
+                    factors.append(dtab[i][m - k])
+            head = {0: coeff * s**top}
+            for f in factors[:-1]:
+                head = _k_mul(head, f, K)
+            _k_addmul(total, head, factors[-1] if factors else {0: 1}, K)
+        out.append(_k_reduce(total, K.mod))
+    return out
+
+
 def _substitute(polys, nums, dens, target: PolyRing) -> list:
     """sum_e c_e prod_i n_i^e_i d_i^(M_i - e_i) for each poly sum_e c_e y^e.
 
@@ -1354,44 +1405,29 @@ def _substitute(polys, nums, dens, target: PolyRing) -> list:
     A term has degree M_i in (n_i, d_i), so over QQ the one integer s
     clearing all images scales every term by s^(sum M); a d_i of 1 becomes
     s, an integer top-up by s^(M_i - e_i).  The polys are cleared by one
-    integer t; the results are divided by t*s^(sum M).
+    integer t; the results are divided by t*s^(sum M).  The term loop is
+    _k_substitute, on one packing.
     """
     if target.field != polys[0].ring.field:
         raise RingMismatch("composition cannot change the coefficient field")
     t, ints = _k_ints(polys)
-    exps = [e for c in ints for e in c]
-    maxes = [max((e[i] for e in exps), default=0) for i in range(len(nums))]
+    maxes = _k_maxes(ints, len(nums))
     used = [i for i, m in enumerate(maxes) if m]
     with_den = [i for i in used if dens[i] is not None]
     group = [*(nums[i] for i in used), *(dens[i] for i in with_den)]
     if any(p.ring != target for p in group):
         raise RingMismatch("substitution images must lie in the target ring")
     s, image_ints = _k_ints(group)
+    scale = t * s ** sum(maxes)
 
     def run(K, packed):
         images = iter(packed[0])
         ntab = {i: _k_powers(next(images), maxes[i], K) for i in used}
         dtab = {i: _k_powers(next(images), maxes[i], K) for i in with_den}
-        out = []
-        for c in ints:
-            total = {}
-            for e, coeff in c.items():
-                top, factors = 0, []
-                for i in used:
-                    k, m = e[i], maxes[i]
-                    if k:
-                        factors.append(ntab[i][k])
-                    if i not in dtab:
-                        top += m - k
-                    elif k < m:
-                        factors.append(dtab[i][m - k])
-                head = {0: coeff * s**top}
-                for f in factors[:-1]:
-                    head = _k_mul(head, f, K)
-                _k_addmul(total, head, factors[-1] if factors else {0: 1}, K)
-            total = K.unpack(_k_reduce(total, K.mod))
-            out.append(_k_poly(target, total, t * s ** sum(maxes)))
-        return out
+        return [
+            _k_poly(target, K.unpack(r), scale)
+            for r in _k_substitute(ints, maxes, ntab, dtab, s, K)
+        ]
 
     return _on_packing(target.nvars, target.field.characteristic, [image_ints], run)
 

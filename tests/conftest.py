@@ -37,7 +37,9 @@ from ratmaps.polyring import (
     _k_mul,
     _k_poly,
     _k_powers,
+    _k_quotient_rule,
     _k_reduce,
+    _substitute,
     clear_denominators,
     cross_equal,
     eval_univar_at_ratio,
@@ -50,8 +52,13 @@ from ratmaps.polyring import (
     subst,
 )
 from ratmaps.fields import Fp, QQ
-from ratmaps.gordan_noether import classical_gn_condition
-from ratmaps.homog import HomogTuple, compose_homog_at, uni_ring
+from ratmaps.gordan_noether import (
+    _annihilates,
+    _gradients,
+    _trace_sides,
+    classical_gn_condition,
+)
+from ratmaps.homog import HomogTuple, bi_ring, compose_homog_at, uni_ring
 from ratmaps.subfield import DependenceSearch, _exponents_upto, adjoin_t
 
 
@@ -649,6 +656,66 @@ def reference_verify_cond3(h_map, w):
         return False, f"H = g*h(p,q) fails at component {k}"
     if not classical_gn_condition(RatMap.from_polys(hp)):
         return False, "J(h(p,q)) . h(p,q) is nonzero"
+    return True, ""
+
+
+def reference_on_cleared_jacobian(cleared, fn):
+    """fn(K, N, m) for cleared = (D, N) with m built one _k_quotient_rule
+    call per row, as the classifier did before its one row builder: grad D
+    taken again in every row, and no plain gradients for a constant D."""
+    d, nums = cleared
+
+    def run(K, packed):
+        d, *nums = packed[0]
+        return fn(K, nums, [_k_quotient_rule(nk, d, K) for nk in nums])
+
+    return on_kernel([[d, *nums]], run)
+
+
+def reference_verify_witness(h_map, w):
+    """(verified, reason) as the classifier decided it on three kernel
+    entries: one _substitute of the blocks and 1 for F and F(1), the
+    identity H = g F / F(1) on first_mismatch, then J(F) . F = 0 on the
+    per-row quotient rule (cond3) or Jp . f = Jq . f = 0 on a third
+    packing of p and q."""
+    m, c = h_map.m, h_map.ring.field.characteristic
+    if w.kind == "cond3":
+        if not is_primitive([w.p, w.q]):
+            return False, "gcd(p, q) is not a unit"
+        if w.h is not None and not isinstance(w.h, HomogTuple):
+            return False, "h must be a HomogTuple or None"
+        blocks = [bi_ring(h_map.ring.field).zero()] * m if w.h is None else w.h.polys
+        if len(blocks) != m:
+            return False, "h has the wrong number of components"
+        if w.h is not None and w.h.degree > 0 and c > 0 and w.h.degree % c == 0:
+            return False, "characteristic divides deg h"
+        images, dens, shape = [w.p, w.q], [None, None], "h(p,q)"
+    elif w.kind in ("cond4", "cond5"):
+        blocks = tuple(w.f) if w.f is not None else ()
+        if len(blocks) != m:
+            return False, "f is missing or has the wrong number of components"
+        if w.q.is_zero():
+            return False, "q is zero, f(p/q) undefined"
+        if w.kind == "cond5" and not is_primitive(blocks):
+            return False, "gcd of the components of f is not a unit"
+        if w.kind == "cond5" and not is_primitive([w.p, w.q]):
+            return False, "gcd(p, q) is not a unit"
+        images, dens, shape = [w.p], [w.q], "f(p/q)"
+    else:
+        return False, f"unknown witness kind {w.kind!r}"
+    *F, F1 = _substitute([*blocks, blocks[0].ring.one()], images, dens, w.p.ring)
+    k = first_mismatch(h_map, w.g, F, F1)
+    if k is not None:
+        return False, f"H = g*{shape} fails at component {k}"
+    if w.kind == "cond3":
+        if not reference_on_cleared_jacobian((F1, F), _trace_sides)[1]:
+            return False, "J(h(p,q)) . h(p,q) is nonzero"
+        return True, ""
+    ints = _k_ints(blocks)[1]
+    if not on_kernel(
+        [[w.p, w.q]], lambda K, pq: _annihilates(K, _gradients(K, pq[0]), ints)
+    ):
+        return False, "Jp . f = Jq . f = 0 fails"
     return True, ""
 
 

@@ -19,11 +19,13 @@ from conftest import (
     reference_cond45_failure,
     reference_flem_conclude,
     reference_nilpotent_jacobian,
+    reference_on_cleared_jacobian,
     reference_poly_matrix_rank,
     reference_translation_invariance,
     reference_trdeg_rank,
     reference_verify_cond3,
     reference_verify_cond45,
+    reference_verify_witness,
     seeded,
 )
 from ratmaps import gordan_noether, polyring, subfield
@@ -38,9 +40,12 @@ from ratmaps.fields import PrimeField, QQ
 from ratmaps.homog import HomogTuple, bi_ring, uni_ring
 from ratmaps.gordan_noether import (
     GNWitness,
+    _classify_sides,
     _core_sides,
+    _nilpotent,
     _on_cleared_jacobian,
     _trace_conditions,
+    _trace_sides,
     _verify_witness,
     bivariate_core_check,
     classical_gn_condition,
@@ -58,6 +63,7 @@ from ratmaps.polyring import (
     PolyRing,
     RatFunc,
     RatMap,
+    clear_denominators,
     compose_poly,
     eval_univar_at_ratio,
     first_mismatch,
@@ -65,6 +71,7 @@ from ratmaps.polyring import (
     primitive_part,
     relabel,
 )
+from ratmaps.linalg import _bareiss_rank
 from ratmaps.subfield import trdeg_rank
 
 R2 = PolyRing(QQ, ("x1", "x2"))
@@ -913,8 +920,9 @@ def test_gn_classify_trdeg_matches_trdeg_rank_random():
 
 
 def test_gn_classify_builds_one_jacobian_of_h(monkeypatch):
-    # the parent ran trdeg_rank beside the trace identity, which built the
-    # quotient-rule rows of H a second time: 3n calls per map, not 2n
+    # one row build per Jacobian pass, H's and the core's, with grad D taken
+    # once per pass: no per-row quotient rule and no trdeg_rank, which built
+    # the rows of H a second time
     rng = seeded(99)
     cases = []
     for _ in range(15):
@@ -923,7 +931,7 @@ def test_gn_classify_builds_one_jacobian_of_h(monkeypatch):
     for field in (QQ, PrimeField(7)):
         for n in (1, 2, 3):
             cases += [(random_square_map(rng, _ring(field, n)), []) for _ in range(8)]
-    targets = [(subfield, "trdeg_rank")]
+    targets = [(subfield, "trdeg_rank"), (gordan_noether, "_jacobian_rows")]
     targets += [(m, "_k_quotient_rule") for m in (polyring, gordan_noether, subfield)]
     counts = Counter()
     _count_calls(monkeypatch, targets, counts)
@@ -934,6 +942,145 @@ def test_gn_classify_builds_one_jacobian_of_h(monkeypatch):
             gn_classify(h, witnesses)
         except TrdegTooLarge:
             continue
-        assert counts == {"_k_quotient_rule": 2 * h.m}, (h, counts)
+        assert counts == {"_jacobian_rows": 2}, (h, counts)
         classified += 1
     assert classified > 40
+
+
+# -- the shared Jacobian rows and the one-packing verifier ---------------------
+
+CHECK_FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(32003)]
+
+
+def _span_rank(K, _, m):
+    return _bareiss_rank(K, m)
+
+
+def _cleared_pairs(rng, ring):
+    """(D, N) pairs as the classifier passes them: cleared random maps, and
+    polynomial maps over D = 1 and over a constant D != 1 (GF(2) has none),
+    with zero numerators.  Over QQ the polynomial maps carry fractions, so
+    the kernel's D is their clearing integer."""
+    n, field = ring.nvars, ring.field
+    pairs = []
+    for _ in range(8):
+        pairs.append(clear_denominators(random_square_map(rng, ring).comps))
+        nums = [random_poly(rng, ring, 2, 3) if rng.random() < 0.7 else ring.zero()
+                for _ in range(n)]
+        if field == QQ:
+            nums = [t.scale(Fraction(1, rng.randint(2, 6))) for t in nums]
+        pairs.append((ring.one(), nums))
+        pairs.append((ring.const(field.from_int(rng.choice([3, -1, 5]))), nums))
+    return pairs
+
+
+@pytest.mark.parametrize("field", CHECK_FIELDS)
+def test_jacobian_rows_match_per_row_quotient_rule_random(field):
+    # plain gradients for a constant D drop one factor that every row
+    # shares: no check read off the rows may see it
+    rng = seeded(102)
+    seen = set()
+    for n in (1, 2, 3):
+        ring = _ring(field, n)
+        for cleared in _cleared_pairs(rng, ring):
+            for fn in (_trace_sides, _classify_sides, _core_sides, _nilpotent, _span_rank):
+                got = _on_cleared_jacobian(cleared, fn)
+                assert got == reference_on_cleared_jacobian(cleared, fn), (cleared, fn)
+            seen.add("constant D" if cleared[0].is_constant() else "D")
+            if any(t.is_zero() for t in cleared[1]):
+                seen.add("zero row")
+    assert seen == {"constant D", "D", "zero row"}, seen
+
+
+def _cond45_witness_case(rng, ring):
+    """(H, witness) for cond4 or cond5, H = g * f(p/q) built from the
+    witness and then kept or spoilt: a wrong f or g, a wrong length, no f,
+    q = 0, or blocks with a common factor (f times 1 + y with H rebuilt, or
+    p and q times one linear form, which leaves H alone)."""
+    n, field = ring.nvars, ring.field
+    yring = uni_ring(field)
+    fs, p, q = _flem_case(rng, ring, 2, 1)
+    g = random_ratfunc(rng, ring, 1, 2)
+    spoil = rng.choice(
+        ["valid", "valid", "f", "g", "length", "none", "q", "common f", "common pq"]
+    )
+    if spoil == "common f":
+        fs = tuple(f * (yring.one() + yring.var(0)) for f in fs)
+    degs = [f.total_degree() for f in fs if not f.is_zero()]
+    s = int(max(degs)) if degs else 0
+    h = RatMap([g * RatFunc(eval_univar_at_ratio(f, p, q, s), q**s) for f in fs])
+    if spoil == "f":
+        k = rng.randrange(n)
+        fs = fs[:k] + (fs[k] + yring.var(0),) + fs[k + 1 :]
+    elif spoil == "g":
+        g = g + RatFunc.from_poly(ring.one())
+    elif spoil == "length":
+        fs = fs[:-1] if rng.random() < 0.5 else fs + (yring.one(),)
+    elif spoil == "none":
+        fs = None
+    elif spoil == "q":
+        q = ring.zero()
+    elif spoil == "common pq":
+        form = ring.var(0) + ring.one()
+        p, q = p * form, q * form
+    return h, GNWitness(rng.choice(["cond4", "cond5"]), g, p, q, f=fs)
+
+
+@pytest.mark.parametrize("field", CHECK_FIELDS)
+def test_verify_witness_matches_three_entry_verifier_random(field):
+    rng = seeded(103)
+    reasons = set()
+    for n in (2, 3):
+        ring = _ring(field, n)
+        for _ in range(30):
+            if rng.random() < 0.4:
+                h, w = _cond3_case(rng, ring)
+            else:
+                h, w = _cond45_witness_case(rng, ring)
+            verdict = _verify_witness(h, w)
+            assert verdict == reference_verify_witness(h, w), (h, w)
+            reasons.add(verdict[1].split(" at component")[0])
+    assert {
+        "",
+        "f is missing or has the wrong number of components",
+        "q is zero, f(p/q) undefined",
+        "gcd of the components of f is not a unit",
+        "gcd(p, q) is not a unit",
+        "H = g*f(p/q) fails",
+        "H = g*h(p,q) fails",
+        "Jp . f = Jq . f = 0 fails",
+    } <= reasons, reasons
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)])
+def test_verify_witness_reruns_whole_when_the_substitution_outgrows(field, monkeypatch):
+    # in 8 variables the first slot width for inputs of degree 1 is 3 bits,
+    # room for total degree 3: p^8 outgrows it inside the one packing, and
+    # the substitution, the identity and the gradient test rerun at 6 bits
+    widths = []
+
+    class Recording(polyring._Packing):
+        __slots__ = ()
+
+        def __init__(self, n, w, mod):
+            widths.append(w)
+            super().__init__(n, w, mod)
+
+    ring = _ring(field, 8)
+    x = [ring.var(i) for i in range(8)]
+    yring = uni_ring(field)
+    y = yring.var(0)
+    p, q = x[0] + x[1], x[2] - x[3]
+    one = RatFunc.from_poly(ring.one())
+    zero = RatFunc.from_poly(ring.zero())
+    for k in (0, 5):
+        h = RatMap([RatFunc.from_poly(x[4]) if i == k else zero for i in range(8)])
+        fs = tuple(y**8 + y if i == k else yring.zero() for i in range(8))
+        w = GNWitness("cond4", one, p, q, f=fs)
+        monkeypatch.setattr(polyring, "_Packing", Recording)
+        widths.clear()
+        verdict = _verify_witness(h, w)
+        assert widths == [3, 6], widths
+        monkeypatch.undo()
+        assert verdict == reference_verify_witness(h, w)
+        assert verdict == (False, f"H = g*f(p/q) fails at component {k}")

@@ -18,7 +18,7 @@ from conftest import (
 )
 from ratmaps import linalg, polyring
 from ratmaps.fields import PrimeField, QQ
-from ratmaps.gordan_noether import _trace_conditions
+from ratmaps.gordan_noether import GNWitness, _trace_conditions, _verify_witness
 from ratmaps.linalg import (
     field_nullspace,
     field_rank,
@@ -300,5 +300,7 @@ def test_kernel_identities_need_no_second_width(monkeypatch):
             w, g, p, q, fs, s = random_cond45_case(rng, ring)
             cleared = [eval_univar_at_ratio(f, p, q, s) for f in fs]
             once(first_mismatch, w, g, cleared, q**s)
+            # a witness's substitution, identity and gradient test
+            once(_verify_witness, w, GNWitness("cond4", g, p, q, f=fs))
             if field == QQ:
                 once(trdeg_rank, h, True)

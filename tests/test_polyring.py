@@ -1310,3 +1310,29 @@ def test_divexact_packs_once_at_its_first_width(field, monkeypatch):
                 pass
             deg = max(a.total_degree(), b.total_degree())
             assert widths == [polyring._first_width(n, deg)], (a, b)
+
+
+@pytest.mark.parametrize("p", [2, 7, 32003, 2**61 - 1])
+def test_uni_rem_and_powmod_match_divmod_remainders_random(p):
+    # _uni_rem reduces in place with no quotient; _uni_divmod keeps both
+    rng = seeded(104)
+
+    def dense(deg):
+        return [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
+
+    def powmod(a, n, f):
+        result, base = [1], polyring._uni_divmod(a, f, p)[1]
+        for _ in range(n):
+            result = polyring._uni_divmod(polyring._uni_mul(result, base, p), f, p)[1]
+        return result
+
+    for _ in range(200):
+        a, b = dense(rng.randint(0, 12)), dense(rng.randint(0, 6))
+        if rng.random() < 0.2:
+            a = polyring._uni_mul(a, b, p)  # a remainder of zero
+        expected = polyring._uni_divmod(a, b, p)[1]
+        copy = a[:]
+        assert polyring._uni_rem(copy, b, p) == expected, (a, b)
+        assert copy == expected, (a, b)
+        n = rng.randint(0, 20)
+        assert polyring._uni_powmod(a, n, b, p) == powmod(a, n, b), (a, n, b)
