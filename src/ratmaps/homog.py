@@ -189,17 +189,20 @@ def degree_formula(h: HomogTuple, p: Poly, q: Poly):
     """
     if p.is_zero() and q.is_zero():
         raise BothZero("p and q are both zero")
-    g = gcd_many(h.polys)
-    if has_linear_factor(g):
+    if has_linear_factor(gcd_many(h.polys)):
         raise LinearFactorPresent("gcd of the tuple has a linear factor over K")
-    s = h.degree
+    return degree_check(h.degree, p, q, _substitute(list(h.polys), [p, q], [None, None], p.ring))
+
+
+def degree_check(s: int, p: Poly, q: Poly, hp):
+    """degree_formula's values, checked against the images hp = h(p, q) of
+    an h of degree s whose gcd has no linear factor."""
     dp = tuple_degrees([p, q])
     expect_deg = s * dp.deg
     expect_low = s * dp.lowdeg
-    composed = _substitute(list(h.polys), [p, q], [None, None], p.ring)
-    if all(c.is_zero() for c in composed):
+    if all(c.is_zero() for c in hp):
         raise AssertionFailure("h(p, q) vanished despite the linear-factor filter")
-    actual = tuple_degrees(composed)
+    actual = tuple_degrees(hp)
     if (actual.deg, actual.lowdeg) != (expect_deg, expect_low):
         raise AssertionFailure(
             f"degree formula mismatch: expected ({expect_deg}, {expect_low}), "

@@ -28,7 +28,7 @@ from .errors import (
     WitnessRejected,
     ZeroDenominator,
 )
-from .homog import HomogTuple, bi_ring, compose_homog_at, degree_formula, uni_ring
+from .homog import HomogTuple, bi_ring, compose_homog_at, degree_check, uni_ring
 from .linalg import (
     _bareiss_rank,
     coefficient_rows,
@@ -624,7 +624,8 @@ def hmgrk2_verify(h_map: RatMap, w: LurothWitness) -> Hmgrk2Report:
         report.skip("degree formulas", "h = 0")
     else:
         try:
-            deg, lowdeg = degree_formula(w.h, w.p, w.q)
+            # h was proved primitive above: its gcd has no linear factor
+            deg, lowdeg = degree_check(w.h.degree, w.p, w.q, hp)
             report.add("degree formulas", True, f"deg {deg}, low deg {lowdeg}")
         except AssertionFailure as exc:
             report.add("degree formulas", False, str(exc))

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import time_limit
 from ratmaps.cli import main
+from ratmaps.expressions import MAX_NESTING
 
 
 def run_cli(capsys, *argv):
@@ -44,6 +45,30 @@ def test_parse_error_exit_code(capsys):
     code, out, err = run_cli(capsys, "gcd", "(x1^")
     assert code == 2
     assert "parse error" in err
+
+
+def test_long_sum_exits_0(capsys):
+    # the parser and the lowering walk the 4,999 BinOps of the sum by loops
+    text = " + ".join(f"{k + 1}*x1^{k % 71}*x2^{k // 71}" for k in range(5000))
+    with time_limit(4):
+        code, data, err = run_json(capsys, "gcd", text, "x1")
+    assert (code, err) == (0, "")
+    assert data["gcd"] == "1"
+    with time_limit(4):
+        code, data, _ = run_json(capsys, "gcd", " - ".join(["x1*x2"] * 5000))
+    assert code == 0 and data["gcd"] == "x1*x2"
+
+
+def test_nesting_beyond_the_cap_exits_2(capsys):
+    def nested(depth):
+        return "x1*(" * depth + "x1 + 1" + ")" * depth
+
+    code, data, _ = run_json(capsys, "gcd", nested(MAX_NESTING), "x1")
+    assert code == 0 and data["gcd"] == "x1"
+    code, out, err = run_cli(capsys, "gcd", nested(MAX_NESTING + 1), "x1")
+    assert (code, out) == (2, "")
+    offset = 4 * MAX_NESTING + 3
+    assert err == f"parse error: parentheses nested deeper than {MAX_NESTING} (at offset {offset})\n"
 
 
 def test_precondition_exit_code(capsys):

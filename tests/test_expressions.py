@@ -1,12 +1,13 @@
+import re
+import time
 from fractions import Fraction
 
 import pytest
 
-import time
-
 from conftest import random_nonzero_poly, random_ratfunc, reference_elaborate, seeded
 from ratmaps.errors import ParseError, UnknownVariable
 from ratmaps.expressions import (
+    MAX_NESTING,
     elaborate,
     elaborate_map,
     elaborate_poly,
@@ -15,7 +16,7 @@ from ratmaps.expressions import (
     x_ring_for,
 )
 from ratmaps.fields import PrimeField, QQ
-from ratmaps.polyring import PolyRing, RatFunc, RatMap
+from ratmaps.polyring import Poly, PolyRing, RatFunc, RatMap
 
 R2 = PolyRing(QQ, ("x1", "x2"))
 X1, X2 = R2.var(0), R2.var(1)
@@ -97,21 +98,25 @@ def test_x_ring_inference():
         x_ring_for([parse("y1")], QQ)
 
 
-# -- Poly until the first division, against reduced RatFunc at every node ----
+# -- int dicts until the first division, against reduced RatFunc at every node
 
 
-def _random_expr(rng, names, depth):
+def _random_expr(rng, names, depth, big):
+    """A random expression; big holds literals at or above the characteristic."""
     if depth == 0 or rng.random() < 0.25:
-        return rng.choice(names + [str(rng.randint(0, 5))])
-    kind = rng.randrange(6)
+        return rng.choice(names + [str(rng.randint(0, 5)), str(rng.choice(big))])
+    kind = rng.randrange(8)
+    sub = _random_expr(rng, names, depth - 1, big)
     if kind == 0:
-        return f"({_random_expr(rng, names, depth - 1)})^{rng.randint(0, 3)}"
+        return f"({sub})^{rng.randint(0, 3)}"
     if kind == 1:
-        return f"-({_random_expr(rng, names, depth - 1)})"
+        return f"-({sub})"
+    if kind == 6:  # a sum that cancels
+        return f"({sub}) - ({sub})"
+    if kind == 7:  # a cancelling sum to a power, 1 at the exponent 0
+        return f"(({sub}) - ({sub}))^{rng.randint(0, 2)} * ({sub})"
     op = "+-*/"[kind - 2]
-    left = _random_expr(rng, names, depth - 1)
-    right = _random_expr(rng, names, depth - 1)
-    return f"({left}) {op} ({right})"
+    return f"({sub}) {op} ({_random_expr(rng, names, depth - 1, big)})"
 
 
 def _outcome(fn, tree, ring):
@@ -121,27 +126,101 @@ def _outcome(fn, tree, ring):
         return str(exc)
 
 
+FIXED_CASES = ["4001*x1", "x1 - x1", "(x1 - x1)^0", "(x1 - x1)^0 * x2 - 1", "(4001*x1 + 1)^3"]
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(32003)])
 def test_elaborate_matches_ratfunc_at_every_node_random(field):
     rng = seeded(93)
+    p = field.characteristic or 4001
+    big = [p, p + 1, 2 * p - 1, 3 * p]
     kinds = set()
     for n in (2, 3):
         ring = PolyRing(field, tuple(f"x{i + 1}" for i in range(n)))
-        for _ in range(120):
-            tree = parse(_random_expr(rng, list(ring.names), 4))
+        texts = [f.replace("4001", str(p)) for f in FIXED_CASES]
+        texts += [_random_expr(rng, list(ring.names), 4, big) for _ in range(160)]
+        for text in texts:
+            tree = parse(text)
             expected = _outcome(reference_elaborate, tree, ring)
-            assert _outcome(elaborate, tree, ring) == expected, tree
+            assert _outcome(elaborate, tree, ring) == expected, text
             if isinstance(expected, str):
                 kinds.add("division by zero")
                 continue
             if expected.is_polynomial():
                 assert elaborate_poly(tree, ring) == expected.num
-                kinds.add("polynomial")
+                kinds.add("zero" if expected.is_zero() else "polynomial")
             else:
                 with pytest.raises(ParseError, match="proper fraction"):
                     elaborate_poly(tree, ring)
                 kinds.add("fraction")
-    assert kinds == {"division by zero", "polynomial", "fraction"}
+    assert kinds == {"division by zero", "zero", "polynomial", "fraction"}
+
+
+def test_division_free_tree_multiplies_no_poly(monkeypatch):
+    """A tree without division lowers on int dicts: no Poly product or power."""
+    calls = []
+
+    def counted(name):
+        real = getattr(Poly, name)
+        return lambda a, b: calls.append(name) or real(a, b)
+
+    for name in ("__mul__", "__pow__"):
+        monkeypatch.setattr(Poly, name, counted(name))
+    text = "-(x1 + 2*x2)^3 * (x1 - 1) + 7*x1^2*x2 - (x2 - x2)^0 + (x1*x2)^4"
+    for field in (QQ, PrimeField(3), PrimeField(32003)):
+        ring = PolyRing(field, ("x1", "x2"))
+        calls.clear()
+        value = elaborate(parse(text), ring)
+        assert not calls, field
+        assert value == reference_elaborate(parse(text), ring)
+    calls.clear()
+    elaborate(parse("(x1 + 1)^2/(x1 - 1)"), R2)
+    assert calls  # the count sees the RatFunc arithmetic from a division on
+
+
+def test_parse_error_offsets():
+    cases = [
+        ("x1 $ x2", 3, "unexpected character '$'"),
+        ("x1 +", 4, "unexpected end of input"),
+        ("x1^-1", 3, "exponent must be"),
+        ("x1)", 2, "unexpected trailing ')'"),
+        (")", 0, "unexpected ')'"),
+        ("(x1, x2", 7, "expected ',' or ')'"),
+        ("  ", 2, "unexpected end of input"),
+    ]
+    for text, offset, message in cases:
+        with pytest.raises(ParseError, match=re.escape(message)) as exc:
+            parse(text)
+        assert exc.value.offset == offset, text
+
+
+@pytest.mark.parametrize("template", ["(", "x1*(", "(x2 - ", "-("])
+def test_nesting_cap(template):
+    """Nesting up to MAX_NESTING parses and lowers; one more level is a
+    ParseError at the offending parenthesis, not a RecursionError."""
+    def nested(depth):
+        return template * depth + "x1" + ")" * depth
+
+    ring = PolyRing(QQ, ("x1", "x2"))
+    tree = parse(nested(MAX_NESTING))
+    assert x_ring_for([tree], QQ, minimum=2) == ring
+    assert elaborate(tree, ring) == reference_elaborate(tree, ring)
+    with pytest.raises(ParseError, match="nested deeper") as exc:
+        parse(nested(MAX_NESTING + 1))
+    assert exc.value.offset == len(template) * MAX_NESTING + template.index("(")
+
+
+def test_long_sum_lowers_without_recursion():
+    # one BinOp per term on the left spine: walked by a loop, and the sum
+    # accumulates in place instead of copying itself per term
+    text = " + ".join(f"{k + 1}*x1^{k % 71}*x3^{k // 71}" for k in range(5000))
+    start = time.perf_counter()
+    tree = parse(text)
+    ring = x_ring_for([tree], QQ)
+    value = elaborate_poly(tree, ring)
+    assert time.perf_counter() - start < 4.0
+    assert ring.names == ("x1", "x2", "x3") and len(value.terms) == 5000
+    assert value.terms[(29, 0, 70)] == 5000
 
 
 def test_cancelling_product_reduces_as_it_goes():

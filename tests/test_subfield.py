@@ -16,7 +16,7 @@ from conftest import (
     seeded,
     time_limit,
 )
-from ratmaps import polyring, subfield
+from ratmaps import homog, polyring, subfield
 from ratmaps.errors import (
     AssertionFailure,
     BothConstant,
@@ -686,6 +686,30 @@ def test_hmgrk2_verify_takes_the_gcd_of_h_once(monkeypatch):
         assert sum(polys is h.polys for polys in seen) == (w.h is not None)
         item = next(i for i in report.items if i.name.startswith("H != 0"))
         assert item.detail == ", ".join([verdict] * 4)
+
+
+def test_hmgrk2_verify_substitutes_h_once(monkeypatch):
+    """The degree formulas are checked on the images h(p, q) the identity
+    already took; h was proved primitive, so no gcd of h is taken again."""
+    counts = {"_substitute": 0, "gcd_many": 0}
+    for name in counts:
+        real = getattr(polyring, name)
+
+        def counted(*args, real=real, name=name):
+            counts[name] += 1
+            return real(*args)
+
+        for module in (polyring, homog, subfield):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    h_map = RatMap.from_polys([X1**2, X1 * X2, X2**2])
+    h = HomogTuple((Y1**2, Y1 * Y2, Y2**2), 2)
+    report = hmgrk2_verify(h_map, LurothWitness(RatFunc.from_poly(R2.one()), h, X1, X2))
+    assert report.all_ok()
+    item = next(i for i in report.items if i.name == "degree formulas")
+    assert item.detail == "deg 2, low deg 2"
+    # through degree_formula, h would be substituted and its gcd taken again: 2 and 4
+    assert counts == {"_substitute": 1, "gcd_many": 3}
 
 
 def test_tuple_is_homogeneous_reads_one_degree_set():
