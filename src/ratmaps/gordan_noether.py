@@ -12,9 +12,9 @@ identity are decided on cleared numerators, with every gradient taken on
 the packed-int kernel: no check reduces a fraction.  The classifier clears
 H once, and each of its checks is one packing: one kernel Jacobian of H
 answers (1) and trdeg K(tH), one of the core answers (2) and the
-characteristic-zero remark (both Jacobians built by _jacobian_rows), and
-each witness is substituted, compared with H and gradient-tested inside
-one more (_verify_witness).
+characteristic-zero remark, and each witness is substituted, compared with
+H and gradient-tested inside one more (_verify_witness).  The Jacobian rows,
+as in subfield.trdeg_rank, are polyring's _k_jacobian_rows.
 """
 
 from __future__ import annotations
@@ -37,14 +37,13 @@ from .polyring import (
     PolyRing,
     RatFunc,
     RatMap,
-    _k_derivative,
     _k_dot,
     _k_first_mismatch,
+    _k_gradients,
     _k_ints,
+    _k_jacobian_rows,
     _k_maxes,
     _k_mul,
-    _k_powers,
-    _k_quotient_rule,
     _k_sub,
     _k_substitute,
     _on_packing,
@@ -66,36 +65,15 @@ def _require_square(h: RatMap) -> int:
     return n
 
 
-def _jacobian_rows(d: dict, nums, K) -> list:
-    """Row k is d grad N_k - N_k grad d for packed d and N = nums: with
-    H = N / d, JH = rows / d^2.  grad d is taken once, and a zero N_k gives
-    a zero row.  A constant d (on the kernel that includes D = 1, over QQ
-    its clearing integer) gives the plain gradients grad N_k, every row
-    divided by the same nonzero d: the trace identity, the core check, the
-    nilpotency power and the ranks read off these rows do not change under
-    one nonzero factor that all rows share.  subfield.trdeg_rank, whose
-    rows have a denominator each, keeps _k_quotient_rule."""
-    grads = _gradients(K, nums)
-    if list(d) == [0]:
-        return grads
-    grad_d = _gradients(K, [d])[0]
-    return [
-        [_k_sub(_k_mul(a, d, K), _k_mul(nk, b, K), K) for a, b in zip(grad, grad_d)]
-        if nk
-        else grad
-        for nk, grad in zip(nums, grads)
-    ]
-
-
 def _on_cleared_jacobian(cleared, fn):
     """fn(K, N, m) on the kernel for cleared = (D, N), H = N / D, and m the
-    rows of _jacobian_rows; over QQ one integer scales all.  The slot width
+    rows of _k_jacobian_rows; over QQ one integer scales all.  The slot width
     is on_kernel's, from deg (D, N)."""
     d, nums = cleared
 
     def run(K, packed):
         d, *nums = packed[0]
-        return fn(K, nums, _jacobian_rows(d, nums, K))
+        return fn(K, nums, _k_jacobian_rows(d, nums, K))
 
     return on_kernel([[d, *nums]], run)
 
@@ -122,7 +100,7 @@ def _classify_sides(K, nums, m):
     """_trace_sides and, in characteristic zero, trdeg K(tH) = rank [m | N]:
     D^2 times row k of J(tH) over (x, t) is [t m_k, D N_k], and column
     scalings (by t, by D, over QQ by the clearing integer, and by the
-    constant D that _jacobian_rows leaves out) keep the rank.
+    constant D that _k_jacobian_rows leaves out) keep the rank.
     Bareiss on [m | N] forms products of degree up to 4(n-1) deg (D, N);
     where they outgrow the first slot width, the pass reruns wider
     (_on_packing)."""
@@ -192,7 +170,7 @@ def translation_invariance(h: RatMap) -> bool:
 
 
 def nilpotent_jacobian(h: RatMap) -> bool:
-    """Whether (JH)^n = 0 over K(x): JH is m (_jacobian_rows) over a
+    """Whether (JH)^n = 0 over K(x): JH is m (_k_jacobian_rows) over a
     nonzero factor, so iff m^n = 0 on the kernel."""
     _require_square(h)
     return _on_cleared_jacobian(clear_denominators(h.comps), _nilpotent)
@@ -206,10 +184,6 @@ def _nilpotent(K, nums, m):
             return True
         power = [[_k_dot(row, col, K) for col in cols] for row in power]
     return not any(any(row) for row in power)
-
-
-def _gradients(K, ts) -> list:
-    return [[_k_derivative(t, j, K) for j in range(K.n)] for t in ts]
 
 
 def _annihilates(K, grads, ints) -> bool:
@@ -316,18 +290,15 @@ def _verify_witness(h_map: RatMap, w: GNWitness):
 
     def checks(K, packed):
         (kp, kq), (gn, gd), *hs = packed
-        if cond3:
-            ntab, dtab = {0: _k_powers(kp, maxes[0], K), 1: _k_powers(kq, maxes[1], K)}, {}
-        else:
-            ntab, dtab = {0: _k_powers(kp, maxes[0], K)}, {0: _k_powers(kq, maxes[0], K)}
-        *F, F1 = _k_substitute(ints, maxes, ntab, dtab, s, K)
+        nums, dens = ({0: kp, 1: kq}, {}) if cond3 else ({0: kp}, {0: kq})
+        *F, F1 = _k_substitute(ints, maxes, nums, dens, s, K)
         k = _k_first_mismatch(gn, gd, F1, F, hs, K)
         if k is not None:
             return f"H = g*{shape} fails at component {k}"
         if cond3:
-            if any(_k_dot(F, row, K) for row in _gradients(K, F)):
+            if any(_k_dot(F, row, K) for row in _k_gradients(F, K)):
                 return "J(h(p,q)) . h(p,q) is nonzero"
-        elif not _annihilates(K, _gradients(K, [kp, kq]), ints[:-1]):
+        elif not _annihilates(K, _k_gradients([kp, kq], K), ints[:-1]):
             return "Jp . f = Jq . f = 0 fails"
         return ""
 
@@ -414,7 +385,10 @@ def flem_conclude(fs, p: Poly, q: Poly, mode: str) -> bool:
     With J(p/q) = G / q^2, G_j = q d_jp - p d_jq, and f(p/q) = F / q^s,
     each dot product is zero iff its numerator is: G . F and G . F' in
     mode i (F' the same evaluation of f'), G . F and Jq . F in mode ii.
+    G comes from _k_jacobian_rows, which gives grad p = G / q for constant q.
     """
+    if mode not in ("i", "ii"):
+        raise ValueError(f"unknown mode {mode!r}")
     fs = tuple(fs)
     ring = p.ring
     n = ring.nvars
@@ -426,16 +400,14 @@ def flem_conclude(fs, p: Poly, q: Poly, mode: str) -> bool:
         raise DegreeOrder("deg p exceeds deg q")
     if all(f.is_zero() for f in fs):
         return True
-    if mode not in ("i", "ii"):
-        raise ValueError(f"unknown mode {mode!r}")
     ders = [f.derivative(0) for f in fs] if mode == "i" else []
     group = [p, q, *_substitute([*fs, *ders], [p], [q], ring)]
     ints = _k_ints(fs)[1]
 
     def dots(K, packed):
         kp, kq, *at = packed[0]
-        grads = _gradients(K, [kp, kq])
-        ratio = _k_quotient_rule(kp, kq, K)
+        grads = _k_gradients([kp, kq], K)
+        ratio = _k_jacobian_rows(kq, [kp], K)[0]
         second = _k_dot(ratio, at[n:], K) if mode == "i" else _k_dot(grads[1], at, K)
         hypothesis = not _k_dot(ratio, at[:n], K) and not second
         if hypothesis and not _annihilates(K, grads, ints):

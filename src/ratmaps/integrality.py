@@ -64,11 +64,11 @@ class ReducedPair(FrozenRecord):
             raise ConstantPart("f2 must be nonzero")
         if self.f1.ring != self.f2.ring or self.f1.ring.nvars != 1:
             raise ValueError("expected univariate polynomials over one ring")
-        if not self.f1.is_zero():
-            g = gcd_many([self.f1, self.f2])
-            if not g.is_one():
-                object.__setattr__(self, "f1", self.f1.divexact(g))
-                object.__setattr__(self, "f2", self.f2.divexact(g))
+        # gcd(0, f2) = f2: a zero g is the pair (0, 1)
+        g = self.f2 if self.f1.is_zero() else gcd_many([self.f1, self.f2])
+        if not g.is_one():
+            object.__setattr__(self, "f1", self.f1.divexact(g))
+            object.__setattr__(self, "f2", self.f2.divexact(g))
 
     @property
     def ring(self):

@@ -339,8 +339,9 @@ def poly_arith(a: Poly, b: Poly, op: str) -> Poly:
 # integers over QQ and residues over GF(p), with no Fraction or Fp object
 # per operation.  It runs the gcds of both fields, the bulk identities of
 # the classifier (trace identity, Bareiss rank, witness check), every
-# substitution (_substitute, which reads its clearing powers from the
-# polys it substitutes into) and every exact division (Poly.divexact on
+# Jacobian row (_k_jacobian_rows), every substitution (_k_substitute, under
+# _substitute, which reads its clearing powers from the polys it
+# substitutes into) and every exact division (Poly.divexact on
 # _k_divexact).  _k_ints converts from Poly and returns its clearing
 # integer with the int forms, _on_packing packs and _k_poly converts back,
 # so Poly keeps its tuple keys.  The slot width has one rule, in
@@ -656,15 +657,25 @@ def _k_derivative(t: dict, j: int, K: _Packing) -> dict:
     return _k_reduce(out, K.mod) if K.mod else out
 
 
-def _k_quotient_rule(num: dict, den: dict, K: _Packing) -> list:
-    """[d_i num * den - num * d_i den for i < K.n]: den^2 times grad(num/den)."""
+def _k_gradients(ts, K: _Packing) -> list:
+    return [[_k_derivative(t, j, K) for j in range(K.n)] for t in ts]
+
+
+def _k_jacobian_rows(d: dict, nums, K: _Packing) -> list:
+    """Row k is d grad N_k - N_k grad d for packed d and N = nums: with
+    H = N / d, JH = rows / d^2.  grad d is taken once, and a zero N_k gives
+    a zero row.  A constant d (on the kernel that includes D = 1, over QQ
+    its clearing integer) gives the plain gradients grad N_k, every row over
+    the same nonzero d, which no identity or rank read off the rows sees."""
+    grads = _k_gradients(nums, K)
+    if list(d) == [0]:
+        return grads
+    grad_d = _k_gradients([d], K)[0]
     return [
-        _k_sub(
-            _k_mul(_k_derivative(num, i, K), den, K),
-            _k_mul(num, _k_derivative(den, i, K), K),
-            K,
-        )
-        for i in range(K.n)
+        [_k_sub(_k_mul(a, d, K), _k_mul(nk, b, K), K) for a, b in zip(grad, grad_d)]
+        if nk
+        else grad
+        for nk, grad in zip(nums, grads)
     ]
 
 
@@ -1369,13 +1380,15 @@ def _k_maxes(ints, n: int) -> list:
     return [max((e[i] for e in exps), default=0) for i in range(n)]
 
 
-def _k_substitute(ints, maxes, ntab: dict, dtab: dict, s: int, K: _Packing) -> list:
+def _k_substitute(ints, maxes, nums: dict, dens: dict, s: int, K: _Packing) -> list:
     """Packed sum_e c_e prod_i n_i^e_i d_i^(M_i - e_i) for each tuple-keyed
     int dict sum_e c_e y^e of ints, reduced.  M_i = maxes[i] bounds every
-    e_i.  ntab[i] = [1, n_i, ..., n_i^M_i] for every i that occurs (others
-    may be there too) and dtab[i] likewise for d_i, packed on one scale s
-    (1 over GF(p)); an i missing from dtab has d_i = 1, which becomes the
-    integer top-up s^(M_i - e_i), so every term carries s^(sum M)."""
+    e_i.  nums maps every i that occurs (others may be there too) to its
+    packed n_i, and dens likewise to d_i, on one scale s (1 over GF(p));
+    an i missing from dens has d_i = 1, which becomes the integer top-up
+    s^(M_i - e_i), so every term carries s^(sum M)."""
+    ntab = {i: _k_powers(n, maxes[i], K) for i, n in nums.items()}
+    dtab = {i: _k_powers(d, maxes[i], K) for i, d in dens.items()}
     out = []
     for c in ints:
         total = {}
@@ -1422,11 +1435,11 @@ def _substitute(polys, nums, dens, target: PolyRing) -> list:
 
     def run(K, packed):
         images = iter(packed[0])
-        ntab = {i: _k_powers(next(images), maxes[i], K) for i in used}
-        dtab = {i: _k_powers(next(images), maxes[i], K) for i in with_den}
+        knums = {i: next(images) for i in used}
+        kdens = {i: next(images) for i in with_den}
         return [
             _k_poly(target, K.unpack(r), scale)
-            for r in _k_substitute(ints, maxes, ntab, dtab, s, K)
+            for r in _k_substitute(ints, maxes, knums, kdens, s, K)
         ]
 
     return _on_packing(target.nvars, target.field.characteristic, [image_ints], run)

@@ -40,8 +40,8 @@ from .polyring import (
     PolyRing,
     RatFunc,
     RatMap,
+    _k_jacobian_rows,
     _k_mul,
-    _k_quotient_rule,
     _substitute,
     clear_denominators,
     compose_poly,
@@ -130,10 +130,11 @@ def trdeg_rank(h: RatMap, with_t: bool = False) -> int:
 
     The matrix is polynomial and built on the packed-int kernel without a
     gcd: for H_k = N_k / D_k, row k is [d_i N_k * D_k - N_k * d_i D_k]_i,
-    plus N_k * D_k for tH.  That is row k of J(tH) times D_k^2, with the x
-    columns divided by t; scaling rows and columns by nonzero elements of
-    K(x, t) keeps the rank (so does the integer clearing row k over QQ),
-    and the rank over K(x) equals the rank over K(x, t).
+    plus N_k * D_k for tH, both over D_k when D_k is constant
+    (_k_jacobian_rows).  That is row k of J(tH) times D_k^2 (or D_k), with
+    the x columns divided by t; scaling rows and columns by nonzero
+    elements of K(x, t) keeps the rank (so does the integer clearing row k
+    over QQ), and the rank over K(x) equals the rank over K(x, t).
     """
     ring = h.ring
     if ring.field.characteristic != 0:
@@ -147,9 +148,11 @@ def trdeg_rank(h: RatMap, with_t: bool = False) -> int:
     def rank(K, packed):
         rows = []
         for num, den in packed:
-            row = _k_quotient_rule(num, den, K)
+            row = _k_jacobian_rows(den, [num], K)[0]
             if with_t:
-                row.append(_k_mul(num, den, K))
+                # a constant den's row is grad num, the quotient rule over
+                # den, so its t entry is num over den too: num, not num * den
+                row.append(num if list(den) == [0] else _k_mul(num, den, K))
             rows.append(row)
         return _bareiss_rank(K, rows)
 

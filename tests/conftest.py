@@ -33,12 +33,14 @@ from ratmaps.polyring import (
     RatMap,
     _as_ratfunc,
     _k_addmul,
+    _k_derivative,
+    _k_gradients,
     _k_ints,
     _k_mul,
     _k_poly,
     _k_powers,
-    _k_quotient_rule,
     _k_reduce,
+    _k_sub,
     _substitute,
     clear_denominators,
     cross_equal,
@@ -54,7 +56,6 @@ from ratmaps.polyring import (
 from ratmaps.fields import Fp, QQ
 from ratmaps.gordan_noether import (
     _annihilates,
-    _gradients,
     _trace_sides,
     classical_gn_condition,
 )
@@ -659,6 +660,19 @@ def reference_verify_cond3(h_map, w):
     return True, ""
 
 
+def _k_quotient_rule(num: dict, den: dict, K) -> list:
+    """[d_i num * den - num * d_i den for i < K.n]: den^2 times grad(num/den),
+    one row on its own, as the kernel built it before _k_jacobian_rows."""
+    return [
+        _k_sub(
+            _k_mul(_k_derivative(num, i, K), den, K),
+            _k_mul(num, _k_derivative(den, i, K), K),
+            K,
+        )
+        for i in range(K.n)
+    ]
+
+
 def reference_on_cleared_jacobian(cleared, fn):
     """fn(K, N, m) for cleared = (D, N) with m built one _k_quotient_rule
     call per row, as the classifier did before its one row builder: grad D
@@ -713,7 +727,7 @@ def reference_verify_witness(h_map, w):
         return True, ""
     ints = _k_ints(blocks)[1]
     if not on_kernel(
-        [[w.p, w.q]], lambda K, pq: _annihilates(K, _gradients(K, pq[0]), ints)
+        [[w.p, w.q]], lambda K, pq: _annihilates(K, _k_gradients(pq[0], K), ints)
     ):
         return False, "Jp . f = Jq . f = 0 fails"
     return True, ""

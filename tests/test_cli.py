@@ -321,6 +321,29 @@ def test_pqtrans_flags(capsys):
     assert data["f1star"] == "y1^2" and data["f2star"] == "1"
 
 
+ZERO_G = [("q", "0"), ("fp:2", "2*y1^2"), ("fp:7", "7")]
+
+
+@pytest.mark.parametrize("field,zero", ZERO_G)
+@pytest.mark.parametrize(
+    "command,f2", [("regen-integral", "y1^3+y1"), ("integral", "y1+1"), ("integral-set", "y1+1")]
+)
+def test_a_zero_g_is_a_precondition_error(capsys, command, f2, field, zero):
+    # f1 is zero in the field, so g = 0 lies in K; regen-integral used to
+    # invert at a root of f2 and fail its own integrality cross-check
+    code, out, err = run_cli(capsys, command, "x2", "1", "--g", f"{zero};{f2}", "--field", field)
+    assert code == 1, (out, err)
+    assert err.startswith("precondition violated: ") and "Traceback" not in err, err
+
+
+def test_pqtrans_of_a_zero_g_is_zero_over_one(capsys):
+    code, data, _ = run_json(
+        capsys, "pqtrans", "x2", "1", "--g", "0;y1+1", "--mode", "invert", "--theta", "1"
+    )
+    assert code == 0
+    assert data["f1star"] == "0" and data["f2star"] == "1"
+
+
 def test_json_deterministic_across_runs(capsys):
     outputs = []
     for _ in range(2):

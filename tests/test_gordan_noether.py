@@ -378,6 +378,12 @@ def test_flem_examples():
         flem_conclude((Y, YR.zero()), X1**2, X2, "i")
 
 
+def test_flem_conclude_rejects_an_unknown_mode_whatever_f_is():
+    for fs in ((YR.zero(), YR.zero()), (Y, YR.zero())):
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            flem_conclude(fs, X1, X2 + R2.one(), "bogus")
+
+
 # -- span of constant vectors ---------------------------------------------------
 
 
@@ -921,8 +927,7 @@ def test_gn_classify_trdeg_matches_trdeg_rank_random():
 
 def test_gn_classify_builds_one_jacobian_of_h(monkeypatch):
     # one row build per Jacobian pass, H's and the core's, with grad D taken
-    # once per pass: no per-row quotient rule and no trdeg_rank, which built
-    # the rows of H a second time
+    # once per pass: no trdeg_rank, which built the rows of H a second time
     rng = seeded(99)
     cases = []
     for _ in range(15):
@@ -931,8 +936,8 @@ def test_gn_classify_builds_one_jacobian_of_h(monkeypatch):
     for field in (QQ, PrimeField(7)):
         for n in (1, 2, 3):
             cases += [(random_square_map(rng, _ring(field, n)), []) for _ in range(8)]
-    targets = [(subfield, "trdeg_rank"), (gordan_noether, "_jacobian_rows")]
-    targets += [(m, "_k_quotient_rule") for m in (polyring, gordan_noether, subfield)]
+    targets = [(subfield, "trdeg_rank")]
+    targets += [(m, "_k_jacobian_rows") for m in (polyring, gordan_noether, subfield)]
     counts = Counter()
     _count_calls(monkeypatch, targets, counts)
     classified = 0
@@ -942,7 +947,7 @@ def test_gn_classify_builds_one_jacobian_of_h(monkeypatch):
             gn_classify(h, witnesses)
         except TrdegTooLarge:
             continue
-        assert counts == {"_jacobian_rows": 2}, (h, counts)
+        assert counts == {"_k_jacobian_rows": 2}, (h, counts)
         classified += 1
     assert classified > 40
 

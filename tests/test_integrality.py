@@ -94,6 +94,16 @@ def test_valuation_well_defined_under_common_factors():
         assert v1 == v2
 
 
+def test_reduced_pair_of_a_zero_f1_is_zero_over_one():
+    for field in (QQ, PrimeField(2), PrimeField(7)):
+        yr = uni_ring(field)
+        y, one = yr.var(0), yr.one()
+        for f2 in (y**3 + y, y + one, yr.const(field.from_int(3)), y**2):
+            pair = ReducedPair(yr.zero(), f2)
+            assert (pair.f1, pair.f2) == (yr.zero(), one), (field, f2)
+            assert pair == ReducedPair(yr.zero(), one)
+
+
 def test_integral_over_kg_examples():
     res = integral_over_Kg(X1, X2, ReducedPair(Y**3, Y + ONE))
     assert res.integral

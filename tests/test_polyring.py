@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    _k_quotient_rule,
     certify_coprime_by_resultant,
     lagrange_derivative_at_zero,
     random_coprime_pair,
@@ -40,6 +41,7 @@ from ratmaps.polyring import (
     PolyRing,
     RatFunc,
     RatMap,
+    _k_jacobian_rows,
     _split_content,
     _substitute,
     clear_denominators,
@@ -51,6 +53,7 @@ from ratmaps.polyring import (
     gcd_many,
     is_primitive,
     jacobian,
+    on_kernel,
     poly_arith,
     poly_lcm,
     primitive_part,
@@ -495,6 +498,40 @@ def test_substitute_reads_its_clearing_powers_over_the_tuple():
             maxes = [max((e[j] for e in exps), default=0) for j in range(src.nvars)]
             expected = reference_substitute(polys, nums, dens, maxes, tgt)
             assert _substitute(polys, nums, dens, tgt) == expected, (polys, nums, dens)
+
+
+@pytest.mark.parametrize("field", DIFF_FIELDS)
+def test_jacobian_row_is_the_quotient_rule(field):
+    """_k_jacobian_rows(den, [num], K)[0] is den grad num - num grad den for
+    a nonconstant den, and that row over c for den = {0: c}."""
+    rng = seeded(76)
+    seen = set()
+    for n in (1, 2, 3):
+        ring = PolyRing(field, tuple(f"x{i + 1}" for i in range(n)))
+        for i in range(30):
+            num = ring.zero() if i % 5 == 0 else random_poly(rng, ring, 3, 4)
+            if i % 2:
+                den = ring.const(field.from_int(rng.choice([1, 3, -1, 5])))
+            else:
+                while (den := random_nonzero_poly(rng, ring, 2, 3)).is_constant():
+                    pass
+
+            def rows(K, packed):
+                kn, kd = packed[0]
+                return kd, _k_jacobian_rows(kd, [kn], K)[0], _k_quotient_rule(kn, kd, K)
+
+            kd, row, expected = on_kernel([[num, den]], rows)
+            if list(kd) == [0]:
+                c, p = kd[0], field.characteristic
+                over = (lambda v: v * pow(c, -1, p) % p) if p else (lambda v: Fraction(v, c))
+                expected = [{e: over(v) for e, v in t.items()} for t in expected]
+                seen.add("constant den")
+            else:
+                seen.add("den")
+            assert row == expected, (num, den)
+            if num.is_zero():
+                seen.add("zero num")
+    assert seen == {"constant den", "den", "zero num"}, seen
 
 
 def test_substitution_checks_rings_and_fields():
