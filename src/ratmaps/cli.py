@@ -70,6 +70,12 @@ def _x_polys(args, texts) -> list:
     return [elaborate_poly(t, ring) for t in trees]
 
 
+def _x_map(args) -> RatMap:
+    """The one map argument, over the x ring it names."""
+    trees, ring = _x_context(args, _exprs(args, 1))
+    return elaborate_map(trees[0], ring)
+
+
 def _square_ring(args, tree, others=()) -> PolyRing:
     """The x ring of tree and others, padded so that the map tree is square.
 
@@ -108,16 +114,12 @@ def cmd_gcd(args):
 
 
 def cmd_primpart(args):
-    trees, ring = _x_context(args, _exprs(args, 1))
-    h = elaborate_map(trees[0], ring)
-    g, core = primitive_part(h)
+    g, core = primitive_part(_x_map(args))
     return {"g": str(g), "core": [str(c) for c in core]}
 
 
 def cmd_jacobian(args):
-    trees, ring = _x_context(args, _exprs(args, 1))
-    h = elaborate_map(trees[0], ring)
-    return {"jacobian": [[str(e) for e in row] for row in jacobian(h)]}
+    return {"jacobian": [[str(e) for e in row] for row in jacobian(_x_map(args))]}
 
 
 def cmd_homogenize(args):
@@ -130,14 +132,18 @@ def cmd_homogenize(args):
     return {"h": [str(p) for p in h.polys], "s": h.degree}
 
 
-def cmd_dehomogenize(args):
-    ring = homog.bi_ring(args.field)
-    polys = elaborate_poly_tuple(parse(_exprs(args, 1)[0]), ring)
+def _homog_tuple(text: str, args, what: str) -> homog.HomogTuple:
+    """The bivariate tuple of text, homogeneous of one degree: a ParseError
+    about what otherwise."""
+    polys = elaborate_poly_tuple(parse(text), homog.bi_ring(args.field))
     degs = {int(p.total_degree()) for p in polys if not p.is_zero()}
     if len(degs) != 1:
-        raise ParseError("components must be homogeneous of one degree", 0)
-    h = homog.HomogTuple(polys, degs.pop())
-    f = homog.dehomogenize(h)
+        raise ParseError(f"{what} must be homogeneous of one degree", 0)
+    return homog.HomogTuple(polys, degs.pop())
+
+
+def cmd_dehomogenize(args):
+    f = homog.dehomogenize(_homog_tuple(_exprs(args, 1)[0], args, "components"))
     return {"f": [str(p) for p in f.polys], "bound": f.bound}
 
 
@@ -153,8 +159,7 @@ def cmd_divisor_transport(args):
 
 
 def cmd_trdeg(args):
-    trees, ring = _x_context(args, _exprs(args, 1))
-    h = elaborate_map(trees[0], ring)
+    h = _x_map(args)
     if args.field.characteristic == 0:
         return {"trdeg": subfield.trdeg_rank(h, with_t=args.with_t), "certified": True}
     search = subfield.trdeg_bounded_dependence(h, args.with_t, args.bound)
@@ -245,16 +250,6 @@ def _witness_text(entry, key: str, default=None) -> str:
     return value
 
 
-def _parse_h_tuple(text: str, args):
-    if text.strip() == "0":
-        return None
-    polys = elaborate_poly_tuple(parse(text), homog.bi_ring(args.field))
-    degs = {int(c.total_degree()) for c in polys if not c.is_zero()}
-    if len(degs) != 1:
-        raise ParseError("witness h must be homogeneous of one degree", 0)
-    return homog.HomogTuple(polys, degs.pop())
-
-
 def cmd_hmgrk2_verify(args):
     h_tree = parse(_exprs(args, 1)[0])
     data = _load_witness_file(args.witness)
@@ -264,7 +259,8 @@ def cmd_hmgrk2_verify(args):
     p = elaborate_poly(xtrees[1], ring)
     q = elaborate_poly(xtrees[2], ring)
     g = elaborate(xtrees[3], ring)
-    h_tuple = _parse_h_tuple(_witness_text(data, "h", "0"), args)
+    h_text = _witness_text(data, "h", "0")
+    h_tuple = None if h_text.strip() == "0" else _homog_tuple(h_text, args, "witness h")
     w = subfield.LurothWitness(g, h_tuple, p, q)
     return subfield.hmgrk2_verify(h_map, w).to_dict()
 

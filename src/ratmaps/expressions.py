@@ -11,7 +11,8 @@ A leading unary minus is accepted so that every canonically printed value
 parses back; exponents must be non-negative integer literals.  Parenthesized
 comma lists are tuples and are only meaningful at the top level of an
 argument.  Parentheses nest at most MAX_NESTING deep; a deeper '(' is a
-parse error at its offset.
+parse error at its offset.  An x ring has at most MAX_VARIABLES variables;
+a name or a square tuple that needs more is a parse error at its tree.
 
 Elaboration keeps a subtree without division as a dict from exponent
 tuples to plain ints (residues over GF(p)): its literals are non-negative
@@ -35,6 +36,9 @@ _TOKEN = re.compile(r"(?P<num>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^
 # four stack frames and the lowering up to two, so the cap keeps both well
 # inside Python's default recursion limit of 1,000
 MAX_NESTING = 100
+# the most variables a typed x<k> or a square tuple may ask of x_ring_for:
+# a ring's cost grows with its index, so a short name cannot make it huge
+MAX_VARIABLES = 1000
 
 
 class Num(FrozenRecord):
@@ -311,7 +315,8 @@ _X_NAME = re.compile(r"^x([1-9][0-9]*)$")
 
 
 def x_ring_for(trees, field, minimum: int = 1) -> PolyRing:
-    """The ring K[x1..xn] with n inferred from the highest index used."""
+    """The ring K[x1..xn] with n inferred from the highest index used, at
+    least minimum (a square tuple's padding) and at most MAX_VARIABLES."""
     n = minimum
     for tree in trees:
         for name in idents(tree):
@@ -320,7 +325,10 @@ def x_ring_for(trees, field, minimum: int = 1) -> PolyRing:
                 raise UnknownVariable(
                     f"variable {name!r} is not of the form x<k>", tree.offset
                 )
-            n = max(n, int(m.group(1)))
+            # five digits already pass the cap, and int() reads no more
+            n = max(n, int(m.group(1)[:5]))
+        if n > MAX_VARIABLES:
+            raise ParseError(f"more than {MAX_VARIABLES} variables", tree.offset)
     return PolyRing(field, tuple(f"x{i + 1}" for i in range(n)))
 
 

@@ -58,10 +58,10 @@ from .polyring import (
 from .records import FrozenRecord, Record
 
 
-def _require_square(h: RatMap) -> int:
-    n = h.ring.nvars
-    if h.m != n:
-        raise NotSquare(f"{h.m} components in {n} variables")
+def _require_square(m: int, ring: PolyRing) -> int:
+    n = ring.nvars
+    if m != n:
+        raise NotSquare(f"{m} components in {n} variables")
     return n
 
 
@@ -73,7 +73,8 @@ def _on_cleared_jacobian(cleared, fn):
 
     def run(K, packed):
         d, *nums = packed[0]
-        return fn(K, nums, _k_jacobian_rows(d, nums, K))
+        grad_d, *grads = _k_gradients([d, *nums], K)
+        return fn(K, nums, _k_jacobian_rows(d, grad_d, nums, grads, K))
 
     return on_kernel([[d, *nums]], run)
 
@@ -81,7 +82,7 @@ def _on_cleared_jacobian(cleared, fn):
 def _trace_conditions(h: RatMap):
     """(JH . H = tr JH . H, JH . H = 0), decided on cleared numerators:
     over D^3, JH . H is m . N and tr JH . H is tr m times N."""
-    _require_square(h)
+    _require_square(h.m, h.ring)
     return _on_cleared_jacobian(clear_denominators(h.comps), _trace_sides)
 
 
@@ -99,8 +100,7 @@ def _trace_sides(K, nums, m):
 def _classify_sides(K, nums, m):
     """_trace_sides and, in characteristic zero, trdeg K(tH) = rank [m | N]:
     D^2 times row k of J(tH) over (x, t) is [t m_k, D N_k], and column
-    scalings (by t, by D, over QQ by the clearing integer, and by the
-    constant D that _k_jacobian_rows leaves out) keep the rank.
+    scalings (by t, by D, over QQ by the clearing integer) keep the rank.
     Bareiss on [m | N] forms products of degree up to 4(n-1) deg (D, N);
     where they outgrow the first slot width, the pass reruns wider
     (_on_packing)."""
@@ -149,7 +149,7 @@ def translation_invariance(h: RatMap) -> bool:
     """Exact test of H(x + tH) = H in K(x)(t): with the images x_i + t H_i
     passed as (x_i D_i + t N_i) / D_i, H_k = N_k / D_k composes to A / B,
     and the identity is A D_k = B N_k."""
-    n = _require_square(h)
+    n = _require_square(h.m, h.ring)
     ring = h.ring
     ext = PolyRing(ring.field, ring.names + ("t",))
     vm = list(range(n))
@@ -172,7 +172,7 @@ def translation_invariance(h: RatMap) -> bool:
 def nilpotent_jacobian(h: RatMap) -> bool:
     """Whether (JH)^n = 0 over K(x): JH is m (_k_jacobian_rows) over a
     nonzero factor, so iff m^n = 0 on the kernel."""
-    _require_square(h)
+    _require_square(h.m, h.ring)
     return _on_cleared_jacobian(clear_denominators(h.comps), _nilpotent)
 
 
@@ -207,9 +207,7 @@ def bivariate_core_check(core) -> bool:
     core = tuple(core)
     if not core:
         raise NotSquare("empty tuple")
-    n = core[0].ring.nvars
-    if len(core) != n:
-        raise NotSquare(f"{len(core)} components in {n} variables")
+    _require_square(len(core), core[0].ring)
     return _on_cleared_jacobian((core[0].ring.one(), core), _core_sides)[0]
 
 
@@ -337,7 +335,7 @@ def gn_classify(h_map: RatMap, witnesses=()) -> GNReport:
     precondition trdeg K(tH) <= 2 is enforced, on the Jacobian of (1); in
     positive characteristic it is the caller's assertion.
     """
-    _require_square(h_map)
+    _require_square(h_map.m, h_map.ring)
     report = GNReport(False, False, False)
     zero = h_map.is_zero()
     cleared = clear_denominators(h_map.comps)
@@ -385,15 +383,14 @@ def flem_conclude(fs, p: Poly, q: Poly, mode: str) -> bool:
     With J(p/q) = G / q^2, G_j = q d_jp - p d_jq, and f(p/q) = F / q^s,
     each dot product is zero iff its numerator is: G . F and G . F' in
     mode i (F' the same evaluation of f'), G . F and Jq . F in mode ii.
-    G comes from _k_jacobian_rows, which gives grad p = G / q for constant q.
+    G is the row of _k_jacobian_rows, from the grad p and grad q that the
+    conclusion reads.
     """
     if mode not in ("i", "ii"):
         raise ValueError(f"unknown mode {mode!r}")
     fs = tuple(fs)
     ring = p.ring
-    n = ring.nvars
-    if len(fs) != n:
-        raise NotSquare(f"{len(fs)} components in {n} variables")
+    n = _require_square(len(fs), ring)
     if not is_primitive([p, q]):
         raise NotCoprime("gcd(p, q) is not a unit")
     if p.total_degree() > q.total_degree():
@@ -407,7 +404,7 @@ def flem_conclude(fs, p: Poly, q: Poly, mode: str) -> bool:
     def dots(K, packed):
         kp, kq, *at = packed[0]
         grads = _k_gradients([kp, kq], K)
-        ratio = _k_jacobian_rows(kq, [kp], K)[0]
+        ratio = _k_jacobian_rows(kq, grads[1], [kp], [grads[0]], K)[0]
         second = _k_dot(ratio, at[n:], K) if mode == "i" else _k_dot(grads[1], at, K)
         hypothesis = not _k_dot(ratio, at[:n], K) and not second
         if hypothesis and not _annihilates(K, grads, ints):
@@ -442,7 +439,7 @@ def constant_span_bound(h_map: RatMap) -> SpanBoundReport:
     whose dimension is n minus the rank.  Requires the trace identity to
     hold for H.
     """
-    n = _require_square(h_map)
+    n = _require_square(h_map.m, h_map.ring)
     cleared = clear_denominators(h_map.comps)
     if not _on_cleared_jacobian(cleared, _trace_sides)[0]:
         raise PreconditionNotVerified("the trace identity does not hold for H")

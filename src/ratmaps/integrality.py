@@ -179,6 +179,14 @@ def relation_ring(field) -> PolyRing:
     return PolyRing(field, ("Y", "g"))
 
 
+def _integral(g: ReducedPair, in_k: str) -> bool:
+    """The integrality criterion: whether p/q is integral over K[g], i.e.
+    deg f1 > deg f2; ConstantPart(in_k) when g lies in K."""
+    if g.f1.is_constant() and g.f2.is_constant():
+        raise ConstantPart(in_k)
+    return g.f1.total_degree() > g.f2.total_degree()
+
+
 def integral_over_Kg(p: Poly, q: Poly, g: ReducedPair) -> IntegralityResult:
     """Decide whether p/q is integral over K[g] for g = f1(p/q)/f2(p/q).
 
@@ -187,10 +195,7 @@ def integral_over_Kg(p: Poly, q: Poly, g: ReducedPair) -> IntegralityResult:
     returned and verified to vanish at Y = p/q exactly.
     """
     require_transcendental(p, q)
-    if g.f1.is_constant() and g.f2.is_constant():
-        raise ConstantPart("f1 and f2 are both constant, so g lies in K")
-    d1, d2 = g.f1.total_degree(), g.f2.total_degree()
-    if d1 <= d2:
+    if not _integral(g, "f1 and f2 are both constant, so g lies in K"):
         return IntegralityResult(False)
     rring = relation_ring(p.ring.field)
     gvar = rring.var(1)
@@ -256,12 +261,8 @@ def regenerate_integral(p: Poly, q: Poly, g: ReducedPair):
     there; None means no generator of K(p/q) is integral over K[g].
     """
     require_transcendental(p, q)
-    if g.f1.is_constant() and g.f2.is_constant():
-        raise ConstantPart("f1 and f2 are both constant, so g lies in K")
-    if g.f1.total_degree() > g.f2.total_degree():
+    if _integral(g, "f1 and f2 are both constant, so g lies in K"):
         return p, q
-    if g.f2.is_constant():
-        return None
     for theta, mult in roots_in_K(g.f2):
         mult_f1 = 0 if g.f1.is_zero() else valuation(g.f1, ProjPoint.finite(theta))
         if mult > mult_f1:
@@ -283,8 +284,6 @@ def integral_over_KG(p: Poly, q: Poly, gs) -> object:
     """
     require_transcendental(p, q)
     for i, g in enumerate(gs):
-        if g.f1.is_constant() and g.f2.is_constant():
-            raise ConstantPart(f"element {i} of G lies in K")
-        if g.f1.total_degree() > g.f2.total_degree():
+        if _integral(g, f"element {i} of G lies in K"):
             return i
     return None

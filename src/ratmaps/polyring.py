@@ -661,20 +661,13 @@ def _k_gradients(ts, K: _Packing) -> list:
     return [[_k_derivative(t, j, K) for j in range(K.n)] for t in ts]
 
 
-def _k_jacobian_rows(d: dict, nums, K: _Packing) -> list:
-    """Row k is d grad N_k - N_k grad d for packed d and N = nums: with
-    H = N / d, JH = rows / d^2.  grad d is taken once, and a zero N_k gives
-    a zero row.  A constant d (on the kernel that includes D = 1, over QQ
-    its clearing integer) gives the plain gradients grad N_k, every row over
-    the same nonzero d, which no identity or rank read off the rows sees."""
-    grads = _k_gradients(nums, K)
-    if list(d) == [0]:
-        return grads
-    grad_d = _k_gradients([d], K)[0]
+def _k_jacobian_rows(d: dict, grad_d, nums, grads, K: _Packing) -> list:
+    """Row k is d grad N_k - N_k grad d for packed d and N = nums, given
+    grad_d and grads = [grad N_k] (_k_gradients): with H = N / d, JH =
+    rows / d^2 for every d, constant or not.  A zero N_k gives a zero row."""
+    minus = [{e: -c for e, c in b.items()} for b in grad_d]
     return [
-        [_k_sub(_k_mul(a, d, K), _k_mul(nk, b, K), K) for a, b in zip(grad, grad_d)]
-        if nk
-        else grad
+        [_k_dot((a, nk), (d, m), K) for a, m in zip(grad, minus)] if nk else grad
         for nk, grad in zip(nums, grads)
     ]
 
@@ -1134,17 +1127,11 @@ class RatFunc:
         if num.is_zero():
             den = den.ring.one()
         elif not _reduced:
-            if den.is_constant():
-                c = den.constant_value()
-                num, den = num.scale(num.ring.field.one() / c), den.ring.one()
-            else:
+            if not den.is_constant():
                 g = _gcd2(num, den)
                 if not g.is_one():
                     num, den = num.divexact(g), den.divexact(g)
-                c = den.lc()
-                if c != den.ring.field.one():
-                    inv = den.ring.field.one() / c
-                    num, den = num.scale(inv), den.scale(inv)
+            num, den = _monic_den(num, den)
         self.num = num
         self.den = den
 
@@ -1207,13 +1194,7 @@ class RatFunc:
         if n < 0:
             if self.is_zero():
                 raise DivisionByZero("zero to a negative power")
-            num, den = self.den ** (-n), self.num ** (-n)
-            one = self.ring.field.one()
-            c = den.lc()
-            if c != one:
-                inv = one / c
-                num, den = num.scale(inv), den.scale(inv)
-            return RatFunc(num, den, _reduced=True)
+            return RatFunc(*_monic_den(self.den ** -n, self.num ** -n), _reduced=True)
         return RatFunc(self.num**n, self.den**n, _reduced=True)
 
     def __eq__(self, other):
@@ -1237,6 +1218,16 @@ class RatFunc:
 
     def __repr__(self):
         return f"<RatFunc {self}>"
+
+
+def _monic_den(num: Poly, den: Poly):
+    """(num, den) both over lc(den), so that den is monic."""
+    one = den.ring.field.one()
+    c = den.lc()
+    if c == one:
+        return num, den
+    inv = one / c
+    return num.scale(inv), den.scale(inv)
 
 
 def _as_ratfunc(v, ring: PolyRing) -> RatFunc:

@@ -40,8 +40,10 @@ from .polyring import (
     PolyRing,
     RatFunc,
     RatMap,
+    _k_gradients,
     _k_jacobian_rows,
     _k_mul,
+    _monic_den,
     _substitute,
     clear_denominators,
     compose_poly,
@@ -129,12 +131,12 @@ def trdeg_rank(h: RatMap, with_t: bool = False) -> int:
     which is an exact contract only in characteristic zero.
 
     The matrix is polynomial and built on the packed-int kernel without a
-    gcd: for H_k = N_k / D_k, row k is [d_i N_k * D_k - N_k * d_i D_k]_i,
-    plus N_k * D_k for tH, both over D_k when D_k is constant
-    (_k_jacobian_rows).  That is row k of J(tH) times D_k^2 (or D_k), with
-    the x columns divided by t; scaling rows and columns by nonzero
-    elements of K(x, t) keeps the rank (so does the integer clearing row k
-    over QQ), and the rank over K(x) equals the rank over K(x, t).
+    gcd: for H_k = N_k / D_k, row k is [d_i N_k * D_k - N_k * d_i D_k]_i
+    (_k_jacobian_rows), plus N_k * D_k for tH.  That is row k of J(tH)
+    times D_k^2, with the x columns divided by t; scaling rows and columns
+    by nonzero elements of K(x, t) keeps the rank (so does the integer
+    clearing row k over QQ), and the rank over K(x) equals the rank over
+    K(x, t).
     """
     ring = h.ring
     if ring.field.characteristic != 0:
@@ -148,11 +150,10 @@ def trdeg_rank(h: RatMap, with_t: bool = False) -> int:
     def rank(K, packed):
         rows = []
         for num, den in packed:
-            row = _k_jacobian_rows(den, [num], K)[0]
+            grad_num, grad_den = _k_gradients([num, den], K)
+            row = _k_jacobian_rows(den, grad_den, [num], [grad_num], K)[0]
             if with_t:
-                # a constant den's row is grad num, the quotient rule over
-                # den, so its t entry is num over den too: num, not num * den
-                row.append(num if list(den) == [0] else _k_mul(num, den, K))
+                row.append(_k_mul(num, den, K))
             rows.append(row)
         return _bareiss_rank(K, rows)
 
@@ -442,7 +443,7 @@ def member_Kpq(r: RatFunc, p: Poly, q: Poly, bound: int):
     vec = basis[0]
     f1 = Poly(yring, {(j,): vec[j] for j in range(d + 1)})
     f2 = Poly(yring, {(j,): vec[d + 1 + j] for j in range(d + 1)})
-    f1, f2 = f1.scale(field.one() / f2.lc()), f2.monic()
+    f1, f2 = _monic_den(f1, f2)
     f1_at, f2_at = _substitute([f1, f2], [p], [q], p.ring)
     if len(basis) > 1 or not cross_equal(num, f2_at, den, f1_at):
         raise AssertionFailure(f"no single pair of degree {d} represents r in K(p/q)")

@@ -676,7 +676,7 @@ def _k_quotient_rule(num: dict, den: dict, K) -> list:
 def reference_on_cleared_jacobian(cleared, fn):
     """fn(K, N, m) for cleared = (D, N) with m built one _k_quotient_rule
     call per row, as the classifier did before its one row builder: grad D
-    taken again in every row, and no plain gradients for a constant D."""
+    taken again in every row."""
     d, nums = cleared
 
     def run(K, packed):

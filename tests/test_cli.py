@@ -7,8 +7,9 @@ import sys
 import pytest
 
 from conftest import time_limit
+from ratmaps import expressions
 from ratmaps.cli import main
-from ratmaps.expressions import MAX_NESTING
+from ratmaps.expressions import MAX_NESTING, MAX_VARIABLES
 
 
 def run_cli(capsys, *argv):
@@ -69,6 +70,32 @@ def test_nesting_beyond_the_cap_exits_2(capsys):
     assert (code, out) == (2, "")
     offset = 4 * MAX_NESTING + 3
     assert err == f"parse error: parentheses nested deeper than {MAX_NESTING} (at offset {offset})\n"
+
+
+def test_variables_beyond_the_cap_exit_2(capsys, monkeypatch):
+    sizes = []
+    real = expressions.PolyRing
+
+    def spy(field, names):
+        sizes.append(len(names))
+        return real(field, names)
+
+    monkeypatch.setattr(expressions, "PolyRing", spy)
+    top = f"x{MAX_VARIABLES}"
+    code, data, _ = run_json(capsys, "gcd", f"{top}^2 + x1", f"{top} + 1")
+    assert code == 0 and data["gcd"] == "1"
+    for argv in (
+        ("gcd", f"x{MAX_VARIABLES + 1}^2 + x1", f"x{MAX_VARIABLES + 1} + 1"),
+        # a name of 5,000 digits, past what int() converts from a string
+        ("gcd", "x1 + x" + "1" * 5000),
+        # a square tuple padded past the cap
+        ("qt-check", "(" + ", ".join(["x1"] * (MAX_VARIABLES + 1)) + ")"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"parse error: more than {MAX_VARIABLES} variables ("), err
+        assert err.count("\n") == 1, err
+    assert max(sizes) == MAX_VARIABLES
 
 
 def test_precondition_exit_code(capsys):

@@ -384,6 +384,15 @@ def test_flem_conclude_rejects_an_unknown_mode_whatever_f_is():
             flem_conclude(fs, X1, X2 + R2.one(), "bogus")
 
 
+def test_flem_conclude_takes_each_gradient_once(monkeypatch):
+    # grad p and grad q, two derivatives each, serve the row q grad p - p grad q,
+    # mode ii and the conclusion alike
+    counts = Counter()
+    _count_calls(monkeypatch, [(polyring, "_k_derivative")], counts)
+    assert flem_conclude((Y, -Y), X1, X2 + R2.one(), "i") is False
+    assert counts == {"_k_derivative": 4}, counts
+
+
 # -- span of constant vectors ---------------------------------------------------
 
 

@@ -27,6 +27,7 @@ from conftest import (
 from ratmaps import polyring
 from ratmaps.errors import (
     AllZero,
+    DivisionByZero,
     FieldMismatch,
     InternalCheckError,
     NotDivisible,
@@ -41,6 +42,7 @@ from ratmaps.polyring import (
     PolyRing,
     RatFunc,
     RatMap,
+    _k_gradients,
     _k_jacobian_rows,
     _split_content,
     _substitute,
@@ -502,8 +504,8 @@ def test_substitute_reads_its_clearing_powers_over_the_tuple():
 
 @pytest.mark.parametrize("field", DIFF_FIELDS)
 def test_jacobian_row_is_the_quotient_rule(field):
-    """_k_jacobian_rows(den, [num], K)[0] is den grad num - num grad den for
-    a nonconstant den, and that row over c for den = {0: c}."""
+    """_k_jacobian_rows is den grad num - num grad den for every den,
+    constant ones included, and a zero row for a zero num."""
     rng = seeded(76)
     seen = set()
     for n in (1, 2, 3):
@@ -518,17 +520,13 @@ def test_jacobian_row_is_the_quotient_rule(field):
 
             def rows(K, packed):
                 kn, kd = packed[0]
-                return kd, _k_jacobian_rows(kd, [kn], K)[0], _k_quotient_rule(kn, kd, K)
+                grad_n, grad_d = _k_gradients([kn, kd], K)
+                row = _k_jacobian_rows(kd, grad_d, [kn], [grad_n], K)[0]
+                return row, _k_quotient_rule(kn, kd, K)
 
-            kd, row, expected = on_kernel([[num, den]], rows)
-            if list(kd) == [0]:
-                c, p = kd[0], field.characteristic
-                over = (lambda v: v * pow(c, -1, p) % p) if p else (lambda v: Fraction(v, c))
-                expected = [{e: over(v) for e, v in t.items()} for t in expected]
-                seen.add("constant den")
-            else:
-                seen.add("den")
+            row, expected = on_kernel([[num, den]], rows)
             assert row == expected, (num, den)
+            seen.add("constant den" if den.is_constant() else "den")
             if num.is_zero():
                 seen.add("zero num")
     assert seen == {"constant den", "den", "zero num"}, seen
@@ -612,6 +610,28 @@ def test_ratfunc_normalization():
     assert r.num == X2 and r.den == X1
     r = RatFunc(X2, R2.const(3) * X1)
     assert r.den == X1 and r.num == RatFunc(X2, R2.const(3) * X1).num
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(2), PrimeField(7)))
+def test_ratfunc_negative_power(field):
+    # r ** -n is the reduced den^n / num^n with the monic denominator that
+    # RatFunc builds, whatever the leading coefficient of num
+    rng = seeded(77)
+    ring = PolyRing(field, ("x1", "x2"))
+    one, three = field.one(), field.from_int(3)
+    non_monic = 0
+    for i in range(20):
+        num = random_nonzero_poly(rng, ring, 0 if i % 5 == 0 else 3, 3)
+        r = RatFunc(num.scale(three / num.lc()), random_nonzero_poly(rng, ring, 2, 3))
+        non_monic += r.num.lc() != one
+        for n in (1, 2, 3):
+            got = r**-n
+            assert got == RatFunc(r.den**n, r.num**n), (r, n)
+            assert got.den.lc() == one, (r, n)
+    with pytest.raises(DivisionByZero):
+        RatFunc.from_poly(ring.zero()) ** -1
+    if field.characteristic != 2:  # over GF(2) every leading coefficient is 1
+        assert non_monic > 10, non_monic
 
 
 def test_print_canonical_order():
