@@ -12,300 +12,272 @@ parses back; exponents must be non-negative integer literals.  Parenthesized
 comma lists are tuples and are only meaningful at the top level of an
 argument.  Parentheses nest at most MAX_NESTING deep; a deeper '(' is a
 parse error at its offset.  An x ring has at most MAX_VARIABLES variables;
-a name or a square tuple that needs more is a parse error at its tree.
+a text that needs more is a parse error at its root's offset, and a name
+not of the form x<k> is one at the name's first offset.
 
-Elaboration keeps a subtree without division as a dict from exponent
-tuples to plain ints (residues over GF(p)): its literals are non-negative
-integers, so it lies in Z[x], or GF(p)[x].  A division turns both sides
-into reduced rational functions, and every value from there on stays one.
+parse compiles text once, by recursive descent, to postfix code: a list of
+(code, arg, offset) ops, where code is 'n' (arg the integer), 'v' (arg the
+name), 'u' (unary minus), '^' (arg the exponent), '+', '-', '*' or '/'
+(an operator is its own token), or 't', a tuple inside an expression, which
+elaborates to an error at its '('.  A top-level tuple is a TupleExpr whose
+items are compiled separately.
+
+elaborate runs the ops on one stack, in the order a tree would be walked
+bottom-up, so values and errors arrive as they would there.  A value without
+division is a dict from exponent tuples to plain ints (residues over GF(p)):
+its literals are non-negative integers, so it lies in Z[x], or GF(p)[x].  A
+division makes one reduced rational function of both sides, and every value
+from there on stays one.
 """
 
 from __future__ import annotations
 
 import re
-from operator import add, attrgetter, mul, sub
+from operator import add
 
 from .errors import ParseError, UnknownVariable
 from .polyring import Poly, PolyRing, RatFunc, RatMap, _k_poly, _k_reduce, print_canonical
-from .records import FrozenRecord
 
 # whitespace matches no group, so finditer steps over it
 _TOKEN = re.compile(r"(?P<num>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^(),])|(?P<bad>\S)")
+# a token's kind by its group: an operator is its own kind, and 'e' ends the list
+_KINDS = (None, "n", "v", None, None)
 
 # the deepest parenthesis nesting parse accepts: a level costs the parser
-# four stack frames and the lowering up to two, so the cap keeps both well
-# inside Python's default recursion limit of 1,000
+# four stack frames, so the cap keeps it well inside Python's default
+# recursion limit of 1,000
 MAX_NESTING = 100
 # the most variables a typed x<k> or a square tuple may ask of x_ring_for:
 # a ring's cost grows with its index, so a short name cannot make it huge
 MAX_VARIABLES = 1000
 
 
-class Num(FrozenRecord):
-    value: int
-    offset: int
+class Expr:
+    """Postfix ops, the offset of the root (its last op's), and each name
+    used with its first offset."""
+
+    __slots__ = ("ops", "offset", "names")
+
+    def __init__(self, ops: list, offset: int, names: dict):
+        self.ops, self.offset, self.names = ops, offset, names
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.ops!r})"
 
 
-class Var(FrozenRecord):
-    name: str
-    offset: int
+class TupleExpr(Expr):
+    """A top-level tuple: one 't' op at its '(' and an Expr per item."""
+
+    __slots__ = ("items",)
+
+    def __init__(self, ops: list, offset: int, names: dict, items: tuple):
+        super().__init__(ops, offset, names)
+        self.items = items
 
 
-class BinOp(FrozenRecord):
-    op: str
-    left: object
-    right: object
-    offset: int
+def parse(src: str) -> Expr:
+    """Compile source text to postfix; errors carry byte offsets."""
+    toks = []
+    for m in _TOKEN.finditer(src):
+        group, text, offset = m.lastindex, m[0], m.start()
+        if group == 4:
+            raise ParseError(f"unexpected character {text!r}", offset)
+        toks.append((_KINDS[group] or text, text, offset))
+    toks.append(("e", "", len(src)))
+    p = _Parser(toks)
+    kind, text, offset = toks[p.expr(0)]
+    if kind != "e":
+        raise ParseError(f"unexpected trailing {text!r}", offset)
+    ops = p.ops
+    if len(ops) == 1 and ops[0][0] == "t":
+        return p.tuple
+    return Expr(ops, ops[-1][2], _names(toks))
 
 
-class Neg(FrozenRecord):
-    child: object
-    offset: int
+class _Parser:
+    """Recursive descent over the token list; each method takes the index
+    of its first token, appends the ops of what it read and returns the
+    index after it."""
 
+    def __init__(self, toks: list):
+        self.toks, self.ops, self.depth = toks, [], 0
+        # the last tuple closed: the root, if the root is a tuple
+        self.tuple = None
 
-class Pow(FrozenRecord):
-    base: object
-    exponent: int
-    offset: int
-
-
-class TupleExpr(FrozenRecord):
-    items: tuple
-    offset: int
-
-
-class _Tokens:
-    """The tokens of one finditer pass, then an end sentinel: a next() that
-    returns it is always followed by a ParseError, so none reads past it."""
-
-    def __init__(self, src: str):
-        self.items = []
-        for m in _TOKEN.finditer(src):
-            kind = m.lastgroup
-            if kind == "bad":
-                raise ParseError(f"unexpected character {m.group()!r}", m.start())
-            self.items.append((kind, m.group(), m.start()))
-        self.items.append(("end", "", len(src)))
-        self.i = self.depth = 0
-
-    def peek(self):
-        return self.items[self.i]
-
-    def next(self):
-        self.i += 1
-        return self.items[self.i - 1]
-
-
-def parse(src: str):
-    """Parse source text into an expression tree; errors carry byte offsets."""
-    toks = _Tokens(src)
-    tree = _parse_expr(toks)
-    kind, value, offset = toks.peek()
-    if kind != "end":
-        raise ParseError(f"unexpected trailing {value!r}", offset)
-    return tree
-
-
-def _parse_expr(toks):
-    kind, value, offset = toks.peek()
-    if kind == "op" and value == "-":
-        toks.next()
-        node = Neg(_parse_term(toks), offset)
-    else:
-        node = _parse_term(toks)
-    while True:
-        kind, value, offset = toks.peek()
-        if kind == "op" and value in "+-":
-            toks.next()
-            node = BinOp(value, node, _parse_term(toks), offset)
+    def expr(self, i: int) -> int:
+        toks, ops = self.toks, self.ops
+        if toks[i][0] == "-":
+            offset = toks[i][2]
+            i = self.term(i + 1)
+            ops.append(("u", None, offset))
         else:
-            return node
+            i = self.term(i)
+        while (tok := toks[i])[0] in "+-":
+            i = self.term(i + 1)
+            ops.append(tok)
+        return i
 
+    def term(self, i: int) -> int:
+        toks, ops = self.toks, self.ops
+        i = self.factor(i)
+        while (tok := toks[i])[0] in "*/":
+            i = self.factor(i + 1)
+            ops.append(tok)
+        return i
 
-def _parse_term(toks):
-    node = _parse_factor(toks)
-    while True:
-        kind, value, offset = toks.peek()
-        if kind == "op" and value in "*/":
-            toks.next()
-            node = BinOp(value, node, _parse_factor(toks), offset)
-        else:
-            return node
+    def factor(self, i: int) -> int:
+        i = self.base(i)
+        toks = self.toks
+        if toks[i][0] != "^":
+            return i
+        kind, text, offset = toks[i + 1]
+        if kind != "n":
+            raise ParseError("exponent must be a non-negative integer literal", offset)
+        self.ops.append(("^", int(text), toks[i][2]))
+        return i + 2
 
-
-def _parse_factor(toks):
-    node = _parse_base(toks)
-    kind, value, offset = toks.peek()
-    if kind == "op" and value == "^":
-        toks.next()
-        kind, value, off2 = toks.next()
-        if kind != "num":
-            raise ParseError("exponent must be a non-negative integer literal", off2)
-        return Pow(node, int(value), offset)
-    return node
-
-
-def _parse_base(toks):
-    kind, value, offset = toks.next()
-    if kind == "num":
-        return Num(int(value), offset)
-    if kind == "ident":
-        return Var(value, offset)
-    if kind == "op" and value == "(":
-        if toks.depth == MAX_NESTING:
+    def base(self, i: int) -> int:
+        kind, text, offset = tok = self.toks[i]
+        if kind == "v":
+            self.ops.append(tok)
+            return i + 1
+        if kind == "n":
+            self.ops.append(("n", int(text), offset))
+            return i + 1
+        if kind != "(":
+            raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", offset)
+        if self.depth == MAX_NESTING:
             raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", offset)
-        toks.depth += 1
-        items = [_parse_expr(toks)]
+        self.depth += 1
+        toks, ops = self.toks, self.ops
+        start, spans = len(ops), []
         while True:
-            kind, value, off2 = toks.next()
-            if kind == "op" and value == ")":
+            begin, first = len(ops), i + 1
+            i = self.expr(first)
+            spans.append((begin, len(ops), first, i))
+            kind, _, at = toks[i]
+            if kind == ")":
                 break
-            if kind == "op" and value == ",":
-                items.append(_parse_expr(toks))
-                continue
-            raise ParseError("expected ',' or ')'", off2)
-        toks.depth -= 1
-        if len(items) == 1:
-            return items[0]
-        return TupleExpr(tuple(items), offset)
-    raise ParseError(f"unexpected {value!r}" if value else "unexpected end of input", offset)
+            if kind != ",":
+                raise ParseError("expected ',' or ')'", at)
+        self.depth -= 1
+        if len(spans) > 1:
+            # item k's ops are ops[a:b] and its tokens toks[f:e]
+            items = tuple(Expr(ops[a:b], ops[b - 1][2], _names(toks[f:e])) for a, b, f, e in spans)
+            del ops[start:]
+            ops.append(("t", None, offset))
+            self.tuple = TupleExpr(ops[-1:], offset, _names(toks[spans[0][2] : i]), items)
+        return i + 1
 
 
-def idents(tree) -> set:
-    out, stack = set(), [tree]
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind is Var:
-            out.add(node.name)
-        elif kind is BinOp:
-            stack += node.left, node.right
-        elif kind in _DOWN:
-            stack.append(_DOWN[kind](node))
-        elif kind is TupleExpr:
-            stack += node.items
-        elif kind is not Num:
-            raise TypeError(f"not an expression node: {node!r}")
+def _names(toks) -> dict:
+    names = {}
+    for kind, text, offset in toks:
+        if kind == "v":
+            names.setdefault(text, offset)
+    return names
+
+
+def idents(tree: Expr) -> set:
+    return set(tree.names)
+
+
+def elaborate(tree: Expr, ring: PolyRing) -> RatFunc:
+    """Run an expression's ops to a rational function over the given ring.
+
+    Every dict on the stack is its own, so a sum accumulates into its left
+    operand in place."""
+    names, nvars, mod = ring.names, ring.nvars, ring.field.characteristic
+    zero = (0,) * nvars
+    stack = []
+    push = stack.append
+    for code, arg, offset in tree.ops:
+        if code == "v":
+            if arg not in names:
+                raise UnknownVariable(f"unknown variable {arg!r}", offset)
+            e = [0] * nvars
+            e[names.index(arg)] = 1
+            push({tuple(e): 1})
+        elif code == "n":
+            c = arg % mod if mod else arg
+            push({zero: c} if c else {})
+        elif code == "^":
+            v = stack[-1]
+            stack[-1] = v**arg if type(v) is RatFunc else _power(v, arg, zero, mod)
+        elif code == "u":
+            v = stack[-1]
+            stack[-1] = -v if type(v) is RatFunc else _k_reduce({e: -c for e, c in v.items()}, mod)
+        elif code == "t":
+            raise ParseError("tuple not allowed inside a scalar expression", offset)
+        else:
+            w = stack.pop()
+            v = stack[-1]
+            if code == "/":
+                if not w or (type(w) is RatFunc and w.is_zero()):
+                    raise ParseError("division by zero", offset)
+                if type(v) is dict and type(w) is dict:
+                    stack[-1] = RatFunc(_k_poly(ring, v), _k_poly(ring, w))
+                else:
+                    stack[-1] = _rf(v, ring) / _rf(w, ring)
+            elif type(v) is RatFunc or type(w) is RatFunc:
+                v, w = _rf(v, ring), _rf(w, ring)
+                stack[-1] = v * w if code == "*" else v + w if code == "+" else v - w
+            elif code == "*":
+                stack[-1] = _mul(v, w, mod)
+            else:
+                sign = 1 if code == "+" else -1
+                for e, c in w.items():
+                    c = v.get(e, 0) + sign * c
+                    if mod:
+                        c %= mod
+                    if c:
+                        v[e] = c
+                    else:
+                        del v[e]
+    return _rf(stack[0], ring)
+
+
+def _rf(v, ring: PolyRing) -> RatFunc:
+    return v if type(v) is RatFunc else RatFunc.from_poly(_k_poly(ring, v))
+
+
+def _mul(a: dict, b: dict, mod: int) -> dict:
+    out = {}
+    get = out.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = get(e, 0) + c1 * c2
+    return _k_reduce(out, mod)
+
+
+def _power(v: dict, n: int, zero: tuple, mod: int) -> dict:
+    if len(v) == 1:
+        ((e, c),) = v.items()
+        return {tuple([k * n for k in e]): pow(c, n, mod or None)}
+    out = {zero: 1}
+    while n:
+        if n & 1:
+            out = _mul(out, v, mod)
+        v = _mul(v, v, mod) if n > 1 else v
+        n >>= 1
     return out
 
 
-def elaborate(tree, ring: PolyRing) -> RatFunc:
-    """Lower an expression tree to a rational function over the given ring."""
-    lowering = _Lowering(ring)
-    return lowering.rf(lowering.lower(tree))
-
-
-class _Lowering:
-    """Values are tuple-keyed dicts of ints (reduced mod p over GF(p)) up to
-    the first division, reduced RatFuncs from there on.  The left spine of
-    a tree (left operands, negated and powered bases) is walked by a loop;
-    only right operands recurse."""
-
-    def __init__(self, ring: PolyRing):
-        self.ring, self.mod = ring, ring.field.characteristic
-        self.zero = (0,) * ring.nvars
-
-    def lower(self, tree):
-        spine = []
-        while (down := _DOWN.get(type(tree))) is not None:
-            spine.append(tree)
-            tree = down(tree)
-        leaf = _LEAF.get(type(tree))
-        if leaf is None:
-            raise TypeError(f"not an expression node: {tree!r}")
-        value = leaf(self, tree)
-        for node in reversed(spine):
-            value = _STEP[type(node)](self, value, node)
-        return value
-
-    def num(self, node):
-        return _k_reduce({self.zero: node.value}, self.mod)
-
-    def var(self, node):
-        names = self.ring.names
-        if node.name not in names:
-            raise UnknownVariable(f"unknown variable {node.name!r}", node.offset)
-        e = [0] * len(names)
-        e[names.index(node.name)] = 1
-        return {tuple(e): 1}
-
-    def tup(self, node):
-        raise ParseError("tuple not allowed inside a scalar expression", node.offset)
-
-    def rf(self, v) -> RatFunc:
-        return v if type(v) is RatFunc else RatFunc.from_poly(_k_poly(self.ring, v))
-
-    def neg(self, v, node):
-        return -v if type(v) is RatFunc else _k_reduce({e: -c for e, c in v.items()}, self.mod)
-
-    def power(self, v, node):
-        n = node.exponent
-        if type(v) is RatFunc:
-            return v**n
-        if len(v) == 1:
-            ((e, c),) = v.items()
-            return {tuple([k * n for k in e]): pow(c, n, self.mod or None)}
-        out = {self.zero: 1}
-        while n:
-            if n & 1:
-                out = self.mul(out, v)
-            v = self.mul(v, v) if n > 1 else v
-            n >>= 1
-        return out
-
-    def mul(self, a: dict, b: dict) -> dict:
-        out = {}
-        get = out.get
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(map(add, e1, e2))
-                out[e] = get(e, 0) + c1 * c2
-        return _k_reduce(out, self.mod)
-
-    def binop(self, v, node):
-        w = self.lower(node.right)
-        op = node.op
-        if op == "/":
-            if not w or (type(w) is RatFunc and w.is_zero()):
-                raise ParseError("division by zero", node.offset)
-            return self.rf(v) / self.rf(w)
-        if type(v) is RatFunc or type(w) is RatFunc:
-            return _RF_OPS[op](self.rf(v), self.rf(w))
-        if op == "*":
-            return self.mul(v, w)
-        # v is this lowering's own dict: the sum accumulates in place
-        sign, mod = 1 if op == "+" else -1, self.mod
-        for e, c in w.items():
-            c = v.get(e, 0) + sign * c
-            if mod:
-                c %= mod
-            if c:
-                v[e] = c
-            else:
-                del v[e]
-        return v
-
-
-_DOWN = {BinOp: attrgetter("left"), Neg: attrgetter("child"), Pow: attrgetter("base")}
-_LEAF = {Num: _Lowering.num, Var: _Lowering.var, TupleExpr: _Lowering.tup}
-_STEP = {BinOp: _Lowering.binop, Neg: _Lowering.neg, Pow: _Lowering.power}
-_RF_OPS = {"+": add, "-": sub, "*": mul}
-
-
-def elaborate_poly(tree, ring: PolyRing) -> Poly:
+def elaborate_poly(tree: Expr, ring: PolyRing) -> Poly:
     value = elaborate(tree, ring)
     if not value.is_polynomial():
         raise ParseError("expected a polynomial, got a proper fraction", tree.offset)
     return value.num
 
 
-def elaborate_map(tree, ring: PolyRing) -> RatMap:
+def elaborate_map(tree: Expr, ring: PolyRing) -> RatMap:
     if isinstance(tree, TupleExpr):
         return RatMap(tuple(elaborate(item, ring) for item in tree.items))
     return RatMap((elaborate(tree, ring),))
 
 
-def elaborate_poly_tuple(tree, ring: PolyRing) -> tuple:
+def elaborate_poly_tuple(tree: Expr, ring: PolyRing) -> tuple:
     if isinstance(tree, TupleExpr):
         return tuple(elaborate_poly(item, ring) for item in tree.items)
     return (elaborate_poly(tree, ring),)
@@ -319,12 +291,10 @@ def x_ring_for(trees, field, minimum: int = 1) -> PolyRing:
     least minimum (a square tuple's padding) and at most MAX_VARIABLES."""
     n = minimum
     for tree in trees:
-        for name in idents(tree):
+        for name, offset in tree.names.items():
             m = _X_NAME.match(name)
             if m is None:
-                raise UnknownVariable(
-                    f"variable {name!r} is not of the form x<k>", tree.offset
-                )
+                raise UnknownVariable(f"variable {name!r} is not of the form x<k>", offset)
             # five digits already pass the cap, and int() reads no more
             n = max(n, int(m.group(1)[:5]))
         if n > MAX_VARIABLES:

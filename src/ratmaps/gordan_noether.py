@@ -86,11 +86,14 @@ def _trace_conditions(h: RatMap):
     return _on_cleared_jacobian(clear_denominators(h.comps), _trace_sides)
 
 
+def _trace(K, m) -> dict:
+    return _k_dot([{0: 1}] * len(m), [row[i] for i, row in enumerate(m)], K)
+
+
 def _trace_sides(K, nums, m):
-    n = len(nums)
-    trace = _k_dot([{0: 1}] * n, [m[i][i] for i in range(n)], K)
+    trace = _trace(K, m)
     qt = zero = True
-    for k in range(n):
+    for k in range(len(nums)):
         lhs = _k_dot(nums, m[k], K)
         zero = zero and not lhs
         qt = qt and not _k_sub(lhs, _k_mul(nums[k], trace, K), K)
@@ -111,7 +114,7 @@ def _classify_sides(K, nums, m):
 def _core_sides(K, nums, m):
     """(condition (2), J(core) . core = 0) for the polynomial core nums with
     Jacobian m (see bivariate_core_check)."""
-    trace = _k_dot([{0: 1}] * len(m), [row[i] for i, row in enumerate(m)], K)
+    trace = _trace(K, m)
     zero = not any(_k_dot(nums, row, K) for row in m)
     return not trace and _annihilates(K, m, nums), zero
 
@@ -177,6 +180,9 @@ def nilpotent_jacobian(h: RatMap) -> bool:
 
 
 def _nilpotent(K, nums, m):
+    # a nilpotent matrix has trace 0 in every characteristic
+    if _trace(K, m):
+        return False
     cols = list(zip(*m))
     power = m
     for _ in range(len(m) - 1):

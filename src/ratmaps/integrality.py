@@ -264,8 +264,7 @@ def regenerate_integral(p: Poly, q: Poly, g: ReducedPair):
     if _integral(g, "f1 and f2 are both constant, so g lies in K"):
         return p, q
     for theta, mult in roots_in_K(g.f2):
-        mult_f1 = 0 if g.f1.is_zero() else valuation(g.f1, ProjPoint.finite(theta))
-        if mult > mult_f1:
+        if mult > valuation(g.f1, ProjPoint.finite(theta)):
             pstar, qstar, gstar = pqtrans(p, q, g, "invert", eps=None, theta=theta)
             verdict = integral_over_Kg(pstar, qstar, gstar)
             if not verdict.integral:

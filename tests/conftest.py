@@ -25,7 +25,7 @@ from ratmaps.errors import (
     RingMismatch,
     UnknownVariable,
 )
-from ratmaps.expressions import BinOp, Neg, Num, Pow, TupleExpr, Var
+from ratmaps.expressions import _TOKEN, MAX_NESTING
 from ratmaps.polyring import (
     Poly,
     PolyRing,
@@ -60,6 +60,7 @@ from ratmaps.gordan_noether import (
     classical_gn_condition,
 )
 from ratmaps.homog import HomogTuple, bi_ring, compose_homog_at, uni_ring
+from ratmaps.records import FrozenRecord
 from ratmaps.subfield import DependenceSearch, _exponents_upto, adjoin_t
 
 
@@ -1092,6 +1093,153 @@ def reference_translation_invariance(h: RatMap) -> bool:
         if composed != embedded[k]:
             return False
     return True
+
+
+class Num(FrozenRecord):
+    value: int
+    offset: int
+
+
+class Var(FrozenRecord):
+    name: str
+    offset: int
+
+
+class BinOp(FrozenRecord):
+    op: str
+    left: object
+    right: object
+    offset: int
+
+
+class Neg(FrozenRecord):
+    child: object
+    offset: int
+
+
+class Pow(FrozenRecord):
+    base: object
+    exponent: int
+    offset: int
+
+
+class TupleExpr(FrozenRecord):
+    items: tuple
+    offset: int
+
+
+class _Tokens:
+    """The tokens of one finditer pass, then an end sentinel: a next() that
+    returns it is always followed by a ParseError, so none reads past it."""
+
+    def __init__(self, src: str):
+        self.items = []
+        for m in _TOKEN.finditer(src):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise ParseError(f"unexpected character {m.group()!r}", m.start())
+            self.items.append((kind, m.group(), m.start()))
+        self.items.append(("end", "", len(src)))
+        self.i = self.depth = 0
+
+    def peek(self):
+        return self.items[self.i]
+
+    def next(self):
+        self.i += 1
+        return self.items[self.i - 1]
+
+
+def reference_parse(src: str):
+    """Parse source text into a tree of the node records above, by the
+    grammar of ratmaps.expressions; errors carry byte offsets."""
+    toks = _Tokens(src)
+    tree = _reference_expr(toks)
+    kind, value, offset = toks.peek()
+    if kind != "end":
+        raise ParseError(f"unexpected trailing {value!r}", offset)
+    return tree
+
+
+def _reference_expr(toks):
+    kind, value, offset = toks.peek()
+    if kind == "op" and value == "-":
+        toks.next()
+        node = Neg(_reference_term(toks), offset)
+    else:
+        node = _reference_term(toks)
+    while True:
+        kind, value, offset = toks.peek()
+        if kind == "op" and value in "+-":
+            toks.next()
+            node = BinOp(value, node, _reference_term(toks), offset)
+        else:
+            return node
+
+
+def _reference_term(toks):
+    node = _reference_factor(toks)
+    while True:
+        kind, value, offset = toks.peek()
+        if kind == "op" and value in "*/":
+            toks.next()
+            node = BinOp(value, node, _reference_factor(toks), offset)
+        else:
+            return node
+
+
+def _reference_factor(toks):
+    node = _reference_base(toks)
+    kind, value, offset = toks.peek()
+    if kind == "op" and value == "^":
+        toks.next()
+        kind, value, off2 = toks.next()
+        if kind != "num":
+            raise ParseError("exponent must be a non-negative integer literal", off2)
+        return Pow(node, int(value), offset)
+    return node
+
+
+def _reference_base(toks):
+    kind, value, offset = toks.next()
+    if kind == "num":
+        return Num(int(value), offset)
+    if kind == "ident":
+        return Var(value, offset)
+    if kind == "op" and value == "(":
+        if toks.depth == MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", offset)
+        toks.depth += 1
+        items = [_reference_expr(toks)]
+        while True:
+            kind, value, off2 = toks.next()
+            if kind == "op" and value == ")":
+                break
+            if kind == "op" and value == ",":
+                items.append(_reference_expr(toks))
+                continue
+            raise ParseError("expected ',' or ')'", off2)
+        toks.depth -= 1
+        if len(items) == 1:
+            return items[0]
+        return TupleExpr(tuple(items), offset)
+    raise ParseError(f"unexpected {value!r}" if value else "unexpected end of input", offset)
+
+
+def reference_names(tree) -> dict:
+    """Each variable name of a reference tree with its first offset."""
+    found, stack = {}, [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            found[node.name] = min(found.get(node.name, node.offset), node.offset)
+        elif isinstance(node, BinOp):
+            stack += node.left, node.right
+        elif isinstance(node, (Neg, Pow)):
+            stack.append(node.child if isinstance(node, Neg) else node.base)
+        elif isinstance(node, TupleExpr):
+            stack += node.items
+    return found
 
 
 def reference_elaborate(tree, ring: PolyRing) -> RatFunc:

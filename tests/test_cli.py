@@ -49,7 +49,7 @@ def test_parse_error_exit_code(capsys):
 
 
 def test_long_sum_exits_0(capsys):
-    # the parser and the lowering walk the 4,999 BinOps of the sum by loops
+    # the parser reads the 5,000 terms of the sum by a loop, and elaborate is one
     text = " + ".join(f"{k + 1}*x1^{k % 71}*x2^{k // 71}" for k in range(5000))
     with time_limit(4):
         code, data, err = run_json(capsys, "gcd", text, "x1")
@@ -96,6 +96,17 @@ def test_variables_beyond_the_cap_exit_2(capsys, monkeypatch):
         assert err.startswith(f"parse error: more than {MAX_VARIABLES} variables ("), err
         assert err.count("\n") == 1, err
     assert max(sizes) == MAX_VARIABLES
+
+
+def test_bad_variable_name_reported_at_the_name(capsys):
+    for argv, name, offset in (
+        (("gcd", "--", "x1 + y", "x1"), "y", 5),
+        (("qt-check", "(x1*x2 + z, x2)"), "z", 9),
+        (("gcd", "y1*x2 + y1"), "y1", 0),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"parse error: variable {name!r} is not of the form x<k> (at offset {offset})\n"
 
 
 def test_precondition_exit_code(capsys):

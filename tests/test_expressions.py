@@ -4,10 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_nonzero_poly, random_ratfunc, reference_elaborate, seeded
+from conftest import (
+    TupleExpr as TreeTuple,
+    random_nonzero_poly,
+    random_ratfunc,
+    reference_elaborate,
+    reference_names,
+    reference_parse,
+    seeded,
+)
 from ratmaps.errors import ParseError, UnknownVariable
 from ratmaps.expressions import (
     MAX_NESTING,
+    TupleExpr,
     elaborate,
     elaborate_map,
     elaborate_poly,
@@ -119,11 +128,11 @@ def _random_expr(rng, names, depth, big):
     return f"({sub}) {op} ({_random_expr(rng, names, depth - 1, big)})"
 
 
-def _outcome(fn, tree, ring):
+def _caught(fn, *args):
     try:
-        return fn(tree, ring)
-    except ParseError as exc:
-        return str(exc)
+        return "ok", fn(*args)
+    except ParseError as exc:  # UnknownVariable is one
+        return type(exc), str(exc), exc.offset
 
 
 FIXED_CASES = ["4001*x1", "x1 - x1", "(x1 - x1)^0", "(x1 - x1)^0 * x2 - 1", "(4001*x1 + 1)^3"]
@@ -141,11 +150,12 @@ def test_elaborate_matches_ratfunc_at_every_node_random(field):
         texts += [_random_expr(rng, list(ring.names), 4, big) for _ in range(160)]
         for text in texts:
             tree = parse(text)
-            expected = _outcome(reference_elaborate, tree, ring)
-            assert _outcome(elaborate, tree, ring) == expected, text
-            if isinstance(expected, str):
+            expected = _caught(reference_elaborate, reference_parse(text), ring)
+            assert _caught(elaborate, tree, ring) == expected, text
+            if expected[0] != "ok":
                 kinds.add("division by zero")
                 continue
+            expected = expected[1]
             if expected.is_polynomial():
                 assert elaborate_poly(tree, ring) == expected.num
                 kinds.add("zero" if expected.is_zero() else "polynomial")
@@ -172,10 +182,74 @@ def test_division_free_tree_multiplies_no_poly(monkeypatch):
         calls.clear()
         value = elaborate(parse(text), ring)
         assert not calls, field
-        assert value == reference_elaborate(parse(text), ring)
+        assert value == reference_elaborate(reference_parse(text), ring)
     calls.clear()
-    elaborate(parse("(x1 + 1)^2/(x1 - 1)"), R2)
+    elaborate(parse("(x1 + 1)^2/(x1 - 1)*x2"), R2)
     assert calls  # the count sees the RatFunc arithmetic from a division on
+
+
+def test_quotient_of_polynomials_multiplies_no_poly(monkeypatch):
+    """A division of two int dicts builds one fraction: no product by 1."""
+    calls = []
+    real = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: calls.append(1) or real(a, b))
+    for field in (QQ, PrimeField(7)):
+        ring = PolyRing(field, ("x1",))
+        calls.clear()
+        value = elaborate(parse("(x1 + 1)/(x1 - 1)"), ring)
+        assert not calls, field
+        assert value == reference_elaborate(reference_parse("(x1 + 1)/(x1 - 1)"), ring)
+
+
+# -- postfix parse and elaborate against the tree parser, on texts and mutants
+
+
+def _reference_poly(tree, ring):
+    value = reference_elaborate(tree, ring)
+    if not value.is_polynomial():
+        raise ParseError("expected a polynomial, got a proper fraction", tree.offset)
+    return value.num
+
+
+def _mutants(rng, text):
+    """text with one character deleted, and with one inserted."""
+    j, k = rng.randrange(len(text)), rng.randrange(len(text) + 1)
+    return [text[:j] + text[j + 1 :], text[:k] + rng.choice("()+-*/^,x1 7$") + text[k:]]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(7), PrimeField(32003)])
+def test_parse_and_elaborate_match_the_tree_parser(field):
+    """Same value, or the same exception type, message and offset, for
+    parse and for elaborate and elaborate_poly of the root and every item."""
+    rng = seeded(94)
+    p = field.characteristic or 4001
+    big = [p, p + 1, 2 * p - 1]
+    ring = PolyRing(field, ("x1", "x2"))
+    names = list(ring.names)
+    texts = [_random_expr(rng, names, 3, big) for _ in range(80)]
+    texts += [f"({a}, {b})" for a, b in zip(texts[:20], texts[20:40])]
+    texts += [m for text in texts for m in _mutants(rng, text)]
+    kinds = set()
+    for text in texts:
+        got, want = _caught(parse, text), _caught(reference_parse, text)
+        if want[0] != "ok":
+            assert got == want, text
+            kinds.add("parse error")
+            continue
+        expr, tree = got[1], want[1]
+        is_tuple = isinstance(tree, TreeTuple)
+        assert isinstance(expr, TupleExpr) == is_tuple, text
+        pairs = [(expr, tree)] + (list(zip(expr.items, tree.items)) if is_tuple else [])
+        assert not is_tuple or len(expr.items) == len(tree.items), text
+        for e, t in pairs:
+            assert (e.offset, e.names) == (t.offset, reference_names(t)), text
+            value = _caught(reference_elaborate, t, ring)
+            assert _caught(elaborate, e, ring) == value, text
+            assert _caught(elaborate_poly, e, ring) == _caught(_reference_poly, t, ring), text
+            kinds.add(value[1].split(" (at")[0] if value[0] != "ok" else "value")
+    assert {"parse error", "value", "division by zero"} <= kinds, kinds
+    assert "tuple not allowed inside a scalar expression" in kinds, kinds
+    assert any(k.startswith("unknown variable") for k in kinds), kinds
 
 
 def test_parse_error_offsets():
@@ -204,15 +278,16 @@ def test_nesting_cap(template):
     ring = PolyRing(QQ, ("x1", "x2"))
     tree = parse(nested(MAX_NESTING))
     assert x_ring_for([tree], QQ, minimum=2) == ring
-    assert elaborate(tree, ring) == reference_elaborate(tree, ring)
-    with pytest.raises(ParseError, match="nested deeper") as exc:
-        parse(nested(MAX_NESTING + 1))
-    assert exc.value.offset == len(template) * MAX_NESTING + template.index("(")
+    assert elaborate(tree, ring) == reference_elaborate(reference_parse(nested(MAX_NESTING)), ring)
+    for parser in (parse, reference_parse):
+        with pytest.raises(ParseError, match="nested deeper") as exc:
+            parser(nested(MAX_NESTING + 1))
+        assert exc.value.offset == len(template) * MAX_NESTING + template.index("(")
 
 
 def test_long_sum_lowers_without_recursion():
-    # one BinOp per term on the left spine: walked by a loop, and the sum
-    # accumulates in place instead of copying itself per term
+    # the parser reads the terms by a loop, and the sum accumulates in
+    # place instead of copying itself per term
     text = " + ".join(f"{k + 1}*x1^{k % 71}*x3^{k // 71}" for k in range(5000))
     start = time.perf_counter()
     tree = parse(text)

@@ -564,6 +564,19 @@ def test_nilpotent_jacobian_needs_every_power(field):
     assert nilpotent_jacobian(RatMap.from_polys([x2, x3, x1])) is False
 
 
+def test_nilpotent_jacobian_with_nonzero_trace_takes_no_power(monkeypatch):
+    # every row of J(x1, ..., x1) is (1, 0, ..., 0): trace 1, so not
+    # nilpotent; the n - 1 powers would take 39 * 40^2 kernel dot products
+    calls = []
+    real = gordan_noether._k_dot
+    monkeypatch.setattr(gordan_noether, "_k_dot", lambda *a: calls.append(1) or real(*a))
+    for field in (QQ, PrimeField(2), PrimeField(7)):
+        ring = _ring(field, 40)
+        calls.clear()
+        assert nilpotent_jacobian(RatMap.from_polys([ring.var(0)] * 40)) is False
+        assert len(calls) == 1, field  # the trace
+
+
 def test_nilpotent_check_on_a_three_variable_rational_map_is_fast():
     # the reduced matrix powers of this map had not finished after 10
     # minutes; tr JH = -2/(x3^2 - 4 x3) + 1/(x1 + 1) != 0, so not nilpotent
