@@ -148,14 +148,10 @@ def cmd_dehomogenize(args):
 
 
 def cmd_divisor_transport(args):
-    text = _exprs(args, 1)[0]
-    if args.inverse:
-        ring = homog.bi_ring(args.field)
-        g = elaborate_poly(parse(text), ring)
-        return {"result": str(homog.divisor_transport_inverse(g))}
-    ring = homog.uni_ring(args.field)
-    g = elaborate_poly(parse(text), ring)
-    return {"result": str(homog.divisor_transport(g))}
+    ring = (homog.bi_ring if args.inverse else homog.uni_ring)(args.field)
+    g = elaborate_poly(parse(_exprs(args, 1)[0]), ring)
+    transport = homog.divisor_transport_inverse if args.inverse else homog.divisor_transport
+    return {"result": str(transport(g))}
 
 
 def cmd_trdeg(args):
@@ -250,6 +246,11 @@ def _witness_text(entry, key: str, default=None) -> str:
     return value
 
 
+def _witness_h(entry, args):
+    text = _witness_text(entry, "h", "0")
+    return None if text.strip() == "0" else _homog_tuple(text, args, "witness h")
+
+
 def cmd_hmgrk2_verify(args):
     h_tree = parse(_exprs(args, 1)[0])
     data = _load_witness_file(args.witness)
@@ -259,9 +260,7 @@ def cmd_hmgrk2_verify(args):
     p = elaborate_poly(xtrees[1], ring)
     q = elaborate_poly(xtrees[2], ring)
     g = elaborate(xtrees[3], ring)
-    h_text = _witness_text(data, "h", "0")
-    h_tuple = None if h_text.strip() == "0" else _homog_tuple(h_text, args, "witness h")
-    w = subfield.LurothWitness(g, h_tuple, p, q)
+    w = subfield.LurothWitness(g, _witness_h(data, args), p, q)
     return subfield.hmgrk2_verify(h_map, w).to_dict()
 
 
@@ -340,7 +339,7 @@ def cmd_gn_classify(args):
         g = elaborate(gt, ring)
         h_tuple = f_tuple = None
         if kind == "cond3":
-            h_tuple = _parse_h_tuple(_witness_text(entry, "h", "0"), args)
+            h_tuple = _witness_h(entry, args)
         elif kind in ("cond4", "cond5"):
             yring = homog.uni_ring(args.field)
             f_tuple = elaborate_poly_tuple(parse(_witness_text(entry, "f")), yring)

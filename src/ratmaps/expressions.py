@@ -11,9 +11,11 @@ A leading unary minus is accepted so that every canonically printed value
 parses back; exponents must be non-negative integer literals.  Parenthesized
 comma lists are tuples and are only meaningful at the top level of an
 argument.  Parentheses nest at most MAX_NESTING deep; a deeper '(' is a
-parse error at its offset.  An x ring has at most MAX_VARIABLES variables;
-a text that needs more is a parse error at its root's offset, and a name
-not of the form x<k> is one at the name's first offset.
+parse error at its offset, and so is a number or exponent literal longer
+than int() converts, at its own.  An x ring has at most MAX_VARIABLES
+variables: a name x<k> past the cap is a parse error at its first offset,
+a square tuple padded past it one at its '(', and a name not of the form
+x<k> is one at the name's first offset.
 
 parse compiles text once, by recursive descent, to postfix code: a list of
 (code, arg, offset) ops, where code is 'n' (arg the integer), 'v' (arg the
@@ -33,6 +35,7 @@ from there on stays one.
 from __future__ import annotations
 
 import re
+import sys
 from operator import add
 
 from .errors import ParseError, UnknownVariable
@@ -133,7 +136,7 @@ class _Parser:
         kind, text, offset = toks[i + 1]
         if kind != "n":
             raise ParseError("exponent must be a non-negative integer literal", offset)
-        self.ops.append(("^", int(text), toks[i][2]))
+        self.ops.append(("^", _int(text, offset), toks[i][2]))
         return i + 2
 
     def base(self, i: int) -> int:
@@ -142,7 +145,7 @@ class _Parser:
             self.ops.append(tok)
             return i + 1
         if kind == "n":
-            self.ops.append(("n", int(text), offset))
+            self.ops.append(("n", _int(text, offset), offset))
             return i + 1
         if kind != "(":
             raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", offset)
@@ -170,16 +173,19 @@ class _Parser:
         return i + 1
 
 
+def _int(text: str, offset: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"number of more than {sys.get_int_max_str_digits()} digits", offset) from None
+
+
 def _names(toks) -> dict:
     names = {}
     for kind, text, offset in toks:
         if kind == "v":
             names.setdefault(text, offset)
     return names
-
-
-def idents(tree: Expr) -> set:
-    return set(tree.names)
 
 
 def elaborate(tree: Expr, ring: PolyRing) -> RatFunc:
@@ -296,7 +302,9 @@ def x_ring_for(trees, field, minimum: int = 1) -> PolyRing:
             if m is None:
                 raise UnknownVariable(f"variable {name!r} is not of the form x<k>", offset)
             # five digits already pass the cap, and int() reads no more
-            n = max(n, int(m.group(1)[:5]))
+            if (k := int(m.group(1)[:5])) > MAX_VARIABLES:
+                raise ParseError(f"more than {MAX_VARIABLES} variables", offset)
+            n = max(n, k)
         if n > MAX_VARIABLES:
             raise ParseError(f"more than {MAX_VARIABLES} variables", tree.offset)
     return PolyRing(field, tuple(f"x{i + 1}" for i in range(n)))
@@ -318,7 +326,6 @@ __all__ = [
     "elaborate_poly",
     "elaborate_map",
     "elaborate_poly_tuple",
-    "idents",
     "x_ring_for",
     "parse_scalar",
     "print_canonical",

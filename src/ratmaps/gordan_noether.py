@@ -9,12 +9,16 @@ and raises an alarm if they ever disagree: the equivalence is the theorem
 under test, never an assumption.  The trace identity and the witness
 identities, the nilpotency power, the core check and the translation
 identity are decided on cleared numerators, with every gradient taken on
-the packed-int kernel: no check reduces a fraction.  The classifier clears
-H once, and each of its checks is one packing: one kernel Jacobian of H
-answers (1) and trdeg K(tH), one of the core answers (2) and the
-characteristic-zero remark, and each witness is substituted, compared with
-H and gradient-tested inside one more (_verify_witness).  The Jacobian rows,
-as in subfield.trdeg_rank, are polyring's _k_jacobian_rows.
+the packed-int kernel: no check reduces a fraction.  Neither (1) nor
+trdeg K(tH) changes when H is scaled by a nonzero g in K(x), so for
+H = N / D the classifier reads them off the numerators: (1) off J(N) and
+trdeg K(tH) off rank [J(core) | core].  It clears H once and takes the
+core, and one packing of (D, N) and the core answers (1), JH . H = 0, (2),
+the characteristic-zero remark and the rank; each witness is substituted,
+compared with H and gradient-tested inside one more (_verify_witness).
+Nilpotency of JH does change under scaling: nilpotent_jacobian, like
+subfield.trdeg_rank and flem_conclude, takes the quotient-rule rows of
+polyring's _k_jacobian_rows.
 """
 
 from __future__ import annotations
@@ -65,58 +69,51 @@ def _require_square(m: int, ring: PolyRing) -> int:
     return n
 
 
-def _on_cleared_jacobian(cleared, fn):
-    """fn(K, N, m) on the kernel for cleared = (D, N), H = N / D, and m the
-    rows of _k_jacobian_rows; over QQ one integer scales all.  The slot width
-    is on_kernel's, from deg (D, N)."""
-    d, nums = cleared
+def _on_numerators(cleared, core, fn):
+    """fn(K, (D, N, J(N)), (core, J(core))) on one packing (on_kernel) for
+    cleared = (D, N), H = N / D, and a polynomial tuple core, each group on
+    its own scale over QQ: plain gradients, no quotient-rule row."""
 
     def run(K, packed):
-        d, *nums = packed[0]
-        grad_d, *grads = _k_gradients([d, *nums], K)
-        return fn(K, nums, _k_jacobian_rows(d, grad_d, nums, grads, K))
+        (d, *nums), kc = packed
+        return fn(K, (d, nums, _k_gradients(nums, K)), (kc, _k_gradients(kc, K)))
 
-    return on_kernel([[d, *nums]], run)
+    return on_kernel([[cleared[0], *cleared[1]], core], run)
 
 
 def _trace_conditions(h: RatMap):
-    """(JH . H = tr JH . H, JH . H = 0), decided on cleared numerators:
-    over D^3, JH . H is m . N and tr JH . H is tr m times N."""
+    """(JH . H = tr JH . H, JH . H = 0), decided on cleared numerators."""
     _require_square(h.m, h.ring)
-    return _on_cleared_jacobian(clear_denominators(h.comps), _trace_sides)
+    return _on_numerators(clear_denominators(h.comps), (), lambda K, num, _: _trace_sides(K, *num))
 
 
 def _trace(K, m) -> dict:
     return _k_dot([{0: 1}] * len(m), [row[i] for i, row in enumerate(m)], K)
 
 
-def _trace_sides(K, nums, m):
-    trace = _trace(K, m)
+def _trace_sides(K, d, nums, jn):
+    """(qt, JH . H = 0) for H = N / D from jn = J(N).  As D^2 JH is
+    D J(N) - N grad D, D^3 (JH . H - tr JH . H) = D (J(N) . N - tr J(N) N),
+    and D^3 JH . H = D J(N) . N - (grad D . N) N."""
+    trace = _trace(K, jn)
+    dn = _k_dot(_k_gradients([d], K)[0], nums, K)
     qt = zero = True
-    for k in range(len(nums)):
-        lhs = _k_dot(nums, m[k], K)
-        zero = zero and not lhs
-        qt = qt and not _k_sub(lhs, _k_mul(nums[k], trace, K), K)
+    for nk, row in zip(nums, jn):
+        lhs = _k_dot(nums, row, K)
+        qt = qt and not _k_sub(lhs, _k_mul(nk, trace, K), K)
+        zero = zero and not (_k_sub(_k_mul(d, lhs, K), _k_mul(dn, nk, K), K) if dn else lhs)
     return qt, zero
 
 
-def _classify_sides(K, nums, m):
-    """_trace_sides and, in characteristic zero, trdeg K(tH) = rank [m | N]:
-    D^2 times row k of J(tH) over (x, t) is [t m_k, D N_k], and column
-    scalings (by t, by D, over QQ by the clearing integer) keep the rank.
-    Bareiss on [m | N] forms products of degree up to 4(n-1) deg (D, N);
-    where they outgrow the first slot width, the pass reruns wider
-    (_on_packing)."""
-    rank = None if K.mod else _bareiss_rank(K, [[*r, nk] for r, nk in zip(m, nums)])
-    return (*_trace_sides(K, nums, m), rank)
-
-
-def _core_sides(K, nums, m):
-    """(condition (2), J(core) . core = 0) for the polynomial core nums with
-    Jacobian m (see bivariate_core_check)."""
-    trace = _trace(K, m)
-    zero = not any(_k_dot(nums, row, K) for row in m)
-    return not trace and _annihilates(K, m, nums), zero
+def _core_sides(K, core, jc, rank=False):
+    """(condition (2), J(core) . core = 0, and with rank in characteristic
+    zero trdeg K(tH), else None) for the core with Jacobian jc.  D^2 times
+    row k of J(tH) over (x, t) is [t (D grad N_k - N_k grad D), D N_k]:
+    column operations give [J(N) | N], and with N = c core, [J(core) | core]."""
+    trace = _trace(K, jc)
+    zero = not any(_k_dot(core, row, K) for row in jc)
+    trdeg = _bareiss_rank(K, [[*r, c] for r, c in zip(jc, core)]) if rank and not K.mod else None
+    return not trace and _annihilates(K, jc, core), zero, trdeg
 
 
 def qt_condition(h: RatMap) -> bool:
@@ -132,9 +129,6 @@ def classical_gn_condition(h: RatMap) -> bool:
 class GquasiReport(Record):
     original: bool
     scaled: bool
-
-    def to_dict(self):
-        return {"original": self.original, "scaled": self.scaled}
 
 
 def gquasi_invariance(h: RatMap, g: RatFunc) -> GquasiReport:
@@ -173,13 +167,19 @@ def translation_invariance(h: RatMap) -> bool:
 
 
 def nilpotent_jacobian(h: RatMap) -> bool:
-    """Whether (JH)^n = 0 over K(x): JH is m (_k_jacobian_rows) over a
-    nonzero factor, so iff m^n = 0 on the kernel."""
+    """Whether (JH)^n = 0 over K(x): JH is m (_k_jacobian_rows) over D^2, so
+    iff m^n = 0 on the kernel; scaling H changes this, so it takes the rows."""
     _require_square(h.m, h.ring)
-    return _on_cleared_jacobian(clear_denominators(h.comps), _nilpotent)
+    d, nums = clear_denominators(h.comps)
+
+    def run(K, packed):
+        (kd, *kn), (grad_d, *grads) = packed[0], _k_gradients(packed[0], K)
+        return _nilpotent(K, _k_jacobian_rows(kd, grad_d, kn, grads, K))
+
+    return on_kernel([[d, *nums]], run)
 
 
-def _nilpotent(K, nums, m):
+def _nilpotent(K, m):
     # a nilpotent matrix has trace 0 in every characteristic
     if _trace(K, m):
         return False
@@ -214,7 +214,7 @@ def bivariate_core_check(core) -> bool:
     if not core:
         raise NotSquare("empty tuple")
     _require_square(len(core), core[0].ring)
-    return _on_cleared_jacobian((core[0].ring.one(), core), _core_sides)[0]
+    return _on_numerators((core[0].ring.one(), ()), core, lambda K, _, c: _core_sides(K, *c)[0])
 
 
 # -- witnesses ---------------------------------------------------------------
@@ -239,9 +239,6 @@ class WitnessVerdict(Record):
     kind: str
     verified: bool
     reason: str = ""
-
-    def to_dict(self):
-        return {"kind": self.kind, "verified": self.verified, "reason": self.reason}
 
 
 def _verify_witness(h_map: RatMap, w: GNWitness):
@@ -338,26 +335,22 @@ def gn_classify(h_map: RatMap, witnesses=()) -> GNReport:
     are always computed; each supplied witness for (3), (4) or (5) is
     verified from scratch.  Any disagreement that the classification
     theorem forbids raises an internal alarm.  In characteristic zero the
-    precondition trdeg K(tH) <= 2 is enforced, on the Jacobian of (1); in
+    precondition trdeg K(tH) <= 2 is enforced, on the core's Jacobian; in
     positive characteristic it is the caller's assertion.
     """
     _require_square(h_map.m, h_map.ring)
     report = GNReport(False, False, False)
     zero = h_map.is_zero()
     cleared = clear_denominators(h_map.comps)
-    report.qt, report.classical_zero, report.trdeg_tH = _on_cleared_jacobian(
-        cleared, _classify_sides
+    report.core = tuple(cleared[1]) if zero else _split_content(cleared[1], with_g=False)[1]
+    sides = _on_numerators(
+        cleared, report.core, lambda K, num, c: (*_trace_sides(K, *num), *_core_sides(K, *c, rank=True))
     )
+    report.qt, report.classical_zero, report.core_bivariate, core_zero, report.trdeg_tH = sides
     if report.trdeg_tH is not None and report.trdeg_tH > 2:
         raise TrdegTooLarge(
             f"trdeg K(tH) = {report.trdeg_tH} > 2: the classification does not apply"
         )
-    report.core = (
-        tuple(cleared[1]) if zero else _split_content(cleared[1], with_g=False)[1]
-    )
-    report.core_bivariate, core_zero = _on_cleared_jacobian(
-        (h_map.ring.one(), report.core), _core_sides
-    )
     if report.qt != report.core_bivariate:
         raise AssertionFailure(
             "conditions (1) and (2) disagree; the classification theorem forbids this"
@@ -446,20 +439,21 @@ def constant_span_bound(h_map: RatMap) -> SpanBoundReport:
     hold for H.
     """
     n = _require_square(h_map.m, h_map.ring)
-    cleared = clear_denominators(h_map.comps)
-    if not _on_cleared_jacobian(cleared, _trace_sides)[0]:
-        raise PreconditionNotVerified("the trace identity does not hold for H")
-    field = h_map.ring.field
     if h_map.is_zero():
         return SpanBoundReport([], 0, 0, n, True)
+    cleared = clear_denominators(h_map.comps)
+    core = _split_content(cleared[1], with_g=False)[1]
+    # rank J(core), or None where the trace identity fails
+    rank_core = _on_numerators(
+        cleared, core, lambda K, num, c: _bareiss_rank(K, c[1]) if _trace_sides(K, *num)[0] else None
+    )
+    if rank_core is None:
+        raise PreconditionNotVerified("the trace identity does not hold for H")
+    field = h_map.ring.field
     # the coefficient vectors of H(y) are those of H(x)
     vectors = coefficient_rows(cleared[1], field)
     chosen = independent_subset(vectors, field)
     dim = len(chosen)
-    core = _split_content(cleared[1], with_g=False)[1]
-    rank_core = _on_cleared_jacobian(
-        (h_map.ring.one(), core), lambda K, _, m: _bareiss_rank(K, m)
-    )
     bound = n - rank_core
     return SpanBoundReport(
         [vectors[i] for i in chosen], dim, rank_core, bound, dim <= bound

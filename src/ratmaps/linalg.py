@@ -7,7 +7,7 @@ its denominators; over GF(p) residues, reduced mod p with no division),
 then back-substitute in K to the vectors of the reduced row echelon form.
 Matrices over K[x] run on the packed-int kernel of polyring, each row
 scaled to integer coefficients; polyring's _k_jacobian_rows builds the
-Jacobian rows of subfield.trdeg_rank and of the classifier there directly.
+Jacobian rows of subfield.trdeg_rank there directly.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from __future__ import annotations
 class Record:
     """Positional-or-keyword __init__ (then __post_init__, when defined),
     field-wise == and the dataclass repr; unhashable, as a mutable
-    dataclass is."""
+    dataclass is.  to_dict maps each field to its value."""
 
     _fields = ()
     _post_init = False
@@ -58,6 +58,9 @@ class Record:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values() == other._values()
+
+    def to_dict(self) -> dict:
+        return dict(zip(self._fields, self._values()))
 
     def __repr__(self):
         inner = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)

@@ -530,9 +530,6 @@ class CheckItem(Record):
     status: str  # "pass" | "fail" | "skip"
     detail: str = ""
 
-    def to_dict(self):
-        return {"name": self.name, "status": self.status, "detail": self.detail}
-
 
 class Hmgrk2Report(Record):
     items: list = []

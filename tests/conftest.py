@@ -12,7 +12,7 @@ import signal
 from contextlib import contextmanager
 from fractions import Fraction
 
-from ratmaps.linalg import coefficient_rows, field_nullspace, field_solve
+from ratmaps.linalg import _bareiss_rank, coefficient_rows, field_nullspace, field_solve
 from ratmaps.errors import (
     AssertionFailure,
     DegreeOrder,
@@ -34,6 +34,7 @@ from ratmaps.polyring import (
     _as_ratfunc,
     _k_addmul,
     _k_derivative,
+    _k_dot,
     _k_gradients,
     _k_ints,
     _k_mul,
@@ -54,11 +55,7 @@ from ratmaps.polyring import (
     subst,
 )
 from ratmaps.fields import Fp, QQ
-from ratmaps.gordan_noether import (
-    _annihilates,
-    _trace_sides,
-    classical_gn_condition,
-)
+from ratmaps.gordan_noether import _annihilates, classical_gn_condition
 from ratmaps.homog import HomogTuple, bi_ring, compose_homog_at, uni_ring
 from ratmaps.records import FrozenRecord
 from ratmaps.subfield import DependenceSearch, _exponents_upto, adjoin_t
@@ -687,6 +684,27 @@ def reference_on_cleared_jacobian(cleared, fn):
     return on_kernel([[d, *nums]], run)
 
 
+def reference_trace_sides(K, nums, m):
+    """(qt, JH . H = 0) read off the quotient-rule rows m of H = N / D, as
+    the classifier decided them before it read J(N): over D^3, JH . H is
+    m . N and tr JH . H is tr m times N."""
+    trace = _k_dot([{0: 1}] * len(m), [row[i] for i, row in enumerate(m)], K)
+    qt = zero = True
+    for k in range(len(nums)):
+        lhs = _k_dot(nums, m[k], K)
+        zero = zero and not lhs
+        qt = qt and not _k_sub(lhs, _k_mul(nums[k], trace, K), K)
+    return qt, zero
+
+
+def reference_classify_sides(K, nums, m):
+    """reference_trace_sides and, in characteristic zero, trdeg K(tH) as the
+    rank of [m | N]: D^2 times row k of J(tH) over (x, t) is [t m_k, D N_k],
+    and scaling columns by t and by D keeps the rank."""
+    rank = None if K.mod else _bareiss_rank(K, [[*r, nk] for r, nk in zip(m, nums)])
+    return (*reference_trace_sides(K, nums, m), rank)
+
+
 def reference_verify_witness(h_map, w):
     """(verified, reason) as the classifier decided it on three kernel
     entries: one _substitute of the blocks and 1 for F and F(1), the
@@ -723,7 +741,7 @@ def reference_verify_witness(h_map, w):
     if k is not None:
         return False, f"H = g*{shape} fails at component {k}"
     if w.kind == "cond3":
-        if not reference_on_cleared_jacobian((F1, F), _trace_sides)[1]:
+        if not reference_on_cleared_jacobian((F1, F), reference_trace_sides)[1]:
             return False, "J(h(p,q)) . h(p,q) is nonzero"
         return True, ""
     ints = _k_ints(blocks)[1]

@@ -109,6 +109,41 @@ def test_bad_variable_name_reported_at_the_name(capsys):
         assert err == f"parse error: variable {name!r} is not of the form x<k> (at offset {offset})\n"
 
 
+def test_variable_past_the_cap_reported_at_the_name(capsys):
+    many = "(" + ", ".join(["x1"] * (MAX_VARIABLES + 1)) + ")"
+    for argv, offset in (
+        (("gcd", "x1 + x1001"), 5),
+        # the offset lies in the text that names the variable
+        (("gcd", "--", "x1", "x2*x1001 + x1002"), 3),
+        (("gcd", "x1 + x" + "1" * 5000 + " + x1001"), 5),
+        # a padded square tuple names no such variable: its '('
+        (("qt-check", " " + many), 1),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"parse error: more than {MAX_VARIABLES} variables (at offset {offset})\n"
+    # the first name at fault is reported, whatever its fault
+    code, out, err = run_cli(capsys, "gcd", "y + x1001")
+    assert (code, out) == (2, "")
+    assert err == "parse error: variable 'y' is not of the form x<k> (at offset 0)\n"
+
+
+def test_long_literals_are_parse_errors(capsys):
+    limit = sys.get_int_max_str_digits()
+    long = "1" * (limit + 1)
+    for argv, offset in (
+        (("gcd", "x1^" + long), 3),
+        (("gcd", "x1 + " + long + "*x2"), 5),
+        (("qt-check", "(x1, (x2 - " + long + ")^2)"), 11),
+        (("qt-check", "(x1, x2^" + long + ")"), 8),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"parse error: number of more than {limit} digits (at offset {offset})\n"
+    code, data, _ = run_json(capsys, "gcd", "(x1 + " + "1" * limit + ", 0)")
+    assert code == 0 and data["gcd"] == "x1 + " + "1" * limit
+
+
 def test_precondition_exit_code(capsys):
     code, out, err = run_cli(capsys, "gcd", "(0, 0)")
     assert code == 1
@@ -284,6 +319,28 @@ def test_gn_classify_witness_file(tmp_path, capsys):
     assert code == 0
     assert data["qt_condition"] is True
     assert data["witnesses"][0]["verified"] is True
+
+
+def test_gn_classify_cond3_witness_file(tmp_path, capsys):
+    # h(p, q) = (x2^2, 0) and J(h(p,q)) . h(p,q) = 0; h = "0" is the zero tuple
+    w = tmp_path / "w.json"
+    entries = [
+        {"kind": "cond3", "g": "1", "h": "(y1^2, 0)", "p": "x2", "q": "x1"},
+        {"kind": "cond3", "g": "1", "h": "(y1^2, y2^2)", "p": "x2", "q": "x1"},
+        {"kind": "cond3", "g": "1", "p": "x2", "q": "x1"},
+    ]
+    w.write_text(json.dumps(entries))
+    code, data, _ = run_json(capsys, "gn-classify", "(x2^2, 0)", "--witness", str(w))
+    assert code == 0 and data["qt_condition"] is True
+    assert data["witnesses"] == [
+        {"kind": "cond3", "verified": True, "reason": ""},
+        {"kind": "cond3", "verified": False, "reason": "H = g*h(p,q) fails at component 1"},
+        {"kind": "cond3", "verified": False, "reason": "H = g*h(p,q) fails at component 0"},
+    ]
+    w.write_text(json.dumps({"kind": "cond3", "g": "1", "h": "(y1^2, y1)", "p": "x2", "q": "x1"}))
+    code, out, err = run_cli(capsys, "gn-classify", "(x2^2, 0)", "--witness", str(w))
+    assert (code, out) == (2, "")
+    assert err == "parse error: witness h must be homogeneous of one degree (at offset 0)\n"
 
 
 MALFORMED_WITNESSES = [

@@ -14,6 +14,7 @@ from conftest import (
     random_ratfunc,
     random_square_map,
     reference_bivariate_core_check,
+    reference_classify_sides,
     reference_cleared_sides,
     reference_compose_poly,
     reference_cond45_failure,
@@ -22,11 +23,13 @@ from conftest import (
     reference_on_cleared_jacobian,
     reference_poly_matrix_rank,
     reference_translation_invariance,
+    reference_trace_sides,
     reference_trdeg_rank,
     reference_verify_cond3,
     reference_verify_cond45,
     reference_verify_witness,
     seeded,
+    time_limit,
 )
 from ratmaps import gordan_noether, polyring, subfield
 from ratmaps.errors import (
@@ -37,13 +40,12 @@ from ratmaps.errors import (
     ZeroScalar,
 )
 from ratmaps.fields import PrimeField, QQ
-from ratmaps.homog import HomogTuple, bi_ring, uni_ring
+from ratmaps.homog import HomogTuple, bi_ring, compose_homog_at, uni_ring
 from ratmaps.gordan_noether import (
     GNWitness,
-    _classify_sides,
     _core_sides,
     _nilpotent,
-    _on_cleared_jacobian,
+    _on_numerators,
     _trace_conditions,
     _trace_sides,
     _verify_witness,
@@ -57,7 +59,7 @@ from ratmaps.gordan_noether import (
     qt_condition,
     translation_invariance,
 )
-from ratmaps.expressions import elaborate_map, parse
+from ratmaps.expressions import elaborate_map, elaborate_poly, parse
 from ratmaps.polyring import (
     Poly,
     PolyRing,
@@ -67,11 +69,11 @@ from ratmaps.polyring import (
     compose_poly,
     eval_univar_at_ratio,
     first_mismatch,
+    gcd_many,
     is_primitive,
     primitive_part,
     relabel,
 )
-from ratmaps.linalg import _bareiss_rank
 from ratmaps.subfield import trdeg_rank
 
 R2 = PolyRing(QQ, ("x1", "x2"))
@@ -794,7 +796,7 @@ def test_core_jacobian_dot_core_matches_classical_condition_random(field):
             else:
                 core = tuple(random_poly(rng, ring, 2, 2) for _ in range(n))
             as_map = RatMap.from_polys(core)
-            zero = _on_cleared_jacobian((ring.one(), core), _core_sides)[1]
+            zero = _on_numerators((ring.one(), ()), core, lambda K, _, c: _core_sides(K, *c)[1])
             assert zero == classical_gn_condition(as_map), core
             assert zero == all(e.is_zero() for e in reference_cleared_sides(as_map)[0])
             seen.add(zero)
@@ -948,8 +950,8 @@ def test_gn_classify_trdeg_matches_trdeg_rank_random():
 
 
 def test_gn_classify_builds_one_jacobian_of_h(monkeypatch):
-    # one row build per Jacobian pass, H's and the core's, with grad D taken
-    # once per pass: no trdeg_rank, which built the rows of H a second time
+    # the numerator checks read J(N) and J(core) on one packing: no
+    # quotient-rule row, no trdeg_rank, and no rerun at a wider slot
     rng = seeded(99)
     cases = []
     for _ in range(15):
@@ -958,10 +960,28 @@ def test_gn_classify_builds_one_jacobian_of_h(monkeypatch):
     for field in (QQ, PrimeField(7)):
         for n in (1, 2, 3):
             cases += [(random_square_map(rng, _ring(field, n)), []) for _ in range(8)]
-    targets = [(subfield, "trdeg_rank")]
+    targets = [(subfield, "trdeg_rank"), (gordan_noether, "_on_packing")]
     targets += [(m, "_k_jacobian_rows") for m in (polyring, gordan_noether, subfield)]
     counts = Counter()
     _count_calls(monkeypatch, targets, counts)
+    real_on_kernel, real_packing = gordan_noether.on_kernel, polyring._Packing
+
+    class Recording(real_packing):
+        __slots__ = ()
+
+        def __init__(self, n, w, mod):
+            counts["packings"] += 1
+            super().__init__(n, w, mod)
+
+    def on_kernel(groups, fn):
+        counts["on_kernel"] += 1
+        monkeypatch.setattr(polyring, "_Packing", Recording)
+        try:
+            return real_on_kernel(groups, fn)
+        finally:
+            monkeypatch.setattr(polyring, "_Packing", real_packing)
+
+    monkeypatch.setattr(gordan_noether, "on_kernel", on_kernel)
     classified = 0
     for h, witnesses in cases:
         counts.clear()
@@ -969,18 +989,48 @@ def test_gn_classify_builds_one_jacobian_of_h(monkeypatch):
             gn_classify(h, witnesses)
         except TrdegTooLarge:
             continue
-        assert counts == {"_k_jacobian_rows": 2}, (h, counts)
+        expected = {"on_kernel": 1, "packings": 1}
+        if witnesses:
+            expected["_on_packing"] = len(witnesses)
+        assert counts == expected, (h, counts)
         classified += 1
     assert classified > 40
+
+
+def test_gn_classify_on_a_four_variable_composite_is_fast():
+    # H = g * h(p, q) over QQ, h a homogeneous cubic tuple: reading
+    # trdeg K(tH) off [m | N], whose entries carry D, had not finished after
+    # 25 s on this map.  tH = t g q^3 h(p/q, 1) lies in K(t g q^3, p/q),
+    # so the rank is 2.
+    ring, bring = _ring(QQ, 4), bi_ring(QQ)
+    p, q, g_num, g_den = (
+        elaborate_poly(parse(text), ring)
+        for text in (
+            "-x2*x3 + 4*x1 - 2*x2 - 4*x3",
+            "-2*x1*x2*x3 + x2*x3*x4 + 4*x4",
+            "-x2^2 + 2*x3 + 3",
+            "-4*x1*x4^2 + 2*x1*x2 + 3*x2",
+        )
+    )
+    blocks = [
+        elaborate_poly(parse(text), bring)
+        for text in (
+            "2*y1^3 + 2*y1^2*y2",
+            "y1^3 + 2*y1^2*y2 - y2^3",
+            "y1^3 - y1*y2^2",
+            "-y1^2*y2 - 2*y1*y2^2",
+        )
+    ]
+    g = RatFunc(g_num, g_den)
+    h = RatMap([g * RatFunc.from_poly(compose_homog_at(b, p, q)) for b in blocks])
+    with time_limit(10):
+        rep = gn_classify(h)
+    assert (rep.qt, rep.core_bivariate, rep.classical_zero, rep.trdeg_tH) == (False, False, False, 2)
 
 
 # -- the shared Jacobian rows and the one-packing verifier ---------------------
 
 CHECK_FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(32003)]
-
-
-def _span_rank(K, _, m):
-    return _bareiss_rank(K, m)
 
 
 def _cleared_pairs(rng, ring):
@@ -1004,19 +1054,69 @@ def _cleared_pairs(rng, ring):
 @pytest.mark.parametrize("field", CHECK_FIELDS)
 def test_jacobian_rows_match_per_row_quotient_rule_random(field):
     # plain gradients for a constant D drop one factor that every row
-    # shares: no check read off the rows may see it
+    # shares: nilpotency, the one classifier check read off the rows, may
+    # not see it; the map is cleared again from its reduced components
     rng = seeded(102)
     seen = set()
     for n in (1, 2, 3):
         ring = _ring(field, n)
         for cleared in _cleared_pairs(rng, ring):
-            for fn in (_trace_sides, _classify_sides, _core_sides, _nilpotent, _span_rank):
-                got = _on_cleared_jacobian(cleared, fn)
-                assert got == reference_on_cleared_jacobian(cleared, fn), (cleared, fn)
+            h = RatMap([RatFunc(t, cleared[0]) for t in cleared[1]])
+            expected = reference_on_cleared_jacobian(cleared, lambda K, _, m: _nilpotent(K, m))
+            assert nilpotent_jacobian(h) == expected, cleared
             seen.add("constant D" if cleared[0].is_constant() else "D")
             if any(t.is_zero() for t in cleared[1]):
                 seen.add("zero row")
     assert seen == {"constant D", "D", "zero row"}, seen
+
+
+@pytest.mark.parametrize("field", CHECK_FIELDS)
+def test_numerator_checks_match_quotient_rule_rows_random(field):
+    # (qt, classical zero, trdeg K(tH)) from J(N) and [J(core) | core]
+    # against the parent's reading of the quotient-rule rows and [m | N]
+    rng = seeded(103)
+    seen = set()
+    for n in (1, 2, 3):
+        ring = _ring(field, n)
+        maps = [random_square_map(rng, ring) for _ in range(12)]
+        for _ in range(6):
+            # a planted content: the cleared numerators share c, so core != N
+            while (c := random_nonzero_poly(rng, ring, 2, 2)).is_constant():
+                pass
+            g = RatFunc(c, random_nonzero_poly(rng, ring, 1, 2))
+            maps.append(random_square_map(rng, ring).scale(g))
+        for h in maps:
+            cleared = clear_denominators(h.comps)
+            qt, zero, rank = reference_on_cleared_jacobian(cleared, reference_classify_sides)
+            assert _trace_conditions(h) == (qt, zero), h
+            if rank is not None and rank > 2:
+                with pytest.raises(TrdegTooLarge) as exc:
+                    gn_classify(h)
+                assert str(exc.value) == (
+                    f"trdeg K(tH) = {rank} > 2: the classification does not apply"
+                )
+                seen.add("rank 3")
+            else:
+                rep = gn_classify(h)
+                assert (rep.qt, rep.classical_zero, rep.trdeg_tH) == (qt, zero, rank), h
+            seen.add((qt, zero))
+            nonzero = [t for t in cleared[1] if not t.is_zero()]
+            if nonzero and len(nonzero) < n:
+                seen.add("zero component")
+            if len(nonzero) > 1 and not gcd_many(nonzero).is_constant():
+                seen.add("content")
+        # (D, N) as given, constant D != 1 included: no scaling by D shows
+        for cleared in _cleared_pairs(rng, ring):
+            got = _on_numerators(cleared, (), lambda K, sides, _: _trace_sides(K, *sides))
+            assert got == reference_on_cleared_jacobian(cleared, reference_trace_sides), cleared
+            if cleared[0].is_constant() and not cleared[0].is_one():
+                seen.add("constant D")
+    expected = {(True, True), (True, False), (False, False), "zero component", "content"}
+    if field.characteristic != 2:  # GF(2) has no constant D != 1
+        expected.add("constant D")
+    if field == QQ:  # the rank is taken in characteristic zero only
+        expected.add("rank 3")
+    assert seen == expected, seen
 
 
 def _cond45_witness_case(rng, ring):
