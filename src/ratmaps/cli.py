@@ -60,8 +60,7 @@ def _exprs(args, expected=None):
 
 def _x_context(args, texts, minimum=1):
     trees = [parse(t) for t in texts]
-    ring = x_ring_for(trees, args.field, minimum)
-    return trees, ring
+    return trees, x_ring_for(trees, args.field, minimum)
 
 
 def _x_polys(args, texts) -> list:
@@ -182,10 +181,7 @@ def cmd_mobius_equiv(args):
     t = subfield.mobius_equiv(p, q, ps, qs)
     if t is None:
         return {"equivalent": False, "matrix": None}
-    return {
-        "equivalent": True,
-        "matrix": [[str(t.t11), str(t.t12)], [str(t.t21), str(t.t22)]],
-    }
+    return {"equivalent": True, "matrix": [[str(t.t11), str(t.t12)], [str(t.t21), str(t.t22)]]}
 
 
 def cmd_unit_combo(args):
@@ -212,8 +208,7 @@ def cmd_member_kp(args):
 def cmd_member_kpq(args):
     trees, ring = _x_context(args, _exprs(args, 3))
     r = elaborate(trees[0], ring)
-    p = elaborate_poly(trees[1], ring)
-    q = elaborate_poly(trees[2], ring)
+    p, q = elaborate_poly(trees[1], ring), elaborate_poly(trees[2], ring)
     out = subfield.member_Kpq(r, p, q, args.bound)
     if out is None:
         return {"found": False, "bound": args.bound}
@@ -234,6 +229,9 @@ def _load_witness_file(path):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"witness file is not JSON: {exc.msg}", exc.pos) from None
+        except ValueError:  # an integer longer than int() converts
+            limit = sys.get_int_max_str_digits()
+            raise ParseError(f"witness file holds a number of more than {limit} digits", 0) from None
 
 
 def _witness_text(entry, key: str, default=None) -> str:
@@ -257,8 +255,7 @@ def cmd_hmgrk2_verify(args):
     xtrees = [h_tree] + [parse(_witness_text(data, k)) for k in ("p", "q", "g")]
     ring = x_ring_for(xtrees, args.field)
     h_map = elaborate_map(h_tree, ring)
-    p = elaborate_poly(xtrees[1], ring)
-    q = elaborate_poly(xtrees[2], ring)
+    p, q = elaborate_poly(xtrees[1], ring), elaborate_poly(xtrees[2], ring)
     g = elaborate(xtrees[3], ring)
     w = subfield.LurothWitness(g, _witness_h(data, args), p, q)
     return subfield.hmgrk2_verify(h_map, w).to_dict()
@@ -304,12 +301,7 @@ def cmd_pqtrans(args):
     eps = parse_scalar(args.eps, args.field) if args.eps is not None else None
     theta = parse_scalar(args.theta, args.field) if args.theta is not None else None
     ps, qs, gs = integrality.pqtrans(p, q, g, args.mode, eps=eps, theta=theta)
-    return {
-        "pstar": str(ps),
-        "qstar": str(qs),
-        "f1star": str(gs.f1),
-        "f2star": str(gs.f2),
-    }
+    return {"pstar": str(ps), "qstar": str(qs), "f1star": str(gs.f1), "f2star": str(gs.f2)}
 
 
 def cmd_qt_check(args):
@@ -324,8 +316,7 @@ def cmd_gn_classify(args):
     if args.witness:
         data = _load_witness_file(args.witness)
         entries = data if isinstance(data, list) else [data]
-    xtrees = []
-    parsed = []
+    xtrees, parsed = [], []
     for entry in entries:
         trio = tuple(parse(_witness_text(entry, k)) for k in ("p", "q", "g"))
         parsed.append((_witness_text(entry, "kind"), trio))
@@ -334,9 +325,7 @@ def cmd_gn_classify(args):
     h = elaborate_map(h_tree, ring)
     witnesses = []
     for entry, (kind, (pt, qt, gt)) in zip(entries, parsed):
-        p = elaborate_poly(pt, ring)
-        q = elaborate_poly(qt, ring)
-        g = elaborate(gt, ring)
+        p, q, g = elaborate_poly(pt, ring), elaborate_poly(qt, ring), elaborate(gt, ring)
         h_tuple = f_tuple = None
         if kind == "cond3":
             h_tuple = _witness_h(entry, args)
@@ -454,9 +443,7 @@ def _render_text(payload: dict) -> str:
             if value and isinstance(value[0], dict):
                 lines.append(f"{key}:")
                 for entry in value:
-                    lines.append(
-                        "  - " + ", ".join(f"{k}: {v}" for k, v in entry.items())
-                    )
+                    lines.append("  - " + ", ".join(f"{k}: {v}" for k, v in entry.items()))
             else:
                 lines.append(f"{key}: [" + ", ".join(str(v) for v in value) + "]")
         elif isinstance(value, dict):

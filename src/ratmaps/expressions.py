@@ -12,10 +12,11 @@ parses back; exponents must be non-negative integer literals.  Parenthesized
 comma lists are tuples and are only meaningful at the top level of an
 argument.  Parentheses nest at most MAX_NESTING deep; a deeper '(' is a
 parse error at its offset, and so is a number or exponent literal longer
-than int() converts, at its own.  An x ring has at most MAX_VARIABLES
-variables: a name x<k> past the cap is a parse error at its first offset,
-a square tuple padded past it one at its '(', and a name not of the form
-x<k> is one at the name's first offset.
+than int() converts, at its own, and a power that may have more than
+MAX_POWER_TERMS terms (C(n + t - 1, n) for t terms to the n), at its '^'.
+An x ring has at most MAX_VARIABLES variables: a name x<k> past the cap is
+a parse error at its first offset, a square tuple padded past it one at its
+'(', and a name not of the form x<k> is one at the name's first offset.
 
 parse compiles text once, by recursive descent, to postfix code: a list of
 (code, arg, offset) ops, where code is 'n' (arg the integer), 'v' (arg the
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import re
 import sys
+from math import comb
 from operator import add
 
 from .errors import ParseError, UnknownVariable
@@ -53,6 +55,11 @@ MAX_NESTING = 100
 # the most variables a typed x<k> or a square tuple may ask of x_ring_for:
 # a ring's cost grows with its index, so a short name cannot make it huge
 MAX_VARIABLES = 1000
+# the most terms a power may ask for: v^n, v of t terms, has at most
+# C(n + t - 1, n), and every product computing it multiplies powers v^k,
+# k <= n, each of at most as many; (x1 + x2 + 1)^3000 asks for 4.5 million.
+# C(t + n - 1, n) passes the cap if n does, so n is cut to it first
+MAX_POWER_TERMS = 1000
 
 
 class Expr:
@@ -209,6 +216,10 @@ def elaborate(tree: Expr, ring: PolyRing) -> RatFunc:
             push({zero: c} if c else {})
         elif code == "^":
             v = stack[-1]
+            n = min(arg, MAX_POWER_TERMS)
+            for t in map(len, (v.num.terms, v.den.terms) if type(v) is RatFunc else (v,)):
+                if min(t, n) > 1 and comb(t + n - 1, n) > MAX_POWER_TERMS:
+                    raise ParseError(f"power of more than {MAX_POWER_TERMS} terms", offset)
             stack[-1] = v**arg if type(v) is RatFunc else _power(v, arg, zero, mod)
         elif code == "u":
             v = stack[-1]

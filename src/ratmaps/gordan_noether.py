@@ -13,9 +13,9 @@ the packed-int kernel: no check reduces a fraction.  Neither (1) nor
 trdeg K(tH) changes when H is scaled by a nonzero g in K(x), so for
 H = N / D the classifier reads them off the numerators: (1) off J(N) and
 trdeg K(tH) off rank [J(core) | core].  It clears H once and takes the
-core, and one packing of (D, N) and the core answers (1), JH . H = 0, (2),
-the characteristic-zero remark and the rank; each witness is substituted,
-compared with H and gradient-tested inside one more (_verify_witness).
+core, and one packing of (D, N), the core and every witness's groups
+answers (1), JH . H = 0, (2), the remark and the rank, and substitutes each
+witness, checks it against N / D and gradient-tests it (_witness_check).
 Nilpotency of JH does change under scaling: nilpotent_jacobian, like
 subfield.trdeg_rank and flem_conclude, takes the quotient-rule rows of
 polyring's _k_jacobian_rows.
@@ -48,7 +48,6 @@ from .polyring import (
     _k_jacobian_rows,
     _k_maxes,
     _k_mul,
-    _k_sub,
     _k_substitute,
     _on_packing,
     _split_content,
@@ -69,16 +68,19 @@ def _require_square(m: int, ring: PolyRing) -> int:
     return n
 
 
-def _on_numerators(cleared, core, fn):
-    """fn(K, (D, N, J(N)), (core, J(core))) on one packing (on_kernel) for
-    cleared = (D, N), H = N / D, and a polynomial tuple core, each group on
-    its own scale over QQ: plain gradients, no quotient-rule row."""
+def _on_numerators(cleared, core, fn, more=()):
+    """fn(K, (D, N, J(N)), (core, J(core)), *more) on one packing
+    (_on_packing) for cleared = (D, N), H = N / D, a polynomial tuple core
+    and more groups of tuple-keyed int dicts, each group on its own scale
+    over QQ: plain gradients, no quotient-rule row."""
 
     def run(K, packed):
-        (d, *nums), kc = packed
-        return fn(K, (d, nums, _k_gradients(nums, K)), (kc, _k_gradients(kc, K)))
+        (d, *nums), kc, *rest = packed
+        return fn(K, (d, nums, _k_gradients(nums, K)), (kc, _k_gradients(kc, K)), *rest)
 
-    return on_kernel([[cleared[0], *cleared[1]], core], run)
+    groups = [_k_ints([cleared[0], *cleared[1]])[1], _k_ints(core)[1], *more]
+    ring = cleared[0].ring
+    return _on_packing(ring.nvars, ring.field.characteristic, groups, run)
 
 
 def _trace_conditions(h: RatMap):
@@ -94,15 +96,14 @@ def _trace(K, m) -> dict:
 def _trace_sides(K, d, nums, jn):
     """(qt, JH . H = 0) for H = N / D from jn = J(N).  As D^2 JH is
     D J(N) - N grad D, D^3 (JH . H - tr JH . H) = D (J(N) . N - tr J(N) N),
-    and D^3 JH . H = D J(N) . N - (grad D . N) N."""
+    and D^3 JH . H = D J(N) . N - (grad D . N) N; where J(N) . N = tr J(N) N
+    that is N s for s = D tr J(N) - grad D . N, zero iff s = 0 (N = 0 gives it)."""
     trace = _trace(K, jn)
     dn = _k_dot(_k_gradients([d], K)[0], nums, K)
-    qt = zero = True
-    for nk, row in zip(nums, jn):
-        lhs = _k_dot(nums, row, K)
-        qt = qt and not _k_sub(lhs, _k_mul(nk, trace, K), K)
-        zero = zero and not (_k_sub(_k_mul(d, lhs, K), _k_mul(dn, nk, K), K) if dn else lhs)
-    return qt, zero
+    lhs = [_k_dot(nums, row, K) for row in jn]
+    if all(l == _k_mul(nk, trace, K) for l, nk in zip(lhs, nums)):
+        return True, _k_mul(d, trace, K) == dn
+    return False, all(_k_mul(d, l, K) == _k_mul(dn, nk, K) if dn else not l for l, nk in zip(lhs, nums))
 
 
 def _core_sides(K, core, jc, rank=False):
@@ -241,59 +242,55 @@ class WitnessVerdict(Record):
     reason: str = ""
 
 
-def _verify_witness(h_map: RatMap, w: GNWitness):
-    """(verified, reason), decided on one packing after the preconditions.
+def _witness_check(h_map: RatMap, w: GNWitness):
+    """The reason of w's first failed precondition, a RingMismatch to raise,
+    or (groups, check): groups (p, q) and (g.num, g.den) for gn_classify's
+    packing, and check(K, D, N, pq, g) the reason, "" if w holds for N / D.
 
-    The groups are (p, q), (g.num, g.den) and each (H_k.num, H_k.den), each
-    on its own scale.  Inside, one substitution of the blocks and of 1
-    gives F and F(1) (h(p, q) and 1 for cond3; q^s f(p/q) and q^s for cond4
-    and cond5) on the scale of (p, q); then H = g F / F(1) is checked as
-    g.num F_k H_k.den = H_k.num g.den F(1), linear in every group, and last
-    J(F) . F = 0 for cond3 (F(1) is a constant, so J(F) is the plain
-    gradients), resp. Jp . f = Jq . f = 0 on the coefficient vectors of f.
-    A product that outgrows the first slot width reruns the whole check
-    wider (_on_packing).
+    One substitution of the blocks and of 1 gives F and F(1) (h(p, q) and 1
+    for cond3, q^s f(p/q) and q^s for cond4 and cond5) on the scale of (p, q).
+    H = g F / F(1) is checked as g.num F_k D = N_k g.den F(1), linear in every
+    group, then J(F) . F = 0 for cond3 (F(1) is a constant), resp.
+    Jp . f = Jq . f = 0 on the coefficient vectors of f.
     """
-    m, c = h_map.m, h_map.ring.field.characteristic
+    m, ring = h_map.m, h_map.ring
+    c = ring.field.characteristic
     cond3 = w.kind == "cond3"
     if cond3:
         if not is_primitive([w.p, w.q]):
-            return False, "gcd(p, q) is not a unit"
+            return "gcd(p, q) is not a unit"
         if w.h is not None and not isinstance(w.h, HomogTuple):
-            return False, "h must be a HomogTuple or None"
-        blocks = [bi_ring(h_map.ring.field).zero()] * m if w.h is None else w.h.polys
+            return "h must be a HomogTuple or None"
+        blocks = [bi_ring(ring.field).zero()] * m if w.h is None else w.h.polys
         if len(blocks) != m:
-            return False, "h has the wrong number of components"
+            return "h has the wrong number of components"
         if w.h is not None and w.h.degree > 0 and c > 0 and w.h.degree % c == 0:
-            return False, "characteristic divides deg h"
+            return "characteristic divides deg h"
         shape = "h(p,q)"
     elif w.kind in ("cond4", "cond5"):
         blocks = tuple(w.f) if w.f is not None else ()
         if len(blocks) != m:
-            return False, "f is missing or has the wrong number of components"
+            return "f is missing or has the wrong number of components"
         if w.q.is_zero():
-            return False, "q is zero, f(p/q) undefined"
+            return "q is zero, f(p/q) undefined"
         if w.kind == "cond5" and not is_primitive(blocks):
-            return False, "gcd of the components of f is not a unit"
+            return "gcd of the components of f is not a unit"
         if w.kind == "cond5" and not is_primitive([w.p, w.q]):
-            return False, "gcd(p, q) is not a unit"
+            return "gcd(p, q) is not a unit"
         shape = "f(p/q)"
     else:
-        return False, f"unknown witness kind {w.kind!r}"
-    ring = w.p.ring
-    if w.q.ring != ring or blocks[0].ring.field != ring.field:
-        raise RingMismatch("the blocks, p and q of a witness lie in different rings")
+        return f"unknown witness kind {w.kind!r}"
+    if {w.p.ring, w.q.ring, w.g.ring} != {ring} or blocks[0].ring.field != ring.field:
+        return RingMismatch("the blocks, p, q and g of a witness and H lie in different rings")
     ints = _k_ints([*blocks, blocks[0].ring.one()])[1]
     maxes = _k_maxes(ints, 2 if cond3 else 1)
     s, pq = _k_ints([w.p, w.q])
-    groups = [pq, _k_ints([w.g.num, w.g.den])[1]]
-    groups += [_k_ints([hk.num, hk.den])[1] for hk in h_map.comps]
 
-    def checks(K, packed):
-        (kp, kq), (gn, gd), *hs = packed
-        nums, dens = ({0: kp, 1: kq}, {}) if cond3 else ({0: kp}, {0: kq})
-        *F, F1 = _k_substitute(ints, maxes, nums, dens, s, K)
-        k = _k_first_mismatch(gn, gd, F1, F, hs, K)
+    def check(K, d, nums, pq, g):
+        (kp, kq), (gn, gd) = pq, g
+        images, dens = ({0: kp, 1: kq}, {}) if cond3 else ({0: kp}, {0: kq})
+        *F, F1 = _k_substitute(ints, maxes, images, dens, s, K)
+        k = _k_first_mismatch(gn, gd, F1, F, [(nk, d) for nk in nums], K)
         if k is not None:
             return f"H = g*{shape} fails at component {k}"
         if cond3:
@@ -303,8 +300,7 @@ def _verify_witness(h_map: RatMap, w: GNWitness):
             return "Jp . f = Jq . f = 0 fails"
         return ""
 
-    reason = _on_packing(ring.nvars, ring.field.characteristic, groups, checks)
-    return not reason, reason
+    return [pq, _k_ints([w.g.num, w.g.den])[1]], check
 
 
 class GNReport(Record):
@@ -333,40 +329,44 @@ def gn_classify(h_map: RatMap, witnesses=()) -> GNReport:
 
     Conditions (1) (the trace identity) and (2) (the bivariate core check)
     are always computed; each supplied witness for (3), (4) or (5) is
-    verified from scratch.  Any disagreement that the classification
-    theorem forbids raises an internal alarm.  In characteristic zero the
-    precondition trdeg K(tH) <= 2 is enforced, on the core's Jacobian; in
-    positive characteristic it is the caller's assertion.
+    verified from scratch, against the cleared N / D.  Any disagreement
+    that the classification theorem forbids raises an internal alarm.  In
+    characteristic zero the precondition trdeg K(tH) <= 2 is enforced, on
+    the core's Jacobian; in positive characteristic it is the caller's
+    assertion.  (D, N), the core and the witnesses share one packing; a
+    witness's RingMismatch is raised in its turn, after (1), (2) and the rank.
     """
     _require_square(h_map.m, h_map.ring)
     report = GNReport(False, False, False)
     zero = h_map.is_zero()
     cleared = clear_denominators(h_map.comps)
     report.core = tuple(cleared[1]) if zero else _split_content(cleared[1], with_g=False)[1]
-    sides = _on_numerators(
-        cleared, report.core, lambda K, num, c: (*_trace_sides(K, *num), *_core_sides(K, *c, rank=True))
-    )
-    report.qt, report.classical_zero, report.core_bivariate, core_zero, report.trdeg_tH = sides
-    if report.trdeg_tH is not None and report.trdeg_tH > 2:
-        raise TrdegTooLarge(
-            f"trdeg K(tH) = {report.trdeg_tH} > 2: the classification does not apply"
-        )
-    if report.qt != report.core_bivariate:
-        raise AssertionFailure(
-            "conditions (1) and (2) disagree; the classification theorem forbids this"
-        )
-    if h_map.ring.field.characteristic == 0 and not zero:
-        report.char_zero_remark = {
-            "core_jh_dot_h_zero": core_zero,
-            "agrees_with_qt": core_zero == report.qt,
-        }
-    for w in witnesses:
-        ok, reason = _verify_witness(h_map, w)
-        report.witnesses.append(WitnessVerdict(w.kind, ok, reason))
-        if ok and not report.qt:
+    inputs = [(w.kind, _witness_check(h_map, w)) for w in witnesses]
+    more = [g for _, x in inputs if type(x) is tuple for g in x[0]]
+
+    def run(K, num, core, *packed):
+        sides = (*_trace_sides(K, *num), *_core_sides(K, *core, rank=True))
+        qt, _, bivariate, _, trdeg = sides
+        if trdeg is not None and trdeg > 2:
+            raise TrdegTooLarge(f"trdeg K(tH) = {trdeg} > 2: the classification does not apply")
+        if qt != bivariate:
             raise AssertionFailure(
-                "a verified witness contradicts a negative qt_condition"
+                "conditions (1) and (2) disagree; the classification theorem forbids this"
             )
+        groups, verdicts = iter(packed), []
+        for kind, x in inputs:
+            if isinstance(x, RingMismatch):
+                raise x
+            reason = x if type(x) is str else x[1](K, *num[:2], next(groups), next(groups))
+            verdicts.append(WitnessVerdict(kind, not reason, reason))
+            if not reason and not qt:
+                raise AssertionFailure("a verified witness contradicts a negative qt_condition")
+        return sides, verdicts
+
+    sides, report.witnesses = _on_numerators(cleared, report.core, run, more)
+    report.qt, report.classical_zero, report.core_bivariate, core_zero, report.trdeg_tH = sides
+    if h_map.ring.field.characteristic == 0 and not zero:
+        report.char_zero_remark = dict(core_jh_dot_h_zero=core_zero, agrees_with_qt=core_zero == sides[0])
     return report
 
 

@@ -641,10 +641,11 @@ def _k_sub(a: dict, b: dict, K: _Packing) -> dict:
 
 
 def _k_dot(us, vs, K: _Packing) -> dict:
-    """sum_i us[i] * vs[i]."""
+    """sum_i us[i] * vs[i]; a pair with an empty operand adds nothing."""
     out = {}
     for a, b in zip(us, vs):
-        _k_addmul(out, *((a, b) if len(a) <= len(b) else (b, a)), K)
+        if a and b:
+            _k_addmul(out, *((a, b) if len(a) <= len(b) else (b, a)), K)
     return _k_reduce(out, K.mod)
 
 
@@ -1056,10 +1057,11 @@ def clear_denominators(fracs):
 
 def _k_first_mismatch(gn, gd, den, nums, hs, K: _Packing):
     """The first k with gn * nums[k] * b != a * gd * den for (a, b) = hs[k],
-    all packed, or None."""
+    all packed, or None; a product with an empty factor is empty."""
     rhs = _k_mul(gd, den, K)
     for k, (a, b) in enumerate(hs):
-        if _k_mul(_k_mul(gn, nums[k], K), b, K) != _k_mul(a, rhs, K):
+        left = _k_mul(_k_mul(gn, nums[k], K), b, K) if nums[k] else {}
+        if left != (_k_mul(a, rhs, K) if a else {}):
             return k
     return None
 

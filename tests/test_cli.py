@@ -9,7 +9,7 @@ import pytest
 from conftest import time_limit
 from ratmaps import expressions
 from ratmaps.cli import main
-from ratmaps.expressions import MAX_NESTING, MAX_VARIABLES
+from ratmaps.expressions import MAX_NESTING, MAX_POWER_TERMS, MAX_VARIABLES
 
 
 def run_cli(capsys, *argv):
@@ -142,6 +142,34 @@ def test_long_literals_are_parse_errors(capsys):
         assert err == f"parse error: number of more than {limit} digits (at offset {offset})\n"
     code, data, _ = run_json(capsys, "gcd", "(x1 + " + "1" * limit + ", 0)")
     assert code == 0 and data["gcd"] == "x1 + " + "1" * limit
+
+
+def test_oversize_powers_are_parse_errors(capsys):
+    # (x1 + x2 + 1)^3000 has 4.5 million terms and had not finished after
+    # minutes: a power that may pass MAX_POWER_TERMS terms is refused at its
+    # '^' before any product, whatever its exponent, its base a sum, a
+    # power or a fraction
+    assert MAX_POWER_TERMS == 1000
+    with time_limit(5):
+        for argv, offset in (
+            (("gcd", "(x1 + x2 + 1)^3000"), 13),
+            (("gcd", "x1*(x1 + 1)^" + "9" * 50), 11),
+            (("qt-check", "(x1, ((x1 + 1)/(x2 - 1))^1000)"), 24),
+            (("gcd", "((x1 + x2 + x3 + 1)^5)^5"), 22),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == f"parse error: power of more than 1000 terms (at offset {offset})\n"
+        # C(43 + 2, 2) = 990 terms pass, and so do the powers 0 and 1,
+        # which multiply nothing, and any power of one term
+        code, data, _ = run_json(capsys, "gcd", "(x1 + x2 + 1)^43")
+        assert code == 0 and data["gcd"].count("+") == 989
+        long = " + ".join(f"x1^{k}" for k in range(1001))
+        code, data, _ = run_json(capsys, "gcd", f"(x2*({long})^1, x2*({long})^0)")
+        assert code == 0 and data["gcd"] == "x2"
+        n = int("9" * 20)
+        code, data, _ = run_json(capsys, "gcd", f"(x1 + 2*x2)^1 * (x1^2)^{n}")
+        assert code == 0 and data["gcd"] == f"x1^{2 * n + 1} + 2*x1^{2 * n}*x2"
 
 
 def test_precondition_exit_code(capsys):
@@ -379,6 +407,26 @@ def test_malformed_witness_file_is_a_parse_error(tmp_path, capsys, command, text
     code, out, err = run_cli(capsys, command, h, "--witness", str(w))
     assert (code, out) == (2, "")
     assert err.startswith(f"parse error: {reason}"), err
+
+
+@pytest.mark.parametrize(
+    "command, h, entry",
+    [
+        ("hmgrk2-verify", "(x1^2, x1*x2, x2^2)", {"g": "1", "h": "(y1^2, y1*y2, y2^2)", "p": "x1", "q": "x2"}),
+        ("gn-classify", "(0, 0, x1/x2)", {"kind": "cond4", "g": "1", "f": "(0, 0, y1)", "p": "x1", "q": "x2"}),
+    ],
+)
+def test_witness_file_with_an_overlong_integer_is_a_parse_error(tmp_path, capsys, command, h, entry):
+    # json.load converts every integer with int(): one longer than it
+    # converts raised ValueError, with a traceback and exit 1
+    limit = sys.get_int_max_str_digits()
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps(entry)[:-1] + ', "n": ' + "1" * (limit + 1) + "}")
+    code, out, err = run_cli(capsys, command, h, "--witness", str(w))
+    assert (code, out) == (2, "")
+    assert err == f"parse error: witness file holds a number of more than {limit} digits (at offset 0)\n"
+    w.write_text(json.dumps(entry)[:-1] + ', "n": ' + "1" * limit + "}")
+    assert run_cli(capsys, command, h, "--witness", str(w))[0] == 0
 
 
 def test_unknown_witness_kind_needs_no_f(tmp_path, capsys):

@@ -33,9 +33,11 @@ from conftest import (
 )
 from ratmaps import gordan_noether, polyring, subfield
 from ratmaps.errors import (
+    AssertionFailure,
     DegreeOrder,
     NotSquare,
     PreconditionNotVerified,
+    RingMismatch,
     TrdegTooLarge,
     ZeroScalar,
 )
@@ -48,7 +50,6 @@ from ratmaps.gordan_noether import (
     _on_numerators,
     _trace_conditions,
     _trace_sides,
-    _verify_witness,
     bivariate_core_check,
     classical_gn_condition,
     constant_span_bound,
@@ -825,6 +826,18 @@ def test_char_zero_remark_matches_classical_condition_of_core_random():
     assert seen == {(True, True), (False, False)}, seen
 
 
+def _witness_verdict(h, w):
+    """(verified, reason) for w as gn_classify reports it, checked against
+    (D, N) and the core on one packing; None where trdeg K(tH) > 2 stops
+    the classification before any witness (trdeg_rank agrees)."""
+    try:
+        verdict = gn_classify(h, [w]).witnesses[0]
+    except TrdegTooLarge:
+        assert trdeg_rank(h, True) > 2, h
+        return None
+    return verdict.verified, verdict.reason
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(7), PrimeField(32003)])
 def test_verify_cond45_matches_reference_random(field):
     rng = seeded(95)
@@ -845,7 +858,9 @@ def test_verify_cond45_matches_reference_random(field):
                     comps[k] = comps[k] + RatFunc.from_poly(ring.one())
                 h = RatMap(comps)
             w = GNWitness(rng.choice(["cond4", "cond5"]), g, p, q, f=fs)
-            verdict = _verify_witness(h, w)
+            verdict = _witness_verdict(h, w)
+            if verdict is None:
+                continue
             assert verdict == reference_verify_cond45(h, w), (h, w)
             reasons.add(verdict[1].split(" at component")[0])
     assert {"", "H = g*f(p/q) fails", "Jp . f = Jq . f = 0 fails"} <= reasons, reasons
@@ -904,7 +919,7 @@ def test_verify_witness_matches_reference_cond3_random(field):
         ring = _ring(field, n)
         for _ in range(40):
             h, w = _cond3_case(rng, ring)
-            verdict = _verify_witness(h, w)
+            verdict = _witness_verdict(h, w)
             assert verdict == reference_verify_cond3(h, w), (h, w)
             reasons.add(verdict[1].split(" at component")[0])
     expected = {
@@ -950,21 +965,27 @@ def test_gn_classify_trdeg_matches_trdeg_rank_random():
 
 
 def test_gn_classify_builds_one_jacobian_of_h(monkeypatch):
-    # the numerator checks read J(N) and J(core) on one packing: no
-    # quotient-rule row, no trdeg_rank, and no rerun at a wider slot
+    # the numerator checks read J(N) and J(core), and every witness is
+    # checked against (D, N), on one packing whatever the witnesses: no
+    # quotient-rule row, no trdeg_rank, no rerun at a wider slot, and
+    # _k_ints twice for H and its core plus three times per witness that
+    # passes its preconditions (blocks, (p, q), g), none per component
     rng = seeded(99)
     cases = []
     for _ in range(15):
         h, fs, p, q, g = _cond4_template(rng)
-        cases.append((h, [GNWitness("cond4", g, p, q, f=fs)]))
+        valid = GNWitness("cond4", g, p, q, f=fs)
+        wrong = GNWitness("cond4", g + RatFunc.from_poly(R3.one()), p, q, f=fs)
+        unknown = GNWitness("cond9", g, p, q)
+        cases += [(h, [], 0), (h, [valid], 1), (h, [valid, wrong], 2), (h, [unknown, valid], 1)]
     for field in (QQ, PrimeField(7)):
         for n in (1, 2, 3):
-            cases += [(random_square_map(rng, _ring(field, n)), []) for _ in range(8)]
-    targets = [(subfield, "trdeg_rank"), (gordan_noether, "_on_packing")]
+            cases += [(random_square_map(rng, _ring(field, n)), [], 0) for _ in range(8)]
+    targets = [(subfield, "trdeg_rank"), (gordan_noether, "_k_ints")]
     targets += [(m, "_k_jacobian_rows") for m in (polyring, gordan_noether, subfield)]
     counts = Counter()
     _count_calls(monkeypatch, targets, counts)
-    real_on_kernel, real_packing = gordan_noether.on_kernel, polyring._Packing
+    real_on_packing, real_packing = gordan_noether._on_packing, polyring._Packing
 
     class Recording(real_packing):
         __slots__ = ()
@@ -973,28 +994,56 @@ def test_gn_classify_builds_one_jacobian_of_h(monkeypatch):
             counts["packings"] += 1
             super().__init__(n, w, mod)
 
-    def on_kernel(groups, fn):
-        counts["on_kernel"] += 1
+    def on_packing(*args):
+        counts["_on_packing"] += 1
         monkeypatch.setattr(polyring, "_Packing", Recording)
         try:
-            return real_on_kernel(groups, fn)
+            return real_on_packing(*args)
         finally:
             monkeypatch.setattr(polyring, "_Packing", real_packing)
 
-    monkeypatch.setattr(gordan_noether, "on_kernel", on_kernel)
-    classified = 0
-    for h, witnesses in cases:
+    monkeypatch.setattr(gordan_noether, "_on_packing", on_packing)
+    seen = Counter()
+    for h, witnesses, checked in cases:
         counts.clear()
         try:
-            gn_classify(h, witnesses)
+            report = gn_classify(h, witnesses)
+            seen[len(report.witnesses)] += 1
         except TrdegTooLarge:
-            continue
-        expected = {"on_kernel": 1, "packings": 1}
-        if witnesses:
-            expected["_on_packing"] = len(witnesses)
+            seen["rank 3"] += 1
+        expected = {"_on_packing": 1, "packings": 1, "_k_ints": 2 + 3 * checked}
         assert counts == expected, (h, counts)
-        classified += 1
-    assert classified > 40
+    assert seen[0] > 25 and seen[1] == 15 and seen[2] == 30 and seen["rank 3"], seen
+
+
+def test_gn_classify_raises_in_order_before_a_witness_ring_mismatch(monkeypatch):
+    # a witness's rings are checked before the one packing, but its
+    # RingMismatch is raised in the witness's turn: after TrdegTooLarge,
+    # after the (1) != (2) alarm and after an earlier witness's alarm
+    rng = seeded(105)
+    h, fs, p, q, g = _cond4_template(rng)
+    valid = GNWitness("cond4", g, p, q, f=fs)
+    other = PolyRing(QQ, ("a", "b", "c"))
+    alien = GNWitness("cond4", g, other.var(0), other.var(1), f=fs)
+    with pytest.raises(RingMismatch):
+        gn_classify(h, [valid, alien])
+    assert gn_classify(h, [valid]).witnesses[0].verified
+    rank3 = RatMap.from_polys([A1, A2, A3])
+    with pytest.raises(TrdegTooLarge):
+        gn_classify(rank3, [alien])
+    real_core_sides = gordan_noether._core_sides
+
+    def flipped(K, core, jc, rank=False):
+        bivariate, *rest = real_core_sides(K, core, jc, rank)
+        return (not bivariate, *rest)
+
+    monkeypatch.setattr(gordan_noether, "_core_sides", flipped)
+    with pytest.raises(AssertionFailure, match="conditions \\(1\\) and \\(2\\) disagree"):
+        gn_classify(h, [alien])
+    # both (1) and (2) read False: the valid witness is an alarm first
+    monkeypatch.setattr(gordan_noether, "_trace_sides", lambda K, *a: (False, False))
+    with pytest.raises(AssertionFailure, match="contradicts a negative qt_condition"):
+        gn_classify(h, [valid, alien])
 
 
 def test_gn_classify_on_a_four_variable_composite_is_fast():
@@ -1119,6 +1168,50 @@ def test_numerator_checks_match_quotient_rule_rows_random(field):
     assert seen == expected, seen
 
 
+@pytest.mark.parametrize("field", CHECK_FIELDS)
+def test_trace_sides_where_qt_holds_match_quotient_rule_rows_random(field):
+    # where J(N) . N = tr J(N) N holds, JH . H = 0 is read off the one
+    # scalar D tr J(N) - grad D . N; against the rows of the parent on
+    # cond4 templates H = (0, 0, g f3(p/q)), p and q free of x3, for which
+    # (1) holds, cleared (D nonconstant), polynomial (D = 1) and over a
+    # constant D != 1, and on the zero map and random maps
+    rng = seeded(104)
+    ring, yring = _ring(field, 3), uni_ring(field)
+    seen = set()
+
+    def free(t):
+        return Poly(ring, {e: c for e, c in t.terms.items() if not e[2]})
+
+    for i in range(40):
+        p, q = free(random_poly(rng, ring, 2, 3)), free(random_nonzero_poly(rng, ring, 2, 3))
+        if q.is_zero() or i % 4 == 0:
+            q = ring.one()
+        f3 = random_poly(rng, yring, 2, 3)
+        s = int(max(f3.total_degree(), 0))
+        g_num = random_poly(rng, ring, 2, 2)
+        g_num = free(g_num) if i % 3 == 0 else g_num
+        g = RatFunc(g_num, ring.one() if q.is_one() else random_nonzero_poly(rng, ring, 1, 2))
+        zero = RatFunc.from_poly(ring.zero())
+        h = RatMap([zero, zero, g * RatFunc(eval_univar_at_ratio(f3, p, q, s), q**s)])
+        pairs = [clear_denominators(h.comps), clear_denominators(random_square_map(rng, ring).comps)]
+        if g.den.is_one() and field.characteristic != 2:
+            pairs.append((ring.const(field.from_int(rng.choice([3, -1, 5]))), pairs[0][1]))
+        if i == 0:
+            pairs.append((ring.one(), [ring.zero()] * 3))
+        for cleared in pairs:
+            got = _on_numerators(cleared, (), lambda K, sides, _: _trace_sides(K, *sides))
+            assert got == reference_on_cleared_jacobian(cleared, reference_trace_sides), cleared
+            d, nums = cleared
+            if cleared is not pairs[1]:
+                assert got[0], cleared
+                kind = "D = 1" if d.is_one() else "constant D" if d.is_constant() else "D"
+                seen.add((kind, got[1]))
+    expected = {("D", True), ("D", False), ("D = 1", True), ("D = 1", False)}
+    if field.characteristic != 2:
+        expected |= {("constant D", True), ("constant D", False)}
+    assert expected <= seen, seen
+
+
 def _cond45_witness_case(rng, ring):
     """(H, witness) for cond4 or cond5, H = g * f(p/q) built from the
     witness and then kept or spoilt: a wrong f or g, a wrong length, no f,
@@ -1155,6 +1248,9 @@ def _cond45_witness_case(rng, ring):
 
 @pytest.mark.parametrize("field", CHECK_FIELDS)
 def test_verify_witness_matches_three_entry_verifier_random(field):
+    # H = N / D is checked as g.num F_k D = N_k g.den F(1), where the
+    # reference took each reduced H_k = H_k.num / H_k.den: the maps include
+    # nonzero components whose reduced denominators differ from D
     rng = seeded(103)
     reasons = set()
     for n in (2, 3):
@@ -1164,10 +1260,14 @@ def test_verify_witness_matches_three_entry_verifier_random(field):
                 h, w = _cond3_case(rng, ring)
             else:
                 h, w = _cond45_witness_case(rng, ring)
-            verdict = _verify_witness(h, w)
+            verdict = _witness_verdict(h, w)
             assert verdict == reference_verify_witness(h, w), (h, w)
             reasons.add(verdict[1].split(" at component")[0])
+            d = clear_denominators(h.comps)[0]
+            if any(c.den != d and not c.is_zero() for c in h.comps):
+                reasons.add("D != H_k.den")
     assert {
+        "D != H_k.den",
         "",
         "f is missing or has the wrong number of components",
         "q is zero, f(p/q) undefined",
@@ -1182,8 +1282,8 @@ def test_verify_witness_matches_three_entry_verifier_random(field):
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)])
 def test_verify_witness_reruns_whole_when_the_substitution_outgrows(field, monkeypatch):
     # in 8 variables the first slot width for inputs of degree 1 is 3 bits,
-    # room for total degree 3: p^8 outgrows it inside the one packing, and
-    # the substitution, the identity and the gradient test rerun at 6 bits
+    # room for total degree 3: p^8 outgrows it inside gn_classify's one
+    # packing, and the whole classification reruns at 6 bits
     widths = []
 
     class Recording(polyring._Packing):
@@ -1205,9 +1305,12 @@ def test_verify_witness_reruns_whole_when_the_substitution_outgrows(field, monke
         fs = tuple(y**8 + y if i == k else yring.zero() for i in range(8))
         w = GNWitness("cond4", one, p, q, f=fs)
         monkeypatch.setattr(polyring, "_Packing", Recording)
+        counts = Counter()
+        _count_calls(monkeypatch, [(gordan_noether, "_trace_sides")], counts)
         widths.clear()
-        verdict = _verify_witness(h, w)
+        verdict = _witness_verdict(h, w)
         assert widths == [3, 6], widths
+        assert counts == {"_trace_sides": 2}, counts
         monkeypatch.undo()
         assert verdict == reference_verify_witness(h, w)
         assert verdict == (False, f"H = g*f(p/q) fails at component {k}")

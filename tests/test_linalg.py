@@ -17,8 +17,9 @@ from conftest import (
     seeded,
 )
 from ratmaps import linalg, polyring
+from ratmaps.errors import TrdegTooLarge
 from ratmaps.fields import PrimeField, QQ
-from ratmaps.gordan_noether import GNWitness, _trace_conditions, _verify_witness
+from ratmaps.gordan_noether import GNWitness, _trace_conditions, gn_classify
 from ratmaps.linalg import (
     field_nullspace,
     field_rank,
@@ -248,6 +249,14 @@ def test_bareiss_entries_are_minors(field):
             assert all(p.total_degree() <= (k + 1) * deg for p in row[k:]), (size, k)
 
 
+def _classify(h, witnesses):
+    """gn_classify, or None where trdeg K(tH) > 2 stops it inside its packing."""
+    try:
+        return gn_classify(h, witnesses)
+    except TrdegTooLarge:
+        return None
+
+
 def test_kernel_identities_need_no_second_width(monkeypatch):
     """At the first slot width each identity packs once on these inputs;
     gcds (which may rerun wider) and the exact divisions of clearing and
@@ -300,7 +309,8 @@ def test_kernel_identities_need_no_second_width(monkeypatch):
             w, g, p, q, fs, s = random_cond45_case(rng, ring)
             cleared = [eval_univar_at_ratio(f, p, q, s) for f in fs]
             once(first_mismatch, w, g, cleared, q**s)
-            # a witness's substitution, identity and gradient test
-            once(_verify_witness, w, GNWitness("cond4", g, p, q, f=fs))
+            # the classification with a witness's substitution, identity
+            # and gradient test, or its refusal at trdeg K(tH) > 2
+            once(_classify, w, [GNWitness("cond4", g, p, q, f=fs)])
             if field == QQ:
                 once(trdeg_rank, h, True)

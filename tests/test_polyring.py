@@ -503,6 +503,43 @@ def test_substitute_reads_its_clearing_powers_over_the_tuple():
 
 
 @pytest.mark.parametrize("field", DIFF_FIELDS)
+def test_k_dot_with_empty_operands_is_the_plain_sum(field):
+    """_k_dot skips a pair with an empty operand; the result is still the
+    reduced sum of every product u_i v_i, here taken in Poly arithmetic."""
+    rng = seeded(78)
+    seen = set()
+    for n in (1, 2, 3):
+        ring = PolyRing(field, tuple(f"x{i + 1}" for i in range(n)))
+        for _ in range(30):
+            m = rng.randint(1, 4)
+            us, vs = (
+                [ring.zero() if rng.random() < 0.4 else random_poly(rng, ring, 3, 3) for _ in range(m)]
+                for _ in range(2)
+            )
+            if field == QQ and rng.random() < 0.5:
+                us = [u.scale(Fraction(1, rng.randint(2, 5))) for u in us]
+
+            def dot(K, packed):
+                t = polyring._k_dot(packed[0], packed[1], K)
+                assert polyring._k_reduce(t, K.mod) == t
+                return Poly(ring, {e: field.from_int(c) for e, c in K.unpack(t).items()})
+
+            got = on_kernel([us, vs], dot)
+            # over QQ each group is scaled by the lcm of its denominators
+            scale = 1
+            if field == QQ:
+                scale = math.prod(math.lcm(*(c.denominator for p in g for c in p.terms.values()))
+                                  for g in (us, vs))
+            expected = sum((u * v for u, v in zip(us, vs)), ring.zero())
+            assert got == expected.scale(field.from_int(scale)), (us, vs)
+            if any(u.is_zero() or v.is_zero() for u, v in zip(us, vs)):
+                seen.add("empty operand")
+            if expected.is_zero():
+                seen.add("zero sum")
+    assert seen == {"empty operand", "zero sum"}, seen
+
+
+@pytest.mark.parametrize("field", DIFF_FIELDS)
 def test_jacobian_row_is_the_quotient_rule(field):
     """_k_jacobian_rows is den grad num - num grad den for every den,
     constant ones included, and a zero row for a zero num."""
