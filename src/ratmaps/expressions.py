@@ -13,7 +13,8 @@ comma lists are tuples and are only meaningful at the top level of an
 argument.  Parentheses nest at most MAX_NESTING deep; a deeper '(' is a
 parse error at its offset, and so is a number or exponent literal longer
 than int() converts, at its own, and a power that may have more than
-MAX_POWER_TERMS terms (C(n + t - 1, n) for t terms to the n), at its '^'.
+MAX_POWER_TERMS terms (C(n + t - 1, n) for t terms to the n), or over QQ
+coefficients of more than MAX_POWER_BITS bits, at its '^'.
 An x ring has at most MAX_VARIABLES variables: a name x<k> past the cap is
 a parse error at its first offset, a square tuple padded past it one at its
 '(', and a name not of the form x<k> is one at the name's first offset.
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import re
 import sys
-from math import comb
+from math import comb, lcm, log2
 from operator import add
 
 from .errors import ParseError, UnknownVariable
@@ -60,6 +61,10 @@ MAX_VARIABLES = 1000
 # k <= n, each of at most as many; (x1 + x2 + 1)^3000 asks for 4.5 million.
 # C(t + n - 1, n) passes the cap if n does, so n is cut to it first
 MAX_POWER_TERMS = 1000
+# the most bits a coefficient of a power may ask for over QQ, below the
+# 4,300 decimal digits (14,284 bits) that str() of an int converts: v^n asks
+# for n * _bits(v), exactly n log2 |c| for one term c x^e with c an integer
+MAX_POWER_BITS = 14000
 
 
 class Expr:
@@ -217,9 +222,14 @@ def elaborate(tree: Expr, ring: PolyRing) -> RatFunc:
         elif code == "^":
             v = stack[-1]
             n = min(arg, MAX_POWER_TERMS)
-            for t in map(len, (v.num.terms, v.den.terms) if type(v) is RatFunc else (v,)):
+            parts = (v.num.terms, v.den.terms) if type(v) is RatFunc else (v,)
+            for t in map(len, parts):
                 if min(t, n) > 1 and comb(t + n - 1, n) > MAX_POWER_TERMS:
                     raise ParseError(f"power of more than {MAX_POWER_TERMS} terms", offset)
+            if not mod and arg * max(map(_bits, parts)) > MAX_POWER_BITS:
+                raise ParseError(
+                    f"power with coefficients of more than {MAX_POWER_BITS} bits", offset
+                )
             stack[-1] = v**arg if type(v) is RatFunc else _power(v, arg, zero, mod)
         elif code == "u":
             v = stack[-1]
@@ -256,6 +266,15 @@ def elaborate(tree: Expr, ring: PolyRing) -> RatFunc:
 
 def _rf(v, ring: PolyRing) -> RatFunc:
     return v if type(v) is RatFunc else RatFunc.from_poly(_k_poly(ring, v))
+
+
+def _bits(terms: dict) -> float:
+    """log2 max(L, sum |L c|) over the coefficients c of terms, ints or
+    Fractions with lcm L of their denominators: v = w / L with w integral,
+    so every coefficient of v^n has a numerator of at most |w|_1^n and a
+    denominator dividing L^n."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return log2(max(den, int(sum(abs(c * den) for c in terms.values()))))
 
 
 def _mul(a: dict, b: dict, mod: int) -> dict:

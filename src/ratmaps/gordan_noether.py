@@ -242,6 +242,9 @@ class WitnessVerdict(Record):
     reason: str = ""
 
 
+_WITNESS_RINGS = "the blocks, p, q and g of a witness and H lie in different rings"
+
+
 def _witness_check(h_map: RatMap, w: GNWitness):
     """The reason of w's first failed precondition, a RingMismatch to raise,
     or (groups, check): groups (p, q) and (g.num, g.den) for gn_classify's
@@ -256,6 +259,9 @@ def _witness_check(h_map: RatMap, w: GNWitness):
     m, ring = h_map.m, h_map.ring
     c = ring.field.characteristic
     cond3 = w.kind == "cond3"
+    # the rings come first: a gcd of polys from different rings raises
+    if {w.p.ring, w.q.ring, w.g.ring} != {ring}:
+        return RingMismatch(_WITNESS_RINGS)
     if cond3:
         if not is_primitive([w.p, w.q]):
             return "gcd(p, q) is not a unit"
@@ -273,6 +279,8 @@ def _witness_check(h_map: RatMap, w: GNWitness):
             return "f is missing or has the wrong number of components"
         if w.q.is_zero():
             return "q is zero, f(p/q) undefined"
+        if len({b.ring for b in blocks}) > 1:
+            return RingMismatch(_WITNESS_RINGS)
         if w.kind == "cond5" and not is_primitive(blocks):
             return "gcd of the components of f is not a unit"
         if w.kind == "cond5" and not is_primitive([w.p, w.q]):
@@ -280,8 +288,8 @@ def _witness_check(h_map: RatMap, w: GNWitness):
         shape = "f(p/q)"
     else:
         return f"unknown witness kind {w.kind!r}"
-    if {w.p.ring, w.q.ring, w.g.ring} != {ring} or blocks[0].ring.field != ring.field:
-        return RingMismatch("the blocks, p, q and g of a witness and H lie in different rings")
+    if blocks[0].ring.field != ring.field:
+        return RingMismatch(_WITNESS_RINGS)
     ints = _k_ints([*blocks, blocks[0].ring.one()])[1]
     maxes = _k_maxes(ints, 2 if cond3 else 1)
     s, pq = _k_ints([w.p, w.q])

@@ -1024,10 +1024,14 @@ def _gcd2(a: Poly, b: Poly) -> Poly:
 
 
 def gcd_many(polys) -> Poly:
-    """Monic gcd of a tuple of polynomials; needs one nonzero component."""
+    """Monic gcd of a tuple of polynomials of one ring; needs one nonzero
+    component."""
     nz = [p for p in polys if not p.is_zero()]
     if not nz:
         raise AllZero("gcd of the all-zero tuple does not exist")
+    ring = nz[0].ring
+    if any(p.ring is not ring and p.ring != ring for p in polys):
+        raise RingMismatch("gcd of polynomials from different rings")
     g = nz[0].monic()
     for p in nz[1:]:
         if g.is_one():
@@ -1037,6 +1041,7 @@ def gcd_many(polys) -> Poly:
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:
+    a._check(b)
     if a.is_zero() or b.is_zero():
         raise AllZero("lcm with a zero polynomial")
     return (a.divexact(_gcd2(a, b)) * b).monic()

@@ -1,64 +1,47 @@
-"""Shared random generators and independent oracles for the test suite.
+"""Shared random generators and independent references for the test suite.
 
 Random instances use explicitly seeded random.Random objects so every run
-is reproducible.  The oracles here (numeric resultants via Sylvester
-determinants, interpolation derivatives) deliberately avoid the library
-code paths they are used to check.
+is reproducible.  Each reference reaches a library routine's answer by
+another path, so a fault in that routine does not show on both sides of
+its differential test:
+
+- the classification's rules (the trace identity, nilpotency, the witness
+  identities, Jacobian ranks) and the substitutions, memberships and
+  dependences under them are written from their definitions on
+  tests/refalg.py, which imports nothing from ratmaps; library values cross
+  as plain dicts (plain);
+- gcd, exact division, elimination over a field, root finding and parsing
+  are the simpler algorithms the library replaced: a primitive PRS on Poly
+  arithmetic, rescanning division, Gauss-Jordan on field elements, residue
+  scans and the rational-root theorem, and a parser that builds a tree on
+  the library's token pattern;
+- numeric resultants via Sylvester determinants certify coprimality, and
+  interpolation derivatives check derivatives.
 """
 
+import itertools
 import math
 import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
 
-from ratmaps.linalg import _bareiss_rank, coefficient_rows, field_nullspace, field_solve
-from ratmaps.errors import (
-    AssertionFailure,
-    DegreeOrder,
-    IndeterminateComposition,
-    IndeterminateForm,
-    NotCoprime,
-    NotDivisible,
-    NotSquare,
-    ParseError,
-    RingMismatch,
-    UnknownVariable,
-)
+import refalg
+from ratmaps.errors import NotDivisible, ParseError, UnknownVariable
 from ratmaps.expressions import _TOKEN, MAX_NESTING
+from ratmaps.fields import Fp, QQ
+from ratmaps.homog import HomogTuple, bi_ring, uni_ring
 from ratmaps.polyring import (
     Poly,
     PolyRing,
     RatFunc,
     RatMap,
-    _as_ratfunc,
-    _k_addmul,
-    _k_derivative,
-    _k_dot,
-    _k_gradients,
-    _k_ints,
-    _k_mul,
-    _k_poly,
-    _k_powers,
-    _k_reduce,
-    _k_sub,
-    _substitute,
-    clear_denominators,
-    cross_equal,
     eval_univar_at_ratio,
-    first_mismatch,
-    gcd_many,
     is_primitive,
-    jacobian,
-    on_kernel,
     relabel,
-    subst,
 )
-from ratmaps.fields import Fp, QQ
-from ratmaps.gordan_noether import _annihilates, classical_gn_condition
-from ratmaps.homog import HomogTuple, bi_ring, compose_homog_at, uni_ring
 from ratmaps.records import FrozenRecord
-from ratmaps.subfield import DependenceSearch, _exponents_upto, adjoin_t
+from ratmaps.subfield import DependenceSearch
 
 
 def random_poly(rng, ring, max_deg=3, n_terms=4, nonzero=False):
@@ -301,9 +284,9 @@ def certify_coprime_by_resultant(a, b, rng, attempts=8):
 
 # -- reference gcd: the generic primitive PRS on Poly arithmetic ---------
 #
-# Field-agnostic (only +, -, *, divexact and monic), so it checks the
-# library's packed-int PRS kernel over QQ and GF(p) alike.  It is the path
-# the library ran over GF(p) before that kernel, kept here as the oracle.
+# Field-agnostic (only +, -, *, reference_divexact and monic), so it checks
+# the library's gcd kernels over QQ and GF(p) alike.  It is the path the
+# library ran over GF(p) before those kernels, kept here as the oracle.
 
 
 def reference_divexact(a: Poly, b: Poly) -> Poly:
@@ -387,7 +370,7 @@ def _reference_content_wrt(a, j):
 
 
 def _reference_primitive_wrt(a, j):
-    return a.divexact(_reference_content_wrt(a, j)).monic()
+    return reference_divexact(a, _reference_content_wrt(a, j)).monic()
 
 
 def reference_gcd2(a, b):
@@ -405,7 +388,7 @@ def reference_gcd2(a, b):
     if db == 0:
         return reference_gcd2(_reference_content_wrt(a, j), b)
     ca, cb = _reference_content_wrt(a, j), _reference_content_wrt(b, j)
-    pa, pb = a.divexact(ca), b.divexact(cb)
+    pa, pb = reference_divexact(a, ca), reference_divexact(b, cb)
     cont_gcd = reference_gcd2(ca, cb)
     big, small = (pa, pb) if da >= db else (pb, pa)
     while True:
@@ -431,62 +414,9 @@ def reference_gcd_many(polys):
     return g
 
 
-# -- references for the packed-int identities: the Fraction Poly paths ----
-#
-# The library runs these identities on packed monomials with int
-# coefficients; the references below are the Poly-arithmetic code they
-# replaced, kept as oracles over QQ and GF(p) alike.
-
-
-def reference_cleared_sides(h):
-    """Numerators (lhs, rhs) of JH.H and tr JH.H over the common D^3.
-
-    With H_i = N_i / D, the entry dH_k/dx_i is (d_iN_k D - N_k d_iD)/D^2.
-    """
-    n = h.ring.nvars
-    ring = h.ring
-    d, nums = clear_denominators(h.comps)
-    d_nums = [[nk.derivative(j) for j in range(n)] for nk in nums]
-    d_d = [d.derivative(j) for j in range(n)]
-    trace = ring.zero()
-    for i in range(n):
-        trace = trace + d_nums[i][i] * d - nums[i] * d_d[i]
-    lhs = []
-    for k in range(n):
-        acc = ring.zero()
-        for i in range(n):
-            acc = acc + nums[i] * (d_nums[k][i] * d - nums[k] * d_d[i])
-        lhs.append(acc)
-    rhs = [nums[k] * trace for k in range(n)]
-    return lhs, rhs
-
-
-def reference_poly_matrix_rank(rows):
-    """Rank by Bareiss elimination on Poly entries: every division is an
-    exact polynomial division by the previous pivot."""
-    work = [list(r) for r in rows]
-    if not work or not work[0]:
-        return 0
-    nrows, ncols = len(work), len(work[0])
-    ring = work[0][0].ring
-    prev = ring.one()
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if not work[i][c].is_zero()), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        pivot = work[r][c]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                cross = pivot * work[i][j] - work[i][c] * work[r][j]
-                work[i][j] = cross.divexact(prev)
-            work[i][c] = ring.zero()
-        prev = pivot
-        r += 1
-        if r == nrows:
-            break
-    return r
+def _reference_primitive(polys) -> bool:
+    nz = [f for f in polys if not f.is_zero()]
+    return bool(nz) and reference_gcd_many(nz).is_one()
 
 
 # -- reference elimination: Gauss-Jordan on field elements ------------------
@@ -572,152 +502,150 @@ def reference_independent_subset(vectors, field):
     return chosen
 
 
-def reference_member_Kpq(r, p, q, bound):
-    """member_Kpq by trying every degree d <= bound, one linear system each."""
-    field = p.ring.field
-    yring = uni_ring(field)
-    num, den = r.num, r.den
-    for d in range(bound + 1):
-        basis_polys = [p**j * q ** (d - j) for j in range(d + 1)]
-        cols = [-(den * b) for b in basis_polys] + [num * b for b in basis_polys]
-        rows = coefficient_rows(cols, field)
-        for vec in reference_field_nullspace(rows, 2 * (d + 1), field):
-            f2 = Poly(yring, {(j,): vec[d + 1 + j] for j in range(d + 1)})
-            if eval_univar_at_ratio(f2, p, q, d).is_zero():
-                continue
-            f1 = Poly(yring, {(j,): vec[j] for j in range(d + 1)})
-            if not f1.is_zero():
-                g = gcd_many([f1, f2])
-                f1, f2 = f1.divexact(g), f2.divexact(g)
-            inv = field.one() / f2.lc()
-            f1, f2 = f1.scale(inv), f2.scale(inv)
-            f1_at = eval_univar_at_ratio(f1, p, q, d)
-            f2_at = eval_univar_at_ratio(f2, p, q, d)
-            if cross_equal(num, f2_at, den, f1_at):
-                return f1, f2
-    return None
+# -- references on tests/refalg.py -------------------------------------------
+#
+# One reference per rule, each written from the rule's definition on the
+# plain dict polynomials of tests/refalg.py, which imports nothing from
+# ratmaps.  Library values cross as plain(p); results come back through
+# ring.poly.  Primitivity preconditions take reference_gcd_many.
 
 
-def reference_trdeg_rank(h, with_t):
-    """The rank trdeg_rank took before it built its polynomial matrix
-    directly: the Jacobian of tH over (x, t) with every entry a reduced
-    fraction, each row cleared by the lcm of its denominators."""
-    jac = jacobian(adjoin_t(h) if with_t else h)
-    return reference_poly_matrix_rank([clear_denominators(r)[1] for r in jac])
+def plain(p) -> dict:
+    """The terms of a Poly as a refalg polynomial: Fractions over QQ,
+    residues over GF(p)."""
+    return {e: getattr(c, "v", c) for e, c in p.terms.items()}
 
 
-def _reference_primitive(polys) -> bool:
-    nz = [f for f in polys if not f.is_zero()]
-    return bool(nz) and reference_gcd_many(nz).is_one()
+def _mod(ring) -> int:
+    return ring.field.characteristic
 
 
-def reference_verify_cond45(h, w):
-    """(verified, reason) for a cond4 or cond5 witness, on normalised
-    rational functions and Poly gradients."""
-    fs = tuple(w.f) if w.f is not None else None
-    if fs is None or len(fs) != h.m:
-        return False, "f is missing or has the wrong number of components"
-    if w.q.is_zero():
-        return False, "q is zero, f(p/q) undefined"
-    if w.kind == "cond5":
-        if not _reference_primitive(fs):
-            return False, "gcd of the components of f is not a unit"
-        if not _reference_primitive([w.p, w.q]):
-            return False, "gcd(p, q) is not a unit"
-    k = reference_cond45_failure(h, w.g, w.p, w.q, fs)
-    if k is not None:
-        return False, f"H = g*f(p/q) fails at component {k}"
-    if not _reference_gradients_annihilate(fs, w.p, w.q):
-        return False, "Jp . f = Jq . f = 0 fails"
-    return True, ""
+def _maxes(ts, k) -> list:
+    """The highest exponent of each of k variables over the dicts ts."""
+    return [max((e[i] for t in ts for e in t), default=0) for i in range(k)]
 
 
-def reference_verify_cond3(h_map, w):
-    """(verified, reason) for a cond3 witness as the classifier checked it
-    before its one verifier: h(p, q) composed one component at a time, the
-    identity on first_mismatch and J(h(p,q)) . h(p,q) = 0 by the classical
-    condition of the composed map."""
-    if not is_primitive([w.p, w.q]):
-        return False, "gcd(p, q) is not a unit"
-    if w.h is None:
-        hp = [h_map.ring.zero()] * h_map.m
-    else:
-        if not isinstance(w.h, HomogTuple):
-            return False, "h must be a HomogTuple or None"
-        if len(w.h.polys) != h_map.m:
-            return False, "h has the wrong number of components"
-        c = h_map.ring.field.characteristic
-        if w.h.degree > 0 and c > 0 and w.h.degree % c == 0:
-            return False, "characteristic divides deg h"
-        hp = [compose_homog_at(comp, w.p, w.q) for comp in w.h.polys]
-    k = first_mismatch(h_map, w.g, hp, h_map.ring.one())
-    if k is not None:
-        return False, f"H = g*h(p,q) fails at component {k}"
-    if not classical_gn_condition(RatMap.from_polys(hp)):
-        return False, "J(h(p,q)) . h(p,q) is nonzero"
-    return True, ""
+def reference_substitute(polys, nums, dens, maxes, target) -> list:
+    """Each poly at y_i = nums[i] / dens[i] (None for 1), times
+    prod_i dens[i]^maxes[i], as Polys of target (refalg.substitute); maxes
+    None reads M_i as the highest exponent of y_i over the polys."""
+    ts = [plain(a) for a in polys]
+    ns = [plain(t) for t in nums]
+    ds = [None if d is None else plain(d) for d in dens]
+    maxes = _maxes(ts, len(nums)) if maxes is None else maxes
+    mod, n = _mod(target), target.nvars
+    return [target.poly(refalg.substitute(t, ns, ds, maxes, n, mod)) for t in ts]
 
 
-def _k_quotient_rule(num: dict, den: dict, K) -> list:
-    """[d_i num * den - num * d_i den for i < K.n]: den^2 times grad(num/den),
-    one row on its own, as the kernel built it before _k_jacobian_rows."""
-    return [
-        _k_sub(
-            _k_mul(_k_derivative(num, i, K), den, K),
-            _k_mul(num, _k_derivative(den, i, K), K),
-            K,
-        )
-        for i in range(K.n)
-    ]
+def same_ratio(rf, num, den) -> bool:
+    """Whether the RatFunc rf equals num / den: rf.num den = rf.den num."""
+    mod = _mod(rf.ring)
+    return refalg.mul(plain(rf.num), plain(den), mod) == refalg.mul(plain(rf.den), plain(num), mod)
 
 
-def reference_on_cleared_jacobian(cleared, fn):
-    """fn(K, N, m) for cleared = (D, N) with m built one _k_quotient_rule
-    call per row, as the classifier did before its one row builder: grad D
-    taken again in every row."""
-    d, nums = cleared
-
-    def run(K, packed):
-        d, *nums = packed[0]
-        return fn(K, nums, [_k_quotient_rule(nk, d, K) for nk in nums])
-
-    return on_kernel([[d, *nums]], run)
-
-
-def reference_trace_sides(K, nums, m):
-    """(qt, JH . H = 0) read off the quotient-rule rows m of H = N / D, as
-    the classifier decided them before it read J(N): over D^3, JH . H is
-    m . N and tr JH . H is tr m times N."""
-    trace = _k_dot([{0: 1}] * len(m), [row[i] for i, row in enumerate(m)], K)
-    qt = zero = True
-    for k in range(len(nums)):
-        lhs = _k_dot(nums, m[k], K)
-        zero = zero and not lhs
-        qt = qt and not _k_sub(lhs, _k_mul(nums[k], trace, K), K)
-    return qt, zero
+def _cleared_map(h):
+    """(D, N) for the RatMap h as refalg dicts: D the product of its
+    distinct denominators, N_k = H_k D."""
+    mod, d, dens = _mod(h.ring), refalg.one(h.ring.nvars), []
+    for c in h.comps:
+        if plain(c.den) not in dens:
+            dens.append(plain(c.den))
+            d = refalg.mul(d, dens[-1], mod)
+    nums = [refalg.mul(plain(c.num), refalg.divexact(d, plain(c.den), mod), mod) for c in h.comps]
+    return d, nums
 
 
-def reference_classify_sides(K, nums, m):
-    """reference_trace_sides and, in characteristic zero, trdeg K(tH) as the
-    rank of [m | N]: D^2 times row k of J(tH) over (x, t) is [t m_k, D N_k],
-    and scaling columns by t and by D keeps the rank."""
-    rank = None if K.mod else _bareiss_rank(K, [[*r, nk] for r, nk in zip(m, nums)])
-    return (*reference_trace_sides(K, nums, m), rank)
+def reference_trace_sides(cleared, rank=False):
+    """(JH . H = tr JH . H, JH . H = 0) for H = N / D, cleared = (D, N) as
+    Polys (refalg.trace_sides).  With rank, also trdeg K(tH) over QQ (None
+    over GF(p)) as the rank of [m | N] for the quotient-rule rows m: D^2
+    times row k of J(tH) over (x, t) is [t m_k, D N_k], and scaling
+    columns by t and by D keeps the rank."""
+    mod = _mod(cleared[0].ring)
+    d, nums = plain(cleared[0]), [plain(t) for t in cleared[1]]
+    sides = refalg.trace_sides(d, nums, mod)
+    if not rank:
+        return sides
+    m = refalg.jacobian_rows(d, nums, len(nums), mod)
+    return (*sides, None if mod else refalg.rank([[*r, nk] for r, nk in zip(m, nums)], 0))
+
+
+def reference_trace_conditions(h):
+    """reference_trace_sides of the RatMap h, cleared by _cleared_map."""
+    return refalg.trace_sides(*_cleared_map(h), _mod(h.ring))
+
+
+def reference_nilpotent(h) -> bool:
+    """Whether (JH)^n = 0 for the RatMap h = N / D (_cleared_map): JH is
+    m / D^2 for the quotient-rule rows m."""
+    mod, (d, nums) = _mod(h.ring), _cleared_map(h)
+    return refalg.nilpotent(refalg.jacobian_rows(d, nums, len(nums), mod), mod)
+
+
+def reference_rank(rows) -> int:
+    """The rank of a Poly matrix, the size of its largest nonzero minor."""
+    if not rows or not rows[0]:
+        return 0
+    return refalg.rank([[plain(t) for t in row] for row in rows], _mod(rows[0][0].ring))
+
+
+def reference_trdeg_rank(h, with_t) -> int:
+    """trdeg K(H), or K(tH), as the rank of the Jacobian over x, or (x, t)
+    (characteristic zero): row k is D_k^2 times the gradient of
+    H_k = N_k / D_k, and for tH the x columns divided by t and N_k D_k in
+    the t column."""
+    rows = []
+    for c in h.comps:
+        num, den = plain(c.num), plain(c.den)
+        row = refalg.jacobian_rows(den, [num], h.ring.nvars, 0)[0]
+        rows.append([*row, refalg.mul(num, den, 0)] if with_t else row)
+    return refalg.rank(rows, 0)
+
+
+def reference_first_mismatch(h, g, F, F1):
+    """The first k with H_k != g F_k / F1, or None: cross-multiplied with
+    the reduced H_k, g.num F_k H_k.den = H_k.num g.den F1."""
+    mod = _mod(h.ring)
+
+    def prod(*ts):
+        out = refalg.one(h.ring.nvars)
+        for t in ts:
+            out = refalg.mul(out, plain(t), mod)
+        return out
+
+    return next(
+        (k for k, c in enumerate(h.comps) if prod(g.num, F[k], c.den) != prod(c.num, g.den, F1)),
+        None,
+    )
+
+
+def reference_annihilates(fs, p, q) -> bool:
+    """Jp . f = Jq . f = 0: sum_j (d p / d x_j) c_j = 0 for every
+    coefficient vector c of f, and the same for q."""
+    mod, n = _mod(p.ring), p.ring.nvars
+    coeffs = [plain(f) for f in fs]
+    for t in (plain(p), plain(q)):
+        grad = [refalg.derivative(t, j, mod) for j in range(n)]
+        for e in {e for f in coeffs for e in f}:
+            if refalg.total((refalg.scale(g, f.get(e, 0), mod) for g, f in zip(grad, coeffs)), mod):
+                return False
+    return True
 
 
 def reference_verify_witness(h_map, w):
-    """(verified, reason) as the classifier decided it on three kernel
-    entries: one _substitute of the blocks and 1 for F and F(1), the
-    identity H = g F / F(1) on first_mismatch, then J(F) . F = 0 on the
-    per-row quotient rule (cond3) or Jp . f = Jq . f = 0 on a third
-    packing of p and q."""
-    m, c = h_map.m, h_map.ring.field.characteristic
+    """(verified, reason) for a cond3, cond4 or cond5 witness: the
+    preconditions in gn_classify's order, then F and F(1) by one
+    substitution of the blocks and 1 (h(p, q) and 1, or q^s f(p/q) and
+    q^s), H = g F / F(1) (reference_first_mismatch), and J(F) . F = 0 for
+    cond3 or Jp . f = Jq . f = 0 for cond4 and cond5."""
+    m, ring = h_map.m, h_map.ring
+    c = ring.field.characteristic
     if w.kind == "cond3":
-        if not is_primitive([w.p, w.q]):
+        if not _reference_primitive([w.p, w.q]):
             return False, "gcd(p, q) is not a unit"
         if w.h is not None and not isinstance(w.h, HomogTuple):
             return False, "h must be a HomogTuple or None"
-        blocks = [bi_ring(h_map.ring.field).zero()] * m if w.h is None else w.h.polys
+        blocks = [bi_ring(ring.field).zero()] * m if w.h is None else w.h.polys
         if len(blocks) != m:
             return False, "h has the wrong number of components"
         if w.h is not None and w.h.degree > 0 and c > 0 and w.h.degree % c == 0:
@@ -729,214 +657,144 @@ def reference_verify_witness(h_map, w):
             return False, "f is missing or has the wrong number of components"
         if w.q.is_zero():
             return False, "q is zero, f(p/q) undefined"
-        if w.kind == "cond5" and not is_primitive(blocks):
+        if w.kind == "cond5" and not _reference_primitive(blocks):
             return False, "gcd of the components of f is not a unit"
-        if w.kind == "cond5" and not is_primitive([w.p, w.q]):
+        if w.kind == "cond5" and not _reference_primitive([w.p, w.q]):
             return False, "gcd(p, q) is not a unit"
         images, dens, shape = [w.p], [w.q], "f(p/q)"
     else:
         return False, f"unknown witness kind {w.kind!r}"
-    *F, F1 = _substitute([*blocks, blocks[0].ring.one()], images, dens, w.p.ring)
-    k = first_mismatch(h_map, w.g, F, F1)
+    *F, F1 = reference_substitute([*blocks, blocks[0].ring.one()], images, dens, None, ring)
+    k = reference_first_mismatch(h_map, w.g, F, F1)
     if k is not None:
         return False, f"H = g*{shape} fails at component {k}"
     if w.kind == "cond3":
-        if not reference_on_cleared_jacobian((F1, F), reference_trace_sides)[1]:
+        if not reference_trace_sides((ring.one(), F))[1]:
             return False, "J(h(p,q)) . h(p,q) is nonzero"
-        return True, ""
-    ints = _k_ints(blocks)[1]
-    if not on_kernel(
-        [[w.p, w.q]], lambda K, pq: _annihilates(K, _k_gradients(pq[0], K), ints)
-    ):
+    elif not reference_annihilates(blocks, w.p, w.q):
         return False, "Jp . f = Jq . f = 0 fails"
     return True, ""
 
 
-def reference_cond45_failure(h, g, p, q, fs):
-    """The first component k with H_k != g * f_k(p/q), in normalised
-    rational functions, or None."""
-    degs = [f.total_degree() for f in fs if not f.is_zero()]
-    s = int(max(degs)) if degs else 0
-    qs = RatFunc.from_poly(q**s)
-    for k, f in enumerate(fs):
-        if g * (RatFunc.from_poly(eval_univar_at_ratio(f, p, q, s)) / qs) != h[k]:
-            return k
+def reference_flem_conclude(fs, p, q, mode: str) -> bool:
+    """flem_conclude's hypothesis for valid inputs: with J(p/q) = G / q^2,
+    G = q grad p - p grad q, and f(p/q) = F / q^s, mode i asks G . F = 0
+    and G . F' = 0 (F' from f'), mode ii G . F = 0 and grad q . F = 0."""
+    mod, n = _mod(p.ring), p.ring.nvars
+    pt, qt, ts = plain(p), plain(q), [plain(f) for f in fs]
+    s = _maxes(ts, 1)
+
+    def at(gs):
+        return [refalg.substitute(t, [pt], [qt], s, n, mod) for t in gs]
+
+    G, F = refalg.jacobian_rows(qt, [pt], n, mod)[0], at(ts)
+    if mode == "i":
+        second = refalg.dot(G, at([refalg.derivative(t, 0, mod) for t in ts]), mod)
+    else:
+        second = refalg.dot([refalg.derivative(qt, j, mod) for j in range(n)], F, mod)
+    return not refalg.dot(G, F, mod) and not second
+
+
+def reference_translation_invariance(h) -> bool:
+    """H(x + tH) = H in K(x)(t): in K[x, t], x_i + t H_i = (x_i D_i +
+    t N_i) / D_i for H_i = N_i / D_i, H_k composes to A / B over one power
+    of the D_i, and the identity is A D_k = B N_k."""
+    mod, n = _mod(h.ring), h.ring.nvars
+    nums = [{e + (0,): c for e, c in plain(f.num).items()} for f in h.comps]
+    dens = [{e + (0,): c for e, c in plain(f.den).items()} for f in h.comps]
+    images = [
+        refalg.add(refalg.mul({(0,) * i + (1,) + (0,) * (n - i): 1}, dens[i], mod),
+                   refalg.mul({(0,) * n + (1,): 1}, nums[i], mod), mod)
+        for i in range(n)
+    ]
+    for k, f in enumerate(h.comps):
+        num, den = plain(f.num), plain(f.den)
+        maxes = _maxes([num, den], n)
+        a, b = (refalg.substitute(t, images, dens, maxes, n + 1, mod) for t in (num, den))
+        if refalg.mul(a, dens[k], mod) != refalg.mul(b, nums[k], mod):
+            return False
+    return True
+
+
+def reference_relation_vanishes(relation, p, q, pair) -> bool:
+    """relation(p/q, g) = 0 for g = f1(p/q) / f2(p/q) = a / b, with
+    (a, b) = q^s (f1, f2)(p/q): the relation at Y = p/q, g = a / b
+    over powers of q and b."""
+    mod, n = _mod(p.ring), p.ring.nvars
+    pt, qt, fs, rel = plain(p), plain(q), [plain(pair.f1), plain(pair.f2)], plain(relation)
+    a, b = (refalg.substitute(t, [pt], [qt], _maxes(fs, 1), n, mod) for t in fs)
+    return not refalg.substitute(rel, [pt, a], [qt, b], _maxes([rel], 2), n, mod)
+
+
+def reference_member_Kp(r, p):
+    """F with r = F(p) for nonconstant p, or None, by subduction: the
+    leading term of F(p) is that of lc(F) p^deg F, so while r != 0 its
+    grlex leading term must be c lt(p)^k; c y^k goes into F and c p^k
+    comes off r."""
+    mod, n = _mod(p.ring), p.ring.nvars
+    rest, pt, f = plain(r), plain(p), {}
+    ep = max(pt, key=lambda e: (sum(e), e))
+    while rest:
+        er = max(rest, key=lambda e: (sum(e), e))
+        k = sum(er) // sum(ep)
+        if er != tuple(k * x for x in ep):
+            return None
+        f[(k,)] = c = refalg.norm(rest[er] * refalg.inverse(pt[ep] ** k, mod), mod)
+        rest = refalg.sub(rest, refalg.scale(refalg.power(pt, k, n, mod), c, mod), mod)
+    return uni_ring(p.ring.field).poly(f)
+
+
+def reference_member_Kpq(r, p, q, bound):
+    """(f1, f2) with r = f1(p/q) / f2(p/q), f1 and f2 coprime, f2 monic and
+    max(deg f1, deg f2) <= bound, or None.  A constant r gives (r, 1); for
+    p/q in K no other r is a member.  Otherwise p/q is transcendental, the
+    coprime pair is unique, and it solves r.den F1 = r.num F2, Fi =
+    q^d fi(p/q), at the least degree d with a nonzero solution."""
+    yring, mod, n = uni_ring(p.ring.field), _mod(p.ring), p.ring.nvars
+    if r.is_constant():
+        return yring.const(r.constant_value()), yring.one()
+    pt, qt = plain(p), plain(q)
+    e = max(qt)
+    if refalg.scale(qt, pt.get(e, 0) * refalg.inverse(qt[e], mod), mod) == pt:
+        return None
+    num, minus_den = plain(r.num), refalg.scale(plain(r.den), -1, mod)
+    for d in range(bound + 1):
+        # column j is q^d (p/q)^j = p^j q^(d - j), times r.num for f2 and -r.den for f1
+        powers = [refalg.substitute({(j,): 1}, [pt], [qt], [d], n, mod) for j in range(d + 1)]
+        cols = [refalg.mul(c, t, mod) for c in (minus_den, num) for t in powers]
+        basis = refalg.nullspace(refalg.coefficient_rows(cols), 2 * (d + 1), mod)
+        if basis:
+            v = basis[0]
+            inv = refalg.inverse(next(c for c in reversed(v[d + 1 :]) if c), mod)
+            f1, f2 = ({(j,): v[k * (d + 1) + j] for j in range(d + 1)} for k in (0, 1))
+            return yring.poly(refalg.scale(f1, inv, mod)), yring.poly(refalg.scale(f2, inv, mod))
     return None
 
 
-# -- references for substitution: the Fraction and Fp Poly paths ---------
-#
-# The library substitutes on the packed-int kernel in one routine; these
-# are the three Poly-arithmetic routines it replaced, unchanged.
-
-
-def _reference_power_table(base, max_exp: int, one):
-    table = [one]
-    for _ in range(max_exp):
-        table.append(table[-1] * base)
-    return table
-
-
-def reference_compose_poly(a: Poly, images, target: PolyRing) -> Poly:
-    """a with variable i replaced by the polynomial images[i]."""
-    if target.field != a.ring.field:
-        raise RingMismatch("composition cannot change the coefficient field")
-    maxes = [a.degree_in(j) for j in range(a.ring.nvars)]
-    tables = [
-        _reference_power_table(img, mx, target.one()) if mx else None
-        for img, mx in zip(images, maxes)
-    ]
-    total = target.zero()
-    for e, c in a.terms.items():
-        term = target.const(c)
-        for i, k in enumerate(e):
-            if k:
-                term = term * tables[i][k]
-        total = total + term
-    return total
-
-
-def reference_compose_poly_ratfunc(a: Poly, images, target: PolyRing) -> RatFunc:
-    """a with variable i replaced by the rational function images[i].
-
-    Runs over a common denominator so that only one final reduction is
-    needed: with images n_i/d_i and M_i the highest power of variable i
-    in a, the result is (sum_e c_e prod n_i^{e_i} d_i^{M_i-e_i}) / prod d_i^{M_i}.
-    """
-    if target.field != a.ring.field:
-        raise RingMismatch("composition cannot change the coefficient field")
-    images = [_as_ratfunc(img, target) for img in images]
-    maxes = [a.degree_in(j) for j in range(a.ring.nvars)]
-    num_tabs = [
-        _reference_power_table(img.num, mx, target.one()) if mx else None
-        for img, mx in zip(images, maxes)
-    ]
-    den_tabs = [
-        _reference_power_table(img.den, mx, target.one()) if mx else None
-        for img, mx in zip(images, maxes)
-    ]
-    num_total = target.zero()
-    for e, c in a.terms.items():
-        term = target.const(c)
-        for i, k in enumerate(e):
-            if maxes[i]:
-                term = term * num_tabs[i][k] * den_tabs[i][maxes[i] - k]
-        num_total = num_total + term
-    den_total = target.one()
-    for i, mx in enumerate(maxes):
-        if mx:
-            den_total = den_total * den_tabs[i][mx]
-    return RatFunc(num_total, den_total)
-
-
-def reference_eval_univar_at_ratio(f: Poly, p: Poly, q: Poly, s: int) -> Poly:
-    """q^s * f(p/q) for univariate f with deg f <= s: sum c_j p^j q^(s-j)."""
-    if f.ring.nvars != 1:
-        raise ValueError("expected a univariate polynomial")
-    ring = p.ring
-    if f.is_zero():
-        return ring.zero()
-    d = f.total_degree()
-    if d > s:
-        raise ValueError("clearing exponent smaller than the degree")
-    p_tab = _reference_power_table(p, d, ring.one())
-    q_tab = _reference_power_table(q, s, ring.one())
-    total = ring.zero()
-    for e, c in f.terms.items():
-        j = e[0]
-        total = total + (p_tab[j] * q_tab[s - j]).scale(c)
-    return total
-
-
-# The packed-int substitution with explicit clearing powers maxes[i].  The
-# library reads M_i as the highest exponent of y_i over the whole tuple;
-# with maxes set to those, the two agree exactly.
-
-
-def reference_substitute(polys, nums, dens, maxes, target: PolyRing) -> list:
-    """sum_e c_e prod_i n_i^e_i d_i^(M_i - e_i) for each poly sum_e c_e y^e.
-
-    The images n_i, d_i are Polys in target, d_i None for 1, and M_i =
-    maxes[i] bounds every e_i.  A term has degree M_i in (n_i, d_i), so over
-    QQ the one integer s clearing all images scales every term by s^(sum M);
-    a d_i of 1 becomes s, an integer top-up by s^(M_i - e_i).  The polys
-    are cleared by one integer t; the results are divided by t*s^(sum M).
-    """
-    if target.field != polys[0].ring.field:
-        raise RingMismatch("composition cannot change the coefficient field")
-    used = [i for i, m in enumerate(maxes) if m]
-    with_den = [i for i in used if dens[i] is not None]
-    # a constant 1 rides along in each group: its image {0: s} reads the scale
-    group = [target.one(), *(nums[i] for i in used), *(dens[i] for i in with_den)]
-    if any(p.ring != target for p in group):
-        raise RingMismatch("substitution images must lie in the target ring")
-    *ints, one = _k_ints([*polys, polys[0].ring.one()])[1]
-    t, exps = one[(0,) * len(maxes)], [e for c in ints for e in c]
-
-    def run(K, packed):
-        s, images = packed[0][0][0], iter(packed[0][1:])
-        ntab = {i: _k_powers(next(images), max(e[i] for e in exps), K) for i in used}
-        dtab = {i: _k_powers(next(images), maxes[i], K) for i in with_den}
-        out = []
-        for c in ints:
-            total = {}
-            for e, coeff in c.items():
-                top, factors = 0, []
-                for i in used:
-                    k, m = e[i], maxes[i]
-                    if k:
-                        factors.append(ntab[i][k])
-                    if i not in dtab:
-                        top += m - k
-                    elif k < m:
-                        factors.append(dtab[i][m - k])
-                head = {0: coeff * s**top}
-                for f in factors[:-1]:
-                    head = _k_mul(head, f, K)
-                _k_addmul(total, head, factors[-1] if factors else {0: 1}, K)
-            total = K.unpack(_k_reduce(total, K.mod))
-            out.append(_k_poly(target, total, t * s ** sum(maxes)))
-        return out
-
-    return on_kernel([group], run)
-
-
-# -- references for the power tables: the Poly-product paths ---------------
-#
-# The dependence search, K[p] membership and the pqtrans representations
-# take their powers from one substitution on the packed-int kernel; these
-# are the reduced-RatFunc and Poly-product constructions they replaced.
-
-
-def reference_trdeg_bounded_dependence(h: RatMap, with_t=False, degree_bound=2):
-    """The dependence search on reduced RatFunc products h^e, each step's
-    columns cleared by the lcm of their denominators."""
-    target = adjoin_t(h) if with_t else h
-    comps = list(target.comps)
-    field = target.ring.field
-    rel_ring = PolyRing(field, tuple(f"h{i + 1}" for i in range(len(comps))))
-    independent = 0
-    relations = []
-    prods = {(): RatFunc.from_poly(target.ring.one())}
-    for i in range(len(comps)):
-        exps = _exponents_upto(i + 1, degree_bound)
-        cols = []
-        for e in exps:
-            if e not in prods:
-                base = prods[e[:-1] + (e[-1] - 1,)] if e[-1] else prods[e[:-1]]
-                prods[e] = base * comps[i] if e[-1] else base
-            cols.append(prods[e])
-        _, cleared = clear_denominators(cols)
-        basis = field_nullspace(coefficient_rows(cleared, field), len(cols), field)
-        found = next((v for v in basis if any(c for e, c in zip(exps, v) if e[-1])), None)
+def reference_trdeg_bounded_dependence(h, with_t=False, degree_bound=2):
+    """The bounded dependence search from its definition: component i is
+    dependent when a nonzero relation of degree <= the bound that involves
+    h_i links h_1..h_i.  Column e (grlex order) is h^e times
+    prod_j D_j^bound, one refalg.substitute of y^e; a relation is the first
+    nullspace vector with a nonzero entry at some e with e_i > 0."""
+    mod, n, m = _mod(h.ring), h.ring.nvars + with_t, h.m
+    t = (1,) if with_t else ()
+    nums = [{e + t: c for e, c in plain(f.num).items()} for f in h.comps]
+    dens = [{e + (0,) * with_t: c for e, c in plain(f.den).items()} for f in h.comps]
+    rel_ring = PolyRing(h.ring.field, tuple(f"h{i + 1}" for i in range(m)))
+    independent, relations = 0, []
+    for i in range(m):
+        exps = itertools.product(range(degree_bound + 1), repeat=i + 1)
+        exps = sorted((e for e in exps if sum(e) <= degree_bound), key=lambda e: (sum(e), e))
+        maxes = [degree_bound] * (i + 1)
+        cols = [refalg.substitute({e: 1}, nums, dens, maxes, n, mod) for e in exps]
+        basis = refalg.nullspace(refalg.coefficient_rows(cols), len(cols), mod)
+        found = next((v for v in basis if any(c for e, c in zip(exps, v) if e[i])), None)
         if found is None:
             independent += 1
         else:
-            terms = {}
-            for e, c in zip(exps, found):
-                if c:
-                    terms[e + (0,) * (len(comps) - len(e))] = c
-            relations.append(Poly(rel_ring, terms))
+            pad = (0,) * (m - i - 1)
+            relations.append(rel_ring.poly({e + pad: c for e, c in zip(exps, found) if c}))
     note = (
         "no dependence found within the bound"
         if not relations
@@ -945,73 +803,7 @@ def reference_trdeg_bounded_dependence(h: RatMap, with_t=False, degree_bound=2):
     return DependenceSearch(independent, False, relations, note)
 
 
-def reference_member_Kp(r: Poly, p: Poly):
-    """member_Kp for nonconstant r, with p^0 .. p^d as Poly products."""
-    deg_r, deg_p = r.total_degree(), p.total_degree()
-    if deg_r % deg_p:
-        return None
-    field = p.ring.field
-    powers = [p.ring.one()]
-    for _ in range(deg_r // deg_p):
-        powers.append(powers[-1] * p)
-    matrix = coefficient_rows(powers + [r], field)
-    sol = field_solve([row[:-1] for row in matrix], [row[-1] for row in matrix], field)
-    if sol is None:
-        return None
-    return Poly(uni_ring(field), {(i,): c for i, c in enumerate(sol)})
-
-
-def reference_pqtrans_rep(f1: Poly, f2: Poly, mode: str, eps, theta):
-    """(f1*, f2*) of pqtrans: f(y - eps) by Poly powers, or
-    (y - eps)^s f(1/(y - eps) + theta) as q^s f(p/q) by Poly powers."""
-    yring = f2.ring
-    y_eps = yring.var(0) - yring.const(eps)
-    if mode == "shift":
-        return tuple(reference_compose_poly(f, [y_eps], yring) for f in (f1, f2))
-    s = int(max(f1.total_degree(), f2.total_degree()))
-    num = yring.one() + y_eps.scale(theta)
-    return tuple(reference_eval_univar_at_ratio(f, num, y_eps, s) for f in (f1, f2))
-
-
-def reference_cleared_at(f1: Poly, f2: Poly, p: Poly, q: Poly):
-    """(q^s f1(p/q), q^s f2(p/q)) for s = max(deg f1, deg f2), by Poly powers."""
-    s = int(max(f1.total_degree(), f2.total_degree(), 0))
-    return tuple(reference_eval_univar_at_ratio(f, p, q, s) for f in (f1, f2))
-
-
-# -- references for the cleared identities: the RatFunc paths -------------
-#
-# The library decides these checks as polynomial identities on cleared
-# denominators and lowers division-free input to Poly; the references are
-# the reduced-RatFunc code they replaced, unchanged.
-
-
-def _reference_rf_zero(ring) -> RatFunc:
-    return RatFunc.from_poly(ring.zero())
-
-
-def _reference_mat_mul(a, b, ring):
-    n = len(a)
-    zero = _reference_rf_zero(ring)
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(n)), zero) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def reference_nilpotent_jacobian(h: RatMap) -> bool:
-    """Whether (JH)^n = 0 over K(x), by exact matrix powers.
-
-    Reduces every entry of every power: it does not finish on generic
-    3-variable rational maps."""
-    n = h.ring.nvars
-    jac = jacobian(h)
-    power = jac
-    for _ in range(n - 1):
-        if all(entry.is_zero() for row in power for entry in row):
-            return True
-        power = _reference_mat_mul(power, jac, h.ring)
-    return all(entry.is_zero() for row in power for entry in row)
+# -- the doubled-ring core check: Poly arithmetic ---------------------------
 
 
 def poly_jacobian(polys, ring):
@@ -1041,76 +833,6 @@ def reference_bivariate_core_check(core) -> bool:
     for i in range(n):
         trace = trace + jac_big[i][i]
     return all((trace * cy).is_zero() for cy in core_y)
-
-
-def _reference_gradients_annihilate(fs, p: Poly, q: Poly) -> bool:
-    """Jp . f = Jq . f = 0, tested on every coefficient vector of f."""
-    ring = p.ring
-    n = ring.nvars
-    grad_p = [p.derivative(j) for j in range(n)]
-    grad_q = [q.derivative(j) for j in range(n)]
-    for vec in coefficient_rows(fs, ring.field):
-        for grad in (grad_p, grad_q):
-            dot = ring.zero()
-            for j in range(n):
-                dot = dot + grad[j].scale(vec[j])
-            if not dot.is_zero():
-                return False
-    return True
-
-
-def reference_flem_conclude(fs, p: Poly, q: Poly, mode: str) -> bool:
-    """flem_conclude on reduced rational functions p/q, f(p/q) and J(p/q)."""
-    fs = tuple(fs)
-    ring = p.ring
-    n = ring.nvars
-    if len(fs) != n:
-        raise NotSquare(f"{len(fs)} components in {n} variables")
-    if not is_primitive([p, q]):
-        raise NotCoprime("gcd(p, q) is not a unit")
-    if p.total_degree() > q.total_degree():
-        raise DegreeOrder("deg p exceeds deg q")
-    if all(f.is_zero() for f in fs):
-        return True
-    ratio = RatFunc(p, q)
-    grad_ratio = [ratio.derivative(j) for j in range(n)]
-    f_at = [subst(f, [ratio], ring) for f in fs]
-    zero = _reference_rf_zero(ring)
-    dot1 = sum((grad_ratio[j] * f_at[j] for j in range(n)), zero)
-    if mode == "i":
-        fp_at = [subst(f.derivative(0), [ratio], ring) for f in fs]
-        dot2 = sum((grad_ratio[j] * fp_at[j] for j in range(n)), zero)
-    elif mode == "ii":
-        grad_q = [RatFunc.from_poly(q.derivative(j)) for j in range(n)]
-        dot2 = sum((grad_q[j] * f_at[j] for j in range(n)), zero)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    hypothesis = dot1.is_zero() and dot2.is_zero()
-    if hypothesis and not _reference_gradients_annihilate(fs, p, q):
-        raise AssertionFailure("hypothesis held but Jp . f = Jq . f = 0 failed")
-    return hypothesis
-
-
-def reference_translation_invariance(h: RatMap) -> bool:
-    """H(x + tH) = H in K(x)(t), on reduced rational functions."""
-    n = h.ring.nvars
-    ring = h.ring
-    ext = PolyRing(ring.field, ring.names + ("t",))
-    vm = list(range(n))
-    t = RatFunc.from_poly(ext.var(n))
-    embedded = [
-        RatFunc(relabel(c.num, ext, vm), relabel(c.den, ext, vm), _reduced=True)
-        for c in h.comps
-    ]
-    images = [RatFunc.from_poly(ext.var(i)) + t * embedded[i] for i in range(n)]
-    for k in range(n):
-        try:
-            composed = subst(h[k], images, ext)
-        except IndeterminateForm as exc:
-            raise IndeterminateComposition(str(exc)) from exc
-        if composed != embedded[k]:
-            return False
-    return True
 
 
 class Num(FrozenRecord):
@@ -1287,11 +1009,6 @@ def reference_elaborate(tree, ring: PolyRing) -> RatFunc:
             raise ParseError("division by zero", tree.offset)
         return left / right
     raise TypeError(f"not an expression node: {tree!r}")
-
-
-def reference_relation_vanishes(relation: Poly, p: Poly, q: Poly, pair) -> bool:
-    """relation(p/q, g) = 0 by substituting reduced p/q and g = value_at."""
-    return subst(relation, [RatFunc(p, q), pair.value_at(p, q)], p.ring).is_zero()
 
 
 def lagrange_derivative_at_zero(values, nodes):

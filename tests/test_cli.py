@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import pathlib
@@ -9,7 +10,7 @@ import pytest
 from conftest import time_limit
 from ratmaps import expressions
 from ratmaps.cli import main
-from ratmaps.expressions import MAX_NESTING, MAX_POWER_TERMS, MAX_VARIABLES
+from ratmaps.expressions import MAX_NESTING, MAX_POWER_BITS, MAX_POWER_TERMS, MAX_VARIABLES
 
 
 def run_cli(capsys, *argv):
@@ -96,6 +97,20 @@ def test_variables_beyond_the_cap_exit_2(capsys, monkeypatch):
         assert err.startswith(f"parse error: more than {MAX_VARIABLES} variables ("), err
         assert err.count("\n") == 1, err
     assert max(sizes) == MAX_VARIABLES
+
+
+def test_power_coefficients_beyond_the_cap_exit_2(capsys):
+    # a power asks for n times log2 of its base's coefficients, over QQ at
+    # most MAX_POWER_BITS: beyond, a parse error at its '^' (the first hung,
+    # the second printed a traceback); 3^8000 (12,680 bits) stays within
+    for text in ("(2*x1)^99999999999", "x1 + 3^10000", "(x1/2)^99999999999"):
+        with time_limit(4):
+            code, out, err = run_cli(capsys, "gcd", text)
+        assert code == 2 and f"more than {MAX_POWER_BITS} bits" in err, (text, err)
+        assert f"offset {text.index('^')}" in err, (text, err)
+    with time_limit(4):
+        code, data, _ = run_json(capsys, "gcd", "x1 + 3^8000")
+    assert code == 0 and data["gcd"] == f"x1 + {3**8000}"
 
 
 def test_bad_variable_name_reported_at_the_name(capsys):
@@ -684,3 +699,20 @@ def test_library_and_cli_load_only_the_standard_library():
     assert code == 0
     tops = {name.split(".")[0] for name in modules}
     assert tops - sys.stdlib_module_names - {"__main__", "ratmaps"} == set()
+
+
+def test_reference_algebra_imports_only_the_standard_library():
+    # tests/refalg.py is the independent side of the differential tests: it
+    # imports neither ratmaps nor bench, by name or at run time
+    tree = ast.parse(pathlib.Path(__file__).with_name("refalg.py").read_text())
+    tops, dynamic = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            tops |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            tops.add("." if node.level else node.module.split(".")[0])
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            if getattr(node, "id", getattr(node, "attr", None)) in ("__import__", "import_module"):
+                dynamic.append(node.lineno)
+    assert tops and not tops & {"ratmaps", "bench", "."}, tops
+    assert tops <= sys.stdlib_module_names and not dynamic, (tops, dynamic)

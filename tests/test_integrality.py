@@ -6,9 +6,8 @@ import pytest
 from conftest import (
     random_nonzero_poly,
     random_poly,
-    reference_cleared_at,
-    reference_pqtrans_rep,
     reference_relation_vanishes,
+    reference_substitute,
     seeded,
 )
 from ratmaps.errors import ConstantPart, ConstantRatio, DegenerateImage
@@ -249,7 +248,7 @@ def test_integral_over_kG_consistency_random():
         done += 1
 
 
-# -- cleared identities against the reduced-RatFunc paths ------------------
+# -- cleared identities against refalg ------------------------------------
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(32003)]
 
@@ -320,7 +319,7 @@ def test_constant_ratio_matches_reduced_fraction_random(field):
 @pytest.mark.parametrize("field", FIELDS)
 def test_power_tables_match_poly_product_references_random(field):
     # _cleared_at and pqtrans's shift and invert representations against
-    # Poly-product formulas, with f1 = 0, constant f and s = 0 among them
+    # refalg substitutions, with f1 = 0, constant f and s = 0 among them
     rng = seeded(93)
     yring = uni_ring(field)
     ring = PolyRing(field, ("x1", "x2"))
@@ -330,7 +329,7 @@ def test_power_tables_match_poly_product_references_random(field):
         f1 = yring.zero() if kind == 0 else random_poly(rng, yring, 3 * (kind > 1), 3)
         f2 = random_nonzero_poly(rng, yring, 3 * (kind != 1), 3)
         p, q = random_poly(rng, ring, 2, 3), random_nonzero_poly(rng, ring, 2, 3)
-        expected = reference_cleared_at(f1, f2, p, q)
+        expected = tuple(reference_substitute([f1, f2], [p], [q], None, ring))
         if expected[1].is_zero():
             with pytest.raises(ConstantRatio):
                 _cleared_at(f1, f2, p, q)
@@ -342,6 +341,12 @@ def test_power_tables_match_poly_product_references_random(field):
                 _, _, rep = pqtrans(p, q, (f1, f2), mode, eps=eps, theta=theta)
             except (DegenerateImage, ConstantRatio):
                 continue
-            assert rep == reference_pqtrans_rep(f1, f2, mode, eps, theta)
+            # f(y - eps), or (y - eps)^s f(1/(y - eps) + theta), s = max deg f
+            y_eps = yring.var(0) - yring.const(eps)
+            if mode == "shift":
+                images, dens = [y_eps], [None]
+            else:
+                images, dens = [yring.one() + y_eps.scale(theta)], [y_eps]
+            assert rep == tuple(reference_substitute([f1, f2], images, dens, None, yring))
             seen.add((mode, kind))
     assert len(seen) == 8

@@ -13,7 +13,7 @@ from conftest import (
     reference_field_rank,
     reference_field_solve,
     reference_independent_subset,
-    reference_poly_matrix_rank,
+    reference_rank,
     seeded,
 )
 from ratmaps import linalg, polyring
@@ -69,7 +69,7 @@ def test_poly_matrix_rank_matches_reference_random():
                 nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
                 rows = random_matrix(rng, ring, nrows, ncols)
                 rank = poly_matrix_rank(rows)
-                assert rank == reference_poly_matrix_rank(rows), (field, rows)
+                assert rank == reference_rank(rows), (field, rows)
                 seen.add(rank)
             assert {0, 1, 2, 3} <= seen, (field, n, seen)
 
@@ -83,7 +83,7 @@ def test_poly_matrix_rank_of_rank_deficient_products():
             u = [random_nonzero_poly(rng, ring, 2, 3) for _ in range(size)]
             v = [random_nonzero_poly(rng, ring, 2, 3) for _ in range(size)]
             rows = [[a * b for b in v] for a in u]
-            assert poly_matrix_rank(rows) == reference_poly_matrix_rank(rows) == 1
+            assert poly_matrix_rank(rows) == reference_rank(rows) == 1
     assert poly_matrix_rank([]) == 0 and poly_matrix_rank([[]]) == 0
 
 
@@ -243,7 +243,7 @@ def test_bareiss_entries_are_minors(field):
         rank, work = polyring.on_kernel(rows, eliminate)
         det = _determinant(rows)
         assert not det.is_zero()
-        assert rank == size == reference_poly_matrix_rank(rows)
+        assert rank == size == reference_rank(rows)
         assert work[-1][-1] in (det, -det)
         for k, row in enumerate(work):
             assert all(p.total_degree() <= (k + 1) * deg for p in row[k:]), (size, k)

@@ -5,22 +5,20 @@ from fractions import Fraction
 
 import pytest
 
+import refalg
 from conftest import (
-    _k_quotient_rule,
     certify_coprime_by_resultant,
     lagrange_derivative_at_zero,
     random_coprime_pair,
     random_nonzero_poly,
     random_poly,
     random_ratfunc,
-    reference_compose_poly,
-    reference_compose_poly_ratfunc,
     reference_divexact,
-    reference_eval_univar_at_ratio,
     reference_gcd2,
     reference_gcd_many,
     reference_k_divexact,
     reference_substitute,
+    same_ratio,
     seeded,
     time_limit,
 )
@@ -379,7 +377,7 @@ def test_subst_matches_cleared_route_random():
         assert via_subst == via_clearing
 
 
-# -- substitution on the kernel against the Poly references ---------------
+# -- substitution on the kernel against refalg ----------------------------
 
 SUBST_FIELDS = (QQ, PrimeField(2), PrimeField(3), PrimeField(32003))
 
@@ -426,7 +424,7 @@ def test_compose_poly_matches_reference_random():
             src, tgt = _subst_rings(rng, field)
             a = _subst_source(rng, src, i % 5)
             images = _subst_images(rng, tgt, src.nvars, i % 7)
-            expected = reference_compose_poly(a, images, tgt)
+            expected = reference_substitute([a], images, [None] * len(images), None, tgt)[0]
             assert compose_poly(a, images, tgt) == expected, (a, images)
 
 
@@ -446,8 +444,15 @@ def test_compose_poly_ratfunc_matches_reference_random():
                 else:
                     den = _frac_poly(rng, tgt, 2, 2)
                     images.append(RatFunc(num, den) if den.terms else num)
-            expected = reference_compose_poly_ratfunc(a, images, tgt)
-            assert compose_poly_ratfunc(a, images, tgt) == expected, (a, images)
+            # over the common denominator prod_i d_i^M_i, M_i = deg_i a
+            nums = [
+                img.num if isinstance(img, RatFunc) else tgt.const(img) if isinstance(img, int) else img
+                for img in images
+            ]
+            dens = [img.den if isinstance(img, RatFunc) else None for img in images]
+            maxes = [a.degree_in(j) for j in range(src.nvars)]
+            num, den = reference_substitute([a, src.one()], nums, dens, maxes, tgt)
+            assert same_ratio(compose_poly_ratfunc(a, images, tgt), num, den), (a, images)
 
 
 def test_eval_univar_at_ratio_matches_reference_random():
@@ -460,7 +465,7 @@ def test_eval_univar_at_ratio_matches_reference_random():
             p, q = _subst_images(rng, tgt, 2, i % 7)
             for k in (0, 1, 2):
                 s = int(max(f.total_degree(), 0)) + k
-                expected = reference_eval_univar_at_ratio(f, p, q, s)
+                expected = reference_substitute([f], [p], [q], [s], tgt)[0]
                 assert eval_univar_at_ratio(f, p, q, s) == expected, (f, p, q, s)
             if f.total_degree() > 0:
                 with pytest.raises(ValueError):
@@ -477,7 +482,7 @@ def _nonzero_frac_poly(rng, ring):
 
 
 def test_substitute_reads_its_clearing_powers_over_the_tuple():
-    """_substitute equals the kernel given maxes[i] = the highest exponent of
+    """_substitute equals refalg's given maxes[i] = the highest exponent of
     y_i over the whole tuple; the tuples mix zero, constant and nonconstant
     polys, and the dens are all None, all given or mixed."""
     rng = seeded(75)
@@ -559,7 +564,8 @@ def test_jacobian_row_is_the_quotient_rule(field):
                 kn, kd = packed[0]
                 grad_n, grad_d = _k_gradients([kn, kd], K)
                 row = _k_jacobian_rows(kd, grad_d, [kn], [grad_n], K)[0]
-                return row, _k_quotient_rule(kn, kd, K)
+                kn, kd = K.unpack(kn), K.unpack(kd)
+                return [K.unpack(t) for t in row], refalg.jacobian_rows(kd, [kn], n, K.mod)[0]
 
             row, expected = on_kernel([[num, den]], rows)
             assert row == expected, (num, den)
@@ -567,6 +573,20 @@ def test_jacobian_row_is_the_quotient_rule(field):
             if num.is_zero():
                 seen.add("zero num")
     assert seen == {"constant den", "den", "zero num"}, seen
+
+
+def test_gcd_checks_rings():
+    # polys from different rings: RingMismatch, where the gcd raised
+    # IndexError or KeyError and is_primitive answered True
+    r2, r3 = PolyRing(QQ, ("x1", "x2")), PolyRing(QQ, ("x1", "x2", "x3"))
+    (a1, a2), (_, b2, b3) = (r2.var(i) for i in range(2)), (r3.var(i) for i in range(3))
+    for polys in ([a1 * a2 + r2.one(), b2 * b3], [a1 * a2, r3.var(0) * b2], [a1, r3.zero()]):
+        with pytest.raises(RingMismatch):
+            gcd_many(polys)
+    with pytest.raises(RingMismatch):
+        is_primitive([a1 + r2.one(), b2])
+    with pytest.raises(RingMismatch):
+        poly_lcm(a1 + r2.one(), b2)
 
 
 def test_substitution_checks_rings_and_fields():
@@ -859,7 +879,6 @@ def test_kernel_widens_and_reruns(monkeypatch):
         assert w1 == w0 + 1
         mod = field.characteristic
         pair = [polyring._k_normal(t, mod) for t in polyring._k_ints([ah, bh])[1]]
-        # the reference divides exactly on the kernel: outside the window
         assert reference_gcd2(ah, bh) == h
         for name in ("_modular_gcd", "_prs_gcd"):
             widths.clear()

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from conftest import (
     seeded,
     time_limit,
 )
-from ratmaps import homog, polyring, subfield
+from ratmaps import cli, homog, polyring, subfield
 from ratmaps.errors import (
     AssertionFailure,
     BothConstant,
@@ -710,6 +711,49 @@ def test_hmgrk2_verify_substitutes_h_once(monkeypatch):
     assert item.detail == "deg 2, low deg 2"
     # through degree_formula, h would be substituted and its gcd taken again: 2 and 4
     assert counts == {"_substitute": 1, "gcd_many": 3}
+
+
+# -- the internal alarms fire on a wrong but well-typed value -----------------
+
+
+def test_gcd_subst_homog_alarm_fires_on_a_wrong_gcd_of_the_images(monkeypatch, capsys):
+    # gcd(h) as it is, but the gcd of the images h_i(p, q) comes back as 1:
+    # gcd(h)(p, q) = x1 + 1 disagrees, an internal alarm, exit 3 on the CLI
+    real = subfield.gcd_many
+
+    def wrong(polys):
+        return real(polys) if "y1" in polys[0].ring.names else polys[0].ring.one()
+
+    monkeypatch.setattr(subfield, "gcd_many", wrong)
+    with pytest.raises(AssertionFailure, match="gcd does not commute with substitution"):
+        gcd_subst_homog((Y1**2, Y1 * Y2), X1 + R2.one(), X1**2)
+    assert cli.main(["gcd-subst", "--mode", "homog", "(y1^2, y1*y2)", "x1+1", "x1^2"]) == 3
+    assert "gcd does not commute with substitution" in capsys.readouterr().err
+
+
+def _substitute_times(monkeypatch, module, factor):
+    """module's _substitute with every result multiplied by factor."""
+    real = module._substitute
+    monkeypatch.setattr(module, "_substitute", lambda *args: [t * factor for t in real(*args)])
+
+
+@pytest.mark.parametrize(
+    "factor, message",
+    [(R2.zero(), r"h\(p, q\) vanished"), (X1, r"degree formula mismatch: expected \(2, 2\)")],
+)
+def test_degree_check_alarms_fire(monkeypatch, factor, message):
+    # the images h(p, q) come back all zero, or times x1: degree_formula
+    # raises, and hmgrk2_verify, whose H is built from the same images so
+    # that its identity holds, reports the failed degree formulas
+    h = HomogTuple((Y1**2, Y1 * Y2, Y2**2), 2)
+    _substitute_times(monkeypatch, homog, factor)
+    with pytest.raises(AssertionFailure, match=message):
+        homog.degree_formula(h, X1, X2)
+    _substitute_times(monkeypatch, subfield, factor)
+    h_map = RatMap.from_polys([t * factor for t in (X1**2, X1 * X2, X2**2)])
+    report = hmgrk2_verify(h_map, LurothWitness(RatFunc.from_poly(R2.one()), h, X1, X2))
+    item = next(i for i in report.items if i.name == "degree formulas")
+    assert item.status == "fail" and re.match(message, item.detail), item
 
 
 def test_tuple_is_homogeneous_reads_one_degree_set():
