@@ -4,6 +4,9 @@ Exit codes: 0 when the decision was computed (whatever the verdict),
 1 for a precondition violation, 2 for a parse error, 3 for an internal
 assertion, meaning a theorem-backed identity failed and the result cannot
 be trusted.
+
+Handlers return library values and records as they are; main renders the
+payload once, through records.plain, before the text or JSON output.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .polyring import (
     jacobian,
     primitive_part,
 )
+from .records import plain
 
 
 def _field_from_flag(text: str):
@@ -58,9 +62,9 @@ def _exprs(args, expected=None):
     return texts
 
 
-def _x_context(args, texts, minimum=1):
+def _x_context(args, texts):
     trees = [parse(t) for t in texts]
-    return trees, x_ring_for(trees, args.field, minimum)
+    return trees, x_ring_for(trees, args.field)
 
 
 def _x_polys(args, texts) -> list:
@@ -109,16 +113,16 @@ def cmd_gcd(args):
     polys = []
     for t in trees:
         polys.extend(elaborate_poly_tuple(t, ring))
-    return {"gcd": str(gcd_many(polys))}
+    return {"gcd": gcd_many(polys)}
 
 
 def cmd_primpart(args):
     g, core = primitive_part(_x_map(args))
-    return {"g": str(g), "core": [str(c) for c in core]}
+    return {"g": g, "core": core}
 
 
 def cmd_jacobian(args):
-    return {"jacobian": [[str(e) for e in row] for row in jacobian(_x_map(args))]}
+    return {"jacobian": jacobian(_x_map(args))}
 
 
 def cmd_homogenize(args):
@@ -128,7 +132,7 @@ def cmd_homogenize(args):
     s = args.s if args.s is not None else (max(degs) if degs else 0)
     f = homog.UniTuple(polys, s)
     h = homog.homogenize(f)
-    return {"h": [str(p) for p in h.polys], "s": h.degree}
+    return {"h": h.polys, "s": h.degree}
 
 
 def _homog_tuple(text: str, args, what: str) -> homog.HomogTuple:
@@ -143,14 +147,14 @@ def _homog_tuple(text: str, args, what: str) -> homog.HomogTuple:
 
 def cmd_dehomogenize(args):
     f = homog.dehomogenize(_homog_tuple(_exprs(args, 1)[0], args, "components"))
-    return {"f": [str(p) for p in f.polys], "bound": f.bound}
+    return {"f": f.polys, "bound": f.bound}
 
 
 def cmd_divisor_transport(args):
     ring = (homog.bi_ring if args.inverse else homog.uni_ring)(args.field)
     g = elaborate_poly(parse(_exprs(args, 1)[0]), ring)
     transport = homog.divisor_transport_inverse if args.inverse else homog.divisor_transport
-    return {"result": str(transport(g))}
+    return {"result": transport(g)}
 
 
 def cmd_trdeg(args):
@@ -168,12 +172,12 @@ def cmd_gcd_subst(args):
             raise ParseError("gcd-subst uni expects FTUPLE and P", 0)
         fs = elaborate_poly_tuple(parse(texts[0]), homog.uni_ring(args.field))
         (p,) = _x_polys(args, texts[1:])
-        return {"gcd_substituted": str(subfield.gcd_subst_uni(fs, p))}
+        return {"gcd_substituted": subfield.gcd_subst_uni(fs, p)}
     if len(texts) != 3:
         raise ParseError("gcd-subst homog expects HTUPLE, P and Q", 0)
     hs = elaborate_poly_tuple(parse(texts[0]), homog.bi_ring(args.field))
     p, q = _x_polys(args, texts[1:])
-    return {"gcd_substituted": str(subfield.gcd_subst_homog(hs, p, q))}
+    return {"gcd_substituted": subfield.gcd_subst_homog(hs, p, q)}
 
 
 def cmd_mobius_equiv(args):
@@ -181,7 +185,7 @@ def cmd_mobius_equiv(args):
     t = subfield.mobius_equiv(p, q, ps, qs)
     if t is None:
         return {"equivalent": False, "matrix": None}
-    return {"equivalent": True, "matrix": [[str(t.t11), str(t.t12)], [str(t.t21), str(t.t22)]]}
+    return {"equivalent": True, "matrix": [[t.t11, t.t12], [t.t21, t.t22]]}
 
 
 def cmd_unit_combo(args):
@@ -189,12 +193,12 @@ def cmd_unit_combo(args):
     combo = subfield.unit_combination(p, q)
     if combo is None:
         return {"exists": False}
-    return {"exists": True, "lambda": str(combo[0]), "mu": str(combo[1])}
+    return {"exists": True, "lambda": combo[0], "mu": combo[1]}
 
 
 def cmd_enother(args):
     p, q = _x_polys(args, _exprs(args, 2))
-    return subfield.enother_chain(p, q).to_dict()
+    return subfield.enother_chain(p, q)
 
 
 def cmd_member_kp(args):
@@ -202,7 +206,7 @@ def cmd_member_kp(args):
     f = subfield.member_Kp(r, p)
     if f is None:
         return {"member": False}
-    return {"member": True, "witness": str(f)}
+    return {"member": True, "witness": f}
 
 
 def cmd_member_kpq(args):
@@ -212,7 +216,7 @@ def cmd_member_kpq(args):
     out = subfield.member_Kpq(r, p, q, args.bound)
     if out is None:
         return {"found": False, "bound": args.bound}
-    return {"found": True, "f1": str(out[0]), "f2": str(out[1]), "bound": args.bound}
+    return {"found": True, "f1": out[0], "f2": out[1], "bound": args.bound}
 
 
 def cmd_luroth_gen(args):
@@ -220,7 +224,7 @@ def cmd_luroth_gen(args):
     ring = PolyRing(args.field, ("x1",))
     rs = [elaborate(parse(t), ring) for t in texts]
     p, q = subfield.luroth_generator_1var(rs)
-    return {"p": str(p), "q": str(q)}
+    return {"p": p, "q": q}
 
 
 def _load_witness_file(path):
@@ -258,7 +262,7 @@ def cmd_hmgrk2_verify(args):
     p, q = elaborate_poly(xtrees[1], ring), elaborate_poly(xtrees[2], ring)
     g = elaborate(xtrees[3], ring)
     w = subfield.LurothWitness(g, _witness_h(data, args), p, q)
-    return subfield.hmgrk2_verify(h_map, w).to_dict()
+    return subfield.hmgrk2_verify(h_map, w)
 
 
 def cmd_valuation(args):
@@ -275,8 +279,7 @@ def cmd_valuation(args):
 def cmd_integral(args):
     p, q = _x_polys(args, _exprs(args, 2))
     g = _reduced_pair(args.g, args)
-    res = integrality.integral_over_Kg(p, q, g)
-    return res.to_dict()
+    return integrality.integral_over_Kg(p, q, g)
 
 
 def cmd_integral_set(args):
@@ -292,7 +295,7 @@ def cmd_regen_integral(args):
     out = integrality.regenerate_integral(p, q, g)
     if out is None:
         return {"found": False}
-    return {"found": True, "pstar": str(out[0]), "qstar": str(out[1])}
+    return {"found": True, "pstar": out[0], "qstar": out[1]}
 
 
 def cmd_pqtrans(args):
@@ -301,7 +304,7 @@ def cmd_pqtrans(args):
     eps = parse_scalar(args.eps, args.field) if args.eps is not None else None
     theta = parse_scalar(args.theta, args.field) if args.theta is not None else None
     ps, qs, gs = integrality.pqtrans(p, q, g, args.mode, eps=eps, theta=theta)
-    return {"pstar": str(ps), "qstar": str(qs), "f1star": str(gs.f1), "f2star": str(gs.f2)}
+    return {"pstar": ps, "qstar": qs, "f1star": gs.f1, "f2star": gs.f2}
 
 
 def cmd_qt_check(args):
@@ -333,7 +336,7 @@ def cmd_gn_classify(args):
             yring = homog.uni_ring(args.field)
             f_tuple = elaborate_poly_tuple(parse(_witness_text(entry, "f")), yring)
         witnesses.append(gn.GNWitness(kind, g, p, q, h=h_tuple, f=f_tuple))
-    return gn.gn_classify(h, witnesses).to_dict()
+    return gn.gn_classify(h, witnesses)
 
 
 def cmd_translation_check(args):
@@ -354,7 +357,7 @@ def cmd_bivariate_core(args):
 
 def cmd_span_bound(args):
     h = _square_map(args, _exprs(args, 1)[0])
-    return gn.constant_span_bound(h).to_dict()
+    return gn.constant_span_bound(h)
 
 
 # -- wiring -------------------------------------------------------------------
@@ -481,7 +484,7 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
     envelope = {"command": args.command, "field": _field_str(args.field)}
-    envelope.update(payload)
+    envelope.update(plain(payload))
     if args.json:
         print(json.dumps(envelope, indent=2))
     else:

@@ -14,7 +14,9 @@ argument.  Parentheses nest at most MAX_NESTING deep; a deeper '(' is a
 parse error at its offset, and so is a number or exponent literal longer
 than int() converts, at its own, and a power that may have more than
 MAX_POWER_TERMS terms (C(n + t - 1, n) for t terms to the n), or over QQ
-coefficients of more than MAX_POWER_BITS bits, at its '^'.
+coefficients of more than MAX_POWER_BITS bits, at its '^'; so is, at its
+operator, a product or an operation on a quotient (built from products of
+the parts) that may have such coefficients.
 An x ring has at most MAX_VARIABLES variables: a name x<k> past the cap is
 a parse error at its first offset, a square tuple padded past it one at its
 '(', and a name not of the form x<k> is one at the name's first offset.
@@ -61,9 +63,11 @@ MAX_VARIABLES = 1000
 # k <= n, each of at most as many; (x1 + x2 + 1)^3000 asks for 4.5 million.
 # C(t + n - 1, n) passes the cap if n does, so n is cut to it first
 MAX_POWER_TERMS = 1000
-# the most bits a coefficient of a power may ask for over QQ, below the
-# 4,300 decimal digits (14,284 bits) that str() of an int converts: v^n asks
-# for n * _bits(v), exactly n log2 |c| for one term c x^e with c an integer
+# the most bits a coefficient of a power or a product may ask for over QQ,
+# below the 4,300 decimal digits (14,284 bits) that str() of an int
+# converts: v^n asks for n * _bits(v), exactly n log2 |c| for one term c x^e
+# with c an integer, and v * w for _bits(v) + _bits(w); a quotient counts
+# the larger of its numerator and denominator
 MAX_POWER_BITS = 14000
 
 
@@ -226,10 +230,8 @@ def elaborate(tree: Expr, ring: PolyRing) -> RatFunc:
             for t in map(len, parts):
                 if min(t, n) > 1 and comb(t + n - 1, n) > MAX_POWER_TERMS:
                     raise ParseError(f"power of more than {MAX_POWER_TERMS} terms", offset)
-            if not mod and arg * max(map(_bits, parts)) > MAX_POWER_BITS:
-                raise ParseError(
-                    f"power with coefficients of more than {MAX_POWER_BITS} bits", offset
-                )
+            if not mod:
+                _cap_bits(arg * _size(v), "power", offset)
             stack[-1] = v**arg if type(v) is RatFunc else _power(v, arg, zero, mod)
         elif code == "u":
             v = stack[-1]
@@ -239,6 +241,8 @@ def elaborate(tree: Expr, ring: PolyRing) -> RatFunc:
         else:
             w = stack.pop()
             v = stack[-1]
+            if not mod and (code == "*" or RatFunc in (type(v), type(w))):
+                _cap_bits(_size(v) + _size(w), repr(code), offset)
             if code == "/":
                 if not w or (type(w) is RatFunc and w.is_zero()):
                     raise ParseError("division by zero", offset)
@@ -273,8 +277,19 @@ def _bits(terms: dict) -> float:
     Fractions with lcm L of their denominators: v = w / L with w integral,
     so every coefficient of v^n has a numerator of at most |w|_1^n and a
     denominator dividing L^n."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return log2(max(den, int(sum(abs(c * den) for c in terms.values()))))
+    total = sum(map(abs, terms.values()))  # an int when every c is one
+    den = 1 if type(total) is int else lcm(*(c.denominator for c in terms.values()))
+    return log2(max(den, int(total * den)))
+
+
+def _cap_bits(bits: float, what: str, offset: int):
+    if bits > MAX_POWER_BITS:
+        raise ParseError(f"{what} with coefficients of more than {MAX_POWER_BITS} bits", offset)
+
+
+def _size(v) -> float:
+    """_bits of a dict, or the larger _bits of a quotient's two parts."""
+    return max(_bits(v.num.terms), _bits(v.den.terms)) if type(v) is RatFunc else _bits(v)
 
 
 def _mul(a: dict, b: dict, mod: int) -> dict:

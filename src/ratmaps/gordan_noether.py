@@ -321,15 +321,8 @@ class GNReport(Record):
     char_zero_remark: object = None
 
     def to_dict(self):
-        return {
-            "qt_condition": self.qt,
-            "bivariate_core_check": self.core_bivariate,
-            "jh_dot_h_zero": self.classical_zero,
-            "trdeg_tH": self.trdeg_tH,
-            "core": [str(c) for c in self.core],
-            "witnesses": [w.to_dict() for w in self.witnesses],
-            "char_zero_remark": self.char_zero_remark,
-        }
+        keys = ("qt_condition", "bivariate_core_check", "jh_dot_h_zero", *self._fields[3:])
+        return dict(zip(keys, super().to_dict().values()))
 
 
 def gn_classify(h_map: RatMap, witnesses=()) -> GNReport:
@@ -427,15 +420,6 @@ class SpanBoundReport(Record):
     rank_core: int
     bound: int
     bound_satisfied: bool
-
-    def to_dict(self):
-        return {
-            "spanning_vectors": [[str(c) for c in v] for v in self.spanning_vectors],
-            "span_dim": self.span_dim,
-            "rank_core": self.rank_core,
-            "bound": self.bound,
-            "bound_satisfied": self.bound_satisfied,
-        }
 
 
 def constant_span_bound(h_map: RatMap) -> SpanBoundReport:

@@ -168,12 +168,6 @@ class IntegralityResult(Record):
     integral: bool
     relation: Poly = None  # monic in Y over K[g], when integral
 
-    def to_dict(self):
-        return {
-            "integral": self.integral,
-            "relation": None if self.relation is None else str(self.relation),
-        }
-
 
 def relation_ring(field) -> PolyRing:
     return PolyRing(field, ("Y", "g"))

@@ -6,6 +6,10 @@ default is copied for each instance.  Importing ``dataclasses`` pulls in
 ``inspect`` (with ``ast``, ``dis`` and ``tokenize``) and compiles methods
 for every class: about 0.6 MB of resident memory for one import of this
 package, 2 MB for five (bench/run.py's set-up).
+
+plain is the one rule by which a result becomes output, for to_dict and
+the command line alike: a record that holds library values (a GNWitness,
+a Mobius) gives their text, and a record inside it its dict.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 class Record:
     """Positional-or-keyword __init__ (then __post_init__, when defined),
     field-wise == and the dataclass repr; unhashable, as a mutable
-    dataclass is.  to_dict maps each field to its value."""
+    dataclass is.  to_dict maps each field to plain of its value."""
 
     _fields = ()
     _post_init = False
@@ -60,7 +64,7 @@ class Record:
         return self._values() == other._values()
 
     def to_dict(self) -> dict:
-        return dict(zip(self._fields, self._values()))
+        return {n: plain(getattr(self, n)) for n in self._fields}
 
     def __repr__(self):
         inner = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
@@ -79,3 +83,19 @@ class FrozenRecord(Record):
 
     def __hash__(self):
         return hash(self._values())
+
+
+def plain(value):
+    """value as JSON data: a Record as its to_dict, a list or tuple as a
+    list and a dict by its keys, each entry plain; None, bools, numbers and
+    strings unchanged, and anything else (Poly, RatFunc, Fraction, Fp) as
+    its str."""
+    if value is None or isinstance(value, (int, float, str)):
+        return value
+    if isinstance(value, Record):
+        return value.to_dict()
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    return str(value)

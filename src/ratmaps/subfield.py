@@ -138,14 +138,11 @@ def trdeg_rank(h: RatMap, with_t: bool = False) -> int:
     clearing row k over QQ), and the rank over K(x) equals the rank over
     K(x, t).
     """
-    ring = h.ring
-    if ring.field.characteristic != 0:
+    if h.ring.field.characteristic != 0:
         raise CharPUnsupported(
             "Jacobian rank equals trdeg only in characteristic zero; "
             "use the bounded dependence search instead"
         )
-    if with_t and "t" in ring.names:
-        raise ValueError("the ring already contains a variable named t")
 
     def rank(K, packed):
         rows = []
@@ -168,14 +165,6 @@ class DependenceSearch(Record):
     certified: bool
     relations: list
     note: str
-
-    def to_dict(self):
-        return {
-            "value": self.value,
-            "certified": self.certified,
-            "relations": [str(r) for r in self.relations],
-            "note": self.note,
-        }
 
 
 def trdeg_bounded_dependence(
@@ -338,18 +327,10 @@ class EnotherChain(Record):
     q_membership: Poly = None
 
     def to_dict(self):
-        d = {
-            "has_unit_combo": self.has_unit_combo,
-            "contains_nonconstant_poly": self.contains_nonconstant_poly,
-            "field_equals_Kpq": self.field_equals_Kpq,
-        }
-        if self.has_unit_combo:
-            d["lambda"] = str(self.lam)
-            d["mu"] = str(self.mu)
-            d["generator"] = str(self.generator)
-            d["p_as_poly_in_generator"] = str(self.p_membership)
-            d["q_as_poly_in_generator"] = str(self.q_membership)
-        return d
+        # the three verdicts, then the unit combination's data when it exists
+        data = ("lambda", "mu", "generator", "p_as_poly_in_generator", "q_as_poly_in_generator")
+        keys = self._fields[:3] + (data if self.has_unit_combo else ())
+        return dict(zip(keys, super().to_dict().values()))
 
 
 def enother_chain(p: Poly, q: Poly) -> EnotherChain:
@@ -546,12 +527,8 @@ class Hmgrk2Report(Record):
         return all(item.status != "fail" for item in self.items)
 
     def to_dict(self):
-        return {
-            "checks": [item.to_dict() for item in self.items],
-            "trdeg_tH": self.trdeg_tH,
-            "all_ok": self.all_ok(),
-            "note": self.note,
-        }
+        items, trdeg, note = super().to_dict().values()
+        return {"checks": items, "trdeg_tH": trdeg, "all_ok": self.all_ok(), "note": note}
 
 
 def hmgrk2_verify(h_map: RatMap, w: LurothWitness) -> Hmgrk2Report:

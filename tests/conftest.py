@@ -676,29 +676,31 @@ def reference_verify_witness(h_map, w):
     return True, ""
 
 
-def reference_flem_conclude(fs, p, q, mode: str) -> bool:
-    """flem_conclude's hypothesis for valid inputs: with J(p/q) = G / q^2,
+def reference_flem_conclude(fs, p, q, mode: str):
+    """(hypothesis, values): flem_conclude's hypothesis for valid inputs,
+    and the substituted values it is read from.  With J(p/q) = G / q^2,
     G = q grad p - p grad q, and f(p/q) = F / q^s, mode i asks G . F = 0
-    and G . F' = 0 (F' from f'), mode ii G . F = 0 and grad q . F = 0."""
+    and G . F' = 0 (F' from f'), mode ii G . F = 0 and grad q . F = 0;
+    values is F, then F' in mode i, as refalg dicts."""
     mod, n = _mod(p.ring), p.ring.nvars
     pt, qt, ts = plain(p), plain(q), [plain(f) for f in fs]
     s = _maxes(ts, 1)
-
-    def at(gs):
-        return [refalg.substitute(t, [pt], [qt], s, n, mod) for t in gs]
-
-    G, F = refalg.jacobian_rows(qt, [pt], n, mod)[0], at(ts)
+    ders = [refalg.derivative(t, 0, mod) for t in ts] if mode == "i" else []
+    values = [refalg.substitute(t, [pt], [qt], s, n, mod) for t in ts + ders]
+    G, F = refalg.jacobian_rows(qt, [pt], n, mod)[0], values[: len(ts)]
     if mode == "i":
-        second = refalg.dot(G, at([refalg.derivative(t, 0, mod) for t in ts]), mod)
+        second = refalg.dot(G, values[len(ts) :], mod)
     else:
         second = refalg.dot([refalg.derivative(qt, j, mod) for j in range(n)], F, mod)
-    return not refalg.dot(G, F, mod) and not second
+    return not refalg.dot(G, F, mod) and not second, values
 
 
-def reference_translation_invariance(h) -> bool:
-    """H(x + tH) = H in K(x)(t): in K[x, t], x_i + t H_i = (x_i D_i +
-    t N_i) / D_i for H_i = N_i / D_i, H_k composes to A / B over one power
-    of the D_i, and the identity is A D_k = B N_k."""
+def reference_translation_invariance(h):
+    """(verdict, composed) for H(x + tH) = H in K(x)(t): in K[x, t],
+    x_i + t H_i = (x_i D_i + t N_i) / D_i for H_i = N_i / D_i, H_k
+    composes to A / B over one power of the D_i, and the identity is
+    A D_k = B N_k.  composed lists (A, B) of each component up to the
+    first that fails, as refalg dicts."""
     mod, n = _mod(h.ring), h.ring.nvars
     nums = [{e + (0,): c for e, c in plain(f.num).items()} for f in h.comps]
     dens = [{e + (0,): c for e, c in plain(f.den).items()} for f in h.comps]
@@ -707,13 +709,15 @@ def reference_translation_invariance(h) -> bool:
                    refalg.mul({(0,) * n + (1,): 1}, nums[i], mod), mod)
         for i in range(n)
     ]
+    composed = []
     for k, f in enumerate(h.comps):
         num, den = plain(f.num), plain(f.den)
         maxes = _maxes([num, den], n)
         a, b = (refalg.substitute(t, images, dens, maxes, n + 1, mod) for t in (num, den))
+        composed.append([a, b])
         if refalg.mul(a, dens[k], mod) != refalg.mul(b, nums[k], mod):
-            return False
-    return True
+            return False, composed
+    return True, composed
 
 
 def reference_relation_vanishes(relation, p, q, pair) -> bool:

@@ -113,6 +113,31 @@ def test_power_coefficients_beyond_the_cap_exit_2(capsys):
     assert code == 0 and data["gcd"] == f"x1 + {3**8000}"
 
 
+def test_product_coefficients_beyond_the_cap_exit_2(capsys):
+    # v * w asks for the bits of v plus those of w, and an operation on a
+    # quotient for those of the larger parts: beyond MAX_POWER_BITS over QQ,
+    # a parse error at the operator (each printed a traceback of str() past
+    # 4,300 digits); 3^4000*3^4000 (12,680 bits) stays within
+    four = "*".join(["(x1 + 3^4000)"] * 4)
+    for text, at in (
+        ("x1 + 3^8000*3^8000", 11),
+        (four, four.index("*", 14)),  # the square passes, its product by a third fails
+        ("(x1 + 3^8000)/(1/(x2 + 3^8000))", 13),
+    ):
+        with time_limit(4):
+            code, out, err = run_cli(capsys, "gcd", text)
+        assert (code, out) == (2, ""), (text, err)
+        assert err == (
+            f"parse error: {text[at]!r} with coefficients of more than "
+            f"{MAX_POWER_BITS} bits (at offset {at})\n"
+        ), (text, err)
+    code, data, _ = run_json(capsys, "gcd", "x1 + 3^4000*3^4000")
+    assert code == 0 and data["gcd"] == f"x1 + {3**8000}"
+    # residues do not grow: no cap over GF(p)
+    code, data, _ = run_json(capsys, "gcd", "x1 + 3^8000*3^8000", "--field", "fp:7")
+    assert code == 0 and data["gcd"] == f"x1 + {3**16000 % 7}"
+
+
 def test_bad_variable_name_reported_at_the_name(capsys):
     for argv, name, offset in (
         (("gcd", "--", "x1 + y", "x1"), "y", 5),

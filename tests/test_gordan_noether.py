@@ -7,6 +7,7 @@ import time
 
 import refalg
 from conftest import (
+    plain,
     poly_jacobian,
     random_cond45_case,
     random_homog_poly,
@@ -617,21 +618,40 @@ def test_bivariate_core_check_matches_doubled_ring_random(field):
     assert seen == {True, False}
 
 
+def _substituted(monkeypatch):
+    """The list that receives the results of each _substitute call made in
+    gordan_noether from now on, as refalg dicts: the verdicts alone may
+    stay right on wrong values (f orthogonal to grad w whatever the powers
+    of q, two quotients built alike)."""
+    calls, real = [], gordan_noether._substitute
+
+    def recording(*args):
+        out = real(*args)
+        calls.append([plain(t) for t in out])
+        return out
+
+    monkeypatch.setattr(gordan_noether, "_substitute", recording)
+    return calls
+
+
 @pytest.mark.parametrize("field", FIELDS)
-def test_translation_invariance_matches_ratfunc_path_random(field):
+def test_translation_invariance_matches_ratfunc_path_random(field, monkeypatch):
     # in three variables the numerators of the random maps only (a reference
     # on reduced fractions took minutes on some 3-variable maps with unequal
-    # denominators, such as ((x1 x3 + x2^2)/(x1^2 + x3^2), (5/2 - x3)/x1^2, 0))
+    # denominators, such as ((x1 x3 + x2^2)/(x1^2 + x3^2), (5/2 - x3)/x1^2, 0));
+    # each component's composed (A, B) is refalg's too
     rng = seeded(83)
     seen = set()
+    calls = _substituted(monkeypatch)
     for n in (2, 3):
         ring = _ring(field, n)
         for _ in range(25):
             h = random_square_map(rng, ring)
             if n == 3:
                 h = RatMap.from_polys([c.num for c in h])
+            calls.clear()
             verdict = translation_invariance(h)
-            assert verdict == reference_translation_invariance(h), h
+            assert (verdict, calls) == reference_translation_invariance(h), h
             seen.add(verdict)
     assert seen == {True, False}
 
@@ -676,18 +696,23 @@ def _flem_case(rng, ring, fdeg, pdeg):
 
 
 @pytest.mark.parametrize("field", FIELDS)
-def test_flem_conclude_matches_ratfunc_path_random(field):
+def test_flem_conclude_matches_ratfunc_path_random(field, monkeypatch):
     # linear p and q in three variables (a reference on reduced fractions
-    # took seconds to minutes with quadratic ones)
+    # took seconds to minutes with quadratic ones); F and F' at p/q are
+    # refalg's too, and an all-zero f substitutes nothing
     rng = seeded(84)
     seen = set()
+    calls = _substituted(monkeypatch)
     for n, fdeg, pdeg in ((2, 3, 2), (3, 2, 1)):
         ring = _ring(field, n)
         for _ in range(25):
             fs, p, q = _flem_case(rng, ring, fdeg, pdeg)
             for mode in ("i", "ii"):
+                calls.clear()
                 verdict = flem_conclude(fs, p, q, mode)
-                assert verdict == reference_flem_conclude(fs, p, q, mode), (fs, p, q, mode)
+                expected, values = reference_flem_conclude(fs, p, q, mode)
+                assert verdict == expected, (fs, p, q, mode)
+                assert calls == ([values] if any(f.terms for f in fs) else []), (fs, p, q, mode)
                 seen.add(verdict)
     assert seen == {True, False}
 
@@ -1349,3 +1374,24 @@ def test_verify_witness_reruns_whole_when_the_substitution_outgrows(field, monke
         monkeypatch.undo()
         assert verdict == reference_verify_witness(h, w)
         assert verdict == (False, f"H = g*f(p/q) fails at component {k}")
+
+
+# -- the internal alarms fire on a wrong but well-typed value -----------------
+
+
+def test_gquasi_invariance_alarm_fires_when_scaling_changes_the_verdict(monkeypatch):
+    # qt_condition answers as it should for H and the opposite for gH
+    h = RatMap.from_polys([R3.zero(), R3.zero(), A1 * A2])
+    real = gordan_noether.qt_condition
+    monkeypatch.setattr(gordan_noether, "qt_condition", lambda m: real(m) == (m is h))
+    with pytest.raises(AssertionFailure, match="scaling by g changed the quasi-translation"):
+        gquasi_invariance(h, RatFunc.from_poly(A1))
+
+
+def test_flem_conclude_alarm_fires_when_the_conclusion_fails(monkeypatch):
+    # grad(x1/x2) . (0, 0, f3) = 0 in both modes, so the hypothesis holds
+    fs = (YR.zero(), YR.zero(), Y**2)
+    monkeypatch.setattr(gordan_noether, "_annihilates", lambda *args: False)
+    for mode in ("i", "ii"):
+        with pytest.raises(AssertionFailure, match="hypothesis held but Jp . f = Jq . f = 0"):
+            flem_conclude(fs, A1, A2, mode)

@@ -10,10 +10,12 @@ from conftest import (
     reference_substitute,
     seeded,
 )
-from ratmaps.errors import ConstantPart, ConstantRatio, DegenerateImage
+from ratmaps import cli, integrality
+from ratmaps.errors import AssertionFailure, ConstantPart, ConstantRatio, DegenerateImage
 from ratmaps.fields import PrimeField, QQ
 from ratmaps.homog import uni_ring
 from ratmaps.integrality import (
+    IntegralityResult,
     ProjPoint,
     ReducedPair,
     _cleared_at,
@@ -350,3 +352,46 @@ def test_power_tables_match_poly_product_references_random(field):
             assert rep == tuple(reference_substitute([f1, f2], images, dens, None, yring))
             seen.add((mode, kind))
     assert len(seen) == 8
+
+
+# -- the internal alarms fire on a wrong but well-typed value -----------------
+# each on the library call and on its README example, exit 3 on the CLI
+
+
+def _alarm_fires(capsys, call, argv, message):
+    with pytest.raises(AssertionFailure, match=message):
+        call()
+    assert cli.main(argv) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_integral_over_kg_alarm_fires_when_the_relation_does_not_vanish(monkeypatch, capsys):
+    monkeypatch.setattr(integrality, "_vanishes_at", lambda *args: False)
+    _alarm_fires(
+        capsys,
+        lambda: integral_over_Kg(X1, X2, ReducedPair(Y**3, Y + ONE)),
+        ["integral", "x1", "x2", "--g", "y1^3;y1+1"],
+        "monic integral relation failed to vanish at p/q",
+    )
+
+
+def test_pqtrans_alarm_fires_when_the_function_changes(monkeypatch, capsys):
+    monkeypatch.setattr(integrality, "cross_equal", lambda *args: False)
+    _alarm_fires(
+        capsys,
+        lambda: pqtrans(U, R1.one(), ReducedPair(ONE, (Y - ONE) ** 2), "invert", theta=Fraction(1)),
+        ["pqtrans", "x1", "1", "--g", "1;(y1-1)^2", "--mode", "invert", "--theta", "1"],
+        "transformed representation changed the function",
+    )
+
+
+def test_regenerate_integral_alarm_fires_when_the_inverted_generator_is_not_integral(
+    monkeypatch, capsys
+):
+    monkeypatch.setattr(integrality, "integral_over_Kg", lambda *args: IntegralityResult(False))
+    _alarm_fires(
+        capsys,
+        lambda: regenerate_integral(U, R1.one(), ReducedPair(ONE, (Y - ONE) ** 2)),
+        ["regen-integral", "x1", "1", "--g", "1;(y1-1)^2"],
+        "inverted generator failed the integrality criterion",
+    )

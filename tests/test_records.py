@@ -1,8 +1,11 @@
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
-from ratmaps.records import FrozenRecord, Record
+from ratmaps.fields import PrimeField
+from ratmaps.polyring import PolyRing
+from ratmaps.records import FrozenRecord, Record, plain
 
 
 # the stdlib dataclasses the records replaced, kept as the reference
@@ -87,3 +90,19 @@ def test_record_arguments_and_post_init():
     for args, kwargs in [((), {}), ((1, 2), {}), ((1,), {"x": 1}), ((1,), {"z": 2})]:
         with pytest.raises(TypeError):
             Checked(*args, **kwargs)
+
+
+def test_plain_renders_every_result_by_one_rule():
+    # records as their to_dict, lists and tuples as lists, dicts by their
+    # keys, JSON scalars as they are, and library values as their text
+    field = PrimeField(7)
+    x1 = PolyRing(field, ("x1",)).var(0)
+    value = {"r": Report(True, [(x1, None)], "n"), "k": (1, 2.5, "s", False), "f": Fraction(-1, 2)}
+    assert plain(value) == {
+        "r": {"ok": True, "items": [["x1", None]], "note": "n"},
+        "k": [1, 2.5, "s", False],
+        "f": "-1/2",
+    }
+    assert plain(x1.scale(field.from_int(3))) == "3*x1" and plain(field.from_int(10)) == "3"
+    # to_dict applies it to every field, a record inside a record included
+    assert Point(Point(x1), [Fraction(3)]).to_dict() == {"x": {"x": "x1", "y": None}, "y": ["3"]}

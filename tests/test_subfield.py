@@ -173,12 +173,22 @@ def test_trdeg_rank_matches_normalised_jacobian_random():
         assert seen == set(range(n + 2)), (n, seen)
 
 
-def test_trdeg_with_t_rejects_a_ring_with_t():
-    ring = PolyRing(QQ, ("x", "t"))
-    h = RatMap.from_polys([ring.var(0), ring.var(1)])
-    with pytest.raises(ValueError):
-        trdeg_rank(h, True)
-    assert trdeg_rank(h, False) == 2
+def test_trdeg_with_t_reads_a_variable_named_t_as_any_other():
+    # trdeg_rank builds no ring with t (the t entry of row k is N_k D_k), so
+    # a map over a ring with a variable named t gets its renamed copy's rank;
+    # adjoin_t, which does build K[x, t], still refuses such a ring
+    ring, renamed = PolyRing(QQ, ("x1", "t")), PolyRing(QQ, ("x1", "x2"))
+    x, t = ring.var(0), ring.var(1)
+    ranks = []
+    for comps in ([x, t], [x, x**2], [x * t], [x**2, x * t, t**2]):
+        h = RatMap.from_polys(comps)
+        copy = RatMap.from_polys([relabel(c, renamed, [0, 1]) for c in comps])
+        for with_t in (False, True):
+            ranks.append(trdeg_rank(h, with_t))
+            assert ranks[-1] == trdeg_rank(copy, with_t), (comps, with_t)
+    assert ranks == [2, 2, 1, 2, 1, 1, 2, 2]
+    with pytest.raises(ValueError, match="named t"):
+        adjoin_t(RatMap.from_polys([t]))
 
 
 def test_bounded_dependence_examples():
