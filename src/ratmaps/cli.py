@@ -484,11 +484,14 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
     envelope = {"command": args.command, "field": _field_str(args.field)}
-    envelope.update(plain(payload))
-    if args.json:
-        print(json.dumps(envelope, indent=2))
-    else:
-        print(_render_text(envelope))
+    try:
+        envelope.update(plain(payload))
+        text = json.dumps(envelope, indent=2) if args.json else _render_text(envelope)
+    except ValueError:  # str() of an int past Python's limit, which stays
+        limit = f"Python's limit of {sys.get_int_max_str_digits()} digits"
+        print(f"output error: an integer in the result passes {limit}", file=sys.stderr)
+        return 1
+    print(text)
     return 0
 
 

@@ -41,10 +41,10 @@ from __future__ import annotations
 import re
 import sys
 from math import comb, lcm, log2
-from operator import add
 
 from .errors import ParseError, UnknownVariable
-from .polyring import Poly, PolyRing, RatFunc, RatMap, _k_poly, _k_reduce, print_canonical
+from .polyring import Poly, PolyRing, RatFunc, RatMap, print_canonical
+from .polyring import _k_poly, _k_reduce, _k_tuple_mul, _k_tuple_pow
 
 # whitespace matches no group, so finditer steps over it
 _TOKEN = re.compile(r"(?P<num>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^(),])|(?P<bad>\S)")
@@ -232,7 +232,7 @@ def elaborate(tree: Expr, ring: PolyRing) -> RatFunc:
                     raise ParseError(f"power of more than {MAX_POWER_TERMS} terms", offset)
             if not mod:
                 _cap_bits(arg * _size(v), "power", offset)
-            stack[-1] = v**arg if type(v) is RatFunc else _power(v, arg, zero, mod)
+            stack[-1] = v**arg if type(v) is RatFunc else _k_tuple_pow(v, arg, zero, mod)
         elif code == "u":
             v = stack[-1]
             stack[-1] = -v if type(v) is RatFunc else _k_reduce({e: -c for e, c in v.items()}, mod)
@@ -254,7 +254,7 @@ def elaborate(tree: Expr, ring: PolyRing) -> RatFunc:
                 v, w = _rf(v, ring), _rf(w, ring)
                 stack[-1] = v * w if code == "*" else v + w if code == "+" else v - w
             elif code == "*":
-                stack[-1] = _mul(v, w, mod)
+                stack[-1] = _k_tuple_mul(v, w, mod)
             else:
                 sign = 1 if code == "+" else -1
                 for e, c in w.items():
@@ -290,29 +290,6 @@ def _cap_bits(bits: float, what: str, offset: int):
 def _size(v) -> float:
     """_bits of a dict, or the larger _bits of a quotient's two parts."""
     return max(_bits(v.num.terms), _bits(v.den.terms)) if type(v) is RatFunc else _bits(v)
-
-
-def _mul(a: dict, b: dict, mod: int) -> dict:
-    out = {}
-    get = out.get
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(map(add, e1, e2))
-            out[e] = get(e, 0) + c1 * c2
-    return _k_reduce(out, mod)
-
-
-def _power(v: dict, n: int, zero: tuple, mod: int) -> dict:
-    if len(v) == 1:
-        ((e, c),) = v.items()
-        return {tuple([k * n for k in e]): pow(c, n, mod or None)}
-    out = {zero: 1}
-    while n:
-        if n & 1:
-            out = _mul(out, v, mod)
-        v = _mul(v, v, mod) if n > 1 else v
-        n >>= 1
-    return out
 
 
 def elaborate_poly(tree: Expr, ring: PolyRing) -> Poly:

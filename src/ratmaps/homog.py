@@ -153,7 +153,8 @@ def hfc_decompose(h_map: RatMap, i: int, p: Poly, q: Poly, f: UniTuple):
     The caller supplies the univariate tuple f; the function verifies the
     identity H_i^{-1} H = f_i^{-1}(p/q) f(p/q) exactly, demands that f be
     primitive, homogenizes f at s = deg f and returns (f, g, h) with
-    g = H_i / h_i(p, q), after confirming H = g * h(p, q).
+    g = H_i / h_i(p, q), after confirming H = g * h(p, q), an internal
+    check (AssertionFailure), since the identity above implies it.
     """
     if h_map[i].is_zero():
         raise ZeroTuple(f"component {i} is zero")
@@ -177,7 +178,8 @@ def hfc_decompose(h_map: RatMap, i: int, p: Poly, q: Poly, f: UniTuple):
     g = pivot / RatFunc.from_poly(cleared[i])
     k = first_mismatch(h_map, g, cleared, p.ring.one())
     if k is not None:
-        raise WitnessRejected(f"assembled decomposition fails at component {k}")
+        # implied by the identity above: only wrong arithmetic fails it
+        raise AssertionFailure(f"assembled decomposition fails at component {k}")
     return f_exact, g, h
 
 

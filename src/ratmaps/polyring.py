@@ -26,6 +26,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from operator import add
 
 from .errors import (
     AllZero,
@@ -186,14 +187,8 @@ class Poly:
 
     def __mul__(self, other):
         self._check(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                acc = out.get(e)
-                out[e] = c if acc is None else acc + c
-        return Poly(self.ring, out)
+        (s, (a,)), (t, (b,)) = _k_ints([self]), _k_ints([other])
+        return _k_poly(self.ring, _k_tuple_mul(a, b, self.ring.field.characteristic), s * t)
 
     def scale(self, c) -> Poly:
         if not c:
@@ -203,14 +198,8 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative exponent")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        ring, (s, (t,)) = self.ring, _k_ints([self])
+        return _k_poly(ring, _k_tuple_pow(t, n, (0,) * ring.nvars, ring.field.characteristic), s**n)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -344,7 +333,8 @@ def poly_arith(a: Poly, b: Poly, op: str) -> Poly:
 # substitutes into) and every exact division (Poly.divexact on
 # _k_divexact).  _k_ints converts from Poly and returns its clearing
 # integer with the int forms, _on_packing packs and _k_poly converts back,
-# so Poly keeps its tuple keys.  The slot width has one rule, in
+# so Poly keeps its tuple keys; Poly's * and ** take the int forms unpacked
+# (_k_tuple_mul, _k_tuple_pow).  The slot width has one rule, in
 # _on_packing alone: the first width is read from the inputs' total
 # degree (_first_width), and any product that outgrows it reruns the whole
 # call at double the width, so no caller bounds the degrees it will form.
@@ -596,6 +586,30 @@ def _k_reduce(t: dict, mod: int) -> dict:
     if mod:
         return {e: v for e, c in t.items() if (v := c % mod)}
     return {e: c for e, c in t.items() if c}
+
+
+def _k_tuple_mul(a: dict, b: dict, mod: int) -> dict:
+    """a * b on tuple keys, unpacked: Poly's product and the front end's."""
+    out = {}
+    get = out.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = get(e, 0) + c1 * c2
+    return _k_reduce(out, mod)
+
+
+def _k_tuple_pow(v: dict, n: int, zero: tuple, mod: int) -> dict:
+    if len(v) == 1:
+        ((e, c),) = v.items()
+        return {tuple([k * n for k in e]): pow(c, n, mod or None)}
+    out = {zero: 1}
+    while n:
+        if n & 1:
+            out = _k_tuple_mul(out, v, mod)
+        v = _k_tuple_mul(v, v, mod) if n > 1 else v
+        n >>= 1
+    return out
 
 
 def _k_normal(t: dict, mod: int) -> dict:

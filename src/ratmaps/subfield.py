@@ -12,6 +12,7 @@ decompositions H = g * h(p, q).
 from __future__ import annotations
 
 import itertools
+from math import comb
 
 from .errors import (
     AllConstant,
@@ -158,6 +159,15 @@ def trdeg_rank(h: RatMap, with_t: bool = False) -> int:
     return on_kernel(groups, rank)
 
 
+# the most matrix cells one step of the dependence search may eliminate,
+# counted before its substitution (_cap_search).  On the first map that
+# test_cli times over GF(32003), on a 2-vCPU VM, bound 8 asks for
+# 1,225 x 165 and its whole process took 2.4 s; bound 9 asks for
+# 1,540 x 220 (5.6 s) and bound 12 for 2,701 x 455 (41 s, 38 s of it
+# eliminating 2,419 x 455), and both are refused
+MAX_SEARCH_CELLS = 250_000
+
+
 class DependenceSearch(Record):
     """Outcome of the bounded algebraic-dependence search."""
 
@@ -177,7 +187,9 @@ def trdeg_bounded_dependence(
     returned value is the number of components left uncounted, a certified
     upper bound for the transcendence degree.  It is never certified as
     the exact transcendence degree (relations beyond the bound may exist),
-    hence certified is always False.
+    hence certified is always False.  A step whose matrix may have more
+    than MAX_SEARCH_CELLS cells (_cap_search) is refused with
+    InvalidArgument before its substitution.
 
     Step k clears h_1..h_k over the lcm L of their denominators, h_j =
     N_j / L, and substitutes y_0 = L, y_j = N_j into every monomial
@@ -196,10 +208,11 @@ def trdeg_bounded_dependence(
     independent = 0
     relations = []
     for i in range(m):
+        lcm, nums = clear_denominators(target.comps[: i + 1])
+        _cap_search([lcm, *nums], target.ring.nvars, bound)
         hom_ring = PolyRing(field, ("h0",) + names[: i + 1])
         exps = _exponents_upto(i + 1, bound)
         monos = [Poly(hom_ring, {(bound - sum(e),) + e: field.one()}) for e in exps]
-        lcm, nums = clear_denominators(target.comps[: i + 1])
         cols = _substitute(monos, [lcm, *nums], [None] * (i + 2), target.ring)
         basis = field_nullspace(coefficient_rows(cols, field), len(cols), field)
         found = next((v for v in basis if any(c for e, c in zip(exps, v) if e[i])), None)
@@ -214,6 +227,23 @@ def trdeg_bounded_dependence(
         else f"{len(relations)} dependence(s) found"
     )
     return DependenceSearch(independent, False, relations, note)
+
+
+def _cap_search(polys, nvars: int, bound: int):
+    """InvalidArgument when a search step's matrix on L, N_1..N_k may pass
+    MAX_SEARCH_CELLS: a column per monomial of degree <= bound in k
+    variables, and rows among the monomials of degree <= bound * d in nvars
+    variables (d the polys' top degree) and among the sums of bound of
+    their T distinct terms, since a column is a product of bound polys."""
+    support = {e for p in polys for e in p.terms}
+    top, k = max(map(sum, support)), len(polys) - 1
+    rows = min(comb(nvars + bound * top, nvars), comb(len(support) + bound - 1, bound))
+    cols = comb(k + bound, bound)
+    if rows * cols > MAX_SEARCH_CELLS:
+        raise InvalidArgument(
+            f"degree_bound {bound} asks for a {rows} x {cols} matrix at component {k},"
+            f" more than {MAX_SEARCH_CELLS} cells"
+        )
 
 
 def _exponents_upto(nvars: int, bound: int):

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from conftest import time_limit
-from ratmaps import expressions
+from ratmaps import expressions, subfield
 from ratmaps.cli import main
 from ratmaps.expressions import MAX_NESTING, MAX_POWER_BITS, MAX_POWER_TERMS, MAX_VARIABLES
 
@@ -136,6 +136,21 @@ def test_product_coefficients_beyond_the_cap_exit_2(capsys):
     # residues do not grow: no cap over GF(p)
     code, data, _ = run_json(capsys, "gcd", "x1 + 3^8000*3^8000", "--field", "fp:7")
     assert code == 0 and data["gcd"] == f"x1 + {3**16000 % 7}"
+
+
+def test_result_past_the_int_str_limit_exits_1(capsys):
+    # every operand passes the parse caps, but d/dx2 of x1/(x2 + 3^4000)^2
+    # has 3^12000 (5,726 digits) in its denominator: one stderr line, in
+    # both modes, where str() raised ValueError out of cli.main
+    limit = sys.get_int_max_str_digits()
+    for mode in ((), ("--json",)):
+        code, out, err = run_cli(capsys, "jacobian", "(x1/(x2 + 3^4000)^2, x2)", *mode)
+        assert (code, out) == (1, ""), (mode, err)
+        assert err == f"output error: an integer in the result passes Python's limit of {limit} digits\n"
+    assert sys.get_int_max_str_digits() == limit
+    for mode in ((), ("--json",)):
+        code, out, _ = run_cli(capsys, "gcd", "x1 + 3^8000", *mode)
+        assert code == 0 and str(3**8000) in out
 
 
 def test_bad_variable_name_reported_at_the_name(capsys):
@@ -320,6 +335,19 @@ def test_trdeg_char_p_search_finishes_within_4_s(capsys, h, bound, trdeg):
         code, data, _ = run_json(capsys, "trdeg", h, "--field", "fp:32003", "--bound", bound)
     assert code == 0
     assert data["trdeg"] == trdeg and data["certified"] is False
+
+
+def test_trdeg_char_p_search_past_the_cell_cap_exits_1(capsys):
+    # bound 12 asks for a 2,701 x 455 matrix at the third component: refused
+    # before its substitution, where the elimination took 38 s
+    h = "(x1^2/(x2+1), x1*x2/(x1+x2^2+3), (x2^3+x1)/(x1^2+x2))"
+    with time_limit(4):
+        code, out, err = run_cli(capsys, "trdeg", h, "--field", "fp:32003", "--bound", "12")
+    assert code == 1 and out == ""
+    assert err == (
+        "precondition violated: degree_bound 12 asks for a 2701 x 455 matrix at"
+        f" component 3, more than {subfield.MAX_SEARCH_CELLS} cells\n"
+    )
 
 
 def test_member_kpq_bound_flag(capsys):

@@ -7,7 +7,9 @@ from conftest import (
     seeded,
     time_limit,
 )
+from ratmaps import homog
 from ratmaps.errors import (
+    AssertionFailure,
     DivisibleByY2,
     LinearFactorPresent,
     WitnessRejected,
@@ -152,6 +154,24 @@ def test_hfc_decompose_rejects_wrong_witness():
     bad = UniTuple((YR.one(), Y**2), 2)
     with pytest.raises(WitnessRejected):
         hfc_decompose(h_map, 0, x2, x1, bad)
+
+
+def test_hfc_decompose_assembly_alarm_fires(monkeypatch):
+    # the witness identity holds, but the check of the assembled H = g h(p, q)
+    # reports component 0: only wrong arithmetic can do that, an internal alarm
+    R = PolyRing(QQ, ("x1", "x2"))
+    x1, x2 = R.var(0), R.var(1)
+    h_map = RatMap([RatFunc.from_poly(R.one()), RatFunc(x2, x1)])
+    real, calls = homog.first_mismatch, []
+
+    def second_fails(*args):
+        calls.append(args)
+        return real(*args) if len(calls) == 1 else 0
+
+    monkeypatch.setattr(homog, "first_mismatch", second_fails)
+    with pytest.raises(AssertionFailure, match="assembled decomposition fails at component 0"):
+        hfc_decompose(h_map, 0, x2, x1, UniTuple((YR.one(), Y), 1))
+    assert len(calls) == 2
 
 
 def test_degree_formula_examples():

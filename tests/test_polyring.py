@@ -9,6 +9,7 @@ import refalg
 from conftest import (
     certify_coprime_by_resultant,
     lagrange_derivative_at_zero,
+    plain,
     random_coprime_pair,
     random_nonzero_poly,
     random_poly,
@@ -479,6 +480,36 @@ def _nonzero_frac_poly(rng, ring):
     while not (d := _frac_poly(rng, ring, 2, 2)).terms:
         pass
     return d
+
+
+def _mul_operand(rng, ring, shape):
+    """shape 0: zero; 1: a constant; 2: one term; else general, each
+    with unlike denominators over QQ."""
+    if shape == 0:
+        return ring.zero()
+    if shape == 1:
+        return _frac_poly(rng, ring, 0, 1)
+    if shape == 2:
+        return _frac_poly(rng, ring, 3, 1)
+    return _frac_poly(rng, ring, 2, rng.randint(2, 4))
+
+
+@pytest.mark.parametrize("field", DIFF_FIELDS)
+def test_poly_mul_and_pow_match_refalg(field):
+    """Poly * and ** against refalg.mul and refalg.power: zero, constant,
+    one-term and general operands, exponents 0, 1, 2, 5 and 7."""
+    rng = seeded(74)
+    kind, mod = type(field.one()), field.characteristic
+    for i in range(60):
+        ring = PolyRing(field, tuple(f"x{j + 1}" for j in range(rng.randint(1, 3))))
+        a, b = _mul_operand(rng, ring, i % 5), _mul_operand(rng, ring, i // 5 % 5)
+        prod = a * b
+        assert plain(prod) == refalg.mul(plain(a), plain(b), mod), (a, b)
+        for n in (0, 1, 2, 5, 7):
+            p = a**n
+            assert plain(p) == refalg.power(plain(a), n, ring.nvars, mod), (a, n)
+            assert all(type(c) is kind for c in p.terms.values()), (a, n)
+        assert all(type(c) is kind for c in prod.terms.values()), (a, b)
 
 
 def test_substitute_reads_its_clearing_powers_over_the_tuple():

@@ -741,6 +741,60 @@ def test_gcd_subst_homog_alarm_fires_on_a_wrong_gcd_of_the_images(monkeypatch, c
     assert "gcd does not commute with substitution" in capsys.readouterr().err
 
 
+def test_enother_chain_membership_alarm_fires(monkeypatch, capsys):
+    # x1 + (1 - x1) = 1, so x1 and 1 - x1 lie in K[x1]; a membership test
+    # that answers None contradicts it
+    monkeypatch.setattr(subfield, "member_Kp", lambda r, p: None)
+    message = "unit combination exists but a membership verification failed"
+    with pytest.raises(AssertionFailure, match=message):
+        enother_chain(X1, R2.one() - X1)
+    assert cli.main(["enother", "x1", "1-x1"]) == 3
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["member-kpq", "(x2^2)/(x1^2)", "x1", "x2", "--bound", "2"],
+        ["member-kpq", "(x2^2)/(x1^2)", "x1*x2", "x2^2", "--bound", "6"],
+    ],
+)
+def test_member_kpq_single_pair_alarm_fires(monkeypatch, capsys, argv):
+    # the nullspace's one pair (f1, f2), but its cross-multiplied check fails
+    monkeypatch.setattr(subfield, "cross_equal", lambda *polys: False)
+    with pytest.raises(AssertionFailure, match="no single pair of degree 2 represents r"):
+        member_Kpq(RatFunc(X2**2, X1**2), X1, X2, 2)
+    assert cli.main(argv) == 3
+    assert "no single pair of degree" in capsys.readouterr().err
+
+
+def _constant_in_y(polys):
+    return polys[0].ring.one()
+
+
+def _y_minus_one(polys):
+    ring = polys[0].ring
+    return ring.var(1) - ring.one()
+
+
+@pytest.mark.parametrize(
+    "name, fault, message",
+    [
+        ("gcd_many", _constant_in_y, "minimal polynomial degenerated to degree zero"),
+        ("gcd_many", _y_minus_one, "no nonconstant coefficient in the minimal polynomial"),
+        ("member_Kpq", lambda *args: None, "an input fell outside the field"),
+    ],
+)
+def test_luroth_generator_alarms_fire(monkeypatch, capsys, name, fault, message):
+    # a minimal polynomial constant in Y, or Y - 1 with no coefficient in x,
+    # or a membership search that misses an input
+    monkeypatch.setattr(subfield, name, fault)
+    with pytest.raises(AssertionFailure, match=message):
+        luroth_generator_1var([U**2, U**3])
+    assert cli.main(["luroth-gen", "x1^2", "x1^3"]) == 3
+    assert message in capsys.readouterr().err
+
+
 def _substitute_times(monkeypatch, module, factor):
     """module's _substitute with every result multiplied by factor."""
     real = module._substitute
