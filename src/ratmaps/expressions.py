@@ -44,7 +44,7 @@ from math import comb, lcm, log2
 
 from .errors import ParseError, UnknownVariable
 from .polyring import Poly, PolyRing, RatFunc, RatMap, print_canonical
-from .polyring import _k_poly, _k_reduce, _k_tuple_mul, _k_tuple_pow
+from .polyring import _k_add, _k_poly, _k_reduce, _k_tuple_mul, _k_tuple_pow
 
 # whitespace matches no group, so finditer steps over it
 _TOKEN = re.compile(r"(?P<num>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^(),])|(?P<bad>\S)")
@@ -256,15 +256,7 @@ def elaborate(tree: Expr, ring: PolyRing) -> RatFunc:
             elif code == "*":
                 stack[-1] = _k_tuple_mul(v, w, mod)
             else:
-                sign = 1 if code == "+" else -1
-                for e, c in w.items():
-                    c = v.get(e, 0) + sign * c
-                    if mod:
-                        c %= mod
-                    if c:
-                        v[e] = c
-                    else:
-                        del v[e]
+                _k_add(v, w, 1 if code == "+" else -1, mod)
     return _rf(stack[0], ring)
 
 

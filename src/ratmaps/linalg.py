@@ -17,9 +17,9 @@ from math import lcm
 
 from .polyring import (
     _grlex,
+    _k_add,
     _k_divexact,
     _k_mul,
-    _k_sub,
     clear_denominators,
     on_kernel,
 )
@@ -129,7 +129,7 @@ def poly_matrix_rank(rows) -> int:
 
 def _bareiss_rank(K, work) -> int:
     def step(pivot, a, b, c, prev):
-        return _k_divexact(_k_sub(_k_mul(pivot, a, K), _k_mul(b, c, K), K), prev, K)
+        return _k_divexact(_k_add(_k_mul(pivot, a, K), _k_mul(b, c, K), -1, K.mod), prev, K)
 
     return len(_bareiss(work, step, {0: 1}))
 

@@ -168,19 +168,11 @@ class Poly:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = out.get(e)
-            out[e] = c if acc is None else acc + c
-        return Poly(self.ring, out)
+        s, (a, b) = _k_ints([self, other])
+        return _k_poly(self.ring, _k_add(a, b, 1, self.ring.field.characteristic), s)
 
     def __sub__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = out.get(e)
-            out[e] = -c if acc is None else acc - c
-        return Poly(self.ring, out)
+        return self + -other
 
     def __neg__(self):
         return Poly(self.ring, {e: -c for e, c in self.terms.items()})
@@ -588,6 +580,21 @@ def _k_reduce(t: dict, mod: int) -> dict:
     return {e: c for e, c in t.items() if c}
 
 
+def _k_add(a: dict, b: dict, sign: int, mod: int) -> dict:
+    """a + sign*b in place in a (reduced), on any keys: the one sum loop.
+    Each touched coefficient is reduced mod p; a key that cancels is deleted."""
+    get = a.get
+    for e, c in b.items():
+        c = get(e, 0) + sign * c
+        if mod:
+            c %= mod
+        if c:
+            a[e] = c
+        else:
+            del a[e]
+    return a
+
+
 def _k_tuple_mul(a: dict, b: dict, mod: int) -> dict:
     """a * b on tuple keys, unpacked: Poly's product and the front end's."""
     out = {}
@@ -645,13 +652,6 @@ def _k_mul(a: dict, b: dict, K: _Packing) -> dict:
     if len(a) > len(b):
         a, b = b, a
     return _k_reduce(_k_addmul({}, a, b, K), K.mod)
-
-
-def _k_sub(a: dict, b: dict, K: _Packing) -> dict:
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, 0) - c
-    return _k_reduce(out, K.mod)
 
 
 def _k_dot(us, vs, K: _Packing) -> dict:
@@ -1190,11 +1190,7 @@ class RatFunc:
         )
 
     def __sub__(self, other):
-        other = _as_ratfunc(other, self.ring)
-        self._check(other)
-        return RatFunc(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
+        return self + -other
 
     def __neg__(self):
         return RatFunc(-self.num, self.den, _reduced=True)

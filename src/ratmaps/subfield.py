@@ -184,12 +184,14 @@ def trdeg_bounded_dependence(
 
     Component i counts as dependent when some nonzero polynomial relation
     of total degree <= degree_bound links it to components 1..i-1; the
-    returned value is the number of components left uncounted, a certified
-    upper bound for the transcendence degree.  It is never certified as
-    the exact transcendence degree (relations beyond the bound may exist),
-    hence certified is always False.  A step whose matrix may have more
-    than MAX_SEARCH_CELLS cells (_cap_search) is refused with
-    InvalidArgument before its substitution.
+    returned value is the number of components left uncounted, or the
+    number of variables of the searched ring (n, or n + 1 with t) if that
+    is smaller: a certified upper bound for the transcendence degree.  It
+    is never certified as the exact transcendence degree (relations beyond
+    the bound may exist), hence certified is always False.  Every step is
+    cleared and checked first: one whose matrix may have more than
+    MAX_SEARCH_CELLS cells (_cap_search) is refused with InvalidArgument
+    before any substitution.
 
     Step k clears h_1..h_k over the lcm L of their denominators, h_j =
     N_j / L, and substitutes y_0 = L, y_j = N_j into every monomial
@@ -207,9 +209,10 @@ def trdeg_bounded_dependence(
     rel_ring = PolyRing(field, names)
     independent = 0
     relations = []
-    for i in range(m):
-        lcm, nums = clear_denominators(target.comps[: i + 1])
+    steps = [clear_denominators(target.comps[: i + 1]) for i in range(m)]
+    for lcm, nums in steps:
         _cap_search([lcm, *nums], target.ring.nvars, bound)
+    for i, (lcm, nums) in enumerate(steps):
         hom_ring = PolyRing(field, ("h0",) + names[: i + 1])
         exps = _exponents_upto(i + 1, bound)
         monos = [Poly(hom_ring, {(bound - sum(e),) + e: field.one()}) for e in exps]
@@ -226,7 +229,7 @@ def trdeg_bounded_dependence(
         if not relations
         else f"{len(relations)} dependence(s) found"
     )
-    return DependenceSearch(independent, False, relations, note)
+    return DependenceSearch(min(independent, target.ring.nvars), False, relations, note)
 
 
 def _cap_search(polys, nvars: int, bound: int):

@@ -780,7 +780,9 @@ def reference_trdeg_bounded_dependence(h, with_t=False, degree_bound=2):
     dependent when a nonzero relation of degree <= the bound that involves
     h_i links h_1..h_i.  Column e (grlex order) is h^e times
     prod_j D_j^bound, one refalg.substitute of y^e; a relation is the first
-    nullspace vector with a nonzero entry at some e with e_i > 0."""
+    nullspace vector with a nonzero entry at some e with e_i > 0.  The
+    value is the uncounted components, at most the searched ring's n
+    variables (n + 1 with t)."""
     mod, n, m = _mod(h.ring), h.ring.nvars + with_t, h.m
     t = (1,) if with_t else ()
     nums = [{e + t: c for e, c in plain(f.num).items()} for f in h.comps]
@@ -804,7 +806,7 @@ def reference_trdeg_bounded_dependence(h, with_t=False, degree_bound=2):
         if not relations
         else f"{len(relations)} dependence(s) found"
     )
-    return DependenceSearch(independent, False, relations, note)
+    return DependenceSearch(min(independent, n), False, relations, note)
 
 
 # -- the doubled-ring core check: Poly arithmetic ---------------------------

@@ -318,8 +318,9 @@ def test_trdeg_char_p_fallback(capsys):
     "h, bound, trdeg",
     [
         # pairwise coprime denominators: columns built as reduced RatFunc
-        # products and cleared by their lcm took 7.5 s
-        ("(x1^2/(x2+1), x1*x2/(x1+x2^2+3), (x2^3+x1)/(x1^2+x2))", "7", 3),
+        # products and cleared by their lcm took 7.5 s; no dependence is
+        # found, and the value is clipped to the two variables
+        ("(x1^2/(x2+1), x1*x2/(x1+x2^2+3), (x2^3+x1)/(x1^2+x2))", "7", 2),
         # one shared denominator: columns cleared by the product of the
         # denominators, not their lcm, took 5.7 s
         (
@@ -347,6 +348,18 @@ def test_trdeg_char_p_search_past_the_cell_cap_exits_1(capsys):
     assert err == (
         "precondition violated: degree_bound 12 asks for a 2701 x 455 matrix at"
         f" component 3, more than {subfield.MAX_SEARCH_CELLS} cells\n"
+    )
+
+
+def test_trdeg_char_p_search_refuses_a_later_step_before_any_elimination(capsys):
+    # step 1 (401 x 401) is under the cap and was eliminated in full, about
+    # 3 s, before step 2 (80,601 x 80,601) was refused
+    with time_limit(1):
+        code, out, err = run_cli(capsys, "trdeg", "(x1, x2)", "--field", "fp:5", "--bound", "400")
+    assert code == 1 and out == ""
+    assert err == (
+        "precondition violated: degree_bound 400 asks for a 80601 x 80601 matrix at"
+        f" component 2, more than {subfield.MAX_SEARCH_CELLS} cells\n"
     )
 
 

@@ -512,6 +512,27 @@ def test_poly_mul_and_pow_match_refalg(field):
         assert all(type(c) is kind for c in prod.terms.values()), (a, b)
 
 
+@pytest.mark.parametrize("field", DIFF_FIELDS)
+def test_poly_add_and_sub_match_refalg(field):
+    """Poly + and - against refalg.add and refalg.sub: zero, constant,
+    one-term and general operands with unlike denominators, a - a,
+    disjoint supports and a sum whose shared terms all cancel."""
+    rng = seeded(79)
+    kind, mod = type(field.one()), field.characteristic
+    for i in range(60):
+        ring = PolyRing(field, tuple(f"x{j + 1}" for j in range(rng.randint(1, 3))))
+        a, b = _mul_operand(rng, ring, i % 5), _mul_operand(rng, ring, i // 5 % 5)
+        apart = Poly(ring, {e: c for e, c in b.terms.items() if e not in a.terms})
+        cancel = Poly(ring, {**{e: -c for e, c in a.terms.items()}, **apart.terms})
+        for u, v in ((a, b), (b, a), (a, a), (a, apart), (a, cancel)):
+            before = plain(u), plain(v)
+            for got, ref in ((u + v, refalg.add), (u - v, refalg.sub)):
+                assert plain(got) == ref(*before, mod), (u, v)
+                assert all(type(c) is kind for c in got.terms.values()), (u, v)
+            assert (plain(u), plain(v)) == before, (u, v)
+        assert (a - a).is_zero() and a + cancel == apart
+
+
 def test_substitute_reads_its_clearing_powers_over_the_tuple():
     """_substitute equals refalg's given maxes[i] = the highest exponent of
     y_i over the whole tuple; the tuples mix zero, constant and nonconstant
@@ -950,7 +971,7 @@ def test_kernel_helpers_match_poly_arithmetic(field):
             scale = math.lcm(*(c.denominator for p in (a, b) for c in p.terms.values()))
         sq = field.from_int(scale * scale)
         assert kernel(lambda K, u, v: polyring._k_mul(u, v, K)) == (a * b).scale(sq)
-        assert kernel(lambda K, u, v: polyring._k_sub(u, v, K)) == (a - b).scale(
+        assert kernel(lambda K, u, v: polyring._k_add(u, v, -1, K.mod)) == (a - b).scale(
             field.from_int(scale)
         )
         for j in range(3):
@@ -1345,7 +1366,7 @@ def test_k_divexact_matches_rescanning_reference_random(mod):
             pa = polyring._k_mul(pb, pq, K)
             roll = rng.random()
             if roll < 0.3:
-                pa = polyring._k_sub(pa, K.pack(_random_int_dict(rng, n, 3, 2, mod)), K)
+                pa = polyring._k_add(pa, K.pack(_random_int_dict(rng, n, 3, 2, mod)), -1, mod)
             elif roll < 0.5 and not mod:
                 # twice b divides a only where every coefficient of q is even
                 pb = {e: 2 * c for e, c in pb.items()}

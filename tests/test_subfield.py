@@ -1,4 +1,5 @@
 import itertools
+import json
 import re
 from fractions import Fraction
 
@@ -664,6 +665,45 @@ def test_hmgrk2_verify_rejects_bad_witness():
     w = LurothWitness(RatFunc.from_poly(R2.one()), bad, X1, X2)
     with pytest.raises(WitnessRejected):
         hmgrk2_verify(h_map, w)
+
+
+VERONESE_ENTRY = {"g": "1", "h": "(y1^2, y1*y2, y2^2)", "p": "x1", "q": "x2"}
+VERONESE_H = HomogTuple((Y1**2, Y1 * Y2, Y2**2), 2)
+
+
+@pytest.mark.parametrize(
+    "change, entry, message",
+    [
+        ({"g": R2.zero()}, {"g": "0"}, "g must be nonzero"),
+        ({"h": VERONESE_H.polys}, None, "h must be a HomogTuple or None"),
+        (
+            {"h": HomogTuple((Y1**2, Y1 * Y2, Y1 * Y2), 2)},
+            {"h": "(y1^2, y1*y2, y1*y2)"},
+            "h must be primitive or zero",
+        ),
+        ({"p": R2.const(1), "q": R2.const(2)}, {"p": "1", "q": "2"}, "(p, q) must not be constant"),
+        ({"p": X1**2, "q": X1 * X2}, {"p": "x1^2", "q": "x1*x2"}, "(p, q) must be primitive"),
+        ({"h": HomogTuple((Y1, Y2), 1)}, {"h": "(y1, y2)"}, "h has the wrong number of components"),
+        # every precondition holds; the identity itself fails
+        ({"p": X2, "q": X1}, {"p": "x2", "q": "x1"}, "H = g * h(p, q) fails at component 0"),
+    ],
+)
+def test_hmgrk2_verify_rejects_each_precondition(tmp_path, capsys, change, entry, message):
+    """Each precondition of hmgrk2_verify, then its identity, rejects a
+    witness that passes the earlier ones, with its own message: from the
+    library, and where a witness file can state it, through the CLI (exit
+    1).  A tuple that is not a HomogTuple can only be passed from the
+    library."""
+    w = {"g": R2.one(), "h": VERONESE_H, "p": X1, "q": X2, **change}
+    h_map = RatMap.from_polys([X1**2, X1 * X2, X2**2])
+    with pytest.raises(WitnessRejected) as exc:
+        hmgrk2_verify(h_map, LurothWitness(RatFunc.from_poly(w["g"]), w["h"], w["p"], w["q"]))
+    assert str(exc.value) == message
+    if entry is not None:
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({**VERONESE_ENTRY, **entry}))
+        assert cli.main(["hmgrk2-verify", "(x1^2, x1*x2, x2^2)", "--witness", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"precondition violated: {message}\n")
 
 
 def test_hmgrk2_verify_zero_map():
