@@ -12,6 +12,7 @@ payload once, through records.plain, before the text or JSON output.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -50,11 +51,21 @@ def _field_from_flag(text: str):
     raise argparse.ArgumentTypeError(f"unknown field {text!r} (use q or fp:P)")
 
 
+def _read_utf8(path, what: str) -> str:
+    """The text of the file at path; a ParseError at its first non-UTF-8 byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} is not UTF-8: {exc.reason}", exc.start) from None
+
+
 def _exprs(args, expected=None):
     texts = list(args.exprs)
     if args.infile:
-        with open(args.infile) as fh:
-            texts.extend(line.strip() for line in fh if line.strip())
+        lines = io.StringIO(_read_utf8(args.infile, "input file"), newline=None)
+        texts.extend(line.strip() for line in lines if line.strip())
     if expected is not None and len(texts) != expected:
         raise ParseError(f"expected {expected} expression(s), got {len(texts)}", 0)
     if not texts:
@@ -228,14 +239,16 @@ def cmd_luroth_gen(args):
 
 
 def _load_witness_file(path):
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"witness file is not JSON: {exc.msg}", exc.pos) from None
-        except ValueError:  # an integer longer than int() converts
-            limit = sys.get_int_max_str_digits()
-            raise ParseError(f"witness file holds a number of more than {limit} digits", 0) from None
+    text = _read_utf8(path, "witness file")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"witness file is not JSON: {exc.msg}", exc.pos) from None
+    except RecursionError:
+        raise ParseError("witness file nests deeper than Python's recursion limit", 0) from None
+    except ValueError:  # an integer longer than int() converts
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"witness file holds a number of more than {limit} digits", 0) from None
 
 
 def _witness_text(entry, key: str, default=None) -> str:
@@ -362,29 +375,42 @@ def cmd_span_bound(args):
 
 # -- wiring -------------------------------------------------------------------
 
+# each command: name, handler, help, then its own options as (flag, keywords)
+_BOUND = ("--bound", dict(type=int, default=6, help="search bound (default 6)"))
+_WITNESS = ("--witness", dict(default=None, help="witness JSON file"))
+_G = ("--g", dict(required=True, help="generator as 'f1;f2' in y1"))
+
 _COMMANDS = [
     ("gcd", cmd_gcd, "gcd of a tuple of polynomials"),
     ("primpart", cmd_primpart, "primitive part decomposition H = g*core"),
     ("jacobian", cmd_jacobian, "Jacobian matrix of a rational map"),
-    ("homogenize", cmd_homogenize, "y2^s f(y1/y2) for a univariate tuple"),
+    ("homogenize", cmd_homogenize, "y2^s f(y1/y2) for a univariate tuple",
+     ("--s", dict(type=int, default=None, help="homogenization degree"))),
     ("dehomogenize", cmd_dehomogenize, "h(y1, 1) for a homogeneous tuple"),
-    ("divisor-transport", cmd_divisor_transport, "transport a divisor across homogenization"),
-    ("trdeg", cmd_trdeg, "transcendence degree of K(H) or K(tH)"),
-    ("gcd-subst", cmd_gcd_subst, "gcd commutes with substitution"),
+    ("divisor-transport", cmd_divisor_transport, "transport a divisor across homogenization",
+     ("--inverse", dict(action="store_true"))),
+    ("trdeg", cmd_trdeg, "transcendence degree of K(H) or K(tH)",
+     _BOUND, ("--with-t", dict(dest="with_t", action="store_true"))),
+    ("gcd-subst", cmd_gcd_subst, "gcd commutes with substitution",
+     ("--mode", dict(choices=("uni", "homog"), default="uni"))),
     ("mobius-equiv", cmd_mobius_equiv, "GL2 matrix linking two generator pairs"),
     ("unit-combo", cmd_unit_combo, "lambda*p + mu*q = 1 over K"),
     ("enother", cmd_enother, "unit-combination chain for K(p/q)"),
     ("member-kp", cmd_member_kp, "decide r in K[p]"),
-    ("member-kpq", cmd_member_kpq, "bounded search for r in K(p/q)"),
+    ("member-kpq", cmd_member_kpq, "bounded search for r in K(p/q)", _BOUND),
     ("luroth-gen", cmd_luroth_gen, "single-variable field generator"),
-    ("hmgrk2-verify", cmd_hmgrk2_verify, "verify a decomposition witness H = g*h(p,q)"),
-    ("valuation", cmd_valuation, "vanishing order at a projective point"),
-    ("integral", cmd_integral, "is p/q integral over K[g]"),
-    ("integral-set", cmd_integral_set, "is p/q integral over K[G]"),
-    ("regen-integral", cmd_regen_integral, "equivalent generator integral over K[g]"),
-    ("pqtrans", cmd_pqtrans, "shift/invert generator transformation"),
+    ("hmgrk2-verify", cmd_hmgrk2_verify, "verify a decomposition witness H = g*h(p,q)", _WITNESS),
+    ("valuation", cmd_valuation, "vanishing order at a projective point",
+     ("--theta", dict(required=True, help="point in K, or inf"))),
+    ("integral", cmd_integral, "is p/q integral over K[g]", _G),
+    ("integral-set", cmd_integral_set, "is p/q integral over K[G]",
+     ("--g", dict(action="append", required=True, help="repeatable 'f1;f2'"))),
+    ("regen-integral", cmd_regen_integral, "equivalent generator integral over K[g]", _G),
+    ("pqtrans", cmd_pqtrans, "shift/invert generator transformation", _G,
+     ("--mode", dict(choices=("shift", "invert"), required=True)),
+     ("--eps", dict(default=None)), ("--theta", dict(default=None))),
     ("qt-check", cmd_qt_check, "JH.H = tr JH.H and JH.H = 0"),
-    ("gn-classify", cmd_gn_classify, "full classification report"),
+    ("gn-classify", cmd_gn_classify, "full classification report", _WITNESS),
     ("translation-check", cmd_translation_check, "H(x + tH) = H"),
     ("nilpotent-check", cmd_nilpotent_check, "is JH nilpotent"),
     ("bivariate-core", cmd_bivariate_core, "J(core).core(y) = 0 check"),
@@ -398,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations with rational maps of transcendence degree at most 2.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler, help_text in _COMMANDS:
+    for name, handler, help_text, *options in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         p.add_argument("exprs", nargs="*", help="input expressions")
@@ -410,28 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="coefficient field: q (default) or fp:P",
         )
         p.add_argument("--json", action="store_true", help="emit JSON")
-        if name == "homogenize":
-            p.add_argument("--s", type=int, default=None, help="homogenization degree")
-        if name == "divisor-transport":
-            p.add_argument("--inverse", action="store_true")
-        if name in ("trdeg", "member-kpq"):
-            p.add_argument("--bound", type=int, default=6, help="search bound (default 6)")
-        if name == "trdeg":
-            p.add_argument("--with-t", dest="with_t", action="store_true")
-        if name == "gcd-subst":
-            p.add_argument("--mode", choices=("uni", "homog"), default="uni")
-        if name in ("hmgrk2-verify", "gn-classify"):
-            p.add_argument("--witness", default=None, help="witness JSON file")
-        if name == "valuation":
-            p.add_argument("--theta", required=True, help="point in K, or inf")
-        if name in ("integral", "regen-integral", "pqtrans"):
-            p.add_argument("--g", required=True, help="generator as 'f1;f2' in y1")
-        if name == "integral-set":
-            p.add_argument("--g", action="append", required=True, help="repeatable 'f1;f2'")
-        if name == "pqtrans":
-            p.add_argument("--mode", choices=("shift", "invert"), required=True)
-            p.add_argument("--eps", default=None)
-            p.add_argument("--theta", default=None)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
     return parser
 
 

@@ -141,10 +141,7 @@ def has_linear_factor(gt: Poly) -> bool:
         return False
     if min(e[1] for e in gt.terms) > 0:
         return True
-    dehom = divisor_transport_inverse(gt)
-    if dehom.is_constant():
-        return False
-    return bool(roots_in_K(dehom))
+    return bool(roots_in_K(divisor_transport_inverse(gt)))
 
 
 def hfc_decompose(h_map: RatMap, i: int, p: Poly, q: Poly, f: UniTuple):

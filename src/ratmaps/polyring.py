@@ -744,8 +744,6 @@ def _k_prem(a: dict, b: dict, j: int, K: _Packing) -> dict:
     """Pseudo-remainder of a by b in x_j, scaled by powers of b's leading
     coefficient, which the callers' primitive parts remove again."""
     db = _k_deg_in(b, j, K)
-    if db == 0:
-        return {}
     sh, mask, drop = (K.n - 1 - j) * K.w, K.mask, db * K.unit(j)
     lb = {e - drop: c for e, c in b.items() if (e >> sh) & mask == db}
     r = a

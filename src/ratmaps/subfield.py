@@ -320,9 +320,6 @@ def mobius_equiv(p: Poly, q: Poly, pstar: Poly, qstar: Poly):
     field = p.ring.field
     cols = [qstar * p, qstar * q, -(pstar * p), -(pstar * q)]
     for vec in field_nullspace(coefficient_rows(cols, field), 4, field):
-        t21_p_t22_q = p.scale(vec[2]) + q.scale(vec[3])
-        if t21_p_t22_q.is_zero():
-            continue
         if not (vec[0] * vec[3] - vec[1] * vec[2]):
             continue
         cand = Mobius(*vec)

@@ -17,6 +17,9 @@ its differential test:
   the library's token pattern;
 - numeric resultants via Sylvester determinants certify coprimality, and
   interpolation derivatives check derivatives.
+
+Two fixtures probe how much work the kernel does: packings records the slot
+width of every packing, and spy the arguments of every call of a routine.
 """
 
 import itertools
@@ -26,7 +29,10 @@ import signal
 from contextlib import contextmanager
 from fractions import Fraction
 
+import pytest
+
 import refalg
+from ratmaps import polyring
 from ratmaps.errors import NotDivisible, ParseError, UnknownVariable
 from ratmaps.expressions import _TOKEN, MAX_NESTING
 from ratmaps.fields import Fp, QQ
@@ -1106,3 +1112,65 @@ def time_limit(seconds):
 
 def seeded(n=0):
     return random.Random(20240 + n)
+
+
+# -- probes of kernel work: packings and calls ---------------------------------
+
+
+class Packings(list):
+    """The slot width of every polyring._Packing made so far, in order."""
+
+    def __init__(self, monkeypatch):
+        super().__init__()
+        self._monkeypatch, self._paused = monkeypatch, 0
+
+    def leave_out(self, owner, name):
+        """Record nothing while owner.name runs (the gcds and Poly.divexact,
+        which pack on their own)."""
+        real = getattr(owner, name)
+
+        def paused(*args):
+            self._paused += 1
+            try:
+                return real(*args)
+            finally:
+                self._paused -= 1
+
+        self._monkeypatch.setattr(owner, name, paused)
+
+
+@pytest.fixture
+def packings(monkeypatch):
+    """The Packings of the test, from its first line on."""
+    widths = Packings(monkeypatch)
+
+    class Recorded(polyring._Packing):
+        __slots__ = ()
+
+        def __init__(self, n, w, mod):
+            if not widths._paused:
+                widths.append(w)
+            super().__init__(n, w, mod)
+
+    monkeypatch.setattr(polyring, "_Packing", Recorded)
+    return widths
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """spy(name, *owners) wraps name in each owner (a module or a class) and
+    returns one list of the argument tuples of its calls; the real routine
+    still runs."""
+
+    def wrap(name, *owners):
+        calls = []
+        for owner in owners:
+
+            def recorded(*args, real=getattr(owner, name)):
+                calls.append(args)
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, recorded)
+        return calls
+
+    return wrap

@@ -73,15 +73,8 @@ def test_nesting_beyond_the_cap_exits_2(capsys):
     assert err == f"parse error: parentheses nested deeper than {MAX_NESTING} (at offset {offset})\n"
 
 
-def test_variables_beyond_the_cap_exit_2(capsys, monkeypatch):
-    sizes = []
-    real = expressions.PolyRing
-
-    def spy(field, names):
-        sizes.append(len(names))
-        return real(field, names)
-
-    monkeypatch.setattr(expressions, "PolyRing", spy)
+def test_variables_beyond_the_cap_exit_2(capsys, spy):
+    rings = spy("PolyRing", expressions)
     top = f"x{MAX_VARIABLES}"
     code, data, _ = run_json(capsys, "gcd", f"{top}^2 + x1", f"{top} + 1")
     assert code == 0 and data["gcd"] == "1"
@@ -96,7 +89,7 @@ def test_variables_beyond_the_cap_exit_2(capsys, monkeypatch):
         assert (code, out) == (2, "")
         assert err.startswith(f"parse error: more than {MAX_VARIABLES} variables ("), err
         assert err.count("\n") == 1, err
-    assert max(sizes) == MAX_VARIABLES
+    assert max(len(names) for _, names in rings) == MAX_VARIABLES
 
 
 def test_power_coefficients_beyond_the_cap_exit_2(capsys):
@@ -278,18 +271,11 @@ def test_verdict_false_still_exits_zero(capsys):
     assert data["jh_dot_h_zero"] is True
 
 
-def test_qt_check_clears_h_once(monkeypatch, capsys):
+def test_qt_check_clears_h_once(spy, capsys):
     # both verdicts come from one clearing of the denominators of H
     import ratmaps.gordan_noether as gn
 
-    calls = []
-    real = gn.clear_denominators
-
-    def counted(fracs):
-        calls.append(fracs)
-        return real(fracs)
-
-    monkeypatch.setattr(gn, "clear_denominators", counted)
+    calls = spy("clear_denominators", gn)
     for field in ("q", "fp:7"):
         calls.clear()
         code, data, _ = run_json(capsys, "qt-check", "(x2/(x1+1), 0)", "--field", field)
@@ -300,10 +286,21 @@ def test_qt_check_clears_h_once(monkeypatch, capsys):
 
 def test_infile(tmp_path, capsys):
     f = tmp_path / "inputs.txt"
-    f.write_text("x1\n1 - x1\n")
-    code, data, _ = run_json(capsys, "unit-combo", "--in", str(f))
-    assert code == 0
-    assert data["exists"] is True and data["lambda"] == "1"
+    # one expression per line, whichever newline ends it
+    for text in (b"x1\n1 - x1\n", b"x1\r\n\r\n1 - x1\r\n", b"x1\r1 - x1"):
+        f.write_bytes(text)
+        code, data, _ = run_json(capsys, "unit-combo", "--in", str(f))
+        assert code == 0
+        assert data["exists"] is True and data["lambda"] == "1"
+
+
+def test_infile_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    # the byte raised UnicodeDecodeError out of main, with a traceback
+    f = tmp_path / "inputs.txt"
+    f.write_bytes(b"x1 + \xff\n")
+    code, out, err = run_cli(capsys, "gcd", "--in", str(f))
+    assert (code, out) == (2, "")
+    assert err == "parse error: input file is not UTF-8: invalid start byte (at offset 5)\n"
 
 
 def test_trdeg_char_p_fallback(capsys):
@@ -452,6 +449,7 @@ def test_gn_classify_cond3_witness_file(tmp_path, capsys):
     assert err == "parse error: witness h must be homogeneous of one degree (at offset 0)\n"
 
 
+NESTED = "witness file nests deeper than Python's recursion limit (at offset 0)"
 MALFORMED_WITNESSES = [
     (
         "hmgrk2-verify",
@@ -477,17 +475,24 @@ MALFORMED_WITNESSES = [
         '{"kind": "cond4", "g": "1", "f": "(0, 0, y1)", "p": 1, "q": "x2"}',
         "witness entry needs a string 'p' (at offset 0)",
     ),
+    # a byte that is not UTF-8 (the number-of-digits message before), and
+    # nesting past Python's recursion limit (a traceback before)
+    ("gn-classify", b'{"kind": "\xff"}', "witness file is not UTF-8: invalid start byte (at offset 10)"),
+    ("hmgrk2-verify", b'{"g": "1\xff"}', "witness file is not UTF-8: invalid start byte (at offset 8)"),
+    pytest.param("gn-classify", b"[" * 100_000, NESTED, id="gn-classify-nested"),
+    pytest.param("hmgrk2-verify", b"[" * 100_000, NESTED, id="hmgrk2-verify-nested"),
 ]
 
 
 @pytest.mark.parametrize("command, text, reason", MALFORMED_WITNESSES)
 def test_malformed_witness_file_is_a_parse_error(tmp_path, capsys, command, text, reason):
     w = tmp_path / "w.json"
-    w.write_text(text)
+    w.write_bytes(text if isinstance(text, bytes) else text.encode())
     h = "(x1^2, x1*x2, x2^2)" if command == "hmgrk2-verify" else "(0, 0, x1/x2)"
     code, out, err = run_cli(capsys, command, h, "--witness", str(w))
     assert (code, out) == (2, "")
     assert err.startswith(f"parse error: {reason}"), err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
 
 
 @pytest.mark.parametrize(
@@ -721,7 +726,7 @@ def test_every_subcommand_has_a_golden_case():
     from ratmaps.cli import _COMMANDS
 
     covered = {argv[0] for argv in GOLDEN_CASES}
-    assert [name for name, _, _ in _COMMANDS if name not in covered] == []
+    assert [name for name, *_ in _COMMANDS if name not in covered] == []
 
 
 def test_readme_examples_golden(tmp_path, capsys):

@@ -386,13 +386,12 @@ def test_flem_conclude_rejects_an_unknown_mode_whatever_f_is():
             flem_conclude(fs, X1, X2 + R2.one(), "bogus")
 
 
-def test_flem_conclude_takes_each_gradient_once(monkeypatch):
+def test_flem_conclude_takes_each_gradient_once(spy):
     # grad p and grad q, two derivatives each, serve the row q grad p - p grad q,
     # mode ii and the conclusion alike
-    counts = Counter()
-    _count_calls(monkeypatch, [(polyring, "_k_derivative")], counts)
+    derivatives = spy("_k_derivative", polyring)
     assert flem_conclude((Y, -Y), X1, X2 + R2.one(), "i") is False
-    assert counts == {"_k_derivative": 4}, counts
+    assert len(derivatives) == 4, derivatives
 
 
 # -- span of constant vectors ---------------------------------------------------
@@ -563,12 +562,10 @@ def test_nilpotent_jacobian_needs_every_power(field):
     assert nilpotent_jacobian(RatMap.from_polys([x2, x3, x1])) is False
 
 
-def test_nilpotent_jacobian_with_nonzero_trace_takes_no_power(monkeypatch):
+def test_nilpotent_jacobian_with_nonzero_trace_takes_no_power(spy):
     # every row of J(x1, ..., x1) is (1, 0, ..., 0): trace 1, so not
     # nilpotent; the n - 1 powers would take 39 * 40^2 kernel dot products
-    calls = []
-    real = gordan_noether._k_dot
-    monkeypatch.setattr(gordan_noether, "_k_dot", lambda *a: calls.append(1) or real(*a))
+    calls = spy("_k_dot", gordan_noether)
     for field in (QQ, PrimeField(2), PrimeField(7)):
         ring = _ring(field, 40)
         calls.clear()
@@ -744,22 +741,7 @@ def test_flem_conclude_over_gf32003_is_fast(mode):
 # -- one clearing and one kernel Jacobian per map ------------------------------
 
 
-def _count_calls(monkeypatch, targets, counts):
-    """Count calls of each (module, name) in counts[name]."""
-    for module, name in targets:
-        real = getattr(module, name)
-
-        def counted(*args, _real=real, _name=name):
-            counts[_name] += 1
-            return _real(*args)
-
-        monkeypatch.setattr(module, name, counted)
-
-
-CLEARING = [(polyring, "clear_denominators"), (gordan_noether, "clear_denominators")]
-
-
-def test_gn_classify_clears_template_maps_once_without_a_gcd(monkeypatch):
+def test_gn_classify_clears_template_maps_once_without_a_gcd(spy):
     # the parent cleared H for the trace identity, for the primitive part and
     # for the core's remark, and reduced g = gcd / D, which it threw away
     rng = seeded(93)
@@ -768,16 +750,16 @@ def test_gn_classify_clears_template_maps_once_without_a_gcd(monkeypatch):
         h, fs, p, q, g = _cond4_template(rng)
         if not h[2].den.is_constant():
             cases.append((h, GNWitness("cond4", g, p, q, f=fs)))
-    counts = Counter()
-    _count_calls(monkeypatch, CLEARING + [(polyring, "_gcd2")], counts)
+    clearings = spy("clear_denominators", polyring, gordan_noether)
+    gcds = spy("_gcd2", polyring)
     for h, w in cases:
-        counts.clear()
+        clearings.clear()
         report = gn_classify(h, [w])
         assert report.qt and report.core_bivariate and report.witnesses[0].verified
-        assert counts == {"clear_denominators": 1}, (h, counts)
+        assert len(clearings) == 1 and not gcds, (h, len(clearings), len(gcds))
 
 
-def test_constant_span_bound_clears_h_once(monkeypatch):
+def test_constant_span_bound_clears_h_once(spy):
     rng = seeded(94)
     maps = [_cond4_template(rng)[0] for _ in range(10)]
     for field in (QQ, PrimeField(7)):
@@ -792,13 +774,12 @@ def test_constant_span_bound_clears_h_once(monkeypatch):
             if d.is_zero() or (a.is_zero() and b.is_zero()):
                 continue
             maps.append(RatMap([RatFunc(a, d), RatFunc(b, d), RatFunc.from_poly(ring.zero())]))
-    counts = Counter()
-    _count_calls(monkeypatch, CLEARING, counts)
+    clearings = spy("clear_denominators", polyring, gordan_noether)
     ranks = set()
     for h in maps:
-        counts.clear()
+        clearings.clear()
         rep = constant_span_bound(h)
-        assert counts == {"clear_denominators": 1}, (h, counts)
+        assert len(clearings) == 1, (h, len(clearings))
         core = primitive_part(h)[1]
         assert rep.rank_core == reference_rank(poly_jacobian(core, h.ring)), h
         ranks.add(rep.rank_core)
@@ -984,12 +965,13 @@ def test_gn_classify_trdeg_matches_trdeg_rank_random():
     assert gn_classify(h).trdeg_tH is None
 
 
-def test_gn_classify_builds_one_jacobian_of_h(monkeypatch):
+def test_gn_classify_builds_one_jacobian_of_h(packings, spy):
     # the numerator checks read J(N) and J(core), and every witness is
-    # checked against (D, N), on one packing whatever the witnesses: no
-    # quotient-rule row, no trdeg_rank, no rerun at a wider slot, and
-    # _k_ints twice for H and its core plus three times per witness that
-    # passes its preconditions (blocks, (p, q), g), none per component
+    # checked against (D, N), on one packing whatever the witnesses (the
+    # gcds and exact divisions pack on their own): no quotient-rule row,
+    # no trdeg_rank, no rerun at a wider slot, and _k_ints twice for H and
+    # its core plus three times per witness that passes its preconditions
+    # (blocks, (p, q), g), none per component
     rng = seeded(99)
     cases = []
     for _ in range(15):
@@ -1001,38 +983,22 @@ def test_gn_classify_builds_one_jacobian_of_h(monkeypatch):
     for field in (QQ, PrimeField(7)):
         for n in (1, 2, 3):
             cases += [(random_square_map(rng, _ring(field, n)), [], 0) for _ in range(8)]
-    targets = [(subfield, "trdeg_rank"), (gordan_noether, "_k_ints")]
-    targets += [(m, "_k_jacobian_rows") for m in (polyring, gordan_noether, subfield)]
-    counts = Counter()
-    _count_calls(monkeypatch, targets, counts)
-    real_on_packing, real_packing = gordan_noether._on_packing, polyring._Packing
-
-    class Recording(real_packing):
-        __slots__ = ()
-
-        def __init__(self, n, w, mod):
-            counts["packings"] += 1
-            super().__init__(n, w, mod)
-
-    def on_packing(*args):
-        counts["_on_packing"] += 1
-        monkeypatch.setattr(polyring, "_Packing", Recording)
-        try:
-            return real_on_packing(*args)
-        finally:
-            monkeypatch.setattr(polyring, "_Packing", real_packing)
-
-    monkeypatch.setattr(gordan_noether, "_on_packing", on_packing)
+    for name in ("_prs_gcd", "_modular_gcd"):
+        packings.leave_out(polyring, name)
+    packings.leave_out(polyring.Poly, "divexact")
+    probes = [packings, spy("_on_packing", gordan_noether), spy("_k_ints", gordan_noether)]
+    probes += [spy("trdeg_rank", subfield), spy("_k_jacobian_rows", polyring, gordan_noether, subfield)]
     seen = Counter()
     for h, witnesses, checked in cases:
-        counts.clear()
+        for probe in probes:
+            probe.clear()
         try:
             report = gn_classify(h, witnesses)
             seen[len(report.witnesses)] += 1
         except TrdegTooLarge:
             seen["rank 3"] += 1
-        expected = {"_on_packing": 1, "packings": 1, "_k_ints": 2 + 3 * checked}
-        assert counts == expected, (h, counts)
+        counts = [len(probe) for probe in probes]
+        assert counts == [1, 1, 2 + 3 * checked, 0, 0], (h, counts)
     assert seen[0] > 25 and seen[1] == 15 and seen[2] == 30 and seen["rank 3"], seen
 
 
@@ -1340,19 +1306,11 @@ def test_verify_witness_matches_three_entry_verifier_random(field):
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)])
-def test_verify_witness_reruns_whole_when_the_substitution_outgrows(field, monkeypatch):
+def test_verify_witness_reruns_whole_when_the_substitution_outgrows(field, packings, spy):
     # in 8 variables the first slot width for inputs of degree 1 is 3 bits,
     # room for total degree 3: p^8 outgrows it inside gn_classify's one
     # packing, and the whole classification reruns at 6 bits
-    widths = []
-
-    class Recording(polyring._Packing):
-        __slots__ = ()
-
-        def __init__(self, n, w, mod):
-            widths.append(w)
-            super().__init__(n, w, mod)
-
+    sides = spy("_trace_sides", gordan_noether)
     ring = _ring(field, 8)
     x = [ring.var(i) for i in range(8)]
     yring = uni_ring(field)
@@ -1364,14 +1322,11 @@ def test_verify_witness_reruns_whole_when_the_substitution_outgrows(field, monke
         h = RatMap([RatFunc.from_poly(x[4]) if i == k else zero for i in range(8)])
         fs = tuple(y**8 + y if i == k else yring.zero() for i in range(8))
         w = GNWitness("cond4", one, p, q, f=fs)
-        monkeypatch.setattr(polyring, "_Packing", Recording)
-        counts = Counter()
-        _count_calls(monkeypatch, [(gordan_noether, "_trace_sides")], counts)
-        widths.clear()
+        packings.clear()
+        sides.clear()
         verdict = _witness_verdict(h, w)
-        assert widths == [3, 6], widths
-        assert counts == {"_trace_sides": 2}, counts
-        monkeypatch.undo()
+        assert packings == [3, 6], packings
+        assert len(sides) == 2, sides
         assert verdict == reference_verify_witness(h, w)
         assert verdict == (False, f"H = g*f(p/q) fails at component {k}")
 

@@ -257,41 +257,21 @@ def _classify(h, witnesses):
         return None
 
 
-def test_kernel_identities_need_no_second_width(monkeypatch):
+def test_kernel_identities_need_no_second_width(packings):
     """At the first slot width each identity packs once on these inputs;
     gcds (which may rerun wider) and the exact divisions of clearing and
     reduction (Poly.divexact, which packs once of its own) are not counted."""
-    widths, outside = [], []
-
-    class Recording(polyring._Packing):
-        __slots__ = ()
-
-        def __init__(self, n, w, mod):
-            if not outside:
-                widths.append(w)
-            super().__init__(n, w, mod)
-
-    def uncounted(real):
-        def run(*args):
-            outside.append(True)
-            try:
-                return real(*args)
-            finally:
-                outside.pop()
-
-        return run
 
     def once(fn, *args):
-        widths.clear()
+        packings.clear()
         result = fn(*args)
-        assert len(widths) == 1, (fn.__name__, args, widths)
+        assert len(packings) == 1, (fn.__name__, args, packings)
         return result
 
     rng = seeded(64)
-    monkeypatch.setattr(polyring, "_Packing", Recording)
     for name in ("_prs_gcd", "_modular_gcd"):
-        monkeypatch.setattr(polyring, name, uncounted(getattr(polyring, name)))
-    monkeypatch.setattr(polyring.Poly, "divexact", uncounted(polyring.Poly.divexact))
+        packings.leave_out(polyring, name)
+    packings.leave_out(polyring.Poly, "divexact")
     for field in (QQ, PrimeField(32003)):
         ring = polyring.PolyRing(field, ("x1", "x2", "x3"))
         for size in (3, 4, 5):

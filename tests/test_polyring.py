@@ -190,7 +190,7 @@ def test_primitive_part_examples():
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)])
-def test_clear_denominators_zero_and_unit_components(field, monkeypatch):
+def test_clear_denominators_zero_and_unit_components(field, spy):
     ring = PolyRing(field, ("x1", "x2"))
     x1, x2, one = ring.var(0), ring.var(1), ring.one()
     fracs = [
@@ -199,24 +199,17 @@ def test_clear_denominators_zero_and_unit_components(field, monkeypatch):
         RatFunc.from_poly(x1),
         RatFunc(one, x1**2 - one),
     ]
-    divisors = []
-    real = Poly.divexact
-
-    def divexact(a, b):
-        divisors.append(b)
-        return real(a, b)
-
-    monkeypatch.setattr(Poly, "divexact", divexact)
+    divisions = spy("divexact", Poly)
     d, nums = clear_denominators(fracs)
     assert d == x1**2 - one
     half = field.one() / field.from_int(2)
     assert nums == [ring.zero(), (x2 * (x1 - one)).scale(half), x1 * d, one]
     # the zero component and the polynomial one are never divided into d
-    assert not any(b.is_one() for b in divisors)
+    assert not any(b.is_one() for _, b in divisions)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)])
-def test_split_content_lone_entry_matches_divexact_random(field, monkeypatch):
+def test_split_content_lone_entry_matches_divexact_random(field, spy):
     # a lone nonzero entry N divided by its monic gcd is the constant lc(N):
     # no Poly.divexact is needed there, and more entries still divide
     rng = seeded(100)
@@ -231,9 +224,7 @@ def test_split_content_lone_entry_matches_divexact_random(field, monkeypatch):
         g = reference_gcd_many(nums)
         quotients = tuple(reference_divexact(n, g) if n.terms else n for n in nums)
         cases.append((nums, g, quotients))
-    calls = []
-    real = Poly.divexact
-    monkeypatch.setattr(Poly, "divexact", lambda a, b: calls.append(1) or real(a, b))
+    calls = spy("divexact", Poly)
     lone = 0
     for nums, g, quotients in cases:
         calls.clear()
@@ -654,39 +645,19 @@ def test_substitution_checks_rings_and_fields():
         eval_univar_at_ratio(X1, X1, X2, 2)
 
 
-def test_substitution_packs_once_at_its_first_width(monkeypatch):
+def test_substitution_packs_once_at_its_first_width(packings):
     """At the first slot width a substitution of these sizes packs once; the
     gcds and exact divisions of RatFunc reduction are not counted (the
     exact division packs once of its own: test_divexact_packs_once)."""
-    widths, outside = [], []
-
-    class Recording(polyring._Packing):
-        __slots__ = ()
-
-        def __init__(self, n, w, mod):
-            if not outside:
-                widths.append(w)
-            super().__init__(n, w, mod)
-
-    def uncounted(real):
-        def run(*args):
-            outside.append(True)
-            try:
-                return real(*args)
-            finally:
-                outside.pop()
-
-        return run
 
     def once(fn, *args):
-        widths.clear()
+        packings.clear()
         fn(*args)
-        assert len(widths) == 1, (fn.__name__, args, widths)
+        assert len(packings) == 1, (fn.__name__, args, packings)
 
-    monkeypatch.setattr(polyring, "_Packing", Recording)
     for name in ("_prs_gcd", "_modular_gcd"):
-        monkeypatch.setattr(polyring, name, uncounted(getattr(polyring, name)))
-    monkeypatch.setattr(polyring.Poly, "divexact", uncounted(polyring.Poly.divexact))
+        packings.leave_out(polyring, name)
+    packings.leave_out(Poly, "divexact")
     rng = seeded(74)
     for field in (QQ, PrimeField(32003)):
         yring = PolyRing(field, ("y1",))
@@ -882,17 +853,7 @@ def test_kernel_large_exponents_on_entry():
     assert order == sorted(t, key=polyring._grlex)
 
 
-def test_kernel_widens_and_reruns(monkeypatch):
-    widths = []
-
-    class Recording(polyring._Packing):
-        __slots__ = ()
-
-        def __init__(self, n, w, mod):
-            widths.append(w)
-            super().__init__(n, w, mod)
-
-    monkeypatch.setattr(polyring, "_Packing", Recording)
+def test_kernel_widens_and_reruns(packings, monkeypatch):
     # a coprime pair of total degree 3 in x1, x2, read in 8 variables: a
     # 30-bit digit holds 9 slots of only 3 bits, so the first width is the
     # 4 bits that degree 2*3 needs (slot limit 7), and the pseudo-remainders
@@ -907,9 +868,9 @@ def test_kernel_widens_and_reruns(monkeypatch):
         pair = (ta, tb)
         if mod:
             pair = [{e: c % mod for e, c in t.items() if c % mod} for t in pair]
-        widths.clear()
+        packings.clear()
         assert polyring._prs_gcd(*pair, n, mod) == {(0,) * n: 1}
-        assert widths == [w0, 2 * w0]
+        assert packings == [w0, 2 * w0]
     names = tuple(f"x{i + 1}" for i in range(n))
     for field in (QQ, PrimeField(32003)):
         ring = PolyRing(field, names)
@@ -920,9 +881,9 @@ def test_kernel_widens_and_reruns(monkeypatch):
             ab = polyring._k_mul(*packed[0], K)
             return polyring._k_poly(ring, K.unpack(polyring._k_mul(ab, ab, K)))
 
-        widths.clear()
+        packings.clear()
         assert polyring.on_kernel([[a, b]], square_of_product) == (a * b) ** 2
-        assert widths == [w0, 2 * w0]
+        assert packings == [w0, 2 * w0]
         # a planted factor of degree 1 takes the inputs to degree 4: a first
         # width of 5 bits (limit 15) leaves room, so each gcd packs once
         h = ring.var(0) + ring.var(n - 1)
@@ -933,17 +894,17 @@ def test_kernel_widens_and_reruns(monkeypatch):
         pair = [polyring._k_normal(t, mod) for t in polyring._k_ints([ah, bh])[1]]
         assert reference_gcd2(ah, bh) == h
         for name in ("_modular_gcd", "_prs_gcd"):
-            widths.clear()
+            packings.clear()
             g = getattr(polyring, name)(*pair, n, mod)
             assert polyring._k_poly(ring, g).monic() == h
             # _crt_gcd reads its images modulo each prime at the same width
-            assert set(widths) == {w1}, name
+            assert set(packings) == {w1}, name
     # the PRS behind _gcd2: the modular path, which runs first, switched off
     monkeypatch.setattr(polyring, "_modular_gcd", lambda ta, tb, nvars, p: None)
     assert reference_gcd2(a, b) == ring.one()
-    widths.clear()
+    packings.clear()
     assert polyring._gcd2(a, b) == ring.one()
-    assert widths == [w0, 2 * w0]
+    assert packings == [w0, 2 * w0]
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(32003)])
@@ -1022,21 +983,9 @@ def test_cross_equal_matches_poly_products(field):
 # -- Brown's modular gcd over GF(p) against the reference PRS -----------------
 
 
-@pytest.fixture
-def fallbacks(monkeypatch):
-    """The arguments of every _prs_gcd call."""
-    calls = []
-
-    def prs_gcd(*args, real=polyring._prs_gcd):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(polyring, "_prs_gcd", prs_gcd)
-    return calls
-
-
 @pytest.mark.parametrize("p", [5, 7, 101, 32003, MERSENNE_61])
-def test_modular_gcd_matches_reference_prs(p, fallbacks):
+def test_modular_gcd_matches_reference_prs(p, spy):
+    fallbacks = spy("_prs_gcd", polyring)
     rng = seeded(47)
     field = PrimeField(p)
     planted = 0
@@ -1162,7 +1111,8 @@ def test_modular_primes_are_61_bit_primes():
             assert x in (1, p - 1) or p - 1 in (pow(x, 2**i, p) for i in range(1, s))
 
 
-def test_modular_gcd_qq_matches_reference_prs(fallbacks, primes_used):
+def test_modular_gcd_qq_matches_reference_prs(spy, primes_used):
+    fallbacks = spy("_prs_gcd", polyring)
     rng = seeded(83)
     planted = crt = 0
     for trial in range(60):
@@ -1230,7 +1180,8 @@ def test_modular_gcd_qq_skips_and_restarts_on_unlucky_primes(monkeypatch, primes
     assert polyring._gcd2(a, b) == reference_gcd2(a, b) == g.monic()
 
 
-def test_modular_gcd_qq_falls_back_when_the_primes_run_out(fallbacks):
+def test_modular_gcd_qq_falls_back_when_the_primes_run_out(spy):
+    fallbacks = spy("_prs_gcd", polyring)
     # every listed prime divides the leading coefficient of a
     g = X1 * X2 + R2.const(2) * X2 - ONE
     a = g * (R2.const(math.prod(polyring._PRIMES)) * X1 + X2)
@@ -1279,7 +1230,7 @@ def test_prs_guard_stops_a_remainder_that_keeps_its_degree(monkeypatch):
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)])
-def test_divexact_does_not_rescan_the_remainder(field, monkeypatch):
+def test_divexact_does_not_rescan_the_remainder(field, spy):
     # a 1,771-term quotient: rescanning the remainder for its leading term
     # at every step calls _grlex about 1.7 million times and takes about
     # 0.5 s; the heap of monomials needs no _grlex call beyond lead_term's
@@ -1288,19 +1239,11 @@ def test_divexact_does_not_rescan_the_remainder(field, monkeypatch):
     b = x1 - x2 + ring.const(2)
     q = (x1 + x2 + x3 + ring.one()) ** 20
     a = q * b
-    calls = 0
-    real = polyring._grlex
-
-    def counted(e):
-        nonlocal calls
-        calls += 1
-        return real(e)
-
-    monkeypatch.setattr(polyring, "_grlex", counted)
+    calls = spy("_grlex", polyring)
     start = time.perf_counter()
     assert a.divexact(b) == q
     assert time.perf_counter() - start < 0.3
-    assert calls <= len(b.terms), calls
+    assert len(calls) <= len(b.terms), calls
     with pytest.raises(NotDivisible):
         (a + x3**25).divexact(b)
     with pytest.raises(NotDivisible):
@@ -1445,19 +1388,9 @@ def test_divexact_over_qq_matches_reference():
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=str)
-def test_divexact_packs_once_at_its_first_width(field, monkeypatch):
+def test_divexact_packs_once_at_its_first_width(field, packings):
     """The quotient's keys never exceed the dividend's, so one packing at
     the width of the inputs' total degree serves, divisible or not."""
-    widths = []
-
-    class Recording(polyring._Packing):
-        __slots__ = ()
-
-        def __init__(self, n, w, mod):
-            widths.append(w)
-            super().__init__(n, w, mod)
-
-    monkeypatch.setattr(polyring, "_Packing", Recording)
     rng = seeded(98)
     for n in (1, 2, 3):
         ring = PolyRing(field, tuple(f"x{i + 1}" for i in range(n)))
@@ -1468,13 +1401,13 @@ def test_divexact_packs_once_at_its_first_width(field, monkeypatch):
                 a = a + random_poly(rng, ring, 8, 2)
             if a.is_zero():
                 continue
-            widths.clear()
+            packings.clear()
             try:
                 a.divexact(b)
             except NotDivisible:
                 pass
             deg = max(a.total_degree(), b.total_degree())
-            assert widths == [polyring._first_width(n, deg)], (a, b)
+            assert packings == [polyring._first_width(n, deg)], (a, b)
 
 
 @pytest.mark.parametrize("p", [2, 7, 32003, 2**61 - 1])

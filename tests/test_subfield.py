@@ -253,7 +253,7 @@ def test_adjoin_t_builds_the_reduced_fraction_random():
                 assert ct == RatFunc(num * ext.var(2), den)
 
 
-def test_bounded_dependence_gcds_only_clear_the_denominators(monkeypatch):
+def test_bounded_dependence_gcds_only_clear_the_denominators(spy):
     # each step's one gcd per denominator builds their lcm; no column
     # takes a gcd, so the count does not grow with the bound
     ring = PolyRing(PrimeField(7), ("x1", "x2"))
@@ -265,21 +265,14 @@ def test_bounded_dependence_gcds_only_clear_the_denominators(monkeypatch):
     expected = [trdeg_bounded_dependence(h, with_t, 4).to_dict() for h, with_t in cases]
     assert expected[2]["relations"] and expected[5]["relations"]
 
-    calls = []
-    real_gcd2 = polyring._gcd2
-
-    def counted(x, y):
-        calls.append(y)
-        return real_gcd2(x, y)
-
-    monkeypatch.setattr(polyring, "_gcd2", counted)
+    calls = spy("_gcd2", polyring)
     for (h, with_t), want in zip(cases, expected):
         dens = [c.den for c in (adjoin_t(h) if with_t else h).comps]
         for bound in (1, 4):
             calls.clear()
             got = trdeg_bounded_dependence(h, with_t, bound).to_dict()
             # steps 2 and 3 take 1 and 2 gcds to join their denominators
-            assert len(calls) <= 3 and all(y in dens for y in calls), (h, with_t, bound)
+            assert len(calls) <= 3 and all(y in dens for _, y in calls), (h, with_t, bound)
         assert got == want
 
 
@@ -363,6 +356,14 @@ def test_mobius_examples():
     )
 
     assert mobius_equiv(X1, X2, X1**2, X2**2) is None
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+def test_mobius_equiv_skips_singular_solutions(field):
+    # every solution of 1 * (T11 x1 + T12 x2) = 2 * (T21 x1 + T22 x2) has
+    # T11 = 2 T21 and T12 = 2 T22, so det T = 0: x1/x2 and 2/1 are not linked
+    ring = PolyRing(field, ("x1", "x2"))
+    assert mobius_equiv(ring.var(0), ring.var(1), ring.const(2), ring.one()) is None
 
 
 def test_mobius_singular_matrix_rejected():
@@ -713,17 +714,10 @@ def test_hmgrk2_verify_zero_map():
     assert report.all_ok()
 
 
-def test_hmgrk2_verify_takes_the_gcd_of_h_once(monkeypatch):
+def test_hmgrk2_verify_takes_the_gcd_of_h_once(spy):
     """h is tested for primitivity once, in the preconditions; the
     four-way equivalence reads that verdict and prints the same detail."""
-    seen = []
-    real = subfield.is_primitive
-
-    def counted(polys):
-        seen.append(polys)
-        return real(polys)
-
-    monkeypatch.setattr(subfield, "is_primitive", counted)
+    seen = spy("is_primitive", subfield)
     one = RatFunc.from_poly(R2.one())
     h = HomogTuple((Y1**2, Y1 * Y2, Y2**2), 2)
     cases = [
@@ -734,25 +728,16 @@ def test_hmgrk2_verify_takes_the_gcd_of_h_once(monkeypatch):
         seen.clear()
         report = hmgrk2_verify(target, w)
         assert report.all_ok()
-        assert sum(polys is h.polys for polys in seen) == (w.h is not None)
+        assert sum(polys is h.polys for polys, in seen) == (w.h is not None)
         item = next(i for i in report.items if i.name.startswith("H != 0"))
         assert item.detail == ", ".join([verdict] * 4)
 
 
-def test_hmgrk2_verify_substitutes_h_once(monkeypatch):
+def test_hmgrk2_verify_substitutes_h_once(spy):
     """The degree formulas are checked on the images h(p, q) the identity
     already took; h was proved primitive, so no gcd of h is taken again."""
-    counts = {"_substitute": 0, "gcd_many": 0}
-    for name in counts:
-        real = getattr(polyring, name)
-
-        def counted(*args, real=real, name=name):
-            counts[name] += 1
-            return real(*args)
-
-        for module in (polyring, homog, subfield):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted)
+    substitutions = spy("_substitute", polyring, homog, subfield)
+    gcds = spy("gcd_many", polyring, homog, subfield)
     h_map = RatMap.from_polys([X1**2, X1 * X2, X2**2])
     h = HomogTuple((Y1**2, Y1 * Y2, Y2**2), 2)
     report = hmgrk2_verify(h_map, LurothWitness(RatFunc.from_poly(R2.one()), h, X1, X2))
@@ -760,7 +745,7 @@ def test_hmgrk2_verify_substitutes_h_once(monkeypatch):
     item = next(i for i in report.items if i.name == "degree formulas")
     assert item.detail == "deg 2, low deg 2"
     # through degree_formula, h would be substituted and its gcd taken again: 2 and 4
-    assert counts == {"_substitute": 1, "gcd_many": 3}
+    assert (len(substitutions), len(gcds)) == (1, 3)
 
 
 # -- the internal alarms fire on a wrong but well-typed value -----------------
